@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .evolution import CavityParams, propagate
-from .states import PureState2Q, WernerLike, bell_like, initial_density, to_density
+from .states import PureState2Q, WernerLike, _check_weight, bell_like, initial_density, to_density
 
 __all__ = [
     "CurvePoint",
@@ -160,11 +160,6 @@ def negativity_envelope(gamma: float, t, simple: bool = False):
 # Werner mixtures under damping.
 
 
-def _check_weight(p: float) -> None:
-    if not (0.0 <= p <= 1.0):
-        raise ValueError(f"mixing weight p must lie in [0, 1], got {p}")
-
-
 def werner_psi_curves(gamma: float, p: float, t):
     """(concurrence, negativity) of the damped Werner mixture over the psi Bell pair."""
     _check_weight(p)
@@ -267,15 +262,6 @@ def revival_times(chi12: float, count: int) -> np.ndarray:
     return np.arange(1, count + 1) * math.pi / chi12
 
 
-def _local_max(fn, center: float, halfwidth: float, samples: int = 161):
-    """Maximum of fn over [center - halfwidth, center + halfwidth], sampled densely."""
-    lo = max(center - halfwidth, 0.0)
-    ts = np.linspace(lo, center + halfwidth, samples)
-    vals = np.array([fn(float(t)) for t in ts])
-    k = int(np.argmax(vals))
-    return float(ts[k]), float(vals[k])
-
-
 # ---------------------------------------------------------------------------
 # Ordering inequalities between the decay curves.
 
@@ -352,22 +338,20 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
 
     revs = rev_c = rev_n = None
     if p is not None and chi12 > 0:
-        _check_weight(p)
+        rho0 = initial_density(WernerLike(p))
         revs = revival_times(chi12, revival_count)
         params_on = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=chi12)
         params_off = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=0.0)
-        rho0 = initial_density(WernerLike(p))
-        period = math.pi / chi12
+        halfwidth = 0.05 * (math.pi / chi12)
         rev_c = np.zeros(len(revs), dtype=bool)
         rev_n = np.zeros(len(revs), dtype=bool)
         for i, tn in enumerate(revs):
-            _, peak_c = _local_max(
-                lambda u: measures.concurrence(propagate(rho0, params_on, u)), tn, 0.05 * period)
-            _, peak_n = _local_max(
-                lambda u: measures.negativity(propagate(rho0, params_on, u)), tn, 0.05 * period)
+            # one propagated state per sample serves both measures' local peaks
+            window = np.linspace(max(tn - halfwidth, 0.0), tn + halfwidth, 161)
+            near = [propagate(rho0, params_on, float(u)) for u in window]
             off = propagate(rho0, params_off, float(tn))
-            rev_c[i] = peak_c >= measures.concurrence(off) - slack
-            rev_n[i] = peak_n >= measures.negativity(off) - slack
+            rev_c[i] = max(map(measures.concurrence, near)) >= measures.concurrence(off) - slack
+            rev_n[i] = max(map(measures.negativity, near)) >= measures.negativity(off) - slack
 
     return OrderingReport(ts, c_chain, n_chain, disagree, witness, revs, rev_c, rev_n)
 

@@ -13,21 +13,22 @@ import dataclasses
 import json
 import sys
 from dataclasses import dataclass
-from typing import Optional, Sequence, TextIO
+from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
 
 from . import analytics, measures, verify
-from .evolution import CavityParams, closed_form_reason, propagate, trajectory
+# propagate is unused here but stays reachable as cli.propagate, which the
+# benchmark's tracing test rebinds
+from .evolution import CavityParams, propagate, trajectory, validate_run  # noqa: F401
 from .states import (
     BellLike, BellPhi, BellPsi, InitialState, WernerLike, WernerPhi, WernerPsi,
-    initial_density, initial_label, parse_initial,
+    initial_label, parse_initial,
 )
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "run_simulate",
            "run_figure", "run_sweep", "run_verify", "main"]
 
-_ENGINES = ("analytic", "oracle", "closed_form")
 _MEASURE_OUTPUTS = ("concurrence", "negativity", "eof", "log_negativity")
 _OUTPUTS = _MEASURE_OUTPUTS + ("matrix_elements",)
 _FIGURES = ("fig1", "fig2", "fig3", "fig4")
@@ -42,7 +43,11 @@ _MATRIX_COLUMNS = tuple(
 
 @dataclass(frozen=True)
 class Scenario:
-    """One simulation request: initial state, cavity parameters, grid, engine, outputs."""
+    """One simulation request: initial state, cavity parameters, grid, engine, outputs.
+
+    Everything except ``outputs`` is checked by ``evolution.validate_run``,
+    the same rules ``trajectory`` applies.
+    """
 
     initial: InitialState
     params: CavityParams = CavityParams()
@@ -54,12 +59,8 @@ class Scenario:
     step: Optional[float] = None
 
     def __post_init__(self):
-        if self.t_max <= 0:
-            raise ValueError(f"t_max must be positive, got {self.t_max}")
-        if self.n_points < 2:
-            raise ValueError(f"n_points must be at least 2, got {self.n_points}")
-        if self.engine not in _ENGINES:
-            raise ValueError(f"unknown engine {self.engine!r}, expected one of {_ENGINES}")
+        validate_run(self.initial, self.params, self.t_max, self.n_points,
+                     self.engine, self.fock_dim, self.step)
         outs = tuple(self.outputs)
         if not outs:
             raise ValueError("outputs must name at least one column set")
@@ -67,14 +68,6 @@ class Scenario:
             if o not in _OUTPUTS:
                 raise ValueError(f"unknown output {o!r}, expected names from {_OUTPUTS}")
         object.__setattr__(self, "outputs", outs)
-        if self.engine == "analytic" and not self.params.quiet:
-            raise ValueError("thermal reservoirs (nbar > 0) need the oracle engine")
-        if self.engine == "oracle" and not self.params.quiet and self.fock_dim < 4:
-            raise ValueError("thermal oracle runs need fock_dim >= 4")
-        if self.engine == "closed_form":
-            reason = closed_form_reason(self.initial, self.params)
-            if reason is not None:
-                raise ValueError(reason)
 
 
 def _parse_params(obj: dict) -> CavityParams:
@@ -83,7 +76,14 @@ def _parse_params(obj: dict) -> CavityParams:
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
     # a bare "gamma" would be ambiguous; both rates are always explicit
-    return CavityParams(**{k: float(v) for k, v in obj.items()})
+    return CavityParams(**{k: _number(obj, k, float) for k in obj})
+
+
+def _number(obj: dict, key: str, kind: type):
+    try:
+        return kind(obj[key])
+    except (TypeError, ValueError, OverflowError):
+        raise ValueError(f"{key} must be a finite number, got {obj[key]!r}") from None
 
 
 def parse_scenario(doc: dict) -> Scenario:
@@ -99,10 +99,11 @@ def parse_scenario(doc: dict) -> Scenario:
     kwargs = {"initial": parse_initial(doc["initial"])}
     if "params" in doc:
         kwargs["params"] = _parse_params(doc["params"])
-    if "t_max" in doc:
-        kwargs["t_max"] = float(doc["t_max"])
-    if "n_points" in doc:
-        kwargs["n_points"] = int(doc["n_points"])
+    for key, kind in (("t_max", float), ("n_points", int), ("fock_dim", int)):
+        if key in doc:
+            kwargs[key] = _number(doc, key, kind)
+    if doc.get("step") is not None:
+        kwargs["step"] = _number(doc, "step", float)
     if "engine" in doc:
         kwargs["engine"] = str(doc["engine"])
     if "outputs" in doc:
@@ -110,10 +111,6 @@ def parse_scenario(doc: dict) -> Scenario:
         if not isinstance(outs, (list, tuple)):
             raise ValueError("outputs must be a list of column-set names")
         kwargs["outputs"] = tuple(str(o) for o in outs)
-    if "fock_dim" in doc:
-        kwargs["fock_dim"] = int(doc["fock_dim"])
-    if doc.get("step") is not None:
-        kwargs["step"] = float(doc["step"])
     return Scenario(**kwargs)
 
 
@@ -132,10 +129,6 @@ def load_scenario(path: str) -> Scenario:
 
 def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
-
-
-def _writer(stream: TextIO) -> csv.writer:
-    return csv.writer(stream)
 
 
 def _measure_row(rho, wanted: Sequence[str]) -> list:
@@ -173,28 +166,36 @@ def _output_header(wanted: Sequence[str]) -> list:
     return head
 
 
-def run_simulate(scenario: Scenario, stream: TextIO) -> None:
-    """Evolve the scenario and stream one CSV row per grid time."""
+def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
+    """Evolve the scenario now, then format its CSV rows lazily, each prefixed by ``lead``."""
     traj = trajectory(scenario.initial, scenario.params, scenario.t_max,
                       scenario.n_points, scenario.engine, scenario.fock_dim,
                       scenario.step)
-    w = _writer(stream)
+    return ([*lead, _fmt(t)] + _measure_row(rho, scenario.outputs)
+            for t, rho in zip(traj.times, traj.states))
+
+
+def run_simulate(scenario: Scenario, stream: TextIO) -> None:
+    """Evolve the scenario and stream one CSV row per grid time."""
+    rows = _rows(scenario)
+    w = csv.writer(stream)
     w.writerow(["t"] + _output_header(scenario.outputs))
-    for t, rho in zip(traj.times, traj.states):
-        w.writerow([_fmt(t)] + _measure_row(rho, scenario.outputs))
+    w.writerows(rows)
 
 
 # ---------------------------------------------------------------------------
 # Figure reproduction.
 
-_FIG_GRID = np.linspace(0.0, 1.0, 401)
+_FIG_T_MAX = 1.0
+_FIG_POINTS = 401
+_FIG_GRID = np.linspace(0.0, _FIG_T_MAX, _FIG_POINTS)
 _FIG_GAMMA = 4.0
 _FIG_CHI12 = 20.0
 
 
 def _measured_curve(initial, params: CavityParams, measure_fn) -> np.ndarray:
-    rho0 = initial_density(initial)
-    return np.array([measure_fn(propagate(rho0, params, float(t))) for t in _FIG_GRID])
+    traj = trajectory(initial, params, _FIG_T_MAX, _FIG_POINTS)
+    return np.array([measure_fn(rho) for rho in traj.states])
 
 
 def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
@@ -211,7 +212,7 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure {fig_id!r}, expected one of {_FIGURES}")
-    w = _writer(stream)
+    w = csv.writer(stream)
     gamma = _FIG_GAMMA
     coupled = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=_FIG_CHI12)
     uncoupled = dataclasses.replace(coupled, chi12=0.0)
@@ -235,18 +236,17 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
                         _fmt(curve_d[k]), _fmt(curve_e[k])])
         return
 
-    weights = tuple(p_values) if p_values else _DEFAULT_PANEL_WEIGHTS
-    for p in weights:
-        if not (0.0 <= p <= 1.0):
-            raise ValueError(f"mixing weight p must lie in [0, 1], got {p}")
+    # the tags validate every weight before the first byte is written
+    panels = [(p, WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))
+              for p in (p_values or _DEFAULT_PANEL_WEIGHTS)]
     want_c = fig_id == "fig3"
     measure_fn = measures.concurrence if want_c else measures.negativity
     w.writerow(["p", "t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"])
-    for p in weights:
-        curve_a = _measured_curve(WernerPsi(p, +1), uncoupled, measure_fn)
-        curve_b = _measured_curve(WernerPhi(p, +1), uncoupled, measure_fn)
-        curve_c = _measured_curve(WernerLike(p), coupled, measure_fn)
-        curve_d = _measured_curve(WernerLike(p), uncoupled, measure_fn)
+    for p, psi, phi, like in panels:
+        curve_a = _measured_curve(psi, uncoupled, measure_fn)
+        curve_b = _measured_curve(phi, uncoupled, measure_fn)
+        curve_c = _measured_curve(like, coupled, measure_fn)
+        curve_d = _measured_curve(like, uncoupled, measure_fn)
         if want_c:
             curve_e = analytics.werner_concurrence_envelope(gamma, p, _FIG_GRID)
         else:
@@ -285,14 +285,10 @@ def run_sweep(base: Scenario, vary: str, values: Sequence[float], stream: TextIO
     if vary not in _SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {vary!r}, expected one of {_SWEEPABLE}")
     scenarios = [(float(v), _override(base, vary, float(v))) for v in values]
-    w = _writer(stream)
+    w = csv.writer(stream)
     w.writerow([vary, "t"] + _output_header(base.outputs))
     for value, scenario in scenarios:
-        traj = trajectory(scenario.initial, scenario.params, scenario.t_max,
-                          scenario.n_points, scenario.engine, scenario.fock_dim,
-                          scenario.step)
-        for t, rho in zip(traj.times, traj.states):
-            w.writerow([_fmt(value), _fmt(t)] + _measure_row(rho, scenario.outputs))
+        w.writerows(_rows(scenario, [_fmt(value)]))
 
 
 # ---------------------------------------------------------------------------

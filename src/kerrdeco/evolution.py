@@ -33,6 +33,7 @@ __all__ = [
     "closed_form_rho",
     "closed_form_reason",
     "trajectory",
+    "validate_run",
     "default_step",
 ]
 
@@ -61,9 +62,11 @@ class CavityParams:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "nbar1", "nbar2"):
+        for name in ("gamma1", "gamma2", "chi11", "chi22", "chi12", "nbar1", "nbar2"):
             v = getattr(self, name)
-            if v < 0:
+            if not math.isfinite(v):
+                raise ValueError(f"{name} must be finite, got {v}")
+            if v < 0 and not name.startswith("chi"):
                 raise ValueError(f"{name} must be nonnegative, got {v}")
 
     @property
@@ -90,10 +93,15 @@ class Trajectory:
         t = np.asarray(self.times, dtype=float)
         if t.ndim != 1 or len(t) != len(self.states):
             raise ValueError("times and states must be matching 1-d sequences")
-        if len(t) and (t[0] < 0 or np.any(np.diff(t) <= 0)):
-            raise ValueError("times must be nonnegative and strictly increasing")
+        _check_times(t)
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
+
+
+def _check_times(t: np.ndarray) -> None:
+    # written so that NaN fails every comparison
+    if len(t) and not (t[0] >= 0 and np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
+        raise ValueError("times must be finite, nonnegative and strictly increasing")
 
 
 def rj_factor(j: int, m1: int, n1: int, m2: int, n2: int, p_j: int,
@@ -225,8 +233,8 @@ def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
 
 
 def _check_step(params: CavityParams, fock_dim: int, step: float) -> None:
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
+    if not 0 < step < math.inf:
+        raise ValueError(f"step must be positive and finite, got {step}")
     gmax = max(params.gamma1, params.gamma2)
     chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
     scale = gmax + 2.0 * chi_max * fock_dim ** 2
@@ -276,8 +284,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     if rho.shape != (d, d):
         raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} for fock_dim {fock_dim}")
     grid = [float(x) for x in times]
-    if any(x < 0 for x in grid) or any(b <= a for a, b in zip(grid, grid[1:])):
-        raise ValueError("times must be nonnegative and strictly increasing")
+    _check_times(np.array(grid))
     if step is None:
         step = default_step(params, fock_dim)
     _check_step(params, fock_dim, step)
@@ -419,7 +426,33 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t: float) -> De
 # ---------------------------------------------------------------------------
 # Trajectories.
 
-_QUBIT_ENGINES = ("analytic", "oracle", "closed_form")
+_ENGINES = ("analytic", "oracle", "closed_form")
+
+
+def validate_run(initial: InitialState, params: CavityParams, t_max: float,
+                 n_points: int, engine: str = "analytic", fock_dim: int = 2,
+                 step: Optional[float] = None) -> None:
+    """Raise ValueError, naming the field, unless ``trajectory`` accepts this request."""
+    if engine not in _ENGINES:
+        raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
+    if not 0 < t_max < math.inf:
+        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    if n_points < 2:
+        raise ValueError(f"n_points must be at least 2, got {n_points}")
+    if step is not None:
+        _check_step(params, fock_dim, step)
+    if engine == "closed_form":
+        reason = closed_form_reason(initial, params)
+        if reason is not None:
+            raise ValueError(reason)
+    elif engine == "analytic":
+        if not params.quiet:
+            raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0);"
+                             " thermal runs need the oracle engine")
+    elif fock_dim < 2:
+        raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
+    elif not params.quiet and fock_dim < 4:
+        raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,
@@ -431,13 +464,9 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     master-equation integration, "closed_form" the direct evolved matrices.
     Thermal parameters require the oracle engine with fock_dim >= 4; the
     resulting qubit states are projections and are marked approximate.
+    The request is checked by ``validate_run`` before any work is done.
     """
-    if engine not in _QUBIT_ENGINES:
-        raise ValueError(f"unknown engine {engine!r}, expected one of {_QUBIT_ENGINES}")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if t_max <= 0:
-        raise ValueError(f"t_max must be positive, got {t_max}")
+    validate_run(initial, params, t_max, n_points, engine, fock_dim, step)
     times = np.linspace(0.0, t_max, n_points)
     rho0 = initial_density(initial)
     approximate = False
@@ -447,14 +476,11 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     elif engine == "closed_form":
         mats = [closed_form_rho(initial, params, float(t)) for t in times]
     else:
-        if not params.quiet and fock_dim < 4:
-            raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
         big0 = _embed_qubits(rho0.matrix, fock_dim)
         raw = integrate_master_grid(big0, params, list(times), fock_dim, step)
         approximate = not params.quiet
         mats = [_extract_qubits(r, fock_dim) for r in raw]
-    dms = [m if isinstance(m, DensityMatrix2Q) else DensityMatrix2Q(m) for m in mats]
-    return Trajectory(times, dms, params, initial, engine, approximate)
+    return Trajectory(times, mats, params, initial, engine, approximate)
 
 
 def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:

@@ -10,8 +10,6 @@ import numpy as np
 
 __all__ = [
     "HERMITIAN_TOL",
-    "multiply",
-    "kron",
     "partial_transpose_first",
     "hermitian_eigenvalues",
     "nonneg_spectrum_of_product",
@@ -44,19 +42,6 @@ def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
     dev = float(np.max(np.abs(m - m.conj().T)))
     if dev > tol:
         raise ValueError(f"{what} is not hermitian (max deviation {dev:.3e} > {tol:g})")
-
-
-def multiply(a, b) -> np.ndarray:
-    """Matrix product of two equally sized square matrices."""
-    a, b = _square(a), _square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
-    return a @ b
-
-
-def kron(a, b) -> np.ndarray:
-    """Tensor (Kronecker) product, first factor owning the slow index."""
-    return np.kron(_square(a), _square(b))
 
 
 def partial_transpose_first(rho) -> np.ndarray:

@@ -7,6 +7,7 @@ validated 4x4 density matrices.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from typing import Union
@@ -68,7 +69,10 @@ class PureState2Q:
 
     def __post_init__(self):
         for name in ("c00", "c01", "c10", "c11"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+            c = complex(getattr(self, name))
+            if not cmath.isfinite(c):
+                raise ValueError(f"amplitude {name} must be finite, got {c}")
+            object.__setattr__(self, name, c)
         norm = sum(abs(c) ** 2 for c in self.amplitudes())
         if abs(norm - 1.0) > NORM_TOL:
             raise ValueError(f"amplitudes are not normalized (|c|^2 sums to {norm!r})")
@@ -87,14 +91,17 @@ class DensityMatrix2Q:
         m = np.array(self.matrix, dtype=complex, copy=True)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
+        # each comparison is written so that NaN fails it
         herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if herm_dev > 1e-12:
+        if not herm_dev <= 1e-12:
+            if not np.all(np.isfinite(m)):
+                raise ValueError("density matrix has non-finite entries")
             raise ValueError(f"density matrix is not hermitian (max deviation {herm_dev:.3e})")
         tr = complex(np.trace(m))
-        if abs(tr - 1.0) > 1e-12:
+        if not abs(tr - 1.0) <= 1e-12:
             raise ValueError(f"density matrix trace is {tr!r}, expected 1")
         low = float(np.linalg.eigvalsh(m).min())
-        if low < _PSD_TOL:
+        if not low >= _PSD_TOL:
             raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)

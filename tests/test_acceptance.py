@@ -240,7 +240,7 @@ def test_08_measure_theory_properties():
     worst_lu = 0.0
     for _ in range(200):
         rho = random_density_matrix(rng)
-        u = linalg.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
+        u = np.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
         rotated = u @ rho.matrix @ u.conj().T
         worst_lu = max(worst_lu,
                        abs(measures.concurrence(rho) - measures.concurrence(rotated)),

@@ -1,14 +1,16 @@
+import hashlib
 import io
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from kerrdeco import cli, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_sweep
-from kerrdeco.evolution import CavityParams, propagate
-from kerrdeco.states import BellPsi, WernerLike
+from kerrdeco.evolution import CavityParams, propagate, trajectory
+from kerrdeco.states import BellPsi, WernerLike, parse_initial
 
 BELL_DOC = {
     "initial": {"family": "bell_psi", "sign": "+"},
@@ -18,10 +20,46 @@ BELL_DOC = {
 }
 
 
+REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+
+
 def write_scenario(tmp_path, doc, name="scen.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc), encoding="utf-8")
     return str(path)
+
+
+def trajectory_args(doc):
+    """The arguments ``trajectory`` would get for a scenario document."""
+    return dict(initial=parse_initial(doc["initial"]),
+                params=CavityParams(**doc.get("params", {})),
+                t_max=doc.get("t_max", 1.0), n_points=doc.get("n_points", 401),
+                engine=doc.get("engine", "analytic"),
+                fock_dim=doc.get("fock_dim", 2), step=doc.get("step"))
+
+
+# one bad field per request, and a word the error message must contain
+BAD_REQUESTS = [
+    ({"engine": "exact"}, "unknown engine"),
+    ({"t_max": 0.0}, "t_max"),
+    ({"t_max": -1.0}, "t_max"),
+    ({"t_max": math.nan}, "t_max"),
+    ({"t_max": math.inf}, "t_max"),
+    ({"n_points": 1}, "n_points"),
+    ({"step": 0.0, "engine": "oracle"}, "step"),
+    ({"step": math.nan, "engine": "oracle"}, "step"),
+    ({"step": math.nan}, "step"),
+    ({"step": 0.5, "engine": "oracle"}, "step"),
+    ({"params": {"nbar1": 0.2}}, "quiet"),
+    ({"params": {"nbar1": 0.2}, "engine": "oracle"}, "fock_dim"),
+    ({"engine": "oracle", "fock_dim": 1}, "fock_dim"),
+    ({"params": {"nbar2": 0.1}, "engine": "closed_form"}, "quiet"),
+    ({"params": {"gamma1": 1.0, "gamma2": 2.0}, "engine": "closed_form"}, "damping"),
+    ({"initial": {"family": "separable", "d": [1, 0, 1, 0]}, "engine": "closed_form"},
+     "no closed form"),
+    ({"initial": {"family": "plus_plus"}, "params": {"chi11": 1.0}, "engine": "closed_form"},
+     "self-Kerr"),
+]
 
 
 class TestParseScenario:
@@ -105,6 +143,38 @@ class TestParseScenario:
     def test_scenario_not_an_object(self):
         with pytest.raises(ValueError, match="JSON object"):
             parse_scenario([1, 2, 3])
+
+
+class TestSharedValidation:
+    @pytest.mark.parametrize("bad, word", BAD_REQUESTS)
+    def test_scenario_and_trajectory_reject_alike(self, bad, word):
+        doc = {"initial": {"family": "bell_like"}, **bad}
+        with pytest.raises(ValueError, match=word) as via_scenario:
+            parse_scenario(doc)
+        with pytest.raises(ValueError) as via_trajectory:
+            trajectory(**trajectory_args(doc))
+        assert str(via_scenario.value) == str(via_trajectory.value)
+
+    @pytest.mark.parametrize("text, field", [
+        ('"t_max": NaN', "t_max"),
+        ('"t_max": Infinity', "t_max"),
+        ('"step": NaN', "step"),
+        ('"n_points": NaN', "n_points"),
+        ('"n_points": Infinity', "n_points"),
+        ('"fock_dim": "four"', "fock_dim"),
+        ('"params": {"gamma1": NaN}', "gamma1"),
+        ('"params": {"chi12": -Infinity}', "chi12"),
+        ('"params": {"nbar2": "warm"}', "nbar2"),
+    ])
+    def test_non_finite_json_names_the_field(self, tmp_path, capsys, text, field):
+        path = tmp_path / "scen.json"
+        path.write_text('{"initial": {"family": "bell_like"}, ' + text + "}", encoding="utf-8")
+        with pytest.raises(ValueError, match=field):
+            cli.load_scenario(str(path))
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert field in captured.err
 
 
 class TestSimulate:
@@ -219,6 +289,21 @@ class TestFigure:
         # interpolated envelope stays at or above the oscillating curve
         assert np.all(arr[:, 6] >= arr[:, 4] - 5e-3)
 
+    @pytest.mark.parametrize("fig", ["fig1", "fig2"])
+    def test_bytes_match_the_benchmark_reference(self, tmp_path, fig):
+        # fig1/fig2 take no seed-drawn input, so every recorded seed holds the same hash
+        want = {entry[f"figures/{fig}"] for entry in json.loads(REFERENCE.read_text()).values()}
+        out = tmp_path / f"{fig}.csv"
+        assert main(["figure", fig, "--out", str(out)]) == 0
+        assert {hashlib.sha256(out.read_bytes()).hexdigest()} == want
+
+    @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, math.nan], [0.5, -0.1]])
+    def test_later_bad_weight_writes_nothing(self, weights):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="p must lie"):
+            run_figure("fig3", weights, buf)
+        assert buf.getvalue() == ""
+
     def test_fig1_rejects_weights(self, capsys):
         assert main(["figure", "fig1", "--p", "0.5"]) == 1
         assert "mixing weights" in capsys.readouterr().err
@@ -302,6 +387,24 @@ class TestSweep:
         assert main(["sweep", "--scenario", path, "--sweep", "gamma",
                      "--values", "1,two"]) == 1
         assert "cannot parse values" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("vary, values, word", [
+        ("gamma", [4.0, -1.0], "gamma1"),
+        ("gamma", [4.0, math.nan], "gamma1"),
+        ("chi12", [20.0, math.inf], "chi12"),
+    ])
+    def test_later_bad_value_writes_nothing(self, vary, values, word):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match=word):
+            run_sweep(parse_scenario(BELL_DOC), vary, values, buf)
+        assert buf.getvalue() == ""
+
+    def test_later_bad_weight_writes_nothing(self):
+        base = parse_scenario({**BELL_DOC, "initial": {"family": "werner_like", "p": 0.5}})
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="p must lie"):
+            run_sweep(base, "p", [0.5, 1.5], buf)
+        assert buf.getvalue() == ""
 
     def test_run_sweep_rejects_unknown_parameter(self):
         base = parse_scenario(BELL_DOC)

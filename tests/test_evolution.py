@@ -31,6 +31,13 @@ class TestCavityParams:
         with pytest.raises(ValueError, match="nbar2"):
             CavityParams(nbar2=-0.5)
 
+    @pytest.mark.parametrize("field", ["gamma1", "gamma2", "chi11", "chi22", "chi12",
+                                       "nbar1", "nbar2"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_fields_by_name(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be finite"):
+            CavityParams(**{field: value})
+
     def test_self_kerr_signs_are_free(self):
         CavityParams(chi11=-3.0, chi22=5.0, chi12=-20.0)
 
@@ -184,6 +191,20 @@ class TestMasterEquation:
         rho0 = initial_density(BellPsi(+1)).matrix
         with pytest.raises(ValueError, match="increasing"):
             integrate_master_grid(rho0, QUIET, [0.2, 0.1])
+
+    @pytest.mark.parametrize("times", [[0.1, math.nan], [math.nan], [0.1, math.inf]])
+    def test_times_must_be_finite(self, times):
+        rho0 = initial_density(BellPsi(+1)).matrix
+        with pytest.raises(ValueError, match="finite"):
+            integrate_master_grid(rho0, QUIET, times)
+        with pytest.raises(ValueError, match="finite"):
+            Trajectory(np.array(times), [None] * len(times), QUIET, BellPsi(+1), "analytic")
+
+    @pytest.mark.parametrize("step", [math.nan, math.inf, -0.001])
+    def test_step_must_be_positive_and_finite(self, step):
+        rho0 = initial_density(BellPsi(+1)).matrix
+        with pytest.raises(ValueError, match="step must be positive and finite"):
+            integrate_master(rho0, QUIET, 0.5, step=step)
 
     def test_fock_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="fock_dim"):

@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
 
 from kerrdeco import linalg
 from kerrdeco.states import random_density_matrix, random_pure_state, to_density
@@ -10,71 +9,6 @@ SY = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 
 def _rand_complex(rng, n=4):
     return rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-
-
-# imaginary parts bounded so products stay far from overflow
-finite = st.floats(min_value=-10.0, max_value=10.0, allow_nan=False)
-
-
-def small_matrix(dim):
-    return st.lists(
-        st.lists(st.tuples(finite, finite), min_size=dim, max_size=dim),
-        min_size=dim, max_size=dim,
-    ).map(lambda rows: np.array([[complex(a, b) for a, b in r] for r in rows]))
-
-
-class TestMultiply:
-    def test_matches_hand_product(self):
-        a = np.array([[1, 2], [3, 4]], dtype=complex)
-        b = np.array([[0, 1], [1, 0]], dtype=complex)
-        assert np.array_equal(linalg.multiply(a, b), np.array([[2, 1], [4, 3]]))
-
-    def test_rejects_mismatched_sizes(self):
-        with pytest.raises(ValueError):
-            linalg.multiply(np.eye(2), np.eye(3))
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            linalg.multiply(np.ones((2, 3)), np.ones((3, 2)))
-
-    def test_does_not_mutate_inputs(self, rng):
-        a, b = _rand_complex(rng, 2), _rand_complex(rng, 2)
-        a0, b0 = a.copy(), b.copy()
-        linalg.multiply(a, b)
-        assert np.array_equal(a, a0) and np.array_equal(b, b0)
-
-
-class TestKron:
-    def test_hand_example(self):
-        sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        sz = np.array([[1, 0], [0, -1]], dtype=complex)
-        want = np.array([
-            [0, 0, 1, 0],
-            [0, 0, 0, -1],
-            [1, 0, 0, 0],
-            [0, -1, 0, 0],
-        ], dtype=complex)
-        assert np.array_equal(linalg.kron(sx, sz), want)
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=small_matrix(2), b=small_matrix(2), c=small_matrix(2))
-    def test_bilinearity(self, a, b, c):
-        left = linalg.kron(a, b + c)
-        right = linalg.kron(a, b) + linalg.kron(a, c)
-        assert np.allclose(left, right, atol=1e-9)
-
-    @settings(max_examples=30, deadline=None)
-    @given(a=small_matrix(2), b=small_matrix(2), c=small_matrix(2))
-    def test_associativity(self, a, b, c):
-        left = linalg.kron(linalg.kron(a, b), c)
-        right = linalg.kron(a, linalg.kron(b, c))
-        assert np.allclose(left, right, atol=1e-9)
-
-    def test_mixed_product_rule(self, rng):
-        a, b, c, d = (_rand_complex(rng, 2) for _ in range(4))
-        left = linalg.kron(a, b) @ linalg.kron(c, d)
-        right = linalg.kron(a @ c, b @ d)
-        assert np.allclose(left, right, atol=1e-10)
 
 
 class TestPartialTranspose:
@@ -138,7 +72,7 @@ class TestHermitianEigenvalues:
 
 class TestSpinFlipSpectrum:
     def _product(self, rho):
-        syy = linalg.kron(SY, SY)
+        syy = np.kron(SY, SY)
         return rho @ syy @ rho.conj() @ syy
 
     def test_bell_state_spectrum(self):
@@ -150,7 +84,7 @@ class TestSpinFlipSpectrum:
     def test_matches_hermitian_sqrt_route(self, rng):
         # independent algebra: eigenvalues of sqrt(rho) R sqrt(rho) with R the
         # flipped partner coincide with the product spectrum
-        syy = linalg.kron(SY, SY)
+        syy = np.kron(SY, SY)
         for _ in range(100):
             rho = random_density_matrix(rng).matrix
             lam = linalg.nonneg_spectrum_of_product(self._product(rho))

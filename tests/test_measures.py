@@ -119,7 +119,7 @@ class TestCorpusProperties:
     def test_local_unitary_invariance(self, rng):
         for _ in range(200):
             rho = random_density_matrix(rng)
-            u = linalg.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
+            u = np.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
             rotated = u @ rho.matrix @ u.conj().T
             assert concurrence(rotated) == pytest.approx(concurrence(rho), abs=1e-9)
             assert negativity(rotated) == pytest.approx(negativity(rho), abs=1e-9)

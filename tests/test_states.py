@@ -24,6 +24,11 @@ class TestPureState:
         with pytest.raises(ValueError, match="not normalized"):
             PureState2Q(1.0, 1.0, 0.0, 0.0)
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
+    def test_rejects_non_finite_amplitude_by_name(self, bad):
+        with pytest.raises(ValueError, match="c10 must be finite"):
+            PureState2Q(RT2, 0.0, bad, RT2)
+
     def test_accepts_complex_phases(self):
         PureState2Q(RT2 * 1j, 0.0, 0.0, -RT2)
 
@@ -55,6 +60,19 @@ class TestDensityMatrix:
     def test_rejects_wrong_shape(self):
         with pytest.raises(ValueError):
             DensityMatrix2Q(np.eye(2) / 2.0)
+
+    # inf - inf in the hermiticity check warns before it fails
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("i, j, bad", [
+        (0, 0, math.nan), (1, 2, math.nan), (3, 3, math.inf), (0, 3, complex(0.0, math.inf)),
+    ])
+    def test_rejects_non_finite_entries(self, i, j, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[i, j] = bad
+        if i != j:
+            m[j, i] = np.conj(bad)
+        with pytest.raises(ValueError, match="non-finite"):
+            DensityMatrix2Q(m)
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix2Q(np.eye(4) / 4.0)
