@@ -314,12 +314,7 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
     the local peak of the coupled Werner-like measure near each revival
     must not fall below the uncoupled curve at that revival.
     """
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if np.any(ts < 0):
-        raise ValueError("times must be nonnegative")
-
     c_psi, n_psi = bell_psi_curves(gamma, ts)
     c_phi, n_phi = bell_phi_curves(gamma, ts)
     c_unc, n_unc = bell_like_uncoupled_curves(gamma, ts)

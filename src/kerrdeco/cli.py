@@ -8,11 +8,12 @@ configuration error, 2 verification failure.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, TextIO
 
 import numpy as np
@@ -23,7 +24,7 @@ from . import analytics, measures, verify
 from .evolution import CavityParams, propagate, trajectory, validate_run  # noqa: F401
 from .states import (
     BellLike, BellPhi, BellPsi, InitialState, WernerLike, WernerPhi, WernerPsi,
-    initial_label, parse_initial,
+    _read, initial_label, parse_initial,
 )
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "run_simulate",
@@ -71,27 +72,20 @@ class Scenario:
 
 
 def _parse_params(obj: dict) -> CavityParams:
-    known = {"gamma1", "gamma2", "chi11", "chi22", "chi12", "nbar1", "nbar2"}
-    unknown = set(obj) - known
+    if not isinstance(obj, dict):
+        raise ValueError(f"params must be a JSON object, got {type(obj).__name__}")
+    unknown = set(obj) - {f.name for f in fields(CavityParams)}
     if unknown:
         raise ValueError(f"unknown parameter keys: {sorted(unknown)}")
     # a bare "gamma" would be ambiguous; both rates are always explicit
-    return CavityParams(**{k: _number(obj, k, float) for k in obj})
-
-
-def _number(obj: dict, key: str, kind: type):
-    try:
-        return kind(obj[key])
-    except (TypeError, ValueError, OverflowError):
-        raise ValueError(f"{key} must be a finite number, got {obj[key]!r}") from None
+    return CavityParams(**{k: _read(v, k) for k, v in obj.items()})
 
 
 def parse_scenario(doc: dict) -> Scenario:
     """Build a validated Scenario from its JSON document form."""
     if not isinstance(doc, dict):
         raise ValueError(f"scenario must be a JSON object, got {type(doc).__name__}")
-    known = {"initial", "params", "t_max", "n_points", "engine", "outputs", "fock_dim", "step"}
-    unknown = set(doc) - known
+    unknown = set(doc) - {f.name for f in fields(Scenario)}
     if unknown:
         raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
     if "initial" not in doc:
@@ -99,11 +93,12 @@ def parse_scenario(doc: dict) -> Scenario:
     kwargs = {"initial": parse_initial(doc["initial"])}
     if "params" in doc:
         kwargs["params"] = _parse_params(doc["params"])
-    for key, kind in (("t_max", float), ("n_points", int), ("fock_dim", int)):
-        if key in doc:
-            kwargs[key] = _number(doc, key, kind)
+    # t_max, n_points and fock_dim are read as the type of their default
+    for f in fields(Scenario):
+        if f.name in doc and type(f.default) in (int, float):
+            kwargs[f.name] = _read(doc[f.name], f.name, type(f.default))
     if doc.get("step") is not None:
-        kwargs["step"] = _number(doc, "step", float)
+        kwargs["step"] = _read(doc["step"], "step")
     if "engine" in doc:
         kwargs["engine"] = str(doc["engine"])
     if "outputs" in doc:
@@ -198,6 +193,17 @@ def _measured_curve(initial, params: CavityParams, measure_fn) -> np.ndarray:
     return np.array([measure_fn(rho) for rho in traj.states])
 
 
+def _envelope(fig_id: str, p: Optional[float], curve_c: np.ndarray) -> np.ndarray:
+    if fig_id == "fig1":
+        return analytics.concurrence_envelope(_FIG_GAMMA, _FIG_GRID)
+    if fig_id == "fig2":
+        return analytics.negativity_envelope(_FIG_GAMMA, _FIG_GRID)
+    if fig_id == "fig3":
+        return analytics.werner_concurrence_envelope(_FIG_GAMMA, p, _FIG_GRID)
+    peaks = analytics.numeric_envelope(list(zip(_FIG_GRID, curve_c)))
+    return np.interp(_FIG_GRID, [q.t for q in peaks], [q.value for q in peaks])
+
+
 def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
                stream: TextIO = sys.stdout) -> None:
     """Reproduce the data behind one of the four bundled figures as CSV.
@@ -212,49 +218,31 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure {fig_id!r}, expected one of {_FIGURES}")
-    w = csv.writer(stream)
-    gamma = _FIG_GAMMA
-    coupled = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=_FIG_CHI12)
-    uncoupled = dataclasses.replace(coupled, chi12=0.0)
-
-    if fig_id in ("fig1", "fig2"):
-        if p_values:
-            raise ValueError(f"{fig_id} does not take mixing weights")
-        want_c = fig_id == "fig1"
-        measure_fn = measures.concurrence if want_c else measures.negativity
-        curve_a = _measured_curve(BellPsi(+1), uncoupled, measure_fn)
-        curve_b = _measured_curve(BellPhi(+1), uncoupled, measure_fn)
-        curve_c = _measured_curve(BellLike(), coupled, measure_fn)
-        curve_d = _measured_curve(BellLike(), uncoupled, measure_fn)
-        if want_c:
-            curve_e = analytics.concurrence_envelope(gamma, _FIG_GRID)
-        else:
-            curve_e = analytics.negativity_envelope(gamma, _FIG_GRID)
-        w.writerow(["t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"])
-        for k, t in enumerate(_FIG_GRID):
-            w.writerow([_fmt(t), _fmt(curve_a[k]), _fmt(curve_b[k]), _fmt(curve_c[k]),
-                        _fmt(curve_d[k]), _fmt(curve_e[k])])
-        return
-
+    werner = fig_id in ("fig3", "fig4")
+    if p_values and not werner:
+        raise ValueError(f"{fig_id} does not take mixing weights")
     # the tags validate every weight before the first byte is written
-    panels = [(p, WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))
-              for p in (p_values or _DEFAULT_PANEL_WEIGHTS)]
-    want_c = fig_id == "fig3"
-    measure_fn = measures.concurrence if want_c else measures.negativity
-    w.writerow(["p", "t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"])
+    if werner:
+        panels = [(p, WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))
+                  for p in (p_values or _DEFAULT_PANEL_WEIGHTS)]
+    else:
+        panels = [(None, BellPsi(+1), BellPhi(+1), BellLike())]
+    measure_fn = measures.concurrence if fig_id in ("fig1", "fig3") else measures.negativity
+    coupled = CavityParams(gamma1=_FIG_GAMMA, gamma2=_FIG_GAMMA, chi11=0.0, chi22=0.0,
+                           chi12=_FIG_CHI12)
+    uncoupled = dataclasses.replace(coupled, chi12=0.0)
+    w = csv.writer(stream)
+    w.writerow((["p"] if werner else [])
+               + ["t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"])
     for p, psi, phi, like in panels:
         curve_a = _measured_curve(psi, uncoupled, measure_fn)
         curve_b = _measured_curve(phi, uncoupled, measure_fn)
         curve_c = _measured_curve(like, coupled, measure_fn)
         curve_d = _measured_curve(like, uncoupled, measure_fn)
-        if want_c:
-            curve_e = analytics.werner_concurrence_envelope(gamma, p, _FIG_GRID)
-        else:
-            peaks = analytics.numeric_envelope(list(zip(_FIG_GRID, curve_c)))
-            curve_e = np.interp(_FIG_GRID, [q.t for q in peaks], [q.value for q in peaks])
-        for k, t in enumerate(_FIG_GRID):
-            w.writerow([_fmt(p), _fmt(t), _fmt(curve_a[k]), _fmt(curve_b[k]),
-                        _fmt(curve_c[k]), _fmt(curve_d[k]), _fmt(curve_e[k])])
+        curve_e = _envelope(fig_id, p, curve_c)
+        lead = [] if p is None else [_fmt(p)]
+        for row in zip(_FIG_GRID, curve_a, curve_b, curve_c, curve_d, curve_e):
+            w.writerow(lead + [_fmt(x) for x in row])
 
 
 # ---------------------------------------------------------------------------
@@ -269,7 +257,7 @@ def _override(base: Scenario, vary: str, value: float) -> Scenario:
         params = dataclasses.replace(base.params, chi12=value)
         return dataclasses.replace(base, params=params)
     if vary == "p":
-        if not isinstance(base.initial, (WernerPsi, WernerPhi, WernerLike)):
+        if not hasattr(base.initial, "p"):
             raise ValueError(
                 f"cannot sweep p: initial family {initial_label(base.initial)} has no mixing weight")
         return dataclasses.replace(base, initial=dataclasses.replace(base.initial, p=value))
@@ -328,7 +316,7 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-class _UsageError(Exception):
+class _UsageError(ValueError):
     pass
 
 
@@ -371,6 +359,13 @@ def _parse_values(text: str) -> list:
         raise ValueError(f"cannot parse values list {text!r}: {exc}") from exc
 
 
+def _open_out(path: Optional[str]):
+    """A file opened with CSV-safe newlines, or stdout when no path is given."""
+    if path is None:
+        return contextlib.nullcontext(sys.stdout)
+    return open(path, "w", encoding="utf-8", newline="")
+
+
 def _dispatch(args) -> int:
     if args.command == "simulate":
         scenario = load_scenario(args.scenario)
@@ -398,33 +393,11 @@ def _dispatch(args) -> int:
     raise ValueError(f"unknown command {args.command!r}")
 
 
-class _open_out:
-    """Context manager: open a path with CSV-safe newlines, or pass stdout through."""
-
-    def __init__(self, path: Optional[str]):
-        self.path = path
-        self.fh = None
-
-    def __enter__(self) -> TextIO:
-        if self.path is None:
-            return sys.stdout
-        self.fh = open(self.path, "w", encoding="utf-8", newline="")
-        return self.fh
-
-    def __exit__(self, *exc):
-        if self.fh is not None:
-            self.fh.close()
-        return False
-
-
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
         return _dispatch(args)
-    except _UsageError as exc:
-        print(f"kerrdeco: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, OSError) as exc:
         print(f"kerrdeco: {exc}", file=sys.stderr)
         return 1

@@ -13,14 +13,14 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .states import (
     BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, initial_density, initial_label,
+    WernerLike, WernerPhi, WernerPsi, _as_density, initial_density, initial_label,
 )
 
 __all__ = [
@@ -62,12 +62,12 @@ class CavityParams:
     nbar2: float = 0.0
 
     def __post_init__(self):
-        for name in ("gamma1", "gamma2", "chi11", "chi22", "chi12", "nbar1", "nbar2"):
-            v = getattr(self, name)
+        for f in fields(self):
+            v = getattr(self, f.name)
             if not math.isfinite(v):
-                raise ValueError(f"{name} must be finite, got {v}")
-            if v < 0 and not name.startswith("chi"):
-                raise ValueError(f"{name} must be nonnegative, got {v}")
+                raise ValueError(f"{f.name} must be finite, got {v}")
+            if v < 0 and not f.name.startswith("chi"):
+                raise ValueError(f"{f.name} must be nonnegative, got {v}")
 
     @property
     def quiet(self) -> bool:
@@ -153,9 +153,7 @@ def propagate(rho0, params: CavityParams, t: float, phase_sign: int = +1) -> Den
         raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
     if t < 0:
         raise ValueError(f"time must be nonnegative, got {t}")
-    if not isinstance(rho0, DensityMatrix2Q):
-        rho0 = DensityMatrix2Q(np.asarray(rho0))
-    src = rho0.matrix
+    src = _as_density(rho0).matrix
     out = np.zeros((4, 4), dtype=complex)
     for m1 in (0, 1):
         for m2 in (0, 1):

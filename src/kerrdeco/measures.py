@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import DensityMatrix2Q, PureState2Q
+from .states import PureState2Q, _as_density
 
 __all__ = [
     "EntanglementReport",
@@ -30,12 +30,6 @@ _RANGE_SLACK = 1e-9
 
 _SIGMA_Y = np.array([[0.0, -1.0j], [1.0j, 0.0]])
 _SIGMA_YY = np.kron(_SIGMA_Y, _SIGMA_Y)
-
-
-def _as_density(rho) -> DensityMatrix2Q:
-    if isinstance(rho, DensityMatrix2Q):
-        return rho
-    return DensityMatrix2Q(np.asarray(rho))
 
 
 @dataclass(frozen=True)

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Union
 
 import numpy as np
@@ -112,25 +112,35 @@ class DensityMatrix2Q:
         return np.asarray(self.matrix, dtype=dtype)
 
 
+def _as_density(rho) -> DensityMatrix2Q:
+    if isinstance(rho, DensityMatrix2Q):
+        return rho
+    return DensityMatrix2Q(np.asarray(rho))
+
+
 # ---------------------------------------------------------------------------
 # Initial-state tags. These name the families the evolution engines accept;
 # the sign is stored as +1 or -1, and Werner mixing weights live on the tag.
 
 
-@dataclass(frozen=True)
-class BellPsi:
-    sign: int = +1
+class _Tag:
+    """The one ``__post_init__`` of the tags that carry a sign or a mixing weight p."""
 
     def __post_init__(self):
-        object.__setattr__(self, "sign", _norm_sign(self.sign))
+        if hasattr(self, "sign"):
+            object.__setattr__(self, "sign", _norm_sign(self.sign))
+        if hasattr(self, "p"):
+            _check_weight(self.p)
 
 
 @dataclass(frozen=True)
-class BellPhi:
+class BellPsi(_Tag):
     sign: int = +1
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _norm_sign(self.sign))
+
+@dataclass(frozen=True)
+class BellPhi(_Tag):
+    sign: int = +1
 
 
 @dataclass(frozen=True)
@@ -152,31 +162,20 @@ class Separable:
 
 
 @dataclass(frozen=True)
-class WernerPsi:
+class WernerPsi(_Tag):
     p: float
     sign: int = +1
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _norm_sign(self.sign))
-        _check_weight(self.p)
-
 
 @dataclass(frozen=True)
-class WernerPhi:
+class WernerPhi(_Tag):
     p: float
     sign: int = +1
 
-    def __post_init__(self):
-        object.__setattr__(self, "sign", _norm_sign(self.sign))
-        _check_weight(self.p)
-
 
 @dataclass(frozen=True)
-class WernerLike:
+class WernerLike(_Tag):
     p: float
-
-    def __post_init__(self):
-        _check_weight(self.p)
 
 
 @dataclass(frozen=True)
@@ -193,6 +192,15 @@ InitialState = Union[
     BellPsi, BellPhi, BellLike, PlusPlus, Separable,
     WernerPsi, WernerPhi, WernerLike, CustomPure, CustomMixed,
 ]
+
+# the family names of the scenario format, each with its tag
+_FAMILIES = {
+    "bell_psi": BellPsi, "bell_phi": BellPhi, "bell_like": BellLike,
+    "plus_plus": PlusPlus, "separable": Separable, "werner_psi": WernerPsi,
+    "werner_phi": WernerPhi, "werner_like": WernerLike,
+    "custom_pure": CustomPure, "custom_mixed": CustomMixed,
+}
+_FAMILY_NAMES = {tag: name for name, tag in _FAMILIES.items()}
 
 
 def _check_weight(p: float) -> None:
@@ -295,25 +303,39 @@ def initial_density(initial: InitialState) -> DensityMatrix2Q:
 
 def initial_label(initial: InitialState) -> str:
     """Short stable name for an initial-state tag, used in CSV metadata and errors."""
-    sign = getattr(initial, "sign", None)
-    suffix = {+1: "_plus", -1: "_minus"}.get(sign, "")
-    name = {
-        BellPsi: "bell_psi", BellPhi: "bell_phi", BellLike: "bell_like",
-        PlusPlus: "plus_plus", Separable: "separable", WernerPsi: "werner_psi",
-        WernerPhi: "werner_phi", WernerLike: "werner_like",
-        CustomPure: "custom_pure", CustomMixed: "custom_mixed",
-    }.get(type(initial))
+    name = _FAMILY_NAMES.get(type(initial))
     if name is None:
         raise ValueError(f"unknown initial state {initial!r}")
+    suffix = {+1: "_plus", -1: "_minus"}.get(getattr(initial, "sign", None), "")
     return name + suffix
 
 
-def _parse_complex(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ValueError(f"cannot read {value!r} as a complex number; use a number or [re, im]")
+def _read(value, name: str, kind: type = float):
+    """Read a JSON value as a float, a whole int or a complex number.
+
+    A value that is not one raises ValueError naming the field ``name``. A
+    complex number is written as a number or an [re, im] pair. Non-finite
+    floats pass; the field's own check names them.
+    """
+    try:
+        if kind is complex and isinstance(value, (list, tuple)) and len(value) == 2:
+            return complex(float(value[0]), float(value[1]))
+        if kind is complex and not isinstance(value, (int, float)):
+            raise TypeError
+        out = kind(value)
+        if kind is int and isinstance(value, float) and out != value:
+            raise ValueError
+        return out
+    except (TypeError, ValueError, OverflowError):
+        what = {float: "a number", int: "a whole number",
+                complex: "a complex number, written as a number or [re, im]"}[kind]
+        raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _four(value, usage: str):
+    if not isinstance(value, (list, tuple)) or len(value) != 4:
+        raise ValueError(usage)
+    return value
 
 
 def parse_initial(obj: dict) -> InitialState:
@@ -328,38 +350,26 @@ def parse_initial(obj: dict) -> InitialState:
     if not isinstance(obj, dict):
         raise ValueError(f"initial state must be a JSON object, got {type(obj).__name__}")
     family = obj.get("family")
-    sign = obj.get("sign", "+")
-    if family == "bell_psi":
-        return BellPsi(sign)
-    if family == "bell_phi":
-        return BellPhi(sign)
-    if family == "bell_like":
-        return BellLike()
-    if family == "plus_plus":
-        return PlusPlus()
-    if family == "separable":
-        d = obj.get("d")
-        if not isinstance(d, (list, tuple)) or len(d) != 4:
-            raise ValueError("separable needs 'd': four amplitudes [d1, d2, d3, d4]")
-        return Separable(*(_parse_complex(v) for v in d))
-    if family == "werner_psi":
-        return WernerPsi(p=float(obj["p"]), sign=sign)
-    if family == "werner_phi":
-        return WernerPhi(p=float(obj["p"]), sign=sign)
-    if family == "werner_like":
-        return WernerLike(p=float(obj["p"]))
-    if family == "custom_pure":
-        amps = obj.get("amplitudes")
-        if not isinstance(amps, (list, tuple)) or len(amps) != 4:
-            raise ValueError("custom_pure needs 'amplitudes': four entries")
-        return CustomPure(PureState2Q(*(_parse_complex(v) for v in amps)))
-    if family == "custom_mixed":
-        rows = obj.get("matrix")
-        if not isinstance(rows, (list, tuple)) or len(rows) != 4:
-            raise ValueError("custom_mixed needs 'matrix': four rows of four entries")
-        m = np.array([[_parse_complex(v) for v in row] for row in rows], dtype=complex)
-        return CustomMixed(DensityMatrix2Q(m))
-    raise ValueError(f"unknown initial-state family {family!r}")
+    tag = _FAMILIES.get(family) if isinstance(family, str) else None
+    if tag is None:
+        raise ValueError(f"unknown initial-state family {family!r}")
+    if tag is Separable:
+        d = _four(obj.get("d"), "separable needs 'd': four amplitudes [d1, d2, d3, d4]")
+        return Separable(*(_read(v, f"d[{i}]", complex) for i, v in enumerate(d)))
+    if tag is CustomPure:
+        amps = _four(obj.get("amplitudes"), "custom_pure needs 'amplitudes': four entries")
+        return CustomPure(PureState2Q(*(_read(v, f"amplitudes[{i}]", complex)
+                                        for i, v in enumerate(amps))))
+    if tag is CustomMixed:
+        usage = "custom_mixed needs 'matrix': four rows of four entries"
+        m = [[_read(v, f"matrix[{i}][{j}]", complex) for j, v in enumerate(_four(row, usage))]
+             for i, row in enumerate(_four(obj.get("matrix"), usage))]
+        return CustomMixed(DensityMatrix2Q(np.array(m, dtype=complex)))
+    names = {f.name for f in fields(tag)}
+    kwargs = {"sign": obj.get("sign", "+")} if "sign" in names else {}
+    if "p" in names:
+        kwargs["p"] = _read(obj.get("p"), "p")
+    return tag(**kwargs)
 
 
 # ---------------------------------------------------------------------------

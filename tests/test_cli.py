@@ -1,16 +1,20 @@
+import dataclasses
 import hashlib
 import io
 import json
 import math
+import re
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrdeco import cli, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
-from kerrdeco.states import BellPsi, WernerLike, parse_initial
+from kerrdeco.states import _FAMILIES, BellPsi, WernerLike, parse_initial
 
 BELL_DOC = {
     "initial": {"family": "bell_psi", "sign": "+"},
@@ -21,6 +25,7 @@ BELL_DOC = {
 
 
 REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def write_scenario(tmp_path, doc, name="scen.json"):
@@ -165,6 +170,17 @@ class TestSharedValidation:
         ('"params": {"gamma1": NaN}', "gamma1"),
         ('"params": {"chi12": -Infinity}', "chi12"),
         ('"params": {"nbar2": "warm"}', "nbar2"),
+        # a later "initial" key replaces the bell_like one
+        ('"initial": {"family": "werner_psi"}', "p"),
+        ('"initial": {"family": "werner_like", "p": null}', "p"),
+        ('"params": 5', "params"),
+        ('"params": ["gamma1"]', "params"),
+        ('"initial": {"family": "custom_mixed", "matrix": [1, 0, 0, 0]}', "matrix"),
+        ('"initial": {"family": "custom_pure", "amplitudes": [[1, null], 0, 0, 0]}',
+         "amplitudes"),
+        ('"initial": {"family": ["bell_psi"]}', "family"),
+        ('"n_points": 3.9', "n_points"),
+        ('"fock_dim": 2.5', "fock_dim"),
     ])
     def test_non_finite_json_names_the_field(self, tmp_path, capsys, text, field):
         path = tmp_path / "scen.json"
@@ -175,6 +191,34 @@ class TestSharedValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: (st.lists(inner, max_size=5)
+                   | st.dictionaries(st.text(max_size=8), inner, max_size=4)),
+    max_leaves=20,
+)
+# one document for every family: each family reads its own fields and ignores the rest
+ANY_INITIAL = {"sign": "-", "p": 0.5, "d": [1, 0, [0, 1], 0],
+               "amplitudes": [0.5, 0.5, 0.5, -0.5],
+               "matrix": [[0.25 if i == j else 0 for j in range(4)] for i in range(4)]}
+SCENARIO_FIELDS = [f.name for f in dataclasses.fields(Scenario)]
+
+
+class TestMalformedScenario:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(family=st.sampled_from(sorted(_FAMILIES)),
+           field=st.sampled_from(SCENARIO_FIELDS + ["family", *ANY_INITIAL]),
+           value=JSON_VALUES)
+    def test_any_json_value_gives_a_scenario_or_a_value_error(self, family, field, value):
+        initial = {"family": family, **ANY_INITIAL}
+        doc = {"initial": initial}
+        (doc if field in SCENARIO_FIELDS else initial)[field] = value
+        try:
+            assert isinstance(parse_scenario(doc), Scenario)
+        except ValueError:
+            pass
 
 
 class TestSimulate:
@@ -289,12 +333,20 @@ class TestFigure:
         # interpolated envelope stays at or above the oscillating curve
         assert np.all(arr[:, 6] >= arr[:, 4] - 5e-3)
 
-    @pytest.mark.parametrize("fig", ["fig1", "fig2"])
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
     def test_bytes_match_the_benchmark_reference(self, tmp_path, fig):
-        # fig1/fig2 take no seed-drawn input, so every recorded seed holds the same hash
-        want = {entry[f"figures/{fig}"] for entry in json.loads(REFERENCE.read_text()).values()}
+        reference = json.loads(REFERENCE.read_text())
+        # the benchmark draws three fig3 and then three fig4 weights from input seed 0
+        rng = np.random.default_rng(0)
+        drawn = [round(float(rng.uniform(0.4, 1.0)), 3) for _ in range(6)]
+        weights = {"fig3": drawn[:3], "fig4": drawn[3:]}.get(fig)
         out = tmp_path / f"{fig}.csv"
-        assert main(["figure", fig, "--out", str(out)]) == 0
+        argv = ["figure", fig, "--out", str(out)]
+        if weights:
+            argv += ["--p", ",".join(repr(p) for p in weights)]
+        # fig1/fig2 take no seed-drawn input, so every recorded seed holds the same hash
+        want = {reference[seed][f"figures/{fig}"] for seed in (["0"] if weights else reference)}
+        assert main(argv) == 0
         assert {hashlib.sha256(out.read_bytes()).hexdigest()} == want
 
     @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, math.nan], [0.5, -0.1]])
@@ -473,3 +525,24 @@ class TestUsage:
     def test_error_messages_name_the_tool(self, capsys):
         main(["simulate", "--scenario", "/nonexistent/path.json"])
         assert capsys.readouterr().err.startswith("kerrdeco:")
+
+
+class TestDocumentedSchema:
+    """The README's scenario section keeps up with the family table and the dataclasses."""
+
+    @staticmethod
+    def section():
+        text = README.read_text(encoding="utf-8")
+        start = text.index("## Scenario files")
+        return text[start:text.index("\n## ", start + 1)]
+
+    def test_every_family_and_parameter_is_documented(self):
+        section = self.section()
+        names = [*_FAMILIES, *(f.name for f in dataclasses.fields(CavityParams))]
+        assert [n for n in names if f"`{n}`" not in section and f'"{n}"' not in section] == []
+
+    def test_the_example_has_every_scenario_key(self):
+        section = self.section()
+        example = json.loads(re.search(r"```json\n(.*?)```", section, re.S).group(1))
+        assert {f.name for f in dataclasses.fields(Scenario)} - {"initial"} <= set(example)
+        assert isinstance(parse_scenario(example), Scenario)

@@ -214,7 +214,7 @@ class TestParseInitial:
             parse_initial({"family": "separable", "d": ["a", 0.0, 1.0, 0.0]})
         with pytest.raises(ValueError):
             parse_initial("bell_psi")
-        with pytest.raises(KeyError):
+        with pytest.raises(ValueError, match="p must be"):
             parse_initial({"family": "werner_psi"})
 
 
