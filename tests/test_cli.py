@@ -14,7 +14,9 @@ from hypothesis import strategies as st
 from kerrdeco import cli, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
-from kerrdeco.states import _FAMILIES, BellPsi, WernerLike, parse_initial
+from kerrdeco.states import (
+    _FAMILIES, BellPsi, WernerLike, parse_initial, random_density_matrix, random_pure_state,
+)
 
 BELL_DOC = {
     "initial": {"family": "bell_psi", "sign": "+"},
@@ -43,6 +45,31 @@ def trajectory_args(doc):
                 fock_dim=doc.get("fock_dim", 2), step=doc.get("step"))
 
 
+def scenario_initials(seed):
+    """The initial states the benchmark's scenarios workload draws from an input seed."""
+    rng = np.random.default_rng(seed)
+    initials = {}
+    for family in ("bell_psi", "bell_phi", "bell_like", "plus_plus",
+                   "werner_psi", "werner_phi", "werner_like"):
+        doc = initials[family] = {"family": family}
+        if family in ("bell_psi", "bell_phi", "werner_psi", "werner_phi"):
+            doc["sign"] = "+" if rng.random() < 0.5 else "-"
+        if family.startswith("werner"):
+            doc["p"] = round(float(rng.uniform(0.3, 1.0)), 3)
+
+    def pairs(entries):
+        return [[float(z.real), float(z.imag)] for z in entries]
+
+    initials["custom_pure"] = {"family": "custom_pure",
+                               "amplitudes": pairs(random_pure_state(rng).amplitudes())}
+    initials["custom_mixed"] = {"family": "custom_mixed",
+                                "matrix": [pairs(row) for row in random_density_matrix(rng).matrix]}
+    return initials
+
+
+SEED0_INITIALS = scenario_initials(0)
+
+
 # one bad field per request, and a word the error message must contain
 BAD_REQUESTS = [
     ({"engine": "exact"}, "unknown engine"),
@@ -58,6 +85,7 @@ BAD_REQUESTS = [
     ({"params": {"nbar1": 0.2}}, "quiet"),
     ({"params": {"nbar1": 0.2}, "engine": "oracle"}, "fock_dim"),
     ({"engine": "oracle", "fock_dim": 1}, "fock_dim"),
+    ({"engine": "oracle", "fock_dim": 17}, "fock_dim"),
     ({"params": {"nbar2": 0.1}, "engine": "closed_form"}, "quiet"),
     ({"params": {"gamma1": 1.0, "gamma2": 2.0}, "engine": "closed_form"}, "damping"),
     ({"initial": {"family": "separable", "d": [1, 0, 1, 0]}, "engine": "closed_form"},
@@ -191,6 +219,16 @@ class TestSharedValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert field in captured.err
+
+    @pytest.mark.parametrize("step", ['"step": 0.001, ', ""])
+    def test_huge_fock_dim_names_the_field(self, tmp_path, capsys, step):
+        path = tmp_path / "scen.json"
+        path.write_text('{"initial": {"family": "bell_like"}, "engine": "oracle", ' + step
+                        + '"fock_dim": 1' + "0" * 200 + "}", encoding="utf-8")
+        assert main(["simulate", "--scenario", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "fock_dim must be at most" in captured.err
 
 
 JSON_VALUES = st.recursive(
@@ -348,6 +386,19 @@ class TestFigure:
         want = {reference[seed][f"figures/{fig}"] for seed in (["0"] if weights else reference)}
         assert main(argv) == 0
         assert {hashlib.sha256(out.read_bytes()).hexdigest()} == want
+
+    @pytest.mark.parametrize("family", [*SEED0_INITIALS])
+    def test_oracle_bytes_match_the_benchmark_reference(self, tmp_path, family):
+        # the benchmark's scenarios workload runs the oracle at fock_dim 2 on these states
+        reference = json.loads(REFERENCE.read_text())
+        doc = {"initial": SEED0_INITIALS[family], "engine": "oracle", "fock_dim": 2,
+               "outputs": ["concurrence", "negativity", "eof", "log_negativity",
+                           "matrix_elements"]}
+        out = tmp_path / f"{family}.csv"
+        assert main(["simulate", "--scenario", write_scenario(tmp_path, doc),
+                     "--out", str(out)]) == 0
+        want = reference["0"][f"scenarios/{family}-oracle"]
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
     @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, math.nan], [0.5, -0.1]])
     def test_later_bad_weight_writes_nothing(self, weights):

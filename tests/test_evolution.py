@@ -5,9 +5,9 @@ import pytest
 
 from kerrdeco import linalg
 from kerrdeco.evolution import (
-    CavityParams, Trajectory, closed_form_reason, closed_form_rho,
-    default_step, integrate_master, integrate_master_grid, propagate,
-    rj_factor, trajectory,
+    CavityParams, Trajectory, _embed_qubits, _liouvillian, _rk4_step_matrix,
+    closed_form_reason, closed_form_rho, default_step, integrate_master,
+    integrate_master_grid, propagate, rj_factor, trajectory,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, PlusPlus, Separable, WernerLike, WernerPsi,
@@ -224,6 +224,98 @@ class TestMasterEquation:
         want = ratio ** np.arange(fd)
         want /= want.sum()
         assert np.allclose(mode1, want, atol=1e-6)
+
+
+def coherence_orders(fock_dim):
+    """(m1 - n1, m2 - n2) of every row-major vec(rho) index, as two flat arrays."""
+    m1, m2, n1, n2 = np.indices((fock_dim,) * 4).reshape(4, -1)
+    return m1 - n1, m2 - n2
+
+
+def dense_rk4_grid(rho0, params, times, fock_dim):
+    """The oracle's RK4 recurrence on the whole of vec(rho), with the default step."""
+    lmat = _liouvillian(params, fock_dim)
+    step = default_step(params, fock_dim)
+    d = fock_dim * fock_dim
+    v = np.array(rho0, dtype=complex).reshape(-1)
+    out, prev, cache = [], 0.0, {}
+    for target in times:
+        span = target - prev
+        if span > 0:
+            n = max(1, math.ceil(span / step))
+            h = span / n
+            if h not in cache:
+                cache[h] = _rk4_step_matrix(lmat, h)
+            for _ in range(n):
+                v = cache[h] @ v
+        out.append(v.reshape(d, d).copy())
+        prev = target
+    return out
+
+
+THERMAL = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0,
+                       nbar1=0.3, nbar2=0.2)
+
+
+class TestCoherenceOrders:
+    @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5])
+    def test_liouvillian_never_couples_different_orders(self, rng, fock_dim):
+        for _ in range(3):
+            prm = CavityParams(gamma1=rng.uniform(0.5, 5.0), gamma2=rng.uniform(0.5, 5.0),
+                               chi11=rng.uniform(-10.0, 10.0), chi22=rng.uniform(-10.0, 10.0),
+                               chi12=rng.uniform(-30.0, 30.0),
+                               nbar1=rng.uniform(0.05, 1.0), nbar2=rng.uniform(0.05, 1.0))
+            lmat = _liouvillian(prm, fock_dim)
+            d1, d2 = coherence_orders(fock_dim)
+            same = (d1[:, None] == d1[None, :]) & (d2[:, None] == d2[None, :])
+            assert np.all(lmat[~same] == 0)
+            assert np.any(lmat[same] != 0)
+
+    def test_thermal_bell_like_matches_the_dense_recurrence(self):
+        fd = 4
+        rho0 = _embed_qubits(initial_density(BellLike()).matrix, fd)
+        times = list(np.linspace(0.0, 0.3, 7))
+        got = integrate_master_grid(rho0, THERMAL, times, fd)
+        want = dense_rk4_grid(rho0, THERMAL, times, fd)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+
+    def test_order_two_coherence_is_kept(self):
+        fd = 4
+        # (|0,0> + i|2,1>) / sqrt(2)
+        psi = np.zeros(fd * fd, dtype=complex)
+        psi[0], psi[2 * fd + 1] = 1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)
+        rho0 = np.outer(psi, psi.conj())
+        times = [0.05, 0.1]
+        got = integrate_master_grid(rho0, THERMAL, times, fd)
+        want = dense_rk4_grid(rho0, THERMAL, times, fd)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+        # the coherence |2,1><0,0| has orders (2, 1) and survives damping
+        assert abs(got[-1][2 * fd + 1, 0]) > 1e-2
+        d1, d2 = coherence_orders(fd)
+        outside = ((np.abs(d1) > 2) | (np.abs(d2) > 1)).reshape(fd * fd, fd * fd)
+        assert np.all(got[-1][outside] == 0)
+
+    def test_population_only_start_stays_diagonal(self):
+        fd = 4
+        rho0 = np.diag(np.linspace(1.0, 0.1, fd * fd)).astype(complex)
+        rho0 /= np.trace(rho0)
+        times = [0.1, 0.2]
+        got = integrate_master_grid(rho0, THERMAL, times, fd)
+        want = dense_rk4_grid(rho0, THERMAL, times, fd)
+        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+        # damping and pumping move population between Fock levels and create no coherence
+        d1, d2 = coherence_orders(fd)
+        off = ((d1 != 0) | (d2 != 0)).reshape(fd * fd, fd * fd)
+        assert np.all(got[-1][off] == 0)
+        assert np.trace(got[-1]).real == pytest.approx(1.0, abs=1e-10)
+
+    def test_qubit_space_with_both_coherences_is_bit_identical(self, rng):
+        rho0 = random_density_matrix(rng).matrix
+        times = [0.05, 0.1, 0.2]
+        got = integrate_master_grid(rho0, THERMAL, times, 2)
+        want = dense_rk4_grid(rho0, THERMAL, times, 2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
 
 
 class TestClosedForms:
