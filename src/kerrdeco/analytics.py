@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .evolution import CavityParams, propagate
-from .states import PureState2Q, WernerLike, _check_weight, bell_like, initial_density, to_density
+from .states import PureState2Q, WernerLike, _check_weight, initial_density
 
 __all__ = [
     "CurvePoint",
@@ -49,11 +49,11 @@ class CurvePoint(NamedTuple):
 
 
 def _survival(gamma: float, t):
-    if gamma < 0:
-        raise ValueError(f"gamma must be nonnegative, got {gamma}")
+    if not 0 <= gamma < math.inf:
+        raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     t = np.asarray(t, dtype=float)
-    if np.any(t < 0):
-        raise ValueError("times must be nonnegative")
+    if not np.all(t >= 0):
+        raise ValueError("times must be nonnegative, not NaN")
     return t, np.exp(-gamma * t)
 
 
@@ -345,8 +345,8 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
             window = np.linspace(max(tn - halfwidth, 0.0), tn + halfwidth, 161)
             near = [propagate(rho0, params_on, float(u)) for u in window]
             off = propagate(rho0, params_off, float(tn))
-            rev_c[i] = max(map(measures.concurrence, near)) >= measures.concurrence(off) - slack
-            rev_n[i] = max(map(measures.negativity, near)) >= measures.negativity(off) - slack
+            rev_c[i] = measures.concurrence(near).max() >= measures.concurrence(off) - slack
+            rev_n[i] = measures.negativity(near).max() >= measures.negativity(off) - slack
 
     return OrderingReport(ts, c_chain, n_chain, disagree, witness, revs, rev_c, rev_n)
 

@@ -126,31 +126,6 @@ def _fmt(x: float) -> str:
     return f"{float(x):.12g}"
 
 
-def _measure_row(rho, wanted: Sequence[str]) -> list:
-    cells = []
-    c = n = None
-    for name in wanted:
-        if name == "concurrence":
-            c = measures.concurrence(rho) if c is None else c
-            cells.append(_fmt(c))
-        elif name == "negativity":
-            n = measures.negativity(rho) if n is None else n
-            cells.append(_fmt(n))
-        elif name == "eof":
-            c = measures.concurrence(rho) if c is None else c
-            cells.append(_fmt(measures.eof(c)))
-        elif name == "log_negativity":
-            n = measures.negativity(rho) if n is None else n
-            cells.append(_fmt(measures.log_negativity(n)))
-        elif name == "matrix_elements":
-            m = rho.matrix
-            for i in range(4):
-                for j in range(4):
-                    cells.append(_fmt(m[i, j].real))
-                    cells.append(_fmt(m[i, j].imag))
-    return cells
-
-
 def _output_header(wanted: Sequence[str]) -> list:
     head = []
     for name in wanted:
@@ -162,12 +137,24 @@ def _output_header(wanted: Sequence[str]) -> list:
 
 
 def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
-    """Evolve the scenario now, then format its CSV rows lazily, each prefixed by ``lead``."""
+    """Evolve and measure the scenario now, then format its CSV rows lazily, each prefixed by ``lead``."""
     traj = trajectory(scenario.initial, scenario.params, scenario.t_max,
                       scenario.n_points, scenario.engine, scenario.fock_dim,
                       scenario.step)
-    return ([*lead, _fmt(t)] + _measure_row(rho, scenario.outputs)
-            for t, rho in zip(traj.times, traj.states))
+    cols = [traj.times]
+    c = n = None
+    for name in scenario.outputs:
+        if name in ("concurrence", "eof"):
+            c = measures.concurrence(traj.states) if c is None else c
+            cols.append(c if name == "concurrence" else [measures.eof(x) for x in c])
+        elif name in ("negativity", "log_negativity"):
+            n = measures.negativity(traj.states) if n is None else n
+            cols.append(n if name == "negativity" else [measures.log_negativity(x) for x in n])
+        else:
+            # (t, i, j, re/im) flattened in the order of _MATRIX_COLUMNS
+            m = np.array([rho.matrix for rho in traj.states])
+            cols.extend(np.stack([m.real, m.imag], axis=-1).reshape(len(m), -1).T)
+    return ([*lead, *map(_fmt, row)] for row in zip(*cols))
 
 
 def run_simulate(scenario: Scenario, stream: TextIO) -> None:
@@ -189,8 +176,7 @@ _FIG_CHI12 = 20.0
 
 
 def _measured_curve(initial, params: CavityParams, measure_fn) -> np.ndarray:
-    traj = trajectory(initial, params, _FIG_T_MAX, _FIG_POINTS)
-    return np.array([measure_fn(rho) for rho in traj.states])
+    return measure_fn(trajectory(initial, params, _FIG_T_MAX, _FIG_POINTS).states)
 
 
 def _envelope(fig_id: str, p: Optional[float], curve_c: np.ndarray) -> np.ndarray:

@@ -46,7 +46,7 @@ _SERIES_SWITCH = 1e-8
 
 _STABILITY_LIMIT = 0.1
 
-# The oracle's dense Liouvillian holds fock_dim**8 complex numbers: 69 GB at 16.
+# A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
 _MAX_FOCK_DIM = 16
 
 
@@ -110,6 +110,11 @@ def _check_times(t: np.ndarray) -> None:
         raise ValueError("times must be finite, nonnegative and strictly increasing")
 
 
+def _check_time(t: float) -> None:
+    if not 0 <= t < math.inf:
+        raise ValueError(f"time must be finite and nonnegative, got {t}")
+
+
 def rj_factor(j: int, m1: int, n1: int, m2: int, n2: int, p_j: int,
               params: CavityParams, t: float, phase_sign: int = +1) -> complex:
     """Single-mode weight of one source term in the damped-evolution sum.
@@ -157,8 +162,7 @@ def propagate(rho0, params: CavityParams, t: float, phase_sign: int = +1) -> Den
     """
     if not params.quiet:
         raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     src = _as_density(rho0).matrix
     out = np.zeros((4, 4), dtype=complex)
     for m1 in (0, 1):
@@ -186,8 +190,8 @@ def _destroy(fock_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1).astype(complex)
 
 
-def _liouvillian(params: CavityParams, fock_dim: int) -> np.ndarray:
-    """Generator of the master equation as a matrix acting on row-major vec(rho)."""
+def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray) -> np.ndarray:
+    """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``."""
     a = _destroy(fock_dim)
     eye1 = np.eye(fock_dim, dtype=complex)
     a1 = np.kron(a, eye1)
@@ -197,14 +201,16 @@ def _liouvillian(params: CavityParams, fock_dim: int) -> np.ndarray:
     h = params.chi11 * num1 @ num1 + params.chi22 * num2 @ num2 + 2.0 * params.chi12 * num1 @ num2
     d = fock_dim * fock_dim
     eye = np.eye(d, dtype=complex)
-    # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization
-    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization, and
+    # np.kron(x, y)[np.ix_(keep, keep)] is x[rr] * y[cc], entry by entry the same product
+    rr, cc = np.ix_(keep // d, keep // d), np.ix_(keep % d, keep % d)
+    lmat = -1j * (h[rr] * eye[cc] - eye[rr] * h.T[cc])
     for aj, gamma, nbar in ((a1, params.gamma1, params.nbar1), (a2, params.gamma2, params.nbar2)):
         adj = aj.conj().T
         num = adj @ aj
         anti = aj @ adj
-        down = 2.0 * np.kron(aj, adj.T) - np.kron(num, eye) - np.kron(eye, num.T)
-        up = 2.0 * np.kron(adj, aj.T) - np.kron(anti, eye) - np.kron(eye, anti.T)
+        down = 2.0 * (aj[rr] * adj.T[cc]) - num[rr] * eye[cc] - eye[rr] * num.T[cc]
+        up = 2.0 * (adj[rr] * aj.T[cc]) - anti[rr] * eye[cc] - eye[rr] * anti.T[cc]
         lmat = lmat + (gamma / 2.0) * ((nbar + 1.0) * down + nbar * up)
     return lmat
 
@@ -298,9 +304,9 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     """Like ``integrate_master`` but records at every time in an increasing grid.
 
     Only the entries inside the coherence-order box of ``rho0`` (see
-    ``_kept_indices``) are integrated; the generator is built on the whole
-    space and sliced to them, and each snapshot is scattered back into a
-    full matrix whose other entries are exactly zero.
+    ``_kept_indices``) are integrated; the generator is built on those
+    entries alone, and each snapshot is scattered back into a full matrix
+    whose other entries are exactly zero.
     """
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
@@ -315,7 +321,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     _check_step(params, fock_dim, step)
 
     keep = _kept_indices(rho, fock_dim)
-    lmat = _liouvillian(params, fock_dim)[np.ix_(keep, keep)]
+    lmat = _liouvillian(params, fock_dim, keep)
     tr0 = complex(np.trace(rho))
     out = []
     prev = 0.0
@@ -403,8 +409,7 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t: float) -> De
     reason = closed_form_reason(initial, params)
     if reason is not None:
         raise ValueError(reason)
-    if t < 0:
-        raise ValueError(f"time must be nonnegative, got {t}")
+    _check_time(t)
     gamma = params.gamma1
     g = math.exp(-gamma * t)
     m = np.zeros((4, 4), dtype=complex)

@@ -33,30 +33,30 @@ _ZERO_FLOOR_REL = 1e-12
 
 def _square(a) -> np.ndarray:
     m = np.array(a, dtype=complex, copy=True)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+    if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
-    dev = float(np.max(np.abs(m - m.conj().T)))
+    dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
     if dev > tol:
         raise ValueError(f"{what} is not hermitian (max deviation {dev:.3e} > {tol:g})")
 
 
 def partial_transpose_first(rho) -> np.ndarray:
-    """Transpose the first qubit's indices of a 4x4 two-qubit matrix.
+    """Transpose the first qubit's indices of a 4x4 two-qubit matrix, or of each in a stack.
 
     Element (2i+k, 2j+l) of the input lands at (2j+k, 2i+l).
     """
     rho = _square(rho)
-    if rho.shape != (4, 4):
+    if rho.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 two-qubit matrix, got {rho.shape}")
-    return rho.reshape(2, 2, 2, 2).transpose(2, 1, 0, 3).reshape(4, 4).copy()
+    return rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-4, -2).reshape(rho.shape)
 
 
 def hermitian_eigenvalues(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
-    """Real eigenvalues of a hermitian matrix, ascending.
+    """Real eigenvalues of a hermitian matrix, ascending, or of each matrix in a stack.
 
     Raises ValueError if the input deviates from hermiticity by more
     than ``tol`` in any entry.
@@ -74,29 +74,30 @@ def nonneg_spectrum_of_product(m) -> np.ndarray:
     discarded as noise and real parts are clamped to zero from above;
     anything larger raises ValueError. Eigenvalues within the roundoff
     floor of zero are snapped to exactly 0 so that downstream square roots
-    do not turn 1e-16 noise into 1e-8 concurrence error.
+    do not turn 1e-16 noise into 1e-8 concurrence error. A stack of
+    matrices gives one ascending spectrum per matrix, each with its own floor.
     """
     m = _square(m)
-    if m.shape != (4, 4):
+    if m.shape[-2:] != (4, 4):
         raise ValueError(f"expected a 4x4 matrix, got {m.shape}")
     ev = np.linalg.eigvals(m)
-    imag_dev = float(np.max(np.abs(ev.imag)))
+    imag_dev = float(np.max(np.abs(ev.imag), initial=0.0))
     if imag_dev > _IMAG_NOISE:
         raise ValueError(f"spectrum is not real (max |Im| {imag_dev:.3e}); input is not a valid spin-flip product")
     re = ev.real
-    neg_dev = float(re.min())
+    neg_dev = float(re.min(initial=0.0))
     if neg_dev < -_NEG_NOISE:
         raise ValueError(f"spectrum has a negative eigenvalue ({neg_dev:.3e}); input is not a valid spin-flip product")
-    floor = _ZERO_FLOOR_ABS + _ZERO_FLOOR_REL * max(float(re.max()), 0.0)
+    floor = _ZERO_FLOOR_ABS + _ZERO_FLOOR_REL * np.maximum(re.max(axis=-1, keepdims=True), 0.0)
     re = np.where(re < floor, 0.0, re)
-    return np.sort(re)
+    return np.sort(re, axis=-1)
 
 
 def trace_distance(a, b) -> float:
     """Half the trace norm of (a - b) for hermitian a, b of equal size."""
     a, b = _square(a), _square(b)
-    if a.shape != b.shape:
-        raise ValueError(f"dimension mismatch: {a.shape} vs {b.shape}")
+    if a.ndim != 2 or a.shape != b.shape:
+        raise ValueError(f"expected two matrices of one size, got {a.shape} and {b.shape}")
     # Accumulated roundoff from long evolutions is tolerated here, hence the
     # looser hermiticity threshold than elsewhere.
     _check_hermitian(a, 1e-10, "first argument")

@@ -1,9 +1,9 @@
 """Entanglement measures for two-qubit density matrices.
 
-Concurrence via the spin-flip spectrum, negativity via the partial
-transpose, plus the derived entanglement of formation and logarithmic
-negativity. All take validated density matrices (or anything coercible
-to one) and return plain floats.
+Concurrence via the spin-flip spectrum and negativity via the partial transpose
+take a validated density matrix (or anything coercible to one) and return a
+float, or a list or tuple of states and return a float64 array, one value per
+state. Entanglement of formation and logarithmic negativity derive from one float.
 """
 
 from __future__ import annotations
@@ -56,25 +56,33 @@ class EntanglementReport:
             )
 
 
-def concurrence(rho) -> float:
-    """Concurrence of a two-qubit density matrix.
+def _matrices(rho) -> np.ndarray:
+    """The 4x4 matrix of one state, or the (N, 4, 4) stack of a list or tuple of states."""
+    if isinstance(rho, (list, tuple)):
+        return np.array([_as_density(r).matrix for r in rho]).reshape(-1, 4, 4)
+    return _as_density(rho).matrix
+
+
+def concurrence(rho):
+    """Concurrence of a two-qubit density matrix, or of each in a list of states.
 
     The four spin-flip eigenvalue roots lambda_i are sorted ascending; the
     result is max(2*max_i lambda_i - sum_i lambda_i, 0).
     """
-    rho = _as_density(rho)
-    m = rho.matrix
+    m = _matrices(rho)
     flipped = _SIGMA_YY @ m.conj() @ _SIGMA_YY  # spin-flipped partner
     lam = np.sqrt(linalg.nonneg_spectrum_of_product(m @ flipped))
-    return max(2.0 * float(lam[-1]) - float(lam.sum()), 0.0)
+    c = 2.0 * lam[..., -1] - lam.sum(axis=-1)
+    c = np.where(c < 0.0, 0.0, c)  # not np.maximum, which breaks 0.0/-0.0 ties unlike max()
+    return c if c.ndim else float(c)
 
 
-def negativity(rho) -> float:
-    """Twice the magnitude of the negative partial-transpose eigenvalue mass."""
-    rho = _as_density(rho)
-    mu = linalg.hermitian_eigenvalues(linalg.partial_transpose_first(rho.matrix))
-    neg = float(mu[mu < 0.0].sum())
-    return 2.0 * max(0.0, -neg)
+def negativity(rho):
+    """Twice the magnitude of the negative partial-transpose eigenvalue mass, per state."""
+    mu = linalg.hermitian_eigenvalues(linalg.partial_transpose_first(_matrices(rho)))
+    neg = -np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
+    n = 2.0 * np.where(neg > 0.0, neg, 0.0)
+    return n if n.ndim else float(n)
 
 
 def _binary_entropy(x: float) -> float:

@@ -14,8 +14,6 @@ from typing import Union
 
 import numpy as np
 
-from . import linalg
-
 __all__ = [
     "NORM_TOL",
     "PureState2Q",
@@ -160,6 +158,13 @@ class Separable:
     d3: complex
     d4: complex
 
+    def __post_init__(self):
+        for pair, names in (((self.d1, self.d2), "d1, d2"), ((self.d3, self.d4), "d3, d4")):
+            norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
+            # written so that NaN fails it
+            if not abs(norm - 1.0) <= NORM_TOL:
+                raise ValueError(f"factor ({names}) is not normalized: |d|^2 sums to {norm!r}")
+
 
 @dataclass(frozen=True)
 class WernerPsi(_Tag):
@@ -238,10 +243,7 @@ def separable(d1, d2, d3, d4) -> PureState2Q:
     Each factor must be normalized on its own.
     """
     d1, d2, d3, d4 = complex(d1), complex(d2), complex(d3), complex(d4)
-    for pair, names in (((d1, d2), "d1, d2"), ((d3, d4), "d3, d4")):
-        norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"factor ({names}) is not normalized: |d|^2 sums to {norm!r}")
+    Separable(d1, d2, d3, d4)  # the tag checks each factor
     return PureState2Q(d1 * d3, d1 * d4, d2 * d3, d2 * d4)
 
 

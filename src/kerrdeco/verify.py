@@ -19,7 +19,7 @@ from . import analytics, linalg, measures
 from .evolution import CavityParams, closed_form_rho, integrate_master_grid, propagate
 from .states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, PlusPlus, Separable,
-    WernerLike, WernerPhi, WernerPsi, initial_density, initial_label,
+    WernerLike, WernerPhi, WernerPsi, _read, initial_density, initial_label,
     random_density_matrix, random_pure_state, to_density,
 )
 
@@ -35,7 +35,7 @@ class CheckResult:
 
 def corpus_seed() -> int:
     """Seed of the random-state corpus, overridable via KERRDECO_SEED."""
-    return int(os.environ.get("KERRDECO_SEED", "42"))
+    return _read(os.environ.get("KERRDECO_SEED", "42"), "KERRDECO_SEED", int)
 
 
 def _fixed_families(rng: np.random.Generator) -> list:
@@ -122,12 +122,12 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     def curve_gap(initial, curve_fn):
         rho0 = initial_density(initial)
+        states = [prop(rho0, quiet, float(t)) for t in times]
+        got = zip(measures.concurrence(states), measures.negativity(states))
         worst = 0.0
-        for t in times:
-            rho = prop(rho0, quiet, float(t))
+        for t, (c, n) in zip(times, got):
             c_ref, n_ref = curve_fn(float(t))
-            worst = max(worst, abs(measures.concurrence(rho) - c_ref),
-                        abs(measures.negativity(rho) - n_ref))
+            worst = max(worst, abs(c - c_ref), abs(n - n_ref))
         return worst
 
     curve_cases = [
@@ -145,10 +145,9 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     worst = 0.0
     for p in (0.4, 0.6, 0.8, 1.0):
         rho0 = initial_density(WernerLike(p))
-        for t in times:
-            got = measures.concurrence(prop(rho0, lossless, float(t)))
-            ref = analytics.werner_like_lossless_curve(p, 20.0, float(t))
-            worst = max(worst, abs(got - ref))
+        got = measures.concurrence([prop(rho0, lossless, float(t)) for t in times])
+        for t, c in zip(times, got):
+            worst = max(worst, abs(c - analytics.werner_like_lossless_curve(p, 20.0, float(t))))
     record("decay_curves/werner_like_lossless", worst <= 1e-9,
            f"max curve gap {worst:.2e} (limit 1e-9)")
 
@@ -244,11 +243,9 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         # compare curve and envelope at the nominal revival times
         worst_c = worst_n = 0.0
         worst_simple_margin = math.inf
-        for tn in revs:
-            rho_t = prop(rho_like, strong, tn)
-            gap_c = abs(measures.concurrence(rho_t) - analytics.concurrence_envelope(4.0, tn))
-            worst_c = max(worst_c, gap_c)
-            n_t = measures.negativity(rho_t)
+        states = [prop(rho_like, strong, tn) for tn in revs]
+        for tn, c_t, n_t in zip(revs, measures.concurrence(states), measures.negativity(states)):
+            worst_c = max(worst_c, abs(c_t - analytics.concurrence_envelope(4.0, tn)))
             dev_main = abs(n_t - analytics.negativity_envelope(4.0, tn))
             dev_simple = abs(n_t - analytics.negativity_envelope(4.0, tn, simple=True))
             worst_n = max(worst_n, dev_main)
@@ -263,8 +260,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         worst = 0.0
         for p in (0.6, 0.8, 1.0):
             rho_p = initial_density(WernerLike(p))
-            for tn in revs:
-                peak = measures.concurrence(prop(rho_p, strong, tn))
+            peaks = measures.concurrence([prop(rho_p, strong, tn) for tn in revs])
+            for tn, peak in zip(revs, peaks):
                 worst = max(worst, abs(peak - analytics.werner_concurrence_envelope(4.0, p, tn)))
         record("envelope/werner_concurrence_peaks", worst <= 2e-3,
                f"worst revival-time gap {worst:.2e} (limit 2e-3)")

@@ -56,6 +56,18 @@ class TestBellCurves:
         with pytest.raises(ValueError):
             bell_phi_curves(GAMMA, -0.1)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_gamma(self, gamma):
+        with pytest.raises(ValueError, match="gamma must be finite and nonnegative"):
+            bell_psi_curves(gamma, 0.1)
+
+    @pytest.mark.parametrize("t", [math.nan, [0.1, math.nan], np.array([[0.0], [math.nan]])])
+    def test_rejects_nan_times(self, t):
+        with pytest.raises(ValueError, match="times must be nonnegative, not NaN"):
+            bell_psi_curves(GAMMA, t)
+        with pytest.raises(ValueError, match="times must be nonnegative, not NaN"):
+            concurrence_envelope(GAMMA, t)
+
     def test_matches_measured_states(self):
         prm = CavityParams(gamma1=GAMMA, gamma2=GAMMA, chi12=20.0)
         unc = CavityParams(gamma1=GAMMA, gamma2=GAMMA, chi12=0.0)

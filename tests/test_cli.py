@@ -231,6 +231,19 @@ class TestSharedValidation:
         assert "fock_dim must be at most" in captured.err
 
 
+    @pytest.mark.parametrize("d", ["[NaN, 1, 1, 0]", "[1, 1, 1, 0]"])
+    def test_separable_factors_are_checked_when_parsed(self, tmp_path, capsys, d):
+        path = tmp_path / "scen.json"
+        path.write_text('{"initial": {"family": "separable", "d": ' + d + "}}", encoding="utf-8")
+        with pytest.raises(ValueError, match=r"factor \(d1, d2\) is not normalized"):
+            cli.load_scenario(str(path))
+        out = tmp_path / "sweep.csv"
+        assert main(["sweep", "--scenario", str(path), "--sweep", "gamma", "--values", "1",
+                     "--out", str(out)]) == 1
+        assert "factor (d1, d2)" in capsys.readouterr().err
+        assert not out.exists()
+
+
 JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
     lambda inner: (st.lists(inner, max_size=5)
@@ -546,6 +559,13 @@ class TestVerify:
         assert main(["verify", "fast", "--json", "--out", out]) == 0
         doc = json.loads((tmp_path / "verify.json").read_text())
         assert doc["ok"] is True
+
+    def test_bad_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("KERRDECO_SEED", "abc")
+        assert main(["verify", "fast"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "KERRDECO_SEED must be a whole number, got 'abc'" in captured.err
 
     def test_bad_level_exits_one(self, capsys):
         assert main(["verify", "slow"]) == 1

@@ -5,7 +5,7 @@ import pytest
 
 from kerrdeco import linalg
 from kerrdeco.evolution import (
-    CavityParams, Trajectory, _embed_qubits, _liouvillian, _rk4_step_matrix,
+    CavityParams, Trajectory, _destroy, _embed_qubits, _kept_indices, _liouvillian, _rk4_step_matrix,
     closed_form_reason, closed_form_rho, default_step, integrate_master,
     integrate_master_grid, propagate, rj_factor, trajectory,
 )
@@ -136,6 +136,14 @@ class TestPropagate:
         with pytest.raises(ValueError, match="nonnegative"):
             propagate(np.eye(4) / 4.0, QUIET, -0.1)
 
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -math.inf, -0.1])
+    def test_names_the_time_when_it_is_not_finite(self, t):
+        want = f"time must be finite and nonnegative, got {t}"
+        with pytest.raises(ValueError, match=want):
+            propagate(np.eye(4) / 4.0, QUIET, t)
+        with pytest.raises(ValueError, match=want):
+            closed_form_rho(BellPsi(+1), QUIET, t)
+
     def test_nearly_lossless_limit_is_continuous(self):
         # the series branch has to join the gamma = 0 case smoothly
         rho0 = initial_density(BellLike())
@@ -234,7 +242,7 @@ def coherence_orders(fock_dim):
 
 def dense_rk4_grid(rho0, params, times, fock_dim):
     """The oracle's RK4 recurrence on the whole of vec(rho), with the default step."""
-    lmat = _liouvillian(params, fock_dim)
+    lmat = _liouvillian(params, fock_dim, np.arange(fock_dim ** 4))
     step = default_step(params, fock_dim)
     d = fock_dim * fock_dim
     v = np.array(rho0, dtype=complex).reshape(-1)
@@ -257,6 +265,24 @@ THERMAL = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0
                        nbar1=0.3, nbar2=0.2)
 
 
+def kron_liouvillian(params, fock_dim):
+    """The generator on the whole space from dense np.kron products."""
+    a = _destroy(fock_dim)
+    eye1 = np.eye(fock_dim, dtype=complex)
+    a1, a2 = np.kron(a, eye1), np.kron(eye1, a)
+    num1, num2 = a1.conj().T @ a1, a2.conj().T @ a2
+    h = params.chi11 * num1 @ num1 + params.chi22 * num2 @ num2 + 2.0 * params.chi12 * num1 @ num2
+    eye = np.eye(fock_dim * fock_dim, dtype=complex)
+    lmat = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
+    for aj, gamma, nbar in ((a1, params.gamma1, params.nbar1), (a2, params.gamma2, params.nbar2)):
+        adj = aj.conj().T
+        num, anti = adj @ aj, aj @ adj
+        down = 2.0 * np.kron(aj, adj.T) - np.kron(num, eye) - np.kron(eye, num.T)
+        up = 2.0 * np.kron(adj, aj.T) - np.kron(anti, eye) - np.kron(eye, anti.T)
+        lmat = lmat + (gamma / 2.0) * ((nbar + 1.0) * down + nbar * up)
+    return lmat
+
+
 class TestCoherenceOrders:
     @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5])
     def test_liouvillian_never_couples_different_orders(self, rng, fock_dim):
@@ -265,11 +291,20 @@ class TestCoherenceOrders:
                                chi11=rng.uniform(-10.0, 10.0), chi22=rng.uniform(-10.0, 10.0),
                                chi12=rng.uniform(-30.0, 30.0),
                                nbar1=rng.uniform(0.05, 1.0), nbar2=rng.uniform(0.05, 1.0))
-            lmat = _liouvillian(prm, fock_dim)
+            lmat = _liouvillian(prm, fock_dim, np.arange(fock_dim ** 4))
             d1, d2 = coherence_orders(fock_dim)
             same = (d1[:, None] == d1[None, :]) & (d2[:, None] == d2[None, :])
             assert np.all(lmat[~same] == 0)
             assert np.any(lmat[same] != 0)
+
+    @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5])
+    def test_generator_built_on_the_kept_entries_is_the_sliced_kron_build(self, rng, fock_dim):
+        full = kron_liouvillian(THERMAL, fock_dim)
+        box = _kept_indices(_embed_qubits(initial_density(BellLike()).matrix, fock_dim), fock_dim)
+        subset = np.sort(rng.choice(fock_dim ** 4, size=fock_dim ** 3, replace=False))
+        for keep in (box, subset, np.arange(fock_dim ** 4)):
+            got = _liouvillian(THERMAL, fock_dim, keep)
+            assert got.tobytes() == full[np.ix_(keep, keep)].tobytes()
 
     def test_thermal_bell_like_matches_the_dense_recurrence(self):
         fd = 4

@@ -53,6 +53,13 @@ class TestPartialTranspose:
         with pytest.raises(ValueError):
             linalg.partial_transpose_first(np.eye(3))
 
+    def test_stack_transposes_each_matrix(self, rng):
+        stack = np.stack([_rand_complex(rng) for _ in range(5)]).reshape(5, 1, 4, 4)
+        got = linalg.partial_transpose_first(stack)
+        assert got.shape == (5, 1, 4, 4)
+        for k in range(5):
+            assert np.array_equal(got[k, 0], linalg.partial_transpose_first(stack[k, 0]))
+
 
 class TestHermitianEigenvalues:
     def test_hand_example_sorted_ascending(self):
@@ -62,6 +69,12 @@ class TestHermitianEigenvalues:
     def test_rejects_nonhermitian(self):
         with pytest.raises(ValueError, match="hermitian"):
             linalg.hermitian_eigenvalues(np.array([[0.0, 1.0], [0.0, 0.0]]))
+
+    def test_stack_checks_every_matrix(self):
+        good = np.array([[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(linalg.hermitian_eigenvalues(np.stack([good, 2 * good])), [[1, 3], [2, 6]])
+        with pytest.raises(ValueError, match="hermitian"):
+            linalg.hermitian_eigenvalues(np.stack([good, np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
     def test_tolerance_is_adjustable(self):
         h = np.array([[1.0, 1e-11], [0.0, 1.0]])
@@ -116,6 +129,17 @@ class TestSpinFlipSpectrum:
         with pytest.raises(ValueError):
             linalg.nonneg_spectrum_of_product(np.eye(3, dtype=complex))
 
+    def test_stack_snaps_each_matrix_against_its_own_floor(self, rng):
+        # 1e-13 is below the floor of a unit spectrum but above that of a tiny one
+        big = np.diag([1.0, 1e-13, 0.5, 0.0]).astype(complex)
+        tiny = np.diag([3e-13, 1e-13, 0.0, 2e-13]).astype(complex)
+        rho = random_density_matrix(rng).matrix
+        stack = np.stack([big, tiny, self._product(rho)])
+        got = linalg.nonneg_spectrum_of_product(stack)
+        assert got.tobytes() == np.array([linalg.nonneg_spectrum_of_product(m) for m in stack]).tobytes()
+        assert got[0].tolist() == [0.0, 0.0, 0.5, 1.0]
+        assert got[1].tolist() == [0.0, 1e-13, 2e-13, 3e-13]
+
 
 class TestTraceDistance:
     def test_maximally_mixed_vs_ground(self):
@@ -145,6 +169,12 @@ class TestTraceDistance:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             linalg.trace_distance(bad, np.eye(2))
+
+    def test_rejects_stacks_and_mismatched_sizes(self):
+        with pytest.raises(ValueError, match="two matrices of one size"):
+            linalg.trace_distance(np.stack([np.eye(4)] * 2) / 4.0, np.stack([np.eye(4)] * 2) / 4.0)
+        with pytest.raises(ValueError, match="two matrices of one size"):
+            linalg.trace_distance(np.eye(4) / 4.0, np.eye(2) / 2.0)
 
 
 class TestHaarUnitary:

@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 
 from kerrdeco import linalg, measures
-from kerrdeco.evolution import CavityParams, propagate
+from kerrdeco.evolution import CavityParams, propagate, trajectory
 from kerrdeco.measures import (
     EntanglementReport, concurrence, eof, log_negativity, negativity,
     pure_concurrence, report,
 )
 from kerrdeco.states import (
-    BellPhi, WernerPhi, bell_like, bell_phi, bell_psi, initial_density,
+    BellLike, BellPhi, PlusPlus, Separable, WernerLike, WernerPhi, WernerPsi, bell_like, bell_phi, bell_psi, initial_density,
     random_density_matrix, random_pure_state, separable, to_density, werner,
 )
 
@@ -141,6 +141,44 @@ class TestCorpusProperties:
             concurrence(np.eye(4))
         with pytest.raises(ValueError):
             negativity(np.diag([0.7, 0.5, -0.1, -0.1]))
+
+
+class TestManyStates:
+    # separable states and Werner states after sudden death have exact zeros
+    @pytest.mark.parametrize("initial, params", [
+        (Separable(0.6, 0.8, 1.0, 0.0), CavityParams()),
+        (PlusPlus(), CavityParams(chi12=0.0)),
+        (WernerPsi(0.4, +1), CavityParams(chi12=0.0)),
+        (WernerPhi(0.6, -1), CavityParams()),
+        (WernerLike(0.5), CavityParams()),
+        (BellLike(), CavityParams(chi11=7.0, chi22=7.0)),
+    ])
+    def test_list_gives_the_single_state_values_bit_for_bit(self, initial, params):
+        states = trajectory(initial, params, 1.0, 201).states
+        for fn in (concurrence, negativity):
+            one_by_one = np.array([fn(rho) for rho in states])
+            assert 0.0 in one_by_one
+            for many in (fn(states), fn(tuple(states))):
+                assert many.dtype == np.float64 and many.shape == (201,)
+                assert many.tobytes() == one_by_one.tobytes()
+
+    def test_mixed_inputs_and_random_states(self, rng):
+        states = _corpus(rng, 50) + [to_density(random_pure_state(rng)).matrix for _ in range(50)]
+        for fn in (concurrence, negativity):
+            assert fn(states).tobytes() == np.array([fn(rho) for rho in states]).tobytes()
+
+    def test_one_state_gives_a_float(self, rng):
+        rho = random_density_matrix(rng)
+        assert type(concurrence(rho)) is float and type(negativity(rho.matrix)) is float
+        assert concurrence([rho]).shape == negativity([rho]).shape == (1,)
+        assert concurrence([]).shape == negativity(()).shape == (0,)
+
+    def test_every_state_of_a_list_is_validated(self, rng):
+        good = random_density_matrix(rng)
+        with pytest.raises(ValueError, match="trace"):
+            concurrence([good, np.eye(4)])
+        with pytest.raises(ValueError, match="4x4"):
+            negativity([good, np.eye(3) / 3.0])
 
 
 class TestWernerPhiEquality:

@@ -141,6 +141,16 @@ class TestTags:
         assert BellPsi("minus").sign == -1
         assert WernerPhi(0.5, -1).sign == -1
 
+    @pytest.mark.parametrize("d, names", [
+        ((float("nan"), 1.0, 1.0, 0.0), "d1, d2"),
+        ((1.0, 1.0, 1.0, 0.0), "d1, d2"),
+        ((0.6, 0.8, complex(float("nan"), 0.0), 0.0), "d3, d4"),
+        ((0.6, 0.8, 1.0, 1.0), "d3, d4"),
+    ])
+    def test_separable_tag_checks_each_factor(self, d, names):
+        with pytest.raises(ValueError, match=f"factor \\({names}\\) is not normalized"):
+            Separable(*d)
+
     def test_werner_tags_validate_weight(self):
         with pytest.raises(ValueError):
             WernerPsi(1.5)
