@@ -31,4 +31,4 @@ traj = trajectory(WernerLike(0.8), warm, t_max=1.0, n_points=5,
 print(f"\nthermal run flagged approximate: {traj.approximate}")
 print("double-excitation population grows from zero:")
 for t, rho in zip(traj.times, traj.states):
-    print(f"  t = {t:4.2f}: rho[11,11] = {rho.matrix[3, 3].real:.5f}")
+    print(f"  t = {t:4.2f}: rho[11,11] = {rho[3, 3].real:.5f}")

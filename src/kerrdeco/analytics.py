@@ -48,12 +48,18 @@ class CurvePoint(NamedTuple):
     value: float
 
 
+def _times(t) -> np.ndarray:
+    t = np.asarray(t, dtype=float)
+    # written so that NaN fails it
+    if not np.all((t >= 0) & (t < math.inf)):
+        raise ValueError("times must be nonnegative, not NaN or infinite")
+    return t
+
+
 def _survival(gamma: float, t):
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-    t = np.asarray(t, dtype=float)
-    if not np.all(t >= 0):
-        raise ValueError("times must be nonnegative, not NaN")
+    t = _times(t)
     return t, np.exp(-gamma * t)
 
 
@@ -82,7 +88,7 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
     amplitudes d1..d4 this reduces to 4 |d1 d2 d3 d4 sin(chi12 t)|, and for
     the Bell-like state to |cos(chi12 t)|.
     """
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     scalar = t.ndim == 0
     val = 2.0 * np.abs(np.exp(-2j * chi12 * t) * psi0.c00 * psi0.c11 - psi0.c01 * psi0.c10)
     return _unwrap(scalar, val)
@@ -189,7 +195,7 @@ def werner_like_lossless_curve(p: float, chi12: float, t):
     Starts at (3p - 1)/2 and oscillates with the Kerr phase.
     """
     _check_weight(p)
-    t = np.asarray(t, dtype=float)
+    t = _times(t)
     scalar = t.ndim == 0
     val = 0.5 * np.maximum(0.0, p * (2.0 * np.abs(np.cos(chi12 * t)) + 1.0) - 1.0)
     return _unwrap(scalar, val)
@@ -338,15 +344,16 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
         params_on = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=chi12)
         params_off = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=0.0)
         halfwidth = 0.05 * (math.pi / chi12)
+        off = propagate(rho0, params_off, revs)
+        c_off, n_off = measures.concurrence(off), measures.negativity(off)
         rev_c = np.zeros(len(revs), dtype=bool)
         rev_n = np.zeros(len(revs), dtype=bool)
         for i, tn in enumerate(revs):
             # one propagated state per sample serves both measures' local peaks
             window = np.linspace(max(tn - halfwidth, 0.0), tn + halfwidth, 161)
-            near = [propagate(rho0, params_on, float(u)) for u in window]
-            off = propagate(rho0, params_off, float(tn))
-            rev_c[i] = measures.concurrence(near).max() >= measures.concurrence(off) - slack
-            rev_n[i] = measures.negativity(near).max() >= measures.negativity(off) - slack
+            near = propagate(rho0, params_on, window)
+            rev_c[i] = measures.concurrence(near).max() >= c_off[i] - slack
+            rev_n[i] = measures.negativity(near).max() >= n_off[i] - slack
 
     return OrderingReport(ts, c_chain, n_chain, disagree, witness, revs, rev_c, rev_n)
 

@@ -152,7 +152,7 @@ def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
             cols.append(n if name == "negativity" else [measures.log_negativity(x) for x in n])
         else:
             # (t, i, j, re/im) flattened in the order of _MATRIX_COLUMNS
-            m = np.array([rho.matrix for rho in traj.states])
+            m = traj.states
             cols.extend(np.stack([m.real, m.imag], axis=-1).reshape(len(m), -1).T)
     return ([*lead, *map(_fmt, row)] for row in zip(*cols))
 

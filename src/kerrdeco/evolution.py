@@ -2,7 +2,10 @@
 
 Two independent routes to the same physics live here. ``propagate`` applies
 the exact amplitude-damping propagator, valid for quiet (zero-temperature)
-reservoirs. ``integrate_master`` integrates the full master equation with
+reservoirs, to one time or to a whole array of times in one call: its terms
+are numpy arrays over the time axis, each complex product spelled out as
+CPython forms it, so every matrix equals the scalar arithmetic bit for bit.
+``integrate_master`` integrates the full master equation with
 fixed-step RK4 on a truncated Fock space and serves as the cross-checking
 oracle; it also covers thermal reservoirs, which the analytic route cannot.
 The generator conserves each mode's coherence order ``m_j - n_j``, so the
@@ -23,7 +26,8 @@ import numpy as np
 
 from .states import (
     BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, _as_density, initial_density, initial_label,
+    WernerLike, WernerPhi, WernerPsi, _as_density, _density_stack, initial_density,
+    initial_label,
 )
 
 __all__ = [
@@ -82,14 +86,17 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a uniform time grid, all validated two-qubit density matrices.
+    """States on a uniform time grid, as one read-only (N, 4, 4) array.
 
-    ``approximate`` is set when the states were projected out of a larger
-    Fock space (thermal oracle runs) and renormalized.
+    ``states[k]`` is the density matrix at ``times[k]``. Every engine builds
+    and validates the whole stack once, as ``DensityMatrix2Q`` validates one
+    matrix; the constructor checks the times and the stack's shape and keeps
+    a read-only copy. ``approximate`` is set when the states were projected
+    out of a larger Fock space (thermal oracle runs) and renormalized.
     """
 
     times: np.ndarray
-    states: list
+    states: np.ndarray
     params: CavityParams
     initial: InitialState
     engine: str
@@ -100,8 +107,14 @@ class Trajectory:
         if t.ndim != 1 or len(t) != len(self.states):
             raise ValueError("times and states must be matching 1-d sequences")
         _check_times(t)
+        states = np.asarray(self.states)
+        if states.shape != (len(t), 4, 4):
+            raise ValueError(f"states must be an (N, 4, 4) stack, got shape {states.shape}")
+        states = np.array(states, dtype=complex)
         t.flags.writeable = False
+        states.flags.writeable = False
         object.__setattr__(self, "times", t)
+        object.__setattr__(self, "states", states)
 
 
 def _check_times(t: np.ndarray) -> None:
@@ -110,13 +123,35 @@ def _check_times(t: np.ndarray) -> None:
         raise ValueError("times must be finite, nonnegative and strictly increasing")
 
 
-def _check_time(t: float) -> None:
-    if not 0 <= t < math.inf:
-        raise ValueError(f"time must be finite and nonnegative, got {t}")
+def _check_time(t) -> None:
+    t = np.asarray(t, dtype=float)
+    # written so that NaN fails it
+    ok = (t >= 0) & (t < math.inf)
+    if t.ndim == 0 and not ok:
+        raise ValueError(f"time must be finite and nonnegative, got {float(t)}")
+    if not np.all(ok):
+        i = int(np.flatnonzero(~ok)[0])
+        raise ValueError(f"times must be finite and nonnegative, got {t[i]} at index {i}")
 
 
-def rj_factor(j: int, m1: int, n1: int, m2: int, n2: int, p_j: int,
-              params: CavityParams, t: float, phase_sign: int = +1) -> complex:
+def _cmul(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), formed as CPython forms a complex product.
+
+    Each part is two rounded products and one rounded sum, with no fused
+    multiply-add, so array results equal the scalar ``complex`` arithmetic
+    bit for bit. CPython promotes a real operand to (x, 0.0) first, so a real
+    factor is passed with a zero imaginary part.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
+def _complex(re, im) -> np.ndarray:
+    z = np.empty(np.broadcast_shapes(np.shape(re), np.shape(im)), dtype=complex)
+    z.real, z.imag = re, im
+    return z
+
+
+def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t, phase_sign: int = +1):
     """Single-mode weight of one source term in the damped-evolution sum.
 
     For mode ``j`` this is the coefficient multiplying the initial matrix
@@ -124,62 +159,132 @@ def rj_factor(j: int, m1: int, n1: int, m2: int, n2: int, p_j: int,
     exponent couples to both modes' index differences through the Kerr
     terms, so all four indices are required.
 
+    The indices ``m1, n1, m2, n2, p_j`` and the time ``t`` broadcast against
+    each other as numpy arrays do; with all of them scalars the result is a
+    ``complex``, else a complex array of the broadcast shape. Every element
+    equals, bit for bit, the value the scalar ``complex``/``cmath``
+    arithmetic gives for its own arguments.
+
     ``phase_sign`` flips the oscillatory factor and exists for the
     verification suite's convention check; the physical value is +1.
     """
+    m1, n1, m2, n2, p_j = np.broadcast_arrays(m1, n1, m2, n2, p_j)
     d1, d2 = m1 - n1, m2 - n2
     if j == 1:
         gamma, chi_self, m, n = params.gamma1, params.chi11, m1, n1
-        x = complex(gamma, 2.0 * (params.chi11 * d1 + params.chi12 * d2))
+        xi = 2.0 * (params.chi11 * d1 + params.chi12 * d2)
     elif j == 2:
         gamma, chi_self, m, n = params.gamma2, params.chi22, m2, n2
-        x = complex(gamma, 2.0 * (params.chi12 * d1 + params.chi22 * d2))
+        xi = 2.0 * (params.chi12 * d1 + params.chi22 * d2)
     else:
         raise ValueError(f"mode index must be 1 or 2, got {j}")
-
-    if p_j:
-        xt = x * t
-        if abs(xt) < _SERIES_SWITCH:
-            pump_base = gamma * t * (1.0 - xt / 2.0)
-        else:
-            pump_base = gamma / x * (1.0 - cmath.exp(-xt))
-        weight = math.sqrt(math.comb(m + p_j, p_j) * math.comb(n + p_j, p_j))
-        pump = weight * pump_base ** p_j
-    else:
-        pump = 1.0
-
-    phase = phase_sign * (chi_self + params.chi12) * (m - n) * t
-    exponent = 1j * phase - (x * (m + n + 1) - gamma) * (t / 2.0)
-    return pump * cmath.exp(exponent)
+    t = np.asarray(t, dtype=float)
+    # x = complex(gamma, xi); exponent = 1j * phase - (x * (m + n + 1) - gamma) * (t / 2.0)
+    ar, ai = _cmul(0.0, 1.0, phase_sign * (chi_self + params.chi12) * (m - n) * t, 0.0)
+    br, bi = _cmul(gamma, xi, m + n + 1, 0.0)
+    br, bi = _cmul(br - gamma, bi - 0.0, t / 2.0, 0.0)
+    factor = np.exp(_complex(ar - br, ai - bi))
+    del ar, ai, br, bi
+    pump_r, pump_i = _pump(gamma, xi, m, n, p_j, t) if p_j.any() else (1.0, 0.0)
+    out = _complex(*_cmul(pump_r, pump_i, factor.real, factor.imag))
+    return complex(out) if t.ndim == 0 and m1.ndim == 0 else out
 
 
-def propagate(rho0, params: CavityParams, t: float, phase_sign: int = +1) -> DensityMatrix2Q:
-    """Evolve a two-qubit density matrix for time t under quiet damping.
+def _pump(gamma: float, xi, m, n, p_j, t):
+    """Real and imaginary parts of ``rj_factor``'s pump, weight * pump_base ** p_j, or 1.0 where p_j = 0.
+
+    Intermediates are released as soon as they are used, which keeps the
+    peak memory of a long time axis low.
+    """
+    # per index element: the quotient gamma / x as CPython forms it, and the weight
+    q = np.array([gamma / complex(gamma, v) if gamma or v else 0j for v in xi.flat],
+                 dtype=complex).reshape(xi.shape)
+    weight = np.array([math.sqrt(math.comb(a + p, p) * math.comb(b + p, p))
+                       for a, b, p in zip(m.flat, n.flat, p_j.flat)]).reshape(m.shape)
+    xtr, xti = _cmul(gamma, xi, t, 0.0)
+    series = np.hypot(xtr, xti) < _SERIES_SWITCH
+    # above the switch, pump_base = gamma / x * (1.0 - exp(-xt))
+    e = np.exp(_complex(-xtr, -xti))
+    br, bi = _cmul(q.real, q.imag, 1.0 - e.real, 0.0 - e.imag)
+    del e
+    # below it, gamma * t * (1.0 - xt / 2.0); CPython divides by (2.0, 0.0)
+    # with ratio 0.0 and denominator 2.0
+    sr, si = _cmul(gamma * t, 0.0, 1.0 - (xtr + xti * 0.0) / 2.0, 0.0 - (xti - xtr * 0.0) / 2.0)
+    del xtr, xti
+    br, bi = np.where(series, sr, br), np.where(series, si, bi)
+    del sr, si, series
+    # pump_base ** p_j by CPython's repeated squaring from (1.0, 0.0)
+    rr, ri = 1.0, 0.0
+    for k in range(int(p_j.max()).bit_length()):
+        if k:
+            br, bi = _cmul(br, bi, br, bi)
+        rr, ri = (np.where(p_j & (1 << k), u, v) for u, v in zip(_cmul(rr, ri, br, bi), (rr, ri)))
+    del br, bi
+    rr, ri = _cmul(weight, 0.0, rr, ri)
+    pumped = p_j != 0
+    return np.where(pumped, rr, 1.0), np.where(pumped, ri, 0.0)
+
+
+# The terms of the damped sum for out[2 m1 + m2, 2 n1 + n2]: one per photon
+# number p1 (p2) restored in mode 1 (2), which exists only when m1 = n1 = 0
+# (m2 = n2 = 0), so the source indices stay inside the qubit subspace. Rows
+# (m1, n1, m2, n2, p) of the factors of each mode; per term its slot in its
+# entry's sum, its output entry, its two factor rows and its source entry,
+# ordered by slot and then by entry, so the first 16 terms are slot 0 of
+# every entry in order.
+def _term_table():
+    rows = ({}, {})
+    terms = []
+    for m1, m2, n1, n2 in np.ndindex(2, 2, 2, 2):
+        ps1 = (0, 1) if (m1 == 0 and n1 == 0) else (0,)
+        ps2 = (0, 1) if (m2 == 0 and n2 == 0) else (0,)
+        for slot, (p1, p2) in enumerate((p1, p2) for p1 in ps1 for p2 in ps2):
+            # a mode's factor sees the other mode only through its index
+            # difference, so equal factors share one row
+            r1 = rows[0].setdefault((m1, n1, m2 - n2, p1), (len(rows[0]), (m1, n1, m2, n2, p1)))
+            r2 = rows[1].setdefault((m2, n2, m1 - n1, p2), (len(rows[1]), (m1, n1, m2, n2, p2)))
+            src = 4 * (2 * (m1 + p1) + (m2 + p2)) + 2 * (n1 + p1) + (n2 + p2)
+            terms.append((slot, 4 * (2 * m1 + m2) + 2 * n1 + n2, r1[0], r2[0], src))
+    return (*(np.array([row for _, row in r.values()]).T for r in rows), np.array(sorted(terms)).T)
+
+
+_ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
+
+
+def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
+    """Evolve a two-qubit density matrix for time t, or for each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
-    which ``integrate_master`` is the supported route. ``phase_sign`` is a
-    convention guard used by the verification suite and is +1 physically.
+    which ``integrate_master`` is the supported route. For one time the
+    result is a ``DensityMatrix2Q``; for an array of N times it is a
+    read-only (N, 4, 4) array, each matrix validated as ``DensityMatrix2Q``
+    validates one. Both come from the same sum over the time axis, and each
+    matrix equals, bit for bit, the one the scalar complex arithmetic gives
+    for its time. ``phase_sign`` is a convention guard used by the
+    verification suite and is +1 physically.
     """
     if not params.quiet:
         raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-d array of times, got shape {t.shape}")
     _check_time(t)
-    src = _as_density(rho0).matrix
-    out = np.zeros((4, 4), dtype=complex)
-    for m1 in (0, 1):
-        for m2 in (0, 1):
-            for n1 in (0, 1):
-                for n2 in (0, 1):
-                    acc = 0.0 + 0.0j
-                    # a source term exists only when the shifted indices stay
-                    # inside the qubit subspace on both sides
-                    for p1 in (0, 1) if (m1 == 0 and n1 == 0) else (0,):
-                        r1 = rj_factor(1, m1, n1, m2, n2, p1, params, t, phase_sign)
-                        for p2 in (0, 1) if (m2 == 0 and n2 == 0) else (0,):
-                            r2 = rj_factor(2, m1, n1, m2, n2, p2, params, t, phase_sign)
-                            acc += r1 * r2 * src[2 * (m1 + p1) + (m2 + p2), 2 * (n1 + p1) + (n2 + p2)]
-                    out[2 * m1 + m2, 2 * n1 + n2] = acc
-    out = (out + out.conj().T) / 2.0
-    return DensityMatrix2Q(out)
+    src = _as_density(rho0).matrix.reshape(-1)[_SRC]
+    col = t.reshape(-1, 1)
+    r1 = rj_factor(1, *_ROWS1, params, col, phase_sign)[:, _ROW1]
+    r2 = rj_factor(2, *_ROWS2, params, col, phase_sign)[:, _ROW2]
+    # r1 * r2 * src[...] per term
+    tr, ti = _cmul(*_cmul(r1.real, r1.imag, r2.real, r2.imag), src.real, src.imag)
+    del r1, r2
+    # each entry's terms summed in slot order, starting from 0.0 + 0.0j
+    re, im = 0.0 + tr[:, :16], 0.0 + ti[:, :16]
+    for slot in (1, 2, 3):
+        k = _SLOT == slot
+        re[:, _ENTRY[k]] += tr[:, k]
+        im[:, _ENTRY[k]] += ti[:, k]
+    out = _complex(re, im).reshape(-1, 4, 4)
+    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
+    return DensityMatrix2Q(out[0]) if t.ndim == 0 else _density_stack(out)
 
 
 # ---------------------------------------------------------------------------
@@ -410,6 +515,11 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t: float) -> De
     if reason is not None:
         raise ValueError(reason)
     _check_time(t)
+    return DensityMatrix2Q(_closed_form_matrix(initial, params, t))
+
+
+def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -> np.ndarray:
+    """The unvalidated matrix of ``closed_form_rho``, whose checks the caller has made."""
     gamma = params.gamma1
     g = math.exp(-gamma * t)
     m = np.zeros((4, 4), dtype=complex)
@@ -452,7 +562,7 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t: float) -> De
         m[off] *= initial.p
     else:  # unreachable given closed_form_reason, kept for safety
         raise ValueError(f"no closed form for {initial_label(initial)}")
-    return DensityMatrix2Q(m)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -506,15 +616,15 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     approximate = False
 
     if engine == "analytic":
-        mats = [propagate(rho0, params, float(t)) for t in times]
+        states = propagate(rho0, params, times)
     elif engine == "closed_form":
-        mats = [closed_form_rho(initial, params, float(t)) for t in times]
+        states = _density_stack([_closed_form_matrix(initial, params, float(t)) for t in times])
     else:
         big0 = _embed_qubits(rho0.matrix, fock_dim)
         raw = integrate_master_grid(big0, params, list(times), fock_dim, step)
         approximate = not params.quiet
-        mats = [_extract_qubits(r, fock_dim) for r in raw]
-    return Trajectory(times, mats, params, initial, engine, approximate)
+        states = _extract_qubits(raw, fock_dim)
+    return Trajectory(times, states, params, initial, engine, approximate)
 
 
 def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -527,14 +637,15 @@ def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
     return big
 
 
-def _extract_qubits(big: np.ndarray, fock_dim: int) -> DensityMatrix2Q:
-    idx = _qubit_indices(fock_dim)
-    block = big[np.ix_(idx, idx)]
-    block = (block + block.conj().T) / 2.0
+def _extract_qubits(big: Sequence[np.ndarray], fock_dim: int) -> np.ndarray:
+    """The validated (N, 4, 4) stack of the qubit blocks of a sequence of Fock-space matrices."""
+    idx = np.ix_(_qubit_indices(fock_dim), _qubit_indices(fock_dim))
+    block = np.array([b[idx] for b in big])
+    block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
     # subspace; the conditional state is what the measures act on
-    block = block / np.trace(block).real
-    return DensityMatrix2Q(block)
+    block = block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+    return _density_stack(block)
 
 
 def _qubit_indices(fock_dim: int) -> list:

@@ -2,8 +2,10 @@
 
 Concurrence via the spin-flip spectrum and negativity via the partial transpose
 take a validated density matrix (or anything coercible to one) and return a
-float, or a list or tuple of states and return a float64 array, one value per
-state. Entanglement of formation and logarithmic negativity derive from one float.
+float, or a list or tuple of states or an (N, 4, 4) array of them (such as
+``Trajectory.states``) and return a float64 array, one value per state. Every
+state is validated. Entanglement of formation and logarithmic negativity
+derive from one float.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import PureState2Q, _as_density
+from .states import PureState2Q, _as_density, _density_stack
 
 __all__ = [
     "EntanglementReport",
@@ -57,14 +59,19 @@ class EntanglementReport:
 
 
 def _matrices(rho) -> np.ndarray:
-    """The 4x4 matrix of one state, or the (N, 4, 4) stack of a list or tuple of states."""
+    """The 4x4 matrix of one state, or the (N, 4, 4) stack of a list, tuple or 3-d array of states.
+
+    An array is validated even when read-only: a read-only array is not a validated one.
+    """
     if isinstance(rho, (list, tuple)):
         return np.array([_as_density(r).matrix for r in rho]).reshape(-1, 4, 4)
+    if isinstance(rho, np.ndarray) and rho.ndim == 3:
+        return _density_stack(rho)
     return _as_density(rho).matrix
 
 
 def concurrence(rho):
-    """Concurrence of a two-qubit density matrix, or of each in a list of states.
+    """Concurrence of a two-qubit density matrix, or of each in a list or stack of states.
 
     The four spin-flip eigenvalue roots lambda_i are sorted ascending; the
     result is max(2*max_i lambda_i - sum_i lambda_i, 0).

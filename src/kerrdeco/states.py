@@ -79,6 +79,38 @@ class PureState2Q:
         return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
 
 
+def _check_density(m: np.ndarray, stack: bool) -> None:
+    """Raise ValueError unless each 4x4 matrix of the (N, 4, 4) array ``m`` is a density matrix.
+
+    Hermitian and of unit trace within 1e-12, no eigenvalue below ``_PSD_TOL``.
+    The message is about the first bad state; with ``stack`` it starts with that
+    state's index.
+    """
+    # each comparison is written so that NaN fails it
+    herm_dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    tr = np.trace(m, axis1=-2, axis2=-1)
+    good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
+    # eigvalsh only sees the states before the first hermiticity or trace failure
+    first = len(m) if good.all() else int(np.argmin(good))
+    low = np.linalg.eigvalsh(m[:first]).min(axis=-1, initial=np.inf)
+    psd = low >= _PSD_TOL
+    if psd.all():
+        if first == len(m):
+            return
+        i = first
+        if not herm_dev[i] <= 1e-12:
+            if not np.all(np.isfinite(m[i])):
+                msg = "density matrix has non-finite entries"
+            else:
+                msg = f"density matrix is not hermitian (max deviation {float(herm_dev[i]):.3e})"
+        else:
+            msg = f"density matrix trace is {complex(tr[i])!r}, expected 1"
+    else:
+        i = int(np.argmin(psd))
+        msg = f"density matrix has negative eigenvalue {float(low[i]):.3e}"
+    raise ValueError(f"state {i}: {msg}" if stack else msg)
+
+
 @dataclass(frozen=True)
 class DensityMatrix2Q:
     """Validated 4x4 density matrix: hermitian, unit trace, positive semidefinite."""
@@ -89,18 +121,7 @@ class DensityMatrix2Q:
         m = np.array(self.matrix, dtype=complex, copy=True)
         if m.shape != (4, 4):
             raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        # each comparison is written so that NaN fails it
-        herm_dev = float(np.max(np.abs(m - m.conj().T)))
-        if not herm_dev <= 1e-12:
-            if not np.all(np.isfinite(m)):
-                raise ValueError("density matrix has non-finite entries")
-            raise ValueError(f"density matrix is not hermitian (max deviation {herm_dev:.3e})")
-        tr = complex(np.trace(m))
-        if not abs(tr - 1.0) <= 1e-12:
-            raise ValueError(f"density matrix trace is {tr!r}, expected 1")
-        low = float(np.linalg.eigvalsh(m).min())
-        if not low >= _PSD_TOL:
-            raise ValueError(f"density matrix has negative eigenvalue {low:.3e}")
+        _check_density(m[np.newaxis], stack=False)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -114,6 +135,19 @@ def _as_density(rho) -> DensityMatrix2Q:
     if isinstance(rho, DensityMatrix2Q):
         return rho
     return DensityMatrix2Q(np.asarray(rho))
+
+
+def _density_stack(states) -> np.ndarray:
+    """A read-only copy of an (N, 4, 4) array, each matrix checked as ``DensityMatrix2Q`` checks one.
+
+    A bad state fails with ``DensityMatrix2Q``'s message, prefixed by its index.
+    """
+    m = np.array(states, dtype=complex, copy=True)
+    if m.ndim != 3 or m.shape[1:] != (4, 4):
+        raise ValueError(f"expected an (N, 4, 4) stack of matrices, got shape {m.shape}")
+    _check_density(m, stack=True)
+    m.flags.writeable = False
+    return m
 
 
 # ---------------------------------------------------------------------------

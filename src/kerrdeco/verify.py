@@ -57,9 +57,8 @@ def _oracle_gap(initial, params: CavityParams, times, propagator) -> float:
     rho0 = initial_density(initial)
     numeric = integrate_master_grid(rho0.matrix, params, times, fock_dim=2)
     worst = 0.0
-    for t, ref in zip(times, numeric):
-        got = propagator(rho0, params, float(t))
-        worst = max(worst, linalg.trace_distance(got.matrix, ref))
+    for got, ref in zip(propagator(rho0, params, times), numeric):
+        worst = max(worst, linalg.trace_distance(got, ref))
     return worst
 
 
@@ -69,7 +68,9 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     ``level`` is "fast" (seconds) or "full" (adds the complete family/
     parameter sweep, the strong-coupling envelope comparisons and larger
     random corpora). ``propagator`` can be substituted to probe the
-    battery itself; it defaults to the analytic propagator.
+    battery itself: a callable ``(rho0, params, times)`` that returns one
+    4x4 matrix per time of a 1-d array, as ``evolution.propagate`` does. It
+    defaults to ``propagate``.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
@@ -109,9 +110,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     for initial in (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
                     WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8)):
         worst = 0.0
-        for t in times:
+        for t, b in zip(times, prop(initial_density(initial), closed_params, times)):
             a = closed_form_rho(initial, closed_params, float(t)).matrix
-            b = prop(initial_density(initial), closed_params, float(t)).matrix
             worst = max(worst, float(np.max(np.abs(a - b))))
         record(f"closed_form/{initial_label(initial)}", worst <= 1e-10,
                f"max elementwise gap {worst:.2e} (limit 1e-10)")
@@ -121,8 +121,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     quiet = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=0.0)
 
     def curve_gap(initial, curve_fn):
-        rho0 = initial_density(initial)
-        states = [prop(rho0, quiet, float(t)) for t in times]
+        states = prop(initial_density(initial), quiet, times)
         got = zip(measures.concurrence(states), measures.negativity(states))
         worst = 0.0
         for t, (c, n) in zip(times, got):
@@ -145,7 +144,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     worst = 0.0
     for p in (0.4, 0.6, 0.8, 1.0):
         rho0 = initial_density(WernerLike(p))
-        got = measures.concurrence([prop(rho0, lossless, float(t)) for t in times])
+        got = measures.concurrence(prop(rho0, lossless, times))
         for t, c in zip(times, got):
             worst = max(worst, abs(c - analytics.werner_like_lossless_curve(p, 20.0, float(t))))
     record("decay_curves/werner_like_lossless", worst <= 1e-9,
@@ -210,8 +209,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     worst = 0.0
     rho0 = initial_density(BellLike())
     for t1, t2 in ((0.05, 0.1), (0.2, 0.3)):
-        two_leg = prop(prop(rho0, params, t1), params, t2).matrix
-        one_leg = prop(rho0, params, t1 + t2).matrix
+        first_leg, one_leg = prop(rho0, params, np.array([t1, t1 + t2]))
+        two_leg = prop(first_leg, params, np.array([t2]))[0]
         worst = max(worst, float(np.max(np.abs(two_leg - one_leg))))
     record("propagator/semigroup", worst <= 1e-10, f"max composition gap {worst:.2e}")
 
@@ -219,15 +218,15 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     vac[0, 0] = 1.0
     # coherences decay at gamma/2, so gamma*t = 60 puts them below e^-30
     t_late = 60.0 / gamma
+    late = np.array([t_late])
     gap = max(
-        linalg.trace_distance(prop(initial_density(BellPhi(+1)), quiet, t_late).matrix, vac),
-        linalg.trace_distance(prop(random_density_matrix(rng), quiet, t_late).matrix, vac),
+        linalg.trace_distance(prop(initial_density(BellPhi(+1)), quiet, late)[0], vac),
+        linalg.trace_distance(prop(random_density_matrix(rng), quiet, late)[0], vac),
     )
     record("propagator/vacuum_limit", gap <= 1e-10, f"distance to vacuum at gamma*t = 60: {gap:.2e}")
 
     worst = 0.0
-    for t in times:
-        rho = prop(rho0, lossless, float(t)).matrix
+    for rho in prop(rho0, lossless, times):
         purity = float(np.trace(rho @ rho).real)
         worst = max(worst, abs(purity - 1.0))
     record("propagator/lossless_purity", worst <= 1e-10,
@@ -243,7 +242,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         # compare curve and envelope at the nominal revival times
         worst_c = worst_n = 0.0
         worst_simple_margin = math.inf
-        states = [prop(rho_like, strong, tn) for tn in revs]
+        states = prop(rho_like, strong, revs)
         for tn, c_t, n_t in zip(revs, measures.concurrence(states), measures.negativity(states)):
             worst_c = max(worst_c, abs(c_t - analytics.concurrence_envelope(4.0, tn)))
             dev_main = abs(n_t - analytics.negativity_envelope(4.0, tn))
@@ -260,7 +259,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         worst = 0.0
         for p in (0.6, 0.8, 1.0):
             rho_p = initial_density(WernerLike(p))
-            peaks = measures.concurrence([prop(rho_p, strong, tn) for tn in revs])
+            peaks = measures.concurrence(prop(rho_p, strong, revs))
             for tn, peak in zip(revs, peaks):
                 worst = max(worst, abs(peak - analytics.werner_concurrence_envelope(4.0, p, tn)))
         record("envelope/werner_concurrence_peaks", worst <= 2e-3,

@@ -5,13 +5,12 @@ and asserts it, so `pytest -v tests/test_acceptance.py` reads as a checklist.
 """
 
 import math
-import os
 import subprocess
 import sys
 
 import numpy as np
 
-from kerrdeco import analytics, linalg, measures
+from kerrdeco import analytics, linalg, measures, verify
 from kerrdeco.analytics import (
     bell_like_uncoupled_curves, bell_phi_curves, bell_psi_curves,
     check_ordering_inequalities, concurrence_envelope, estimate_cross_coupling,
@@ -27,7 +26,7 @@ from kerrdeco.states import (
     random_pure_state, separable, to_density,
 )
 
-SEED = int(os.environ.get("KERRDECO_SEED", "42"))
+SEED = verify.corpus_seed()
 
 
 def _verdict(num: int, label: str, ok: bool, detail: str) -> None:

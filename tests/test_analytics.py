@@ -68,6 +68,13 @@ class TestBellCurves:
         with pytest.raises(ValueError, match="times must be nonnegative, not NaN"):
             concurrence_envelope(GAMMA, t)
 
+    @pytest.mark.parametrize("t", [math.inf, [0.1, math.inf], -math.inf])
+    def test_rejects_infinite_times(self, t):
+        # gamma = 0 would give 0 * inf = NaN
+        for gamma in (0.0, GAMMA):
+            with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+                bell_psi_curves(gamma, t)
+
     def test_matches_measured_states(self):
         prm = CavityParams(gamma1=GAMMA, gamma2=GAMMA, chi12=20.0)
         unc = CavityParams(gamma1=GAMMA, gamma2=GAMMA, chi12=0.0)
@@ -192,6 +199,13 @@ class TestLosslessFormulas:
         # below the entanglement threshold the curve is identically zero
         ts = np.linspace(0.0, 1.0, 41)
         assert np.all(werner_like_lossless_curve(0.3, 20.0, ts) == 0.0)
+
+    @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1, [0.1, math.nan]])
+    def test_lossless_curves_reject_bad_times(self, t):
+        with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+            werner_like_lossless_curve(0.5, 20.0, t)
+        with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+            unitary_pure_entanglement(bell_like(), 20.0, t)
 
     def test_werner_like_curve_matches_measured(self):
         lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi12=20.0)

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import importlib.util
 import io
 import json
 import math
@@ -566,6 +567,13 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "KERRDECO_SEED must be a whole number, got 'abc'" in captured.err
+
+    def test_bad_seed_stops_the_acceptance_tests_naming_the_variable(self, monkeypatch):
+        monkeypatch.setenv("KERRDECO_SEED", "abc")
+        path = Path(__file__).with_name("test_acceptance.py")
+        spec = importlib.util.spec_from_file_location("acceptance_with_a_bad_seed", path)
+        with pytest.raises(ValueError, match="KERRDECO_SEED must be a whole number, got 'abc'"):
+            spec.loader.exec_module(importlib.util.module_from_spec(spec))
 
     def test_bad_level_exits_one(self, capsys):
         assert main(["verify", "slow"]) == 1

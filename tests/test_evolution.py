@@ -144,6 +144,25 @@ class TestPropagate:
         with pytest.raises(ValueError, match=want):
             closed_form_rho(BellPsi(+1), QUIET, t)
 
+    def test_an_array_of_times_gives_a_read_only_validated_stack(self, rng):
+        rho0 = random_density_matrix(rng)
+        times = np.array([0.3, 0.0, 0.7])  # any order
+        stack = propagate(rho0, QUIET, times)
+        assert isinstance(stack, np.ndarray) and stack.shape == (3, 4, 4)
+        assert not stack.flags.writeable
+        for t, rho in zip(times, stack):
+            assert rho.tobytes() == propagate(rho0, QUIET, float(t)).matrix.tobytes()
+        assert propagate(rho0, QUIET, np.array([])).shape == (0, 4, 4)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
+    def test_names_the_first_bad_time_of_an_array(self, bad):
+        with pytest.raises(ValueError, match=f"times must be finite and nonnegative, got {bad} at index 2"):
+            propagate(np.eye(4) / 4.0, QUIET, np.array([0.0, 0.1, bad, math.nan]))
+
+    def test_rejects_a_two_dimensional_time_array(self):
+        with pytest.raises(ValueError, match="1-d array of times"):
+            propagate(np.eye(4) / 4.0, QUIET, np.zeros((2, 2)))
+
     def test_nearly_lossless_limit_is_continuous(self):
         # the series branch has to join the gamma = 0 case smoothly
         rho0 = initial_density(BellLike())
@@ -405,8 +424,21 @@ class TestTrajectory:
         o = trajectory(BellPsi(+1), QUIET, 1.0, 9, engine="oracle")
         c = trajectory(BellPsi(+1), QUIET, 1.0, 9, engine="closed_form")
         for x, y, z in zip(a.states, o.states, c.states):
-            assert linalg.trace_distance(x.matrix, y.matrix) < 1e-8
-            assert np.max(np.abs(x.matrix - z.matrix)) < 1e-12
+            assert linalg.trace_distance(x, y) < 1e-8
+            assert np.max(np.abs(x - z)) < 1e-12
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
+    def test_states_are_one_read_only_stack(self, engine):
+        traj = trajectory(BellLike(), QUIET, 1.0, 7, engine=engine)
+        assert isinstance(traj.states, np.ndarray) and traj.states.shape == (7, 4, 4)
+        assert traj.states.dtype == complex and not traj.states.flags.writeable
+        with pytest.raises(ValueError):
+            traj.states[0, 0, 0] = 1.0
+
+    def test_closed_form_stack_holds_the_single_time_matrices(self):
+        traj = trajectory(WernerLike(0.7), QUIET, 1.0, 9, engine="closed_form")
+        for t, rho in zip(traj.times, traj.states):
+            assert rho.tobytes() == closed_form_rho(WernerLike(0.7), QUIET, float(t)).matrix.tobytes()
 
     def test_grid_shape(self):
         traj = trajectory(BellLike(), QUIET, 0.5, 11)
@@ -428,7 +460,7 @@ class TestTrajectory:
         traj = trajectory(BellPsi(+1), therm, 0.5, 5, engine="oracle", fock_dim=4)
         assert traj.approximate
         # thermal photons repopulate the excited levels, unlike quiet decay
-        final = traj.states[-1].matrix
+        final = traj.states[-1]
         assert final[3, 3].real > 1e-3
 
     def test_rejects_bad_grid_arguments(self):
@@ -444,3 +476,7 @@ class TestTrajectory:
             Trajectory(np.array([0.0, 0.0]), [None, None], QUIET, BellPsi(+1), "analytic")
         with pytest.raises(ValueError, match="matching"):
             Trajectory(np.array([0.0, 0.1]), [None], QUIET, BellPsi(+1), "analytic")
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
+            Trajectory(np.array([0.0, 0.1]), np.zeros((2, 2, 2)), QUIET, BellPsi(+1), "analytic")
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
+            Trajectory(np.array([0.0, 0.1]), [None, None], QUIET, BellPsi(+1), "analytic")

@@ -181,6 +181,21 @@ class TestManyStates:
             negativity([good, np.eye(3) / 3.0])
 
 
+    def test_an_array_of_states_gives_the_list_values_and_is_validated(self, rng):
+        states = np.array([random_density_matrix(rng).matrix for _ in range(20)])
+        for fn in (concurrence, negativity):
+            assert fn(states).tobytes() == fn(list(states)).tobytes()
+        bad = states.copy()
+        bad[7, 0, 1] = 0.3
+        # a read-only array is not a validated one
+        bad.flags.writeable = False
+        for fn in (concurrence, negativity):
+            with pytest.raises(ValueError, match="^state 7: density matrix is not hermitian"):
+                fn(bad)
+            with pytest.raises(ValueError, match="^state 0: .*non-finite"):
+                fn(np.full((2, 4, 4), math.nan))
+
+
 class TestWernerPhiEquality:
     def test_concurrence_equals_negativity_on_damped_curve(self):
         # the even-parity Werner family keeps C = N at all times and weights

@@ -84,6 +84,49 @@ class TestDensityMatrix:
         assert np.allclose(np.asarray(rho), np.eye(4) / 4.0)
 
 
+class TestDensityStack:
+    def _stack(self, n=5):
+        return np.array([random_density_matrix(np.random.default_rng(k)).matrix for k in range(n)])
+
+    def test_valid_stack_is_a_read_only_copy(self):
+        raw = self._stack()
+        out = states._density_stack(raw)
+        assert out.shape == (5, 4, 4) and out.tobytes() == raw.tobytes()
+        assert not out.flags.writeable and raw.flags.writeable
+        assert states._density_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
+
+    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    @pytest.mark.parametrize("k, edit, message", [
+        (3, lambda m: m.__setitem__((0, 1), 0.1), "not hermitian"),
+        (1, lambda m: m.__imul__(2.0), "trace is"),
+        (4, lambda m: m.__setitem__(slice(None), np.diag([0.7, 0.5, -0.1, -0.1])), "negative eigenvalue"),
+        (2, lambda m: m.__setitem__((2, 2), math.nan), "non-finite"),
+        (0, lambda m: m.__setitem__((1, 3), complex(0.0, math.inf)), "non-finite"),
+    ])
+    def test_a_bad_state_is_named_by_its_index(self, k, edit, message):
+        raw = self._stack()
+        edit(raw[k])
+        single = pytest.raises(ValueError, match=message)
+        with single as one:
+            DensityMatrix2Q(raw[k])
+        with pytest.raises(ValueError) as many:
+            states._density_stack(raw)
+        assert str(many.value) == f"state {k}: {one.value}"
+
+    def test_the_first_bad_state_is_named(self):
+        raw = self._stack(6)
+        raw[4] *= 2.0
+        raw[2] = np.diag([0.7, 0.5, -0.1, -0.1])
+        with pytest.raises(ValueError, match="^state 2: density matrix has negative eigenvalue"):
+            states._density_stack(raw)
+
+    def test_rejects_a_stack_of_the_wrong_shape(self):
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
+            states._density_stack(np.eye(4) / 4.0)
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
+            states._density_stack(np.ones((2, 3, 3)) / 3.0)
+
+
 class TestConstructors:
     def test_bell_psi_amplitudes(self):
         assert np.allclose(bell_psi(+1).amplitudes(), [0, RT2, RT2, 0])
