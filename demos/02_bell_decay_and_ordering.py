@@ -17,13 +17,13 @@ params = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
 psi0 = initial_density(BellPsi(+1))
 phi0 = initial_density(BellPhi(+1))
 
+gts = np.linspace(0.0, 2.0, 9)
+rho_psi = propagate(psi0, params, gts / 4.0)
+rho_phi = propagate(phi0, params, gts / 4.0)
+columns = (concurrence(rho_psi), concurrence(rho_phi), negativity(rho_psi), negativity(rho_phi))
+
 print("gamma*t   C(psi)   C(phi)   N(psi)   N(phi)   ordering")
-for gt in np.linspace(0.0, 2.0, 9):
-    t = gt / 4.0
-    rho_psi = propagate(psi0, params, t)
-    rho_phi = propagate(phi0, params, t)
-    c1, c2 = concurrence(rho_psi), concurrence(rho_phi)
-    n1, n2 = negativity(rho_psi), negativity(rho_phi)
+for gt, c1, c2, n1, n2 in zip(gts, *columns):
     tag = "C: psi first, N: phi first" if c1 > c2 and n1 < n2 else "agree"
     print(f"{gt:7.2f} {c1:8.5f} {c2:8.5f} {n1:8.5f} {n2:8.5f}   {tag}")
 

@@ -18,9 +18,10 @@ params = CavityParams(gamma1=gamma, gamma2=gamma, chi12=chi12)
 rho0 = initial_density(BellLike())
 
 print(f"gamma = {gamma}, chi12 = {chi12}, coupling ratio {chi12 / gamma:.0f}")
+revs = revival_times(chi12, 5)
+peaks = concurrence(propagate(rho0, params, revs))
 print("\n n    t_n        C(t_n)     envelope   gap")
-for n, tn in enumerate(revival_times(chi12, 5), start=1):
-    c = concurrence(propagate(rho0, params, float(tn)))
+for n, (tn, c) in enumerate(zip(revs, peaks), start=1):
     env = concurrence_envelope(gamma, float(tn))
     print(f"{n:2d} {tn:9.6f} {c:11.8f} {env:11.8f} {abs(c - env):9.2e}")
 

@@ -30,5 +30,5 @@ traj = trajectory(WernerLike(0.8), warm, t_max=1.0, n_points=5,
                   engine="oracle", fock_dim=5)
 print(f"\nthermal run flagged approximate: {traj.approximate}")
 print("double-excitation population grows from zero:")
-for t, rho in zip(traj.times, traj.states):
+for t, rho in zip(traj.times, traj.states.matrix):
     print(f"  t = {t:4.2f}: rho[11,11] = {rho[3, 3].real:.5f}")

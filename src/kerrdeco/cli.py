@@ -13,6 +13,7 @@ import csv
 import dataclasses
 import json
 import sys
+import types
 from dataclasses import dataclass, fields
 from typing import Iterator, Optional, Sequence, TextIO
 
@@ -152,7 +153,7 @@ def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
             cols.append(n if name == "negativity" else [measures.log_negativity(x) for x in n])
         else:
             # (t, i, j, re/im) flattened in the order of _MATRIX_COLUMNS
-            m = traj.states
+            m = traj.states.matrix
             cols.extend(np.stack([m.real, m.imag], axis=-1).reshape(len(m), -1).T)
     return ([*lead, *map(_fmt, row)] for row in zip(*cols))
 
@@ -345,11 +346,24 @@ def _parse_values(text: str) -> list:
         raise ValueError(f"cannot parse values list {text!r}: {exc}") from exc
 
 
+@contextlib.contextmanager
 def _open_out(path: Optional[str]):
-    """A file opened with CSV-safe newlines, or stdout when no path is given."""
+    """Stdout, or a file with CSV-safe newlines that is opened at the first write.
+
+    Each command checks its request before it writes, so a rejected request
+    leaves an existing file as it was.
+    """
     if path is None:
-        return contextlib.nullcontext(sys.stdout)
-    return open(path, "w", encoding="utf-8", newline="")
+        yield sys.stdout
+        return
+    with contextlib.ExitStack() as stack:
+        opened = []
+
+        def write(text: str) -> int:
+            if not opened:
+                opened.append(stack.enter_context(open(path, "w", encoding="utf-8", newline="")))
+            return opened[0].write(text)
+        yield types.SimpleNamespace(write=write)
 
 
 def _dispatch(args) -> int:

@@ -4,13 +4,14 @@ Two independent routes to the same physics live here. ``propagate`` applies
 the exact amplitude-damping propagator, valid for quiet (zero-temperature)
 reservoirs, to one time or to a whole array of times in one call: its terms
 are numpy arrays over the time axis, each complex product spelled out as
-CPython forms it, so every matrix equals the scalar arithmetic bit for bit.
-``integrate_master`` integrates the full master equation with
-fixed-step RK4 on a truncated Fock space and serves as the cross-checking
-oracle; it also covers thermal reservoirs, which the analytic route cannot.
-The generator conserves each mode's coherence order ``m_j - n_j``, so the
-oracle evolves only the entries whose orders lie within those the initial
-state occupies; every other entry stays exactly zero.
+CPython forms it, so every matrix equals the scalar arithmetic bit for bit;
+it returns one ``DensityMatrix2Q``, a stack for an array of times.
+``integrate_master`` integrates the full master equation with fixed-step RK4
+on a truncated Fock space and serves as the cross-checking oracle; it also
+covers thermal reservoirs, which the analytic route cannot. The generator
+conserves each mode's coherence order ``m_j - n_j``, so the oracle evolves
+only the entries whose orders lie within those the initial state occupies;
+every other entry stays exactly zero.
 
 Rates are in rad/us, times in us.
 """
@@ -26,8 +27,7 @@ import numpy as np
 
 from .states import (
     BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, _as_density, _density_stack, initial_density,
-    initial_label,
+    WernerLike, WernerPhi, WernerPsi, _as_density, initial_density, initial_label,
 )
 
 __all__ = [
@@ -86,33 +86,31 @@ class CavityParams:
 
 @dataclass(frozen=True)
 class Trajectory:
-    """States on a uniform time grid, as one read-only (N, 4, 4) array.
+    """States on a uniform time grid, as one ``DensityMatrix2Q`` stack.
 
-    ``states[k]`` is the density matrix at ``times[k]``. Every engine builds
-    and validates the whole stack once, as ``DensityMatrix2Q`` validates one
-    matrix; the constructor checks the times and the stack's shape and keeps
-    a read-only copy. ``approximate`` is set when the states were projected
-    out of a larger Fock space (thermal oracle runs) and renormalized.
+    ``states.matrix[k]`` is the density matrix at ``times[k]``. A raw (N, 4, 4)
+    array (from the closed-form and oracle engines) is checked here, once; a
+    ``DensityMatrix2Q`` (from ``propagate``) passes through. ``approximate`` is
+    set when the states were projected out of a larger Fock space (thermal
+    oracle runs) and renormalized.
     """
 
     times: np.ndarray
-    states: np.ndarray
+    states: DensityMatrix2Q
     params: CavityParams
     initial: InitialState
     engine: str
     approximate: bool = False
 
     def __post_init__(self):
-        t = np.asarray(self.times, dtype=float)
-        if t.ndim != 1 or len(t) != len(self.states):
-            raise ValueError("times and states must be matching 1-d sequences")
+        t = np.array(self.times, dtype=float)
+        if t.ndim != 1:
+            raise ValueError(f"times must be a 1-d sequence, got shape {t.shape}")
         _check_times(t)
-        states = np.asarray(self.states)
-        if states.shape != (len(t), 4, 4):
-            raise ValueError(f"states must be an (N, 4, 4) stack, got shape {states.shape}")
-        states = np.array(states, dtype=complex)
+        states = _as_density(self.states)
+        if states.matrix.shape != (len(t), 4, 4):
+            raise ValueError(f"states must be an (N, 4, 4) stack matching the {len(t)} times, got {states.matrix.shape}")
         t.flags.writeable = False
-        states.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
 
@@ -165,8 +163,8 @@ def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t, phase_sign: 
     equals, bit for bit, the value the scalar ``complex``/``cmath``
     arithmetic gives for its own arguments.
 
-    ``phase_sign`` flips the oscillatory factor and exists for the
-    verification suite's convention check; the physical value is +1.
+    ``phase_sign`` flips the oscillatory factor, which lets a test build a
+    deliberately wrong propagator; the physical value is +1.
     """
     m1, n1, m2, n2, p_j = np.broadcast_arrays(m1, n1, m2, n2, p_j)
     d1, d2 = m1 - n1, m2 - n2
@@ -252,16 +250,14 @@ _ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
 
 
 def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
-    """Evolve a two-qubit density matrix for time t, or for each of a 1-d array of times.
+    """Evolve one two-qubit density matrix for time t, or for each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
-    which ``integrate_master`` is the supported route. For one time the
-    result is a ``DensityMatrix2Q``; for an array of N times it is a
-    read-only (N, 4, 4) array, each matrix validated as ``DensityMatrix2Q``
-    validates one. Both come from the same sum over the time axis, and each
-    matrix equals, bit for bit, the one the scalar complex arithmetic gives
-    for its time. ``phase_sign`` is a convention guard used by the
-    verification suite and is +1 physically.
+    which ``integrate_master`` is the supported route. The result is a
+    ``DensityMatrix2Q``, an (N, 4, 4) stack for N times; each matrix equals,
+    bit for bit, the one the scalar complex arithmetic gives for its time.
+    ``phase_sign`` flips the phase convention, which lets a test build a
+    deliberately wrong propagator; it is +1 physically.
     """
     if not params.quiet:
         raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
@@ -269,7 +265,10 @@ def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
     if t.ndim > 1:
         raise ValueError(f"t must be a time or a 1-d array of times, got shape {t.shape}")
     _check_time(t)
-    src = _as_density(rho0).matrix.reshape(-1)[_SRC]
+    rho0 = _as_density(rho0).matrix
+    if rho0.ndim != 2:
+        raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {rho0.shape}")
+    src = rho0.reshape(-1)[_SRC]
     col = t.reshape(-1, 1)
     r1 = rj_factor(1, *_ROWS1, params, col, phase_sign)[:, _ROW1]
     r2 = rj_factor(2, *_ROWS2, params, col, phase_sign)[:, _ROW2]
@@ -284,7 +283,7 @@ def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
         im[:, _ENTRY[k]] += ti[:, k]
     out = _complex(re, im).reshape(-1, 4, 4)
     out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    return DensityMatrix2Q(out[0]) if t.ndim == 0 else _density_stack(out)
+    return DensityMatrix2Q(out[0] if t.ndim == 0 else out)
 
 
 # ---------------------------------------------------------------------------
@@ -367,9 +366,9 @@ def integrate_master(rho0, params: CavityParams, t: float, fock_dim: int = 2,
     Parameters
     ----------
     rho0 : array_like
-        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2.
-        For fock_dim = 2 this coincides with the two-qubit computational
-        basis.
+        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2,
+        with finite entries. For fock_dim = 2 this coincides with the
+        two-qubit computational basis.
     params : CavityParams
         Damping, Kerr couplings and reservoir occupations.
     t : float
@@ -419,6 +418,8 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     rho = np.array(rho0, dtype=complex, copy=True)
     if rho.shape != (d, d):
         raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} for fock_dim {fock_dim}")
+    if not np.all(np.isfinite(rho)):
+        raise ValueError("rho0 has non-finite entries")
     grid = [float(x) for x in times]
     _check_times(np.array(grid))
     if step is None:
@@ -446,7 +447,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         snap = np.zeros((d, d), dtype=complex)
         snap.flat[keep] = v
         drift = abs(complex(np.trace(snap)) - tr0)
-        if drift > 1e-9:
+        if not drift <= 1e-9:
             raise RuntimeError(f"trace drifted by {drift:.3e} during integration")
         out.append(snap)
         prev = target
@@ -618,7 +619,7 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     if engine == "analytic":
         states = propagate(rho0, params, times)
     elif engine == "closed_form":
-        states = _density_stack([_closed_form_matrix(initial, params, float(t)) for t in times])
+        states = np.array([_closed_form_matrix(initial, params, float(t)) for t in times])
     else:
         big0 = _embed_qubits(rho0.matrix, fock_dim)
         raw = integrate_master_grid(big0, params, list(times), fock_dim, step)
@@ -638,14 +639,13 @@ def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 
 def _extract_qubits(big: Sequence[np.ndarray], fock_dim: int) -> np.ndarray:
-    """The validated (N, 4, 4) stack of the qubit blocks of a sequence of Fock-space matrices."""
+    """The (N, 4, 4) stack of the renormalized qubit blocks of a sequence of Fock-space matrices."""
     idx = np.ix_(_qubit_indices(fock_dim), _qubit_indices(fock_dim))
     block = np.array([b[idx] for b in big])
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
     # subspace; the conditional state is what the measures act on
-    block = block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-    return _density_stack(block)
+    return block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
 
 
 def _qubit_indices(fock_dim: int) -> list:

@@ -1,11 +1,10 @@
 """Entanglement measures for two-qubit density matrices.
 
 Concurrence via the spin-flip spectrum and negativity via the partial transpose
-take a validated density matrix (or anything coercible to one) and return a
-float, or a list or tuple of states or an (N, 4, 4) array of them (such as
-``Trajectory.states``) and return a float64 array, one value per state. Every
-state is validated. Entanglement of formation and logarithmic negativity
-derive from one float.
+take a ``DensityMatrix2Q``, as checked, and return a float for one state or a
+float64 array for a stack such as ``Trajectory.states``. Any other input is
+made one by ``states._as_density``. Entanglement of formation and logarithmic
+negativity derive from one float.
 """
 
 from __future__ import annotations
@@ -16,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .states import PureState2Q, _as_density, _density_stack
+from .states import PureState2Q, _as_density
 
 __all__ = [
     "EntanglementReport",
@@ -58,25 +57,13 @@ class EntanglementReport:
             )
 
 
-def _matrices(rho) -> np.ndarray:
-    """The 4x4 matrix of one state, or the (N, 4, 4) stack of a list, tuple or 3-d array of states.
-
-    An array is validated even when read-only: a read-only array is not a validated one.
-    """
-    if isinstance(rho, (list, tuple)):
-        return np.array([_as_density(r).matrix for r in rho]).reshape(-1, 4, 4)
-    if isinstance(rho, np.ndarray) and rho.ndim == 3:
-        return _density_stack(rho)
-    return _as_density(rho).matrix
-
-
 def concurrence(rho):
-    """Concurrence of a two-qubit density matrix, or of each in a list or stack of states.
+    """Concurrence of a two-qubit density matrix, or of each state of a stack.
 
     The four spin-flip eigenvalue roots lambda_i are sorted ascending; the
     result is max(2*max_i lambda_i - sum_i lambda_i, 0).
     """
-    m = _matrices(rho)
+    m = _as_density(rho).matrix
     flipped = _SIGMA_YY @ m.conj() @ _SIGMA_YY  # spin-flipped partner
     lam = np.sqrt(linalg.nonneg_spectrum_of_product(m @ flipped))
     c = 2.0 * lam[..., -1] - lam.sum(axis=-1)
@@ -86,7 +73,7 @@ def concurrence(rho):
 
 def negativity(rho):
     """Twice the magnitude of the negative partial-transpose eigenvalue mass, per state."""
-    mu = linalg.hermitian_eigenvalues(linalg.partial_transpose_first(_matrices(rho)))
+    mu = linalg.hermitian_eigenvalues(linalg.partial_transpose_first(_as_density(rho).matrix))
     neg = -np.where(mu < 0.0, mu, 0.0).sum(axis=-1)
     n = 2.0 * np.where(neg > 0.0, neg, 0.0)
     return n if n.ndim else float(n)

@@ -1,8 +1,8 @@
 """Two-qubit initial states: Bell, Bell-like, product, and Werner families.
 
 Basis ordering is |00>, |01>, |10>, |11> with the first label belonging to
-cavity mode 1. Pure states carry four complex amplitudes; mixed states are
-validated 4x4 density matrices.
+cavity mode 1. Pure states carry four complex amplitudes; ``DensityMatrix2Q``
+holds one validated 4x4 density matrix or an (N, 4, 4) stack of them.
 """
 
 from __future__ import annotations
@@ -113,41 +113,36 @@ def _check_density(m: np.ndarray, stack: bool) -> None:
 
 @dataclass(frozen=True)
 class DensityMatrix2Q:
-    """Validated 4x4 density matrix: hermitian, unit trace, positive semidefinite."""
+    """Validated 4x4 density matrix, or (N, 4, 4) stack of them: hermitian, unit trace, positive semidefinite.
+
+    ``matrix`` is a read-only complex copy, checked once, here; a bad matrix
+    of a stack is named by its index. Its users take it as checked.
+    """
 
     matrix: np.ndarray
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex, copy=True)
-        if m.shape != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix, got shape {m.shape}")
-        _check_density(m[np.newaxis], stack=False)
+        try:
+            m = np.array(self.matrix, dtype=complex)
+        except (TypeError, ValueError) as exc:  # a ragged sequence, or entries that are not numbers
+            raise ValueError(f"expected a 4x4 matrix or an (N, 4, 4) stack: {exc}") from None
+        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {m.shape}")
+        _check_density(m.reshape(-1, 4, 4), stack=m.ndim == 3)
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
     def __array__(self, dtype=None, copy=None):
-        if copy:
-            return np.array(self.matrix, dtype=dtype, copy=True)
-        return np.asarray(self.matrix, dtype=dtype)
+        return np.array(self.matrix, dtype=dtype, copy=copy)
 
 
 def _as_density(rho) -> DensityMatrix2Q:
+    """``rho`` as a ``DensityMatrix2Q``, checked unless it is one; an empty list is the empty stack."""
     if isinstance(rho, DensityMatrix2Q):
         return rho
-    return DensityMatrix2Q(np.asarray(rho))
-
-
-def _density_stack(states) -> np.ndarray:
-    """A read-only copy of an (N, 4, 4) array, each matrix checked as ``DensityMatrix2Q`` checks one.
-
-    A bad state fails with ``DensityMatrix2Q``'s message, prefixed by its index.
-    """
-    m = np.array(states, dtype=complex, copy=True)
-    if m.ndim != 3 or m.shape[1:] != (4, 4):
-        raise ValueError(f"expected an (N, 4, 4) stack of matrices, got shape {m.shape}")
-    _check_density(m, stack=True)
-    m.flags.writeable = False
-    return m
+    if isinstance(rho, (list, tuple)) and not rho:
+        return DensityMatrix2Q(np.empty((0, 4, 4)))
+    return DensityMatrix2Q(rho)
 
 
 # ---------------------------------------------------------------------------
@@ -225,6 +220,10 @@ class CustomPure:
 @dataclass(frozen=True)
 class CustomMixed:
     rho: DensityMatrix2Q
+
+    def __post_init__(self):
+        if self.rho.matrix.ndim != 2:
+            raise ValueError(f"custom_mixed needs one 4x4 density matrix, got shape {self.rho.matrix.shape}")
 
 
 InitialState = Union[

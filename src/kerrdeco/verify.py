@@ -56,10 +56,8 @@ def _fixed_families(rng: np.random.Generator) -> list:
 def _oracle_gap(initial, params: CavityParams, times, propagator) -> float:
     rho0 = initial_density(initial)
     numeric = integrate_master_grid(rho0.matrix, params, times, fock_dim=2)
-    worst = 0.0
-    for got, ref in zip(propagator(rho0, params, times), numeric):
-        worst = max(worst, linalg.trace_distance(got, ref))
-    return worst
+    got = np.asarray(propagator(rho0, params, times))
+    return float(np.max([linalg.trace_distance(a, b) for a, b in zip(got, numeric)]))
 
 
 def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> list:
@@ -68,9 +66,10 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     ``level`` is "fast" (seconds) or "full" (adds the complete family/
     parameter sweep, the strong-coupling envelope comparisons and larger
     random corpora). ``propagator`` can be substituted to probe the
-    battery itself: a callable ``(rho0, params, times)`` that returns one
-    4x4 matrix per time of a 1-d array, as ``evolution.propagate`` does. It
-    defaults to ``propagate``.
+    battery itself: a callable ``(rho0, params, times)`` that returns the
+    states at a 1-d array of times as an (N, 4, 4) array or a
+    ``DensityMatrix2Q`` stack, as ``evolution.propagate`` does. It defaults
+    to ``propagate``.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
@@ -109,10 +108,9 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     closed_params = CavityParams(gamma1=4.0, gamma2=4.0, chi11=0.0, chi22=0.0, chi12=20.0)
     for initial in (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
                     WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8)):
-        worst = 0.0
-        for t, b in zip(times, prop(initial_density(initial), closed_params, times)):
-            a = closed_form_rho(initial, closed_params, float(t)).matrix
-            worst = max(worst, float(np.max(np.abs(a - b))))
+        got = np.asarray(prop(initial_density(initial), closed_params, times))
+        want = np.array([closed_form_rho(initial, closed_params, float(t)).matrix for t in times])
+        worst = float(np.max(np.abs(want - got)))
         record(f"closed_form/{initial_label(initial)}", worst <= 1e-10,
                f"max elementwise gap {worst:.2e} (limit 1e-10)")
 
@@ -209,8 +207,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     worst = 0.0
     rho0 = initial_density(BellLike())
     for t1, t2 in ((0.05, 0.1), (0.2, 0.3)):
-        first_leg, one_leg = prop(rho0, params, np.array([t1, t1 + t2]))
-        two_leg = prop(first_leg, params, np.array([t2]))[0]
+        first_leg, one_leg = np.asarray(prop(rho0, params, np.array([t1, t1 + t2])))
+        two_leg = np.asarray(prop(first_leg, params, np.array([t2])))[0]
         worst = max(worst, float(np.max(np.abs(two_leg - one_leg))))
     record("propagator/semigroup", worst <= 1e-10, f"max composition gap {worst:.2e}")
 
@@ -220,15 +218,13 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     t_late = 60.0 / gamma
     late = np.array([t_late])
     gap = max(
-        linalg.trace_distance(prop(initial_density(BellPhi(+1)), quiet, late)[0], vac),
-        linalg.trace_distance(prop(random_density_matrix(rng), quiet, late)[0], vac),
+        linalg.trace_distance(np.asarray(prop(initial_density(BellPhi(+1)), quiet, late))[0], vac),
+        linalg.trace_distance(np.asarray(prop(random_density_matrix(rng), quiet, late))[0], vac),
     )
     record("propagator/vacuum_limit", gap <= 1e-10, f"distance to vacuum at gamma*t = 60: {gap:.2e}")
 
-    worst = 0.0
-    for rho in prop(rho0, lossless, times):
-        purity = float(np.trace(rho @ rho).real)
-        worst = max(worst, abs(purity - 1.0))
+    purity = [np.trace(rho @ rho).real for rho in np.asarray(prop(rho0, lossless, times))]
+    worst = float(np.max(np.abs(np.array(purity) - 1.0)))
     record("propagator/lossless_purity", worst <= 1e-10,
            f"max purity loss without damping: {worst:.2e}")
 

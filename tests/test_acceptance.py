@@ -5,8 +5,10 @@ and asserts it, so `pytest -v tests/test_acceptance.py` reads as a checklist.
 """
 
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 
@@ -263,8 +265,11 @@ def test_08_measure_theory_properties():
 
 def test_09_figure_output_is_deterministic():
     cmd = [sys.executable, "-m", "kerrdeco.cli", "figure", "fig1"]
-    first = subprocess.run(cmd, capture_output=True, check=True)
-    second = subprocess.run(cmd, capture_output=True, check=True)
+    # the runs import the package under test, wherever pytest found it
+    src = str(Path(measures.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    first = subprocess.run(cmd, capture_output=True, check=True, env=env)
+    second = subprocess.run(cmd, capture_output=True, check=True, env=env)
     ok = first.stdout == second.stdout and len(first.stdout) > 0
     _verdict(9, "two figure runs emit byte-identical CSV", ok,
              f"{len(first.stdout)} bytes each")

@@ -12,8 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrdeco import cli, verify
-from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_sweep
+from kerrdeco import cli, states, verify
+from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_simulate, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
 from kerrdeco.states import (
     _FAMILIES, BellPsi, WernerLike, parse_initial, random_density_matrix, random_pure_state,
@@ -579,6 +579,11 @@ class TestVerify:
         assert main(["verify", "slow"]) == 1
         capsys.readouterr()
 
+    def test_full_passes_all_42_checks(self):
+        results = verify.run_checks("full")
+        assert len(results) == 42
+        assert [r.name for r in results if not r.passed] == []
+
     def test_battery_catches_a_broken_propagator(self):
         # a wrong sign on the oscillator phase must not slip through
         def detuned(rho0, params, t):
@@ -586,6 +591,48 @@ class TestVerify:
 
         results = verify.run_checks("fast", propagator=detuned)
         assert any(not r.passed for r in results)
+
+
+class TestOutputFile:
+    @pytest.mark.parametrize("argv, message", [
+        (["figure", "fig3", "--p", "0.5,1.5"], "mixing weight"),
+        (["sweep", "--sweep", "gamma", "--values", "1,-1"], "gamma1 must be nonnegative"),
+    ])
+    def test_a_rejected_request_keeps_an_existing_file(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"t,c\r\n0,1\r\n")
+        if argv[0] == "sweep":
+            argv = argv + ["--scenario", write_scenario(tmp_path, BELL_DOC)]
+        assert main(argv + ["--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert out.read_bytes() == b"t,c\r\n0,1\r\n"
+
+
+class TestValidationCount:
+    """Each state is checked once: the initial density, then each trajectory's stack."""
+
+    @pytest.fixture
+    def checked(self, monkeypatch):
+        counts = []
+        check = states._check_density
+
+        def counting(m, stack):
+            counts.append(len(m))
+            check(m, stack)
+        monkeypatch.setattr(states, "_check_density", counting)
+        return counts
+
+    @pytest.mark.parametrize("fig_id, states_checked", [("fig1", 1608), ("fig3", 6432)])
+    def test_figure(self, checked, fig_id, states_checked):
+        run_figure(fig_id, stream=io.StringIO())
+        assert sum(checked) == states_checked
+
+    @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
+    def test_simulate(self, checked, engine):
+        doc = {"initial": {"family": "bell_like"}, "engine": engine,
+               "outputs": ["concurrence", "negativity"]}
+        run_simulate(parse_scenario(doc), io.StringIO())
+        assert checked == [1, 401]
 
 
 class TestUsage:

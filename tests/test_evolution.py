@@ -10,7 +10,7 @@ from kerrdeco.evolution import (
     integrate_master_grid, propagate, rj_factor, trajectory,
 )
 from kerrdeco.states import (
-    BellLike, BellPhi, BellPsi, PlusPlus, Separable, WernerLike, WernerPsi,
+    BellLike, BellPhi, BellPsi, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPsi,
     initial_density, random_density_matrix,
 )
 
@@ -148,11 +148,16 @@ class TestPropagate:
         rho0 = random_density_matrix(rng)
         times = np.array([0.3, 0.0, 0.7])  # any order
         stack = propagate(rho0, QUIET, times)
-        assert isinstance(stack, np.ndarray) and stack.shape == (3, 4, 4)
-        assert not stack.flags.writeable
-        for t, rho in zip(times, stack):
+        assert isinstance(stack, DensityMatrix2Q) and stack.matrix.shape == (3, 4, 4)
+        assert not stack.matrix.flags.writeable
+        for t, rho in zip(times, stack.matrix):
             assert rho.tobytes() == propagate(rho0, QUIET, float(t)).matrix.tobytes()
-        assert propagate(rho0, QUIET, np.array([])).shape == (0, 4, 4)
+        assert propagate(rho0, QUIET, np.array([])).matrix.shape == (0, 4, 4)
+
+    def test_rejects_a_stack_as_the_initial_state(self, rng):
+        stack = propagate(random_density_matrix(rng), QUIET, np.array([0.1, 0.2]))
+        with pytest.raises(ValueError, match=r"rho0 must be one 4x4 density matrix, got shape \(2, 4, 4\)"):
+            propagate(stack, QUIET, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_names_the_first_bad_time_of_an_array(self, bad):
@@ -232,6 +237,15 @@ class TestMasterEquation:
         rho0 = initial_density(BellPsi(+1)).matrix
         with pytest.raises(ValueError, match="step must be positive and finite"):
             integrate_master(rho0, QUIET, 0.5, step=step)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
+    def test_rho0_must_be_finite(self, bad):
+        rho0 = np.array(initial_density(BellPsi(+1)).matrix)
+        rho0[1, 2] = bad
+        with pytest.raises(ValueError, match="rho0 has non-finite entries"):
+            integrate_master_grid(rho0, QUIET, [0.1, 0.2])
+        with pytest.raises(ValueError, match="rho0 has non-finite entries"):
+            integrate_master(rho0, QUIET, 0.1)
 
     def test_fock_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="fock_dim"):
@@ -423,26 +437,26 @@ class TestTrajectory:
         a = trajectory(BellPsi(+1), QUIET, 1.0, 9, engine="analytic")
         o = trajectory(BellPsi(+1), QUIET, 1.0, 9, engine="oracle")
         c = trajectory(BellPsi(+1), QUIET, 1.0, 9, engine="closed_form")
-        for x, y, z in zip(a.states, o.states, c.states):
+        for x, y, z in zip(a.states.matrix, o.states.matrix, c.states.matrix):
             assert linalg.trace_distance(x, y) < 1e-8
             assert np.max(np.abs(x - z)) < 1e-12
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
     def test_states_are_one_read_only_stack(self, engine):
         traj = trajectory(BellLike(), QUIET, 1.0, 7, engine=engine)
-        assert isinstance(traj.states, np.ndarray) and traj.states.shape == (7, 4, 4)
-        assert traj.states.dtype == complex and not traj.states.flags.writeable
+        assert isinstance(traj.states, DensityMatrix2Q) and traj.states.matrix.shape == (7, 4, 4)
+        assert traj.states.matrix.dtype == complex and not traj.states.matrix.flags.writeable
         with pytest.raises(ValueError):
-            traj.states[0, 0, 0] = 1.0
+            traj.states.matrix[0, 0, 0] = 1.0
 
     def test_closed_form_stack_holds_the_single_time_matrices(self):
         traj = trajectory(WernerLike(0.7), QUIET, 1.0, 9, engine="closed_form")
-        for t, rho in zip(traj.times, traj.states):
+        for t, rho in zip(traj.times, traj.states.matrix):
             assert rho.tobytes() == closed_form_rho(WernerLike(0.7), QUIET, float(t)).matrix.tobytes()
 
     def test_grid_shape(self):
         traj = trajectory(BellLike(), QUIET, 0.5, 11)
-        assert len(traj.times) == len(traj.states) == 11
+        assert len(traj.times) == len(traj.states.matrix) == 11
         assert traj.times[0] == 0.0 and traj.times[-1] == 0.5
 
     def test_closed_form_engine_rejects_unsupported_family(self):
@@ -460,7 +474,7 @@ class TestTrajectory:
         traj = trajectory(BellPsi(+1), therm, 0.5, 5, engine="oracle", fock_dim=4)
         assert traj.approximate
         # thermal photons repopulate the excited levels, unlike quiet decay
-        final = traj.states[-1]
+        final = traj.states.matrix[-1]
         assert final[3, 3].real > 1e-3
 
     def test_rejects_bad_grid_arguments(self):
@@ -475,8 +489,22 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(np.array([0.0, 0.0]), [None, None], QUIET, BellPsi(+1), "analytic")
         with pytest.raises(ValueError, match="matching"):
-            Trajectory(np.array([0.0, 0.1]), [None], QUIET, BellPsi(+1), "analytic")
+            Trajectory(np.array([0.0, 0.1]), [np.eye(4) / 4.0], QUIET, BellPsi(+1), "analytic")
         with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
             Trajectory(np.array([0.0, 0.1]), np.zeros((2, 2, 2)), QUIET, BellPsi(+1), "analytic")
         with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
             Trajectory(np.array([0.0, 0.1]), [None, None], QUIET, BellPsi(+1), "analytic")
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\) stack matching the 4 times"):
+            Trajectory(np.arange(4.0), np.eye(4) / 4.0, QUIET, BellPsi(+1), "analytic")
+
+    def test_a_hand_built_stack_is_checked_and_the_times_copied(self):
+        times = np.array([0.0, 0.1])
+        with pytest.raises(ValueError, match=r"^state 0: density matrix trace is 0j, expected 1"):
+            Trajectory(times, np.zeros((2, 4, 4)), QUIET, BellPsi(+1), "analytic")
+        stack = np.array([np.eye(4) / 4.0, np.diag([0.7, 0.5, -0.1, -0.1])])
+        with pytest.raises(ValueError, match=r"^state 1: density matrix has negative eigenvalue"):
+            Trajectory(times, stack, QUIET, BellPsi(+1), "analytic")
+        traj = Trajectory(times, [np.eye(4) / 4.0] * 2, QUIET, BellPsi(+1), "analytic")
+        assert isinstance(traj.states, DensityMatrix2Q) and traj.states.matrix.shape == (2, 4, 4)
+        assert times.flags.writeable and not traj.times.flags.writeable
+

@@ -156,9 +156,9 @@ class TestManyStates:
     def test_list_gives_the_single_state_values_bit_for_bit(self, initial, params):
         states = trajectory(initial, params, 1.0, 201).states
         for fn in (concurrence, negativity):
-            one_by_one = np.array([fn(rho) for rho in states])
+            one_by_one = np.array([fn(rho) for rho in states.matrix])
             assert 0.0 in one_by_one
-            for many in (fn(states), fn(tuple(states))):
+            for many in (fn(states), fn(tuple(states.matrix))):
                 assert many.dtype == np.float64 and many.shape == (201,)
                 assert many.tobytes() == one_by_one.tobytes()
 
@@ -170,6 +170,10 @@ class TestManyStates:
     def test_one_state_gives_a_float(self, rng):
         rho = random_density_matrix(rng)
         assert type(concurrence(rho)) is float and type(negativity(rho.matrix)) is float
+        # a nested 4x4 list is one state, not a list of four
+        nested = rho.matrix.tolist()
+        assert concurrence(nested) == concurrence(rho.matrix)
+        assert negativity(nested) == negativity(rho.matrix)
         assert concurrence([rho]).shape == negativity([rho]).shape == (1,)
         assert concurrence([]).shape == negativity(()).shape == (0,)
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from kerrdeco import states
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q,
     PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi, WernerPsi,
@@ -90,10 +89,14 @@ class TestDensityStack:
 
     def test_valid_stack_is_a_read_only_copy(self):
         raw = self._stack()
-        out = states._density_stack(raw)
+        out = DensityMatrix2Q(raw).matrix
         assert out.shape == (5, 4, 4) and out.tobytes() == raw.tobytes()
         assert not out.flags.writeable and raw.flags.writeable
-        assert states._density_stack(np.empty((0, 4, 4))).shape == (0, 4, 4)
+        assert DensityMatrix2Q(np.empty((0, 4, 4))).matrix.shape == (0, 4, 4)
+        # a list of states, validated or not, is a stack too
+        listed = DensityMatrix2Q([DensityMatrix2Q(raw[0]), raw[1]]).matrix
+        assert listed.tobytes() == raw[:2].tobytes()
+        assert np.asarray(DensityMatrix2Q(raw)).tobytes() == raw.tobytes()
 
     @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("k, edit, message", [
@@ -110,7 +113,7 @@ class TestDensityStack:
         with single as one:
             DensityMatrix2Q(raw[k])
         with pytest.raises(ValueError) as many:
-            states._density_stack(raw)
+            DensityMatrix2Q(raw)
         assert str(many.value) == f"state {k}: {one.value}"
 
     def test_the_first_bad_state_is_named(self):
@@ -118,13 +121,19 @@ class TestDensityStack:
         raw[4] *= 2.0
         raw[2] = np.diag([0.7, 0.5, -0.1, -0.1])
         with pytest.raises(ValueError, match="^state 2: density matrix has negative eigenvalue"):
-            states._density_stack(raw)
+            DensityMatrix2Q(raw)
 
     def test_rejects_a_stack_of_the_wrong_shape(self):
         with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
-            states._density_stack(np.eye(4) / 4.0)
+            DensityMatrix2Q(np.ones((2, 2, 4, 4)) / 4.0)
         with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
-            states._density_stack(np.ones((2, 3, 3)) / 3.0)
+            DensityMatrix2Q(np.ones((2, 3, 3)) / 3.0)
+        with pytest.raises(ValueError, match=r"\(N, 4, 4\) stack"):
+            DensityMatrix2Q([np.eye(4) / 4.0, np.eye(3) / 3.0])
+
+    def test_a_custom_mixed_state_is_one_matrix(self):
+        with pytest.raises(ValueError, match=r"custom_mixed needs one 4x4 density matrix, got shape \(5, 4, 4\)"):
+            CustomMixed(DensityMatrix2Q(self._stack()))
 
 
 class TestConstructors:
