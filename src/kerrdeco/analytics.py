@@ -63,8 +63,9 @@ def _survival(gamma: float, t):
     return t, np.exp(-gamma * t)
 
 
-def _unwrap(scalar_in: bool, *vals):
-    out = tuple(float(v) if scalar_in else v for v in vals)
+def _unwrap(t: np.ndarray, *vals):
+    """The values as floats for a single time ``t``, else as the arrays they are."""
+    out = tuple(float(v) if t.ndim == 0 else v for v in vals)
     return out[0] if len(out) == 1 else out
 
 
@@ -89,9 +90,8 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
     the Bell-like state to |cos(chi12 t)|.
     """
     t = _times(t)
-    scalar = t.ndim == 0
     val = 2.0 * np.abs(np.exp(-2j * chi12 * t) * psi0.c00 * psi0.c11 - psi0.c01 * psi0.c10)
-    return _unwrap(scalar, val)
+    return _unwrap(t, val)
 
 
 # ---------------------------------------------------------------------------
@@ -101,28 +101,25 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
 def bell_psi_curves(gamma: float, t):
     """(concurrence, negativity) of the damped single-excitation Bell pair."""
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     c = g
     n = np.sqrt(2.0 * g * g - 2.0 * g + 1.0) + g - 1.0
-    return _unwrap(scalar, c, n)
+    return _unwrap(t, c, n)
 
 
 def bell_phi_curves(gamma: float, t):
     """(concurrence, negativity) of the damped even-parity Bell pair; both equal g^2."""
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     c = g * g
-    return _unwrap(scalar, c, c.copy() if not scalar else c)
+    return _unwrap(t, c, c.copy())
 
 
 def bell_like_uncoupled_curves(gamma: float, t):
     """(concurrence, negativity) of the damped Bell-like state at zero cross-coupling."""
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     c = g * (1.0 + g) / 2.0
     x = g * (1.0 - g) / 2.0
     n = np.sqrt(x * x - 4.0 * x + 1.0) + g - 1.0
-    return _unwrap(scalar, c, n)
+    return _unwrap(t, c, n)
 
 
 # ---------------------------------------------------------------------------
@@ -132,14 +129,13 @@ def bell_like_uncoupled_curves(gamma: float, t):
 def concurrence_envelope(gamma: float, t):
     """Envelope through the concurrence revival peaks of the damped Bell-like state."""
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     x = 27.0 - 14.0 * g + 3.0 * g * g
     y = _guarded_sqrt(159.0 - 129.0 * g + 37.0 * g * g - 3.0 * g ** 3, "concurrence envelope (y)")
     z = _guarded_sqrt((x + y) ** 2 - 9.0 * y * y, "concurrence envelope (z)")
     inner = _guarded_sqrt(2.0 * (x - 2.0 * y) * (x + y - z), "concurrence envelope (inner)")
     outer = _guarded_sqrt(x - (2.0 / 3.0) * (z + inner), "concurrence envelope (outer)")
     env = (g / 4.0) * (outer + g - 1.0)
-    return _unwrap(scalar, env)
+    return _unwrap(t, env)
 
 
 def negativity_envelope(gamma: float, t, simple: bool = False):
@@ -150,16 +146,15 @@ def negativity_envelope(gamma: float, t, simple: bool = False):
     visibly less accurate variant.
     """
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     if simple:
         num = g ** 3 * (g ** 3 - 3.0 * g * g - g + 11.0)
         den = g * g - 3.0 * g + 4.0
-        return _unwrap(scalar, 0.5 * _guarded_sqrt(num / den, "simple negativity envelope"))
+        return _unwrap(t, 0.5 * _guarded_sqrt(num / den, "simple negativity envelope"))
     v = 8.0 * g ** 6 - 18.0 * g ** 5 - 93.0 * g ** 4 + 324.0 * g ** 3 - 273.0 * g * g + 180.0 * g - 64.0
     w = 116.0 * g ** 6 - 316.0 * g ** 5 + 297.0 * g ** 4 + 930.0 * g ** 3 - 515.0 * g * g + 624.0 * g + 16.0
     root = (v + 1j * 3.0 * (1.0 - g) * g * _guarded_sqrt(3.0 * w, "negativity envelope (w)")) ** (1.0 / 3.0)
     env = (2.0 * np.real(root) - (2.0 - g) ** 2 - g) / 6.0
-    return _unwrap(scalar, env)
+    return _unwrap(t, env)
 
 
 # ---------------------------------------------------------------------------
@@ -170,11 +165,10 @@ def werner_psi_curves(gamma: float, p: float, t):
     """(concurrence, negativity) of the damped Werner mixture over the psi Bell pair."""
     _check_weight(p)
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     q = 1.0 - p
     c = np.maximum(0.0, g * p - g * np.sqrt((1.0 - g) * q + g * g * q * q / 4.0))
     n = np.maximum(0.0, np.sqrt((1.0 - g) ** 2 + g * g * p * p) - g * g * q / 2.0 - (1.0 - g))
-    return _unwrap(scalar, c, n)
+    return _unwrap(t, c, n)
 
 
 def werner_phi_curves(gamma: float, p: float, t):
@@ -184,9 +178,8 @@ def werner_phi_curves(gamma: float, p: float, t):
     """
     _check_weight(p)
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     c = np.maximum(0.0, (g / 2.0) * (g * (1.0 + p) - 2.0 * (1.0 - p)))
-    return _unwrap(scalar, c, c.copy() if not scalar else c)
+    return _unwrap(t, c, c.copy())
 
 
 def werner_like_lossless_curve(p: float, chi12: float, t):
@@ -196,16 +189,14 @@ def werner_like_lossless_curve(p: float, chi12: float, t):
     """
     _check_weight(p)
     t = _times(t)
-    scalar = t.ndim == 0
     val = 0.5 * np.maximum(0.0, p * (2.0 * np.abs(np.cos(chi12 * t)) + 1.0) - 1.0)
-    return _unwrap(scalar, val)
+    return _unwrap(t, val)
 
 
 def werner_concurrence_envelope(gamma: float, p: float, t):
     """Envelope through the concurrence revival peaks of the damped Werner-like state."""
     _check_weight(p)
     t, g = _survival(gamma, t)
-    scalar = t.ndim == 0
     big_g = 2.0 - g
     xp = 3.0 * big_g ** 2 + 2.0 * big_g * p + 11.0 * p * p
     yp = (3.0 * big_g ** 3 + big_g ** 2 * (10.0 + 9.0 * p)
@@ -215,7 +206,7 @@ def werner_concurrence_envelope(gamma: float, p: float, t):
     r2 = _guarded_sqrt(xp - 2.0 * p * s, "Werner envelope (second radicand)")
     val = (r1 - 2.0 * r2) / math.sqrt(3.0) + g + p - 2.0
     env = (g / 4.0) * np.maximum(0.0, val)
-    return _unwrap(scalar, env)
+    return _unwrap(t, env)
 
 
 # ---------------------------------------------------------------------------

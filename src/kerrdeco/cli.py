@@ -1,7 +1,8 @@
 """Command line: simulate scenarios, reproduce figure data, sweep parameters, verify.
 
-All numeric CSV output carries 12 significant digits and is byte-for-byte
-reproducible for a given scenario. Exit codes: 0 success, 1 usage or
+Each CSV command computes its whole float table, then writes it in one call:
+12 significant digits, CRLF line ends, byte-for-byte reproducible. So a run
+that fails leaves ``--out`` as it was. Exit codes: 0 success, 1 usage or
 configuration error, 2 verification failure.
 """
 
@@ -9,13 +10,12 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import dataclasses
 import json
 import sys
 import types
 from dataclasses import dataclass, fields
-from typing import Iterator, Optional, Sequence, TextIO
+from typing import Optional, Sequence, TextIO
 
 import numpy as np
 
@@ -120,11 +120,12 @@ def load_scenario(path: str) -> Scenario:
 
 
 # ---------------------------------------------------------------------------
-# CSV emission. 12 significant digits, RFC-4180 dialect.
+# CSV emission: one float table per command, written by one call.
 
 
-def _fmt(x: float) -> str:
-    return f"{float(x):.12g}"
+def _write_table(stream: TextIO, header: Sequence[str], table: np.ndarray) -> None:
+    np.savetxt(stream, table, fmt="%.12g", delimiter=",", newline="\r\n",
+               header=",".join(header), comments="")
 
 
 def _output_header(wanted: Sequence[str]) -> list:
@@ -137,8 +138,8 @@ def _output_header(wanted: Sequence[str]) -> list:
     return head
 
 
-def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
-    """Evolve and measure the scenario now, then format its CSV rows lazily, each prefixed by ``lead``."""
+def _table(scenario: Scenario) -> np.ndarray:
+    """Evolve and measure the scenario: one row per grid time, the time column first."""
     traj = trajectory(scenario.initial, scenario.params, scenario.t_max,
                       scenario.n_points, scenario.engine, scenario.fock_dim,
                       scenario.step)
@@ -152,18 +153,14 @@ def _rows(scenario: Scenario, lead: Sequence[str] = ()) -> Iterator[list]:
             n = measures.negativity(traj.states) if n is None else n
             cols.append(n if name == "negativity" else [measures.log_negativity(x) for x in n])
         else:
-            # (t, i, j, re/im) flattened in the order of _MATRIX_COLUMNS
-            m = traj.states.matrix
-            cols.extend(np.stack([m.real, m.imag], axis=-1).reshape(len(m), -1).T)
-    return ([*lead, *map(_fmt, row)] for row in zip(*cols))
+            # (i, j, re/im) per row, the order of _MATRIX_COLUMNS
+            cols.append(traj.states.matrix.view(float).reshape(len(traj.times), -1))
+    return np.column_stack(cols)
 
 
 def run_simulate(scenario: Scenario, stream: TextIO) -> None:
-    """Evolve the scenario and stream one CSV row per grid time."""
-    rows = _rows(scenario)
-    w = csv.writer(stream)
-    w.writerow(["t"] + _output_header(scenario.outputs))
-    w.writerows(rows)
+    """Evolve the scenario and write one CSV row per grid time."""
+    _write_table(stream, ["t"] + _output_header(scenario.outputs), _table(scenario))
 
 
 # ---------------------------------------------------------------------------
@@ -218,18 +215,17 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     coupled = CavityParams(gamma1=_FIG_GAMMA, gamma2=_FIG_GAMMA, chi11=0.0, chi22=0.0,
                            chi12=_FIG_CHI12)
     uncoupled = dataclasses.replace(coupled, chi12=0.0)
-    w = csv.writer(stream)
-    w.writerow((["p"] if werner else [])
-               + ["t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"])
+    blocks = []
     for p, psi, phi, like in panels:
         curve_a = _measured_curve(psi, uncoupled, measure_fn)
         curve_b = _measured_curve(phi, uncoupled, measure_fn)
         curve_c = _measured_curve(like, coupled, measure_fn)
         curve_d = _measured_curve(like, uncoupled, measure_fn)
         curve_e = _envelope(fig_id, p, curve_c)
-        lead = [] if p is None else [_fmt(p)]
-        for row in zip(_FIG_GRID, curve_a, curve_b, curve_c, curve_d, curve_e):
-            w.writerow(lead + [_fmt(x) for x in row])
+        lead = [] if p is None else [np.full(_FIG_POINTS, p)]
+        blocks.append(np.column_stack(lead + [_FIG_GRID, curve_a, curve_b, curve_c, curve_d, curve_e]))
+    header = (["p"] if werner else []) + ["t", "curve_a", "curve_b", "curve_c", "curve_d", "curve_e"]
+    _write_table(stream, header, np.concatenate(blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -252,18 +248,22 @@ def _override(base: Scenario, vary: str, value: float) -> Scenario:
 
 
 def run_sweep(base: Scenario, vary: str, values: Sequence[float], stream: TextIO) -> None:
-    """Rerun the base scenario once per value, emitting long-format CSV.
+    """Rerun the base scenario once per value, writing long-format CSV.
 
-    An empty value list yields just the header row. All overrides are
-    validated before the first byte is written.
+    An empty value list yields just the header row. Every run is computed
+    before the first byte is written.
     """
     if vary not in _SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {vary!r}, expected one of {_SWEEPABLE}")
-    scenarios = [(float(v), _override(base, vary, float(v))) for v in values]
-    w = csv.writer(stream)
-    w.writerow([vary, "t"] + _output_header(base.outputs))
-    for value, scenario in scenarios:
-        w.writerows(_rows(scenario, [_fmt(value)]))
+    scenarios = []
+    for i, value in enumerate(map(float, values), 1):
+        try:
+            scenarios.append((value, _override(base, vary, value)))
+        except ValueError as exc:
+            raise ValueError(f"sweep value {i}, {vary} = {value!r}: {exc}") from None
+    header = [vary, "t"] + _output_header(base.outputs)
+    blocks = [np.column_stack([np.full(s.n_points, value), _table(s)]) for value, s in scenarios]
+    _write_table(stream, header, np.reshape(blocks, (-1, len(header))))
 
 
 # ---------------------------------------------------------------------------
@@ -350,8 +350,8 @@ def _parse_values(text: str) -> list:
 def _open_out(path: Optional[str]):
     """Stdout, or a file with CSV-safe newlines that is opened at the first write.
 
-    Each command checks its request before it writes, so a rejected request
-    leaves an existing file as it was.
+    Each command computes its whole output before it writes, so a failed
+    run leaves an existing file as it was.
     """
     if path is None:
         yield sys.stdout

@@ -104,8 +104,6 @@ class Trajectory:
 
     def __post_init__(self):
         t = np.array(self.times, dtype=float)
-        if t.ndim != 1:
-            raise ValueError(f"times must be a 1-d sequence, got shape {t.shape}")
         _check_times(t)
         states = _as_density(self.states)
         if states.matrix.shape != (len(t), 4, 4):
@@ -116,6 +114,8 @@ class Trajectory:
 
 
 def _check_times(t: np.ndarray) -> None:
+    if t.ndim != 1:
+        raise ValueError(f"times must be a 1-d sequence, got shape {t.shape}")
     # written so that NaN fails every comparison
     if len(t) and not (t[0] >= 0 and np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
         raise ValueError("times must be finite, nonnegative and strictly increasing")
@@ -149,7 +149,7 @@ def _complex(re, im) -> np.ndarray:
     return z
 
 
-def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t, phase_sign: int = +1):
+def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t):
     """Single-mode weight of one source term in the damped-evolution sum.
 
     For mode ``j`` this is the coefficient multiplying the initial matrix
@@ -162,9 +162,6 @@ def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t, phase_sign: 
     ``complex``, else a complex array of the broadcast shape. Every element
     equals, bit for bit, the value the scalar ``complex``/``cmath``
     arithmetic gives for its own arguments.
-
-    ``phase_sign`` flips the oscillatory factor, which lets a test build a
-    deliberately wrong propagator; the physical value is +1.
     """
     m1, n1, m2, n2, p_j = np.broadcast_arrays(m1, n1, m2, n2, p_j)
     d1, d2 = m1 - n1, m2 - n2
@@ -178,7 +175,7 @@ def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t, phase_sign: 
         raise ValueError(f"mode index must be 1 or 2, got {j}")
     t = np.asarray(t, dtype=float)
     # x = complex(gamma, xi); exponent = 1j * phase - (x * (m + n + 1) - gamma) * (t / 2.0)
-    ar, ai = _cmul(0.0, 1.0, phase_sign * (chi_self + params.chi12) * (m - n) * t, 0.0)
+    ar, ai = _cmul(0.0, 1.0, (chi_self + params.chi12) * (m - n) * t, 0.0)
     br, bi = _cmul(gamma, xi, m + n + 1, 0.0)
     br, bi = _cmul(br - gamma, bi - 0.0, t / 2.0, 0.0)
     factor = np.exp(_complex(ar - br, ai - bi))
@@ -249,15 +246,13 @@ def _term_table():
 _ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
 
 
-def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
+def propagate(rho0, params: CavityParams, t):
     """Evolve one two-qubit density matrix for time t, or for each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
     which ``integrate_master`` is the supported route. The result is a
     ``DensityMatrix2Q``, an (N, 4, 4) stack for N times; each matrix equals,
     bit for bit, the one the scalar complex arithmetic gives for its time.
-    ``phase_sign`` flips the phase convention, which lets a test build a
-    deliberately wrong propagator; it is +1 physically.
     """
     if not params.quiet:
         raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
@@ -270,8 +265,8 @@ def propagate(rho0, params: CavityParams, t, phase_sign: int = +1):
         raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {rho0.shape}")
     src = rho0.reshape(-1)[_SRC]
     col = t.reshape(-1, 1)
-    r1 = rj_factor(1, *_ROWS1, params, col, phase_sign)[:, _ROW1]
-    r2 = rj_factor(2, *_ROWS2, params, col, phase_sign)[:, _ROW2]
+    r1 = rj_factor(1, *_ROWS1, params, col)[:, _ROW1]
+    r2 = rj_factor(2, *_ROWS2, params, col)[:, _ROW2]
     # r1 * r2 * src[...] per term
     tr, ti = _cmul(*_cmul(r1.real, r1.imag, r2.real, r2.imag), src.real, src.imag)
     del r1, r2
@@ -405,7 +400,7 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
                           fock_dim: int = 2, step: Optional[float] = None) -> list:
-    """Like ``integrate_master`` but records at every time in an increasing grid.
+    """Like ``integrate_master`` but records at every time of a 1-d increasing grid.
 
     Only the entries inside the coherence-order box of ``rho0`` (see
     ``_kept_indices``) are integrated; the generator is built on those
@@ -420,8 +415,8 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} for fock_dim {fock_dim}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("rho0 has non-finite entries")
-    grid = [float(x) for x in times]
-    _check_times(np.array(grid))
+    grid = np.array(times, dtype=float)
+    _check_times(grid)
     if step is None:
         step = default_step(params, fock_dim)
     _check_step(params, fock_dim, step)
@@ -433,7 +428,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     prev = 0.0
     v = rho.reshape(-1)[keep]
     step_cache: dict[float, np.ndarray] = {}
-    for target in grid:
+    for target in grid.tolist():
         span = target - prev
         if span > 0:
             n = max(1, math.ceil(span / step))
@@ -622,7 +617,7 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
         states = np.array([_closed_form_matrix(initial, params, float(t)) for t in times])
     else:
         big0 = _embed_qubits(rho0.matrix, fock_dim)
-        raw = integrate_master_grid(big0, params, list(times), fock_dim, step)
+        raw = integrate_master_grid(big0, params, times, fock_dim, step)
         approximate = not params.quiet
         states = _extract_qubits(raw, fock_dim)
     return Trajectory(times, states, params, initial, engine, approximate)

@@ -4,7 +4,8 @@ Concurrence via the spin-flip spectrum and negativity via the partial transpose
 take a ``DensityMatrix2Q``, as checked, and return a float for one state or a
 float64 array for a stack such as ``Trajectory.states``. Any other input is
 made one by ``states._as_density``. Entanglement of formation and logarithmic
-negativity derive from one float.
+negativity derive from one float, ``report`` from one state; each names the
+shape of an array or stack it rejects.
 """
 
 from __future__ import annotations
@@ -79,6 +80,15 @@ def negativity(rho):
     return n if n.ndim else float(n)
 
 
+def _unit_value(x, fn: str, measure: str) -> float:
+    """One value of ``measure`` for ``fn``, within roundoff of [0, 1], clamped to it."""
+    if np.ndim(x):
+        raise ValueError(f"{fn} takes one value, got an array of shape {np.shape(x)}")
+    if not (-_RANGE_SLACK <= x <= 1.0 + _RANGE_SLACK):
+        raise ValueError(f"{measure} {x!r} outside [0, 1]")
+    return min(max(x, 0.0), 1.0)
+
+
 def _binary_entropy(x: float) -> float:
     if x <= 0.0 or x >= 1.0:
         return 0.0
@@ -86,20 +96,14 @@ def _binary_entropy(x: float) -> float:
 
 
 def eof(c: float) -> float:
-    """Entanglement of formation as a function of the concurrence."""
-    if not (-_RANGE_SLACK <= c <= 1.0 + _RANGE_SLACK):
-        raise ValueError(f"concurrence {c!r} outside [0, 1]")
-    c = min(max(c, 0.0), 1.0)
-    x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
-    return _binary_entropy(x)
+    """Entanglement of formation as a function of one concurrence value."""
+    c = _unit_value(c, "eof", "concurrence")
+    return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
 
 
 def log_negativity(n: float) -> float:
-    """Logarithmic negativity as a function of the negativity."""
-    if not (-_RANGE_SLACK <= n <= 1.0 + _RANGE_SLACK):
-        raise ValueError(f"negativity {n!r} outside [0, 1]")
-    n = min(max(n, 0.0), 1.0)
-    return math.log2(1.0 + n)
+    """Logarithmic negativity as a function of one negativity value."""
+    return math.log2(1.0 + _unit_value(n, "log_negativity", "negativity"))
 
 
 def pure_concurrence(psi: PureState2Q) -> float:
@@ -109,6 +113,9 @@ def pure_concurrence(psi: PureState2Q) -> float:
 
 def report(rho) -> EntanglementReport:
     """Compute all four measures of one state."""
+    rho = _as_density(rho)
+    if rho.matrix.ndim != 2:
+        raise ValueError(f"report takes one state, got a stack of shape {rho.matrix.shape}")
     c = concurrence(rho)
     n = negativity(rho)
     return EntanglementReport(c, n, eof(c), log_negativity(n))

@@ -58,9 +58,9 @@ def test_01_analytic_propagator_matches_integrated_oracle():
                     prm = CavityParams(gamma1=gamma, gamma2=gamma,
                                        chi11=chi_self, chi22=chi_self, chi12=chi12)
                     numeric = integrate_master_grid(rho0, prm, times)
-                    for t, num in zip(times, numeric):
-                        exact = propagate(rho0, prm, float(t))
-                        worst = max(worst, linalg.trace_distance(exact.matrix, num))
+                    exact = propagate(rho0, prm, times).matrix
+                    for rho, num in zip(exact, numeric):
+                        worst = max(worst, linalg.trace_distance(rho, num))
     _verdict(1, "analytic propagator vs integrated master equation",
              worst <= 1e-8,
              f"10 families x 12 parameter sets, worst trace distance {worst:.2e}")
@@ -75,10 +75,9 @@ def test_02_closed_form_matrices_match_propagator():
         for chi12 in (0.0, 20.0):
             prm = CavityParams(gamma1=gamma, gamma2=gamma, chi12=chi12)
             for initial in families:
-                rho0 = initial_density(initial)
-                for t in times:
-                    gap = np.abs(closed_form_rho(initial, prm, float(t)).matrix
-                                 - propagate(rho0, prm, float(t)).matrix).max()
+                exact = propagate(initial_density(initial), prm, times).matrix
+                for t, rho in zip(times, exact):
+                    gap = np.abs(closed_form_rho(initial, prm, float(t)).matrix - rho).max()
                     worst = max(worst, gap)
     _verdict(2, "closed-form matrices vs propagator",
              worst <= 1e-10, f"7 families, worst elementwise gap {worst:.2e}")
@@ -95,25 +94,18 @@ def test_03_decay_curves_match_measured_states():
         for p in (0.5, 0.8, 1.0):
             pairs.append((WernerPsi(p, +1), werner_psi_curves(gamma, p, times)))
             pairs.append((WernerPhi(p, +1), werner_phi_curves(gamma, p, times)))
-        for initial, (want_c, want_n) in pairs:
-            rho0 = initial_density(initial)
-            for k, t in enumerate(times):
-                rho = propagate(rho0, prm, float(t))
-                worst = max(worst, abs(measures.concurrence(rho) - want_c[k]),
-                            abs(measures.negativity(rho) - want_n[k]))
-        want_c, want_n = bell_like_uncoupled_curves(gamma, times)
-        rho0 = initial_density(BellLike())
-        for k, t in enumerate(times):
-            rho = propagate(rho0, unc, float(t))
-            worst = max(worst, abs(measures.concurrence(rho) - want_c[k]),
-                        abs(measures.negativity(rho) - want_n[k]))
+        runs = [(initial, prm, want) for initial, want in pairs]
+        runs.append((BellLike(), unc, bell_like_uncoupled_curves(gamma, times)))
+        for initial, params, (want_c, want_n) in runs:
+            rho = propagate(initial_density(initial), params, times)
+            worst = max(worst, np.max(np.abs(measures.concurrence(rho) - want_c)),
+                        np.max(np.abs(measures.negativity(rho) - want_n)))
     lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi12=20.0)
+    lossless_times = np.linspace(0.0, 0.5, 26)
     for p in (0.5, 0.8, 1.0):
-        rho0 = initial_density(WernerLike(p))
-        for t in np.linspace(0.0, 0.5, 26):
-            want = werner_like_lossless_curve(p, 20.0, float(t))
-            rho = propagate(rho0, lossless, float(t))
-            worst = max(worst, abs(measures.concurrence(rho) - want))
+        rho = propagate(initial_density(WernerLike(p)), lossless, lossless_times)
+        want = werner_like_lossless_curve(p, 20.0, lossless_times)
+        worst = max(worst, np.max(np.abs(measures.concurrence(rho) - want)))
     curves_ok = worst <= 1e-9
 
     worst_init = 0.0
@@ -200,23 +192,17 @@ def test_07_lossless_dynamics():
         worst_prod = max(worst_prod, abs(got - want),
                          abs(unitary_pure_entanglement(psi, chi12, t_star) - want))
 
-    worst_bl = 0.0
-    worst_wl = 0.0
+    times = np.linspace(0.0, 0.5, 26)
+    rho = propagate(initial_density(BellLike()), lossless, times)
+    worst_bl = np.max(np.abs(measures.concurrence(rho) - np.abs(np.cos(chi12 * times))))
+    rho = propagate(initial_density(WernerLike(0.8)), lossless, times)
+    worst_wl = np.max(np.abs(measures.concurrence(rho)
+                             - werner_like_lossless_curve(0.8, chi12, times)))
     worst_bell = 0.0
-    bl0 = initial_density(BellLike())
-    wl0 = initial_density(WernerLike(0.8))
-    psi0 = initial_density(BellPsi(+1))
-    phi0 = initial_density(BellPhi(+1))
-    for t in np.linspace(0.0, 0.5, 26):
-        rho = propagate(bl0, lossless, float(t))
-        worst_bl = max(worst_bl, abs(measures.concurrence(rho) - abs(math.cos(chi12 * t))))
-        rho = propagate(wl0, lossless, float(t))
-        worst_wl = max(worst_wl,
-                       abs(measures.concurrence(rho) - werner_like_lossless_curve(0.8, chi12, float(t))))
-        for rho0 in (psi0, phi0):
-            rho = propagate(rho0, lossless, float(t))
-            worst_bell = max(worst_bell, abs(measures.concurrence(rho) - 1.0),
-                             abs(measures.negativity(rho) - 1.0))
+    for initial in (BellPsi(+1), BellPhi(+1)):
+        rho = propagate(initial_density(initial), lossless, times)
+        worst_bell = max(worst_bell, np.max(np.abs(measures.concurrence(rho) - 1.0)),
+                         np.max(np.abs(measures.negativity(rho) - 1.0)))
     ok = max(worst_prod, worst_bl, worst_wl, worst_bell) <= 1e-10
     _verdict(7, "lossless product peak, cosine revival, Werner curve, constant Bell", ok,
              f"gaps {worst_prod:.1e}/{worst_bl:.1e}/{worst_wl:.1e}/{worst_bell:.1e}")
@@ -251,10 +237,8 @@ def test_08_measure_theory_properties():
     worst_eq = 0.0
     prm = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
     for p in (0.4, 0.6, 0.8, 1.0):
-        rho0 = initial_density(WernerPhi(p, +1))
-        for t in np.linspace(0.0, 1.0, 21):
-            rho = propagate(rho0, prm, float(t))
-            worst_eq = max(worst_eq, abs(measures.concurrence(rho) - measures.negativity(rho)))
+        rho = propagate(initial_density(WernerPhi(p, +1)), prm, np.linspace(0.0, 1.0, 21))
+        worst_eq = max(worst_eq, np.max(np.abs(measures.concurrence(rho) - measures.negativity(rho))))
     eq_ok = worst_eq <= 1e-9
 
     _verdict(8, "measure ordering, pure coincidence, local-unitary invariance, Werner equality",

@@ -83,12 +83,12 @@ class TestBellCurves:
             (bell_phi_curves, initial_density(bell_phi_tag()), prm),
             (bell_like_uncoupled_curves, initial_density(BellLike()), unc),
         ]
+        times = np.linspace(0.0, 1.0, 11)
         for curve_fn, rho0, p in cases:
-            for t in np.linspace(0.0, 1.0, 11):
-                c, n = curve_fn(GAMMA, float(t))
-                rho = propagate(rho0, p, float(t))
-                assert measures.concurrence(rho) == pytest.approx(c, abs=1e-9)
-                assert measures.negativity(rho) == pytest.approx(n, abs=1e-9)
+            c, n = curve_fn(GAMMA, times)
+            rho = propagate(rho0, p, times)
+            assert measures.concurrence(rho) == pytest.approx(c, abs=1e-9)
+            assert measures.negativity(rho) == pytest.approx(n, abs=1e-9)
 
     def test_curves_ignore_self_kerr(self):
         # self-Kerr terms act as local phases, so measured curves cannot move
@@ -148,14 +148,12 @@ class TestWernerCurves:
     def test_match_measured_states(self):
         prm = CavityParams(gamma1=GAMMA, gamma2=GAMMA, chi12=20.0)
         from kerrdeco.states import WernerPhi, WernerPsi
+        times = np.linspace(0.0, 1.0, 9)
         for p in (0.5, 0.8, 1.0):
-            for t in np.linspace(0.0, 1.0, 9):
-                rho = propagate(initial_density(WernerPsi(p, +1)), prm, float(t))
-                c, n = werner_psi_curves(GAMMA, p, float(t))
-                assert measures.concurrence(rho) == pytest.approx(c, abs=1e-9)
-                assert measures.negativity(rho) == pytest.approx(n, abs=1e-9)
-                rho = propagate(initial_density(WernerPhi(p, +1)), prm, float(t))
-                c, n = werner_phi_curves(GAMMA, p, float(t))
+            for initial, curves in ((WernerPsi(p, +1), werner_psi_curves),
+                                    (WernerPhi(p, +1), werner_phi_curves)):
+                rho = propagate(initial_density(initial), prm, times)
+                c, n = curves(GAMMA, p, times)
                 assert measures.concurrence(rho) == pytest.approx(c, abs=1e-9)
                 assert measures.negativity(rho) == pytest.approx(n, abs=1e-9)
 
@@ -185,13 +183,12 @@ class TestLosslessFormulas:
 
     def test_matches_measured_evolution_for_complex_states(self, rng):
         lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi12=20.0)
+        times = np.linspace(0.0, 0.3, 7)
         for _ in range(20):
             psi = random_pure_state(rng)
-            rho0 = to_density(psi)
-            for t in np.linspace(0.0, 0.3, 7):
-                want = unitary_pure_entanglement(psi, 20.0, float(t))
-                got = measures.concurrence(propagate(rho0, lossless, float(t)))
-                assert got == pytest.approx(want, abs=1e-10)
+            want = unitary_pure_entanglement(psi, 20.0, times)
+            got = measures.concurrence(propagate(to_density(psi), lossless, times))
+            assert got == pytest.approx(want, abs=1e-10)
 
     def test_werner_like_lossless_curve(self):
         assert werner_like_lossless_curve(0.8, 1.0, math.pi / 3.0) == pytest.approx(0.3, abs=1e-12)
@@ -209,13 +206,12 @@ class TestLosslessFormulas:
 
     def test_werner_like_curve_matches_measured(self):
         lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi12=20.0)
+        times = np.linspace(0.0, 0.4, 11)
         for p in (0.5, 0.8, 1.0):
-            rho0 = initial_density(WernerLike(p))
-            for t in np.linspace(0.0, 0.4, 11):
-                want = werner_like_lossless_curve(p, 20.0, float(t))
-                rho = propagate(rho0, lossless, float(t))
-                assert measures.concurrence(rho) == pytest.approx(want, abs=1e-10)
-                assert measures.negativity(rho) == pytest.approx(want, abs=1e-10)
+            want = werner_like_lossless_curve(p, 20.0, times)
+            rho = propagate(initial_density(WernerLike(p)), lossless, times)
+            assert measures.concurrence(rho) == pytest.approx(want, abs=1e-10)
+            assert measures.negativity(rho) == pytest.approx(want, abs=1e-10)
 
 
 class TestEnvelopes:

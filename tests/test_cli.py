@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from kerrdeco import cli, states, verify
+from kerrdeco import cli, measures, states, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_simulate, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
 from kerrdeco.states import (
@@ -46,29 +46,41 @@ def trajectory_args(doc):
                 fock_dim=doc.get("fock_dim", 2), step=doc.get("step"))
 
 
-def scenario_initials(seed):
-    """The initial states the benchmark's scenarios workload draws from an input seed."""
+def scenario_inputs(seed):
+    """What the benchmark's scenarios workload draws from an input seed.
+
+    Returns the initial state of each family, then the initial state and
+    the values of its p sweep.
+    """
     rng = np.random.default_rng(seed)
-    initials = {}
-    for family in ("bell_psi", "bell_phi", "bell_like", "plus_plus",
-                   "werner_psi", "werner_phi", "werner_like"):
-        doc = initials[family] = {"family": family}
+
+    def family_doc(family):
+        doc = {"family": family}
         if family in ("bell_psi", "bell_phi", "werner_psi", "werner_phi"):
             doc["sign"] = "+" if rng.random() < 0.5 else "-"
         if family.startswith("werner"):
             doc["p"] = round(float(rng.uniform(0.3, 1.0)), 3)
+        return doc
 
     def pairs(entries):
         return [[float(z.real), float(z.imag)] for z in entries]
 
+    initials = {family: family_doc(family)
+                for family in ("bell_psi", "bell_phi", "bell_like", "plus_plus",
+                               "werner_psi", "werner_phi", "werner_like")}
     initials["custom_pure"] = {"family": "custom_pure",
                                "amplitudes": pairs(random_pure_state(rng).amplitudes())}
     initials["custom_mixed"] = {"family": "custom_mixed",
                                 "matrix": [pairs(row) for row in random_density_matrix(rng).matrix]}
-    return initials
+    werner = family_doc(("werner_psi", "werner_phi")[rng.integers(2)])
+    return initials, werner, [round(float(rng.uniform(0.3, 1.0)), 3) for _ in range(3)]
 
 
-SEED0_INITIALS = scenario_initials(0)
+SEED0_INITIALS, SEED0_SWEEP_INITIAL, SEED0_SWEEP_VALUES = scenario_inputs(0)
+# the runs of the seed-0 scenarios workload, named as in benchmarks/reference.json
+SEED0_RUNS = [f"{family}-{engine}" for family in SEED0_INITIALS
+              for engine in ("analytic", "oracle", "closed_form")
+              if not (engine == "closed_form" and family.startswith("custom"))] + ["sweep"]
 
 
 # one bad field per request, and a word the error message must contain
@@ -401,17 +413,22 @@ class TestFigure:
         assert main(argv) == 0
         assert {hashlib.sha256(out.read_bytes()).hexdigest()} == want
 
-    @pytest.mark.parametrize("family", [*SEED0_INITIALS])
-    def test_oracle_bytes_match_the_benchmark_reference(self, tmp_path, family):
-        # the benchmark's scenarios workload runs the oracle at fock_dim 2 on these states
+    @pytest.mark.parametrize("run", SEED0_RUNS)
+    def test_scenario_bytes_match_the_benchmark_reference(self, tmp_path, run):
+        # every column set, and the oracle at fock_dim 2, as the benchmark's scenarios workload runs them
         reference = json.loads(REFERENCE.read_text())
-        doc = {"initial": SEED0_INITIALS[family], "engine": "oracle", "fock_dim": 2,
-               "outputs": ["concurrence", "negativity", "eof", "log_negativity",
-                           "matrix_elements"]}
-        out = tmp_path / f"{family}.csv"
-        assert main(["simulate", "--scenario", write_scenario(tmp_path, doc),
-                     "--out", str(out)]) == 0
-        want = reference["0"][f"scenarios/{family}-oracle"]
+        outputs = ["concurrence", "negativity", "eof", "log_negativity", "matrix_elements"]
+        if run == "sweep":
+            doc = {"initial": SEED0_SWEEP_INITIAL, "outputs": outputs}
+            argv = ["sweep", "--sweep", "p", "--values", ",".join(map(repr, SEED0_SWEEP_VALUES))]
+        else:
+            family, engine = run.split("-")
+            doc = {"initial": SEED0_INITIALS[family], "engine": engine, "outputs": outputs,
+                   **({"fock_dim": 2} if engine == "oracle" else {})}
+            argv = ["simulate"]
+        out = tmp_path / f"{run}.csv"
+        assert main(argv + ["--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
+        want = reference["0"][f"scenarios/{run}"]
         assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
     @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, math.nan], [0.5, -0.1]])
@@ -523,6 +540,27 @@ class TestSweep:
             run_sweep(base, "p", [0.5, 1.5], buf)
         assert buf.getvalue() == ""
 
+    def test_a_bad_value_is_named_by_parameter_and_entry(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, BELL_DOC)
+        assert main(["sweep", "--scenario", path, "--sweep", "gamma", "--values", "1,-1"]) == 1
+        assert capsys.readouterr().err == (
+            "kerrdeco: sweep value 2, gamma = -1.0: gamma1 must be nonnegative, got -1.0\n")
+
+    def test_a_later_failing_run_writes_nothing(self, monkeypatch):
+        calls = []
+        concurrence = measures.concurrence
+
+        def failing_second_call(rho):
+            calls.append(rho)
+            if len(calls) == 2:
+                raise RuntimeError("the second run failed")
+            return concurrence(rho)
+        monkeypatch.setattr(measures, "concurrence", failing_second_call)
+        buf = io.StringIO()
+        with pytest.raises(RuntimeError, match="the second run failed"):
+            run_sweep(parse_scenario(BELL_DOC), "gamma", [1.0, 2.0], buf)
+        assert buf.getvalue() == ""
+
     def test_run_sweep_rejects_unknown_parameter(self):
         base = parse_scenario(BELL_DOC)
         with pytest.raises(ValueError, match="unknown sweep parameter"):
@@ -585,9 +623,9 @@ class TestVerify:
         assert [r.name for r in results if not r.passed] == []
 
     def test_battery_catches_a_broken_propagator(self):
-        # a wrong sign on the oscillator phase must not slip through
+        # a wrong sign on the cross-Kerr coupling must not slip through
         def detuned(rho0, params, t):
-            return propagate(rho0, params, t, phase_sign=-1)
+            return propagate(rho0, dataclasses.replace(params, chi12=-params.chi12), t)
 
         results = verify.run_checks("fast", propagator=detuned)
         assert any(not r.passed for r in results)

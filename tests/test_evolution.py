@@ -104,17 +104,6 @@ class TestPropagate:
         want = (g / 2.0) * np.exp(1j * (3.0 + 5.0 + 2.0 * 20.0) * t)
         assert out[0, 3] == pytest.approx(want, abs=1e-14)
 
-    def test_phase_sign_flag_detunes_coherences(self):
-        # the convention probe flips only the oscillator term, so the (0,3)
-        # coherence phase moves from 2 chi12 t to 6 chi12 t at equal magnitude
-        rho0 = initial_density(BellPhi(+1))
-        t = 0.1
-        plus = propagate(rho0, QUIET, t, phase_sign=+1).matrix
-        minus = propagate(rho0, QUIET, t, phase_sign=-1).matrix
-        g = math.exp(-4.0 * t)
-        assert plus[0, 3] == pytest.approx((g / 2.0) * np.exp(1j * 2.0 * 20.0 * t), abs=1e-14)
-        assert minus[0, 3] == pytest.approx((g / 2.0) * np.exp(1j * 6.0 * 20.0 * t), abs=1e-14)
-
     def test_semigroup_composition(self, rng):
         rho = random_density_matrix(rng)
         for t1, t2 in ((0.1, 0.3), (0.02, 0.9), (0.4, 0.4)):
@@ -223,6 +212,12 @@ class TestMasterEquation:
         rho0 = initial_density(BellPsi(+1)).matrix
         with pytest.raises(ValueError, match="increasing"):
             integrate_master_grid(rho0, QUIET, [0.2, 0.1])
+
+    @pytest.mark.parametrize("times, shape", [(0.5, r"\(\)"), ([[0.1, 0.2]], r"\(1, 2\)")])
+    def test_times_must_be_one_dimensional(self, times, shape):
+        rho0 = initial_density(BellPsi(+1)).matrix
+        with pytest.raises(ValueError, match=rf"^times must be a 1-d sequence, got shape {shape}$"):
+            integrate_master_grid(rho0, QUIET, times)
 
     @pytest.mark.parametrize("times", [[0.1, math.nan], [math.nan], [0.1, math.inf]])
     def test_times_must_be_finite(self, times):

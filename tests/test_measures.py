@@ -75,6 +75,13 @@ class TestEof:
         assert eof(1.0 + 1e-12) == 1.0
         assert eof(-1e-12) == 0.0
 
+    @pytest.mark.parametrize("fn", [eof, log_negativity])
+    @pytest.mark.parametrize("values, shape", [(np.zeros(3), r"\(3,\)"), ([0.1, 0.2], r"\(2,\)"),
+                                               (np.zeros((2, 2)), r"\(2, 2\)")])
+    def test_an_array_is_rejected_by_its_shape(self, fn, values, shape):
+        with pytest.raises(ValueError, match=rf"^{fn.__name__} takes one value, got an array of shape {shape}$"):
+            fn(values)
+
 
 class TestLogNegativity:
     def test_known_points(self):
@@ -224,6 +231,12 @@ class TestReport:
         r = report(to_density(bell_phi(+1)))
         for v in (r.concurrence, r.negativity, r.eof, r.log_negativity):
             assert v == pytest.approx(1.0, abs=1e-9)
+
+    def test_a_stack_is_rejected_by_its_shape(self):
+        stack = propagate(to_density(bell_phi(+1)), CavityParams(), np.linspace(0.0, 1.0, 5))
+        for states in (stack, stack.matrix):
+            with pytest.raises(ValueError, match=r"^report takes one state, got a stack of shape \(5, 4, 4\)$"):
+                report(states)
 
     def test_rejects_inconsistent_ordering(self):
         with pytest.raises(ValueError):
