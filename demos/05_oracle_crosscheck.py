@@ -10,7 +10,7 @@ thermal reservoir case the analytic route refuses.
 
 import numpy as np
 
-from kerrdeco.evolution import CavityParams, integrate_master, propagate, trajectory
+from kerrdeco.evolution import CavityParams, integrate_master_grid, propagate, trajectory
 from kerrdeco.linalg import trace_distance
 from kerrdeco.states import BellPhi, WernerLike, initial_density
 
@@ -20,7 +20,7 @@ rho0 = initial_density(BellPhi(+1))
 print("unequal rates and all three Kerr couplings active:")
 for t in (0.05, 0.2, 0.8):
     exact = propagate(rho0, params, t)
-    rk4 = integrate_master(rho0, params, t)
+    rk4 = integrate_master_grid(rho0, params, [t])[0]
     print(f"  t = {t:4.2f}: trace distance {trace_distance(exact.matrix, rk4):.2e}")
 
 # a warm reservoir pumps photons upward, out of reach of the closed form;

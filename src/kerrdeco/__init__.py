@@ -1,9 +1,10 @@
 """Decoherence of two optical qubits in a lossy Kerr-nonlinear cavity.
 
-A small numpy library with an analytic damped propagator, a fixed-step
-RK4 master-equation oracle, two-qubit entanglement measures and the
-closed-form decay curves and envelopes of the named state families,
-plus a CSV-emitting command line (``kerrdeco``).
+A small numpy library with three routes over a time axis, one call each:
+the analytic damped propagator, the fixed-step RK4 master-equation oracle
+and the closed-form matrices. Around them sit two-qubit entanglement
+measures, the decay curves and envelopes of the named state families and
+a CSV-emitting command line (``kerrdeco``).
 """
 
 from .analytics import (
@@ -30,7 +31,6 @@ from .evolution import (
     CavityParams,
     Trajectory,
     closed_form_rho,
-    integrate_master,
     integrate_master_grid,
     propagate,
     rj_factor,

@@ -16,7 +16,7 @@ from typing import NamedTuple, Optional, Sequence
 import numpy as np
 
 from . import measures
-from .evolution import CavityParams, propagate
+from .evolution import CavityParams, _checked_times, propagate
 from .states import PureState2Q, WernerLike, _check_weight, initial_density
 
 __all__ = [
@@ -48,18 +48,10 @@ class CurvePoint(NamedTuple):
     value: float
 
 
-def _times(t) -> np.ndarray:
-    t = np.asarray(t, dtype=float)
-    # written so that NaN fails it
-    if not np.all((t >= 0) & (t < math.inf)):
-        raise ValueError("times must be nonnegative, not NaN or infinite")
-    return t
-
-
 def _survival(gamma: float, t):
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
-    t = _times(t)
+    t = _checked_times(t)
     return t, np.exp(-gamma * t)
 
 
@@ -89,7 +81,7 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
     amplitudes d1..d4 this reduces to 4 |d1 d2 d3 d4 sin(chi12 t)|, and for
     the Bell-like state to |cos(chi12 t)|.
     """
-    t = _times(t)
+    t = _checked_times(t)
     val = 2.0 * np.abs(np.exp(-2j * chi12 * t) * psi0.c00 * psi0.c11 - psi0.c01 * psi0.c10)
     return _unwrap(t, val)
 
@@ -188,7 +180,7 @@ def werner_like_lossless_curve(p: float, chi12: float, t):
     Starts at (3p - 1)/2 and oscillates with the Kerr phase.
     """
     _check_weight(p)
-    t = _times(t)
+    t = _checked_times(t)
     val = 0.5 * np.maximum(0.0, p * (2.0 * np.abs(np.cos(chi12 * t)) + 1.0) - 1.0)
     return _unwrap(t, val)
 

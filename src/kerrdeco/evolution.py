@@ -6,12 +6,11 @@ reservoirs, to one time or to a whole array of times in one call: its terms
 are numpy arrays over the time axis, each complex product spelled out as
 CPython forms it, so every matrix equals the scalar arithmetic bit for bit;
 it returns one ``DensityMatrix2Q``, a stack for an array of times.
-``integrate_master`` integrates the full master equation with fixed-step RK4
-on a truncated Fock space and serves as the cross-checking oracle; it also
-covers thermal reservoirs, which the analytic route cannot. The generator
-conserves each mode's coherence order ``m_j - n_j``, so the oracle evolves
-only the entries whose orders lie within those the initial state occupies;
-every other entry stays exactly zero.
+``integrate_master_grid`` integrates the full master equation over a time
+grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
+it also covers thermal reservoirs. The generator conserves each mode's
+coherence order ``m_j - n_j``, so the oracle evolves only the entries within
+the orders the initial state occupies; every other entry stays exactly zero.
 
 Rates are in rad/us, times in us.
 """
@@ -35,7 +34,6 @@ __all__ = [
     "Trajectory",
     "rj_factor",
     "propagate",
-    "integrate_master",
     "integrate_master_grid",
     "closed_form_rho",
     "closed_form_reason",
@@ -49,6 +47,7 @@ __all__ = [
 _SERIES_SWITCH = 1e-8
 
 _STABILITY_LIMIT = 0.1
+_NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
 # A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
 _MAX_FOCK_DIM = 16
@@ -89,8 +88,8 @@ class Trajectory:
     """States on a uniform time grid, as one ``DensityMatrix2Q`` stack.
 
     ``states.matrix[k]`` is the density matrix at ``times[k]``. A raw (N, 4, 4)
-    array (from the closed-form and oracle engines) is checked here, once; a
-    ``DensityMatrix2Q`` (from ``propagate``) passes through. ``approximate`` is
+    array (from the oracle engine) is checked here, once; a ``DensityMatrix2Q``
+    (from ``propagate`` or ``closed_form_rho``) passes through. ``approximate`` is
     set when the states were projected out of a larger Fock space (thermal
     oracle runs) and renormalized.
     """
@@ -103,8 +102,7 @@ class Trajectory:
     approximate: bool = False
 
     def __post_init__(self):
-        t = np.array(self.times, dtype=float)
-        _check_times(t)
+        t = _time_grid(self.times)
         states = _as_density(self.states)
         if states.matrix.shape != (len(t), 4, 4):
             raise ValueError(f"states must be an (N, 4, 4) stack matching the {len(t)} times, got {states.matrix.shape}")
@@ -113,23 +111,35 @@ class Trajectory:
         object.__setattr__(self, "states", states)
 
 
-def _check_times(t: np.ndarray) -> None:
-    if t.ndim != 1:
-        raise ValueError(f"times must be a 1-d sequence, got shape {t.shape}")
-    # written so that NaN fails every comparison
-    if len(t) and not (t[0] >= 0 and np.all(np.diff(t) > 0) and np.isfinite(t[-1])):
-        raise ValueError("times must be finite, nonnegative and strictly increasing")
-
-
-def _check_time(t) -> None:
-    t = np.asarray(t, dtype=float)
-    # written so that NaN fails it
-    ok = (t >= 0) & (t < math.inf)
+def _checked_times(t) -> np.ndarray:
+    """The one time rule: ``t`` as a float array (a copy) whose every entry is finite and nonnegative."""
+    t = np.array(t, dtype=float)
+    ok = (t >= 0) & (t < math.inf)  # written so that NaN fails it
     if t.ndim == 0 and not ok:
         raise ValueError(f"time must be finite and nonnegative, got {float(t)}")
     if not np.all(ok):
         i = int(np.flatnonzero(~ok)[0])
-        raise ValueError(f"times must be finite and nonnegative, got {t[i]} at index {i}")
+        raise ValueError(f"times must be finite and nonnegative, got {t.flat[i]} at index {i}")
+    return t
+
+
+def _time_axis(t) -> np.ndarray:
+    """One time or a 1-d array of times, as ``propagate`` and ``closed_form_rho`` take them."""
+    t = np.asarray(t, dtype=float)
+    if t.ndim > 1:
+        raise ValueError(f"t must be a time or a 1-d array of times, got shape {t.shape}")
+    return _checked_times(t)
+
+
+def _time_grid(times) -> np.ndarray:
+    """A 1-d, strictly increasing grid of times that pass ``_checked_times``."""
+    t = np.asarray(times, dtype=float)
+    if t.ndim != 1:
+        raise ValueError(f"times must be a 1-d sequence, got shape {t.shape}")
+    t = _checked_times(t)
+    if np.any(np.diff(t) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return t
 
 
 def _cmul(ar, ai, br, bi):
@@ -250,16 +260,13 @@ def propagate(rho0, params: CavityParams, t):
     """Evolve one two-qubit density matrix for time t, or for each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
-    which ``integrate_master`` is the supported route. The result is a
+    which ``integrate_master_grid`` is the supported route. The result is a
     ``DensityMatrix2Q``, an (N, 4, 4) stack for N times; each matrix equals,
     bit for bit, the one the scalar complex arithmetic gives for its time.
     """
     if not params.quiet:
-        raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0); use integrate_master")
-    t = np.asarray(t, dtype=float)
-    if t.ndim > 1:
-        raise ValueError(f"t must be a time or a 1-d array of times, got shape {t.shape}")
-    _check_time(t)
+        raise ValueError(_NEEDS_QUIET)
+    t = _time_axis(t)
     rho0 = _as_density(rho0).matrix
     if rho0.ndim != 2:
         raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {rho0.shape}")
@@ -317,15 +324,18 @@ def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray) -> np.nd
 def default_step(params: CavityParams, fock_dim: int) -> float:
     """Integration step keeping phase truncation error well under 1e-8 per run.
 
-    Also clamped so the stability guard in ``integrate_master`` can never
-    reject the default.
+    Also clamped so the stability guard in ``integrate_master_grid`` can
+    never reject the default.
     """
-    gmax = max(params.gamma1, params.gamma2)
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
+    accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 2.0 * chi_sum * fock_dim + 1.0)
+    return min(accuracy, _STABILITY_LIMIT / (_rate_scale(params, fock_dim) + 1.0))
+
+
+def _rate_scale(params: CavityParams, fock_dim: int) -> float:
+    """The RK4 stability scale: the fastest damping plus 2 * (strongest Kerr coupling) * fock_dim**2."""
     chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
-    accuracy = 0.02 / (gmax + 2.0 * chi_sum * fock_dim + 1.0)
-    stability = _STABILITY_LIMIT / (gmax + 2.0 * chi_max * fock_dim ** 2 + 1.0)
-    return min(accuracy, stability)
+    return max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
 
 
 def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
@@ -344,43 +354,12 @@ def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
 def _check_step(params: CavityParams, fock_dim: int, step: float) -> None:
     if not 0 < step < math.inf:
         raise ValueError(f"step must be positive and finite, got {step}")
-    gmax = max(params.gamma1, params.gamma2)
-    chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
-    scale = gmax + 2.0 * chi_max * fock_dim ** 2
+    scale = _rate_scale(params, fock_dim)
     if scale * step > _STABILITY_LIMIT:
         raise ValueError(
             f"step {step:g} too large for rate scale {scale:g} (product {scale * step:.3g} > {_STABILITY_LIMIT});"
             " reduce the step or leave it unset"
         )
-
-
-def integrate_master(rho0, params: CavityParams, t: float, fock_dim: int = 2,
-                     step: Optional[float] = None) -> np.ndarray:
-    """Integrate the full master equation from rho0 for time t.
-
-    Parameters
-    ----------
-    rho0 : array_like
-        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2,
-        with finite entries. For fock_dim = 2 this coincides with the
-        two-qubit computational basis.
-    params : CavityParams
-        Damping, Kerr couplings and reservoir occupations.
-    t : float
-        Duration in us.
-    fock_dim : int
-        Per-mode truncation, at least 2. Thermal runs need headroom above
-        the qubit subspace.
-    step : float, optional
-        RK4 step; defaults to ``default_step``. Steps violating the
-        stability guard are rejected.
-
-    Returns
-    -------
-    numpy.ndarray
-        The evolved matrix. Trace preservation within 1e-9 is enforced.
-    """
-    return integrate_master_grid(rho0, params, [t], fock_dim, step)[0]
 
 
 def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -400,12 +379,29 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
                           fock_dim: int = 2, step: Optional[float] = None) -> list:
-    """Like ``integrate_master`` but records at every time of a 1-d increasing grid.
+    """Integrate the full master equation from rho0, recording at every time of a grid.
 
-    Only the entries inside the coherence-order box of ``rho0`` (see
-    ``_kept_indices``) are integrated; the generator is built on those
-    entries alone, and each snapshot is scattered back into a full matrix
-    whose other entries are exactly zero.
+    Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``)
+    are integrated; every other entry of each snapshot is exactly zero.
+
+    Parameters
+    ----------
+    rho0 : array_like
+        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2, with
+        finite entries; at fock_dim = 2 the two-qubit computational basis.
+    params : CavityParams
+        Damping, Kerr couplings and reservoir occupations.
+    times : sequence of float
+        Times in us: 1-d, strictly increasing, finite and nonnegative.
+    fock_dim : int
+        Per-mode truncation, at least 2; thermal runs need headroom above the qubit subspace.
+    step : float, optional
+        RK4 step, ``default_step`` if unset; a step past the stability guard is rejected.
+
+    Returns
+    -------
+    list of numpy.ndarray
+        The evolved matrix at each time. Trace preservation within 1e-9 is enforced.
     """
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
@@ -415,8 +411,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} for fock_dim {fock_dim}")
     if not np.all(np.isfinite(rho)):
         raise ValueError("rho0 has non-finite entries")
-    grid = np.array(times, dtype=float)
-    _check_times(grid)
+    grid = _time_grid(times)
     if step is None:
         step = default_step(params, fock_dim)
     _check_step(params, fock_dim, step)
@@ -500,22 +495,24 @@ def closed_form_reason(initial: InitialState, params: CavityParams) -> Optional[
     return f"no closed form for the {initial_label(initial)} family"
 
 
-def closed_form_rho(initial: InitialState, params: CavityParams, t: float) -> DensityMatrix2Q:
-    """Evolved density matrix from the direct closed-form solutions.
+def closed_form_rho(initial: InitialState, params: CavityParams, t) -> DensityMatrix2Q:
+    """Evolved density matrix from the direct closed-form solutions, for time t or each of a 1-d array of times.
 
     Supports the Bell pairs and their Werner mixtures for any couplings, and
     the Bell-like, |+,+> and Werner-like families when both self-Kerr
     couplings vanish. Both damping rates must be equal and reservoirs quiet.
+    The result is a ``DensityMatrix2Q``, an (N, 4, 4) stack for N times.
     """
     reason = closed_form_reason(initial, params)
     if reason is not None:
         raise ValueError(reason)
-    _check_time(t)
-    return DensityMatrix2Q(_closed_form_matrix(initial, params, t))
+    t = _time_axis(t)
+    out = np.array([_closed_form_matrix(initial, params, s) for s in t.reshape(-1).tolist()])
+    return DensityMatrix2Q(out[0] if t.ndim == 0 else out.reshape(-1, 4, 4))
 
 
 def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -> np.ndarray:
-    """The unvalidated matrix of ``closed_form_rho``, whose checks the caller has made."""
+    """The matrix of ``closed_form_rho`` at one time, unvalidated."""
     gamma = params.gamma1
     g = math.exp(-gamma * t)
     m = np.zeros((4, 4), dtype=complex)
@@ -556,8 +553,6 @@ def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -
         m = _bell_like_matrix(gamma, params.chi12, t)
         off = ~np.eye(4, dtype=bool)
         m[off] *= initial.p
-    else:  # unreachable given closed_form_reason, kept for safety
-        raise ValueError(f"no closed form for {initial_label(initial)}")
     return m
 
 
@@ -587,8 +582,7 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
             raise ValueError(reason)
     elif engine == "analytic":
         if not params.quiet:
-            raise ValueError("analytic propagation requires quiet reservoirs (nbar = 0);"
-                             " thermal runs need the oracle engine")
+            raise ValueError(_NEEDS_QUIET)
     elif fock_dim < 2:
         raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
     elif not params.quiet and fock_dim < 4:
@@ -609,33 +603,25 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     validate_run(initial, params, t_max, n_points, engine, fock_dim, step)
     times = np.linspace(0.0, t_max, n_points)
     rho0 = initial_density(initial)
-    approximate = False
-
     if engine == "analytic":
         states = propagate(rho0, params, times)
     elif engine == "closed_form":
-        states = np.array([_closed_form_matrix(initial, params, float(t)) for t in times])
+        states = closed_form_rho(initial, params, times)
     else:
-        big0 = _embed_qubits(rho0.matrix, fock_dim)
-        raw = integrate_master_grid(big0, params, times, fock_dim, step)
-        approximate = not params.quiet
+        raw = integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim, step)
         states = _extract_qubits(raw, fock_dim)
-    return Trajectory(times, states, params, initial, engine, approximate)
+    return Trajectory(times, states, params, initial, engine, approximate=not params.quiet)
 
 
 def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    if fock_dim == 2:
-        return np.array(rho, copy=True)
-    d = fock_dim * fock_dim
-    big = np.zeros((d, d), dtype=complex)
-    idx = _qubit_indices(fock_dim)
-    big[np.ix_(idx, idx)] = rho
+    big = np.zeros((fock_dim * fock_dim,) * 2, dtype=complex)
+    big[_qubit_block(fock_dim)] = rho
     return big
 
 
 def _extract_qubits(big: Sequence[np.ndarray], fock_dim: int) -> np.ndarray:
     """The (N, 4, 4) stack of the renormalized qubit blocks of a sequence of Fock-space matrices."""
-    idx = np.ix_(_qubit_indices(fock_dim), _qubit_indices(fock_dim))
+    idx = _qubit_block(fock_dim)
     block = np.array([b[idx] for b in big])
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
@@ -643,5 +629,7 @@ def _extract_qubits(big: Sequence[np.ndarray], fock_dim: int) -> np.ndarray:
     return block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
 
 
-def _qubit_indices(fock_dim: int) -> list:
-    return [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
+def _qubit_block(fock_dim: int) -> tuple:
+    """The ``np.ix_`` index of the qubit subspace, Fock states 0 and 1 of each mode."""
+    idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
+    return np.ix_(idx, idx)

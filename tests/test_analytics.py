@@ -63,16 +63,16 @@ class TestBellCurves:
 
     @pytest.mark.parametrize("t", [math.nan, [0.1, math.nan], np.array([[0.0], [math.nan]])])
     def test_rejects_nan_times(self, t):
-        with pytest.raises(ValueError, match="times must be nonnegative, not NaN"):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got nan"):
             bell_psi_curves(GAMMA, t)
-        with pytest.raises(ValueError, match="times must be nonnegative, not NaN"):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got nan"):
             concurrence_envelope(GAMMA, t)
 
     @pytest.mark.parametrize("t", [math.inf, [0.1, math.inf], -math.inf])
     def test_rejects_infinite_times(self, t):
         # gamma = 0 would give 0 * inf = NaN
         for gamma in (0.0, GAMMA):
-            with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+            with pytest.raises(ValueError, match="must be finite and nonnegative, got -?inf"):
                 bell_psi_curves(gamma, t)
 
     def test_matches_measured_states(self):
@@ -199,9 +199,9 @@ class TestLosslessFormulas:
 
     @pytest.mark.parametrize("t", [math.nan, math.inf, -0.1, [0.1, math.nan]])
     def test_lossless_curves_reject_bad_times(self, t):
-        with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
             werner_like_lossless_curve(0.5, 20.0, t)
-        with pytest.raises(ValueError, match="times must be nonnegative, not NaN or infinite"):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
             unitary_pure_entanglement(bell_like(), 20.0, t)
 
     def test_werner_like_curve_matches_measured(self):

@@ -4,14 +4,15 @@ import numpy as np
 import pytest
 
 from kerrdeco import linalg
+from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
     CavityParams, Trajectory, _destroy, _embed_qubits, _kept_indices, _liouvillian, _rk4_step_matrix,
-    closed_form_reason, closed_form_rho, default_step, integrate_master,
-    integrate_master_grid, propagate, rj_factor, trajectory,
+    closed_form_reason, closed_form_rho, default_step, integrate_master_grid,
+    propagate, rj_factor, trajectory,
 )
 from kerrdeco.states import (
-    BellLike, BellPhi, BellPsi, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPsi,
-    initial_density, random_density_matrix,
+    BellLike, BellPhi, BellPsi, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi, WernerPsi,
+    bell_like, initial_density, random_density_matrix,
 )
 
 QUIET = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
@@ -171,14 +172,14 @@ class TestMasterEquation:
         rho0 = initial_density(BellLike())
         prm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=7.0, chi22=5.0, chi12=20.0)
         for t in (0.1, 0.5, 1.0):
-            num = integrate_master(rho0.matrix, prm, t)
+            num = integrate_master_grid(rho0.matrix, prm, [t])[0]
             exact = propagate(rho0, prm, t).matrix
             assert linalg.trace_distance(num, exact) < 1e-8
 
     def test_grid_and_single_agree(self):
         rho0 = initial_density(BellPsi(+1)).matrix
         grid = integrate_master_grid(rho0, QUIET, [0.1, 0.2, 0.4])
-        single = integrate_master(rho0, QUIET, 0.4)
+        single = integrate_master_grid(rho0, QUIET, [0.4])[0]
         assert np.allclose(grid[-1], single, atol=1e-14)
 
     def test_fourth_order_convergence(self):
@@ -186,13 +187,13 @@ class TestMasterEquation:
         prm = CavityParams(gamma1=1.0, gamma2=1.0, chi11=2.0, chi22=2.0, chi12=5.0)
         rho0 = initial_density(BellLike())
         exact = propagate(rho0, prm, 0.2).matrix
-        errs = [linalg.trace_distance(integrate_master(rho0.matrix, prm, 0.2, step=h), exact)
+        errs = [linalg.trace_distance(integrate_master_grid(rho0.matrix, prm, [0.2], step=h)[0], exact)
                 for h in (0.002, 0.001)]
         assert 14.0 < errs[0] / errs[1] < 18.0
 
     def test_trace_is_preserved(self, rng):
         rho0 = random_density_matrix(rng).matrix
-        out = integrate_master(rho0, QUIET, 1.0)
+        out = integrate_master_grid(rho0, QUIET, [1.0])[0]
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
     def test_default_step_respects_stability_guard(self):
@@ -206,7 +207,7 @@ class TestMasterEquation:
     def test_oversized_step_is_rejected(self):
         rho0 = initial_density(BellPsi(+1)).matrix
         with pytest.raises(ValueError, match="step"):
-            integrate_master(rho0, QUIET, 0.5, step=0.05)
+            integrate_master_grid(rho0, QUIET, [0.5], step=0.05)
 
     def test_times_must_increase(self):
         rho0 = initial_density(BellPsi(+1)).matrix
@@ -231,7 +232,7 @@ class TestMasterEquation:
     def test_step_must_be_positive_and_finite(self, step):
         rho0 = initial_density(BellPsi(+1)).matrix
         with pytest.raises(ValueError, match="step must be positive and finite"):
-            integrate_master(rho0, QUIET, 0.5, step=step)
+            integrate_master_grid(rho0, QUIET, [0.5], step=step)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, -math.inf)])
     def test_rho0_must_be_finite(self, bad):
@@ -240,7 +241,7 @@ class TestMasterEquation:
         with pytest.raises(ValueError, match="rho0 has non-finite entries"):
             integrate_master_grid(rho0, QUIET, [0.1, 0.2])
         with pytest.raises(ValueError, match="rho0 has non-finite entries"):
-            integrate_master(rho0, QUIET, 0.1)
+            integrate_master_grid(rho0, QUIET, [0.1])
 
     def test_fock_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="fock_dim"):
@@ -254,7 +255,7 @@ class TestMasterEquation:
         d = fd * fd
         rho0 = np.zeros((d, d), dtype=complex)
         rho0[0, 0] = 1.0
-        out = integrate_master(rho0, prm, 8.0, fock_dim=fd)
+        out = integrate_master_grid(rho0, prm, [8.0], fock_dim=fd)[0]
         mode1 = np.diag(out).real.reshape(fd, fd).sum(axis=1)
         ratio = nbar / (nbar + 1.0)
         want = ratio ** np.arange(fd)
@@ -422,6 +423,17 @@ class TestClosedForms:
         assert np.allclose(scaled[off], 0.6 * full[off], atol=1e-14)
         assert np.allclose(np.diag(scaled), np.diag(full), atol=1e-14)
 
+    def test_an_array_of_times_gives_the_single_time_matrices_as_one_read_only_stack(self):
+        times = np.array([0.3, 0.0, 0.07, 1.0])  # any order
+        for initial in (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
+                        WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8)):
+            stack = closed_form_rho(initial, QUIET, times)
+            assert isinstance(stack, DensityMatrix2Q) and stack.matrix.shape == (4, 4, 4)
+            assert not stack.matrix.flags.writeable
+            for t, rho in zip(times, stack.matrix):
+                assert rho.tobytes() == closed_form_rho(initial, QUIET, float(t)).matrix.tobytes()
+        assert closed_form_rho(BellLike(), QUIET, np.array([])).matrix.shape == (0, 4, 4)
+
 
 class TestTrajectory:
     def test_engines_agree(self):
@@ -503,3 +515,28 @@ class TestTrajectory:
         assert isinstance(traj.states, DensityMatrix2Q) and traj.states.matrix.shape == (2, 4, 4)
         assert times.flags.writeable and not traj.times.flags.writeable
 
+
+class TestTimeRule:
+    """Every entry point checks a time by one rule and says so in one message."""
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, -0.1])
+    def test_a_bad_time_gets_one_message_from_every_entry_point(self, bad):
+        rho0 = initial_density(BellPsi(+1))
+        one = f"^time must be finite and nonnegative, got {bad}$"
+        grid = f"^times must be finite and nonnegative, got {bad} at index 2$"
+        times = [0.0, 0.1, bad]
+        for takes in (
+            lambda t: propagate(rho0, QUIET, t),
+            lambda t: closed_form_rho(BellPsi(+1), QUIET, t),
+            lambda t: bell_psi_curves(4.0, t),
+            lambda t: werner_like_lossless_curve(0.5, 20.0, t),
+            lambda t: unitary_pure_entanglement(bell_like(), 20.0, t),
+        ):
+            with pytest.raises(ValueError, match=one):
+                takes(bad)
+            with pytest.raises(ValueError, match=grid):
+                takes(np.array(times))
+        with pytest.raises(ValueError, match=grid):
+            integrate_master_grid(rho0.matrix, QUIET, times)
+        with pytest.raises(ValueError, match=grid):
+            Trajectory(np.array(times), [None] * 3, QUIET, BellPsi(+1), "analytic")
