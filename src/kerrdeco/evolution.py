@@ -11,6 +11,9 @@ grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
 it also covers thermal reservoirs. The generator conserves each mode's
 coherence order ``m_j - n_j``, so the oracle evolves only the entries within
 the orders the initial state occupies; every other entry stays exactly zero.
+It takes one initial matrix or a stack of them, evolved together in one
+step loop, and returns an (N, d, d) array of snapshots, (B, N, d, d) for a
+stack of B.
 
 Rates are in rad/us, times in us.
 """
@@ -119,7 +122,8 @@ def _checked_times(t) -> np.ndarray:
         raise ValueError(f"time must be finite and nonnegative, got {float(t)}")
     if not np.all(ok):
         i = int(np.flatnonzero(~ok)[0])
-        raise ValueError(f"times must be finite and nonnegative, got {t.flat[i]} at index {i}")
+        where = i if t.ndim == 1 else tuple(int(k) for k in np.unravel_index(i, t.shape))
+        raise ValueError(f"times must be finite and nonnegative, got {t.flat[i]} at index {where}")
     return t
 
 
@@ -367,28 +371,33 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
     The generator conserves each mode's coherence order ``m_j - n_j``, so an
     entry stays exactly zero if, in either mode, ``|m_j - n_j|`` exceeds the
-    largest order among the nonzero entries of ``rho``.
+    largest order among the nonzero entries of ``rho``; for a stack, of any
+    of its matrices.
     """
     # rho[m1 * fock_dim + m2, n1 * fock_dim + n2] is rho.reshape(o1.shape)[m1, m2, n1, n2]
     m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
     o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
-    occupied = rho.reshape(o1.shape) != 0
+    occupied = (rho.reshape(-1, *o1.shape) != 0).any(axis=0)
     box = (o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0))
     return np.flatnonzero(box)
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
-                          fock_dim: int = 2, step: Optional[float] = None) -> list:
-    """Integrate the full master equation from rho0, recording at every time of a grid.
+                          fock_dim: int = 2, step: Optional[float] = None) -> np.ndarray:
+    """Integrate the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
-    Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``)
-    are integrated; every other entry of each snapshot is exactly zero.
+    Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
+    for a stack the union of its members' boxes) are integrated; every other
+    entry of each snapshot is exactly zero, and so is every entry outside a
+    member's own box. A stack is evolved in one step loop: each RK4 step is
+    one matrix product over all its members.
 
     Parameters
     ----------
     rho0 : array_like
-        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2, with
-        finite entries; at fock_dim = 2 the two-qubit computational basis.
+        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2, or a
+        stack of B of them, shape (B, fock_dim**2, fock_dim**2), with finite
+        entries; at fock_dim = 2 the two-qubit computational basis.
     params : CavityParams
         Damping, Kerr couplings and reservoir occupations.
     times : sequence of float
@@ -400,30 +409,50 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
 
     Returns
     -------
-    list of numpy.ndarray
-        The evolved matrix at each time. Trace preservation within 1e-9 is enforced.
+    numpy.ndarray
+        The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2)
+        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack. Trace
+        preservation within 1e-9 is enforced for every member and time.
     """
     if fock_dim < 2:
         raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
     d = fock_dim * fock_dim
     rho = np.array(rho0, dtype=complex, copy=True)
-    if rho.shape != (d, d):
-        raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} for fock_dim {fock_dim}")
-    if not np.all(np.isfinite(rho)):
-        raise ValueError("rho0 has non-finite entries")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
+        raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} or (B, {d}, {d}) for fock_dim {fock_dim}")
+    finite = np.isfinite(rho).all(axis=(-2, -1))
+    if not finite.all():
+        where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
+        raise ValueError(f"rho0 has non-finite entries{where}")
     grid = _time_grid(times)
     if step is None:
         step = default_step(params, fock_dim)
     _check_step(params, fock_dim, step)
 
     keep = _kept_indices(rho, fock_dim)
+    # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
+    kept = _rk4_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0),
+                     params, fock_dim, keep, grid, step)
+    # the diagonal entries i * (d + 1) are always kept
+    drift = np.abs(kept[:, keep % (d + 1) == 0].sum(axis=1) - np.trace(rho, axis1=-2, axis2=-1))
+    if not np.all(drift <= 1e-9):
+        bad = np.argwhere(~(drift <= 1e-9))[0]
+        who = "" if rho.ndim == 2 else f" for state {bad[1]}"
+        raise RuntimeError(f"trace drifted by {drift[tuple(bad)]:.3e}{who} during integration")
+    # assembled only after _rk4_kept has returned, so its step matrices are freed first (lower peak memory)
+    out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
+    out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
+    return out.reshape(*out.shape[:-1], d, d)
+
+
+def _rk4_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
+              grid: np.ndarray, step: float) -> np.ndarray:
+    """The kept entries ``v``, shape (K,) or (K, B), RK4-evolved to every grid time: (N, K) or (N, K, B)."""
     lmat = _liouvillian(params, fock_dim, keep)
-    tr0 = complex(np.trace(rho))
-    out = []
+    kept = np.empty((len(grid), *v.shape), dtype=complex)
     prev = 0.0
-    v = rho.reshape(-1)[keep]
     step_cache: dict[float, np.ndarray] = {}
-    for target in grid.tolist():
+    for i, target in enumerate(grid.tolist()):
         span = target - prev
         if span > 0:
             n = max(1, math.ceil(span / step))
@@ -434,14 +463,9 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
                 step_cache[h] = m
             for _ in range(n):
                 v = m @ v
-        snap = np.zeros((d, d), dtype=complex)
-        snap.flat[keep] = v
-        drift = abs(complex(np.trace(snap)) - tr0)
-        if not drift <= 1e-9:
-            raise RuntimeError(f"trace drifted by {drift:.3e} during integration")
-        out.append(snap)
+        kept[i] = v
         prev = target
-    return out
+    return kept
 
 
 # ---------------------------------------------------------------------------
@@ -619,10 +643,11 @@ def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
     return big
 
 
-def _extract_qubits(big: Sequence[np.ndarray], fock_dim: int) -> np.ndarray:
-    """The (N, 4, 4) stack of the renormalized qubit blocks of a sequence of Fock-space matrices."""
-    idx = _qubit_block(fock_dim)
-    block = np.array([b[idx] for b in big])
+def _extract_qubits(big: np.ndarray, fock_dim: int) -> np.ndarray:
+    """The (N, 4, 4) stack of the renormalized qubit blocks of an (N, d, d) stack of Fock-space matrices."""
+    rows, cols = _qubit_block(fock_dim)
+    # in C order, as np.trace's sum below depends on the memory layout
+    block = np.ascontiguousarray(big[:, rows, cols])
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
     # subspace; the conditional state is what the measures act on

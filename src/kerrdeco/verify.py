@@ -18,7 +18,7 @@ import numpy as np
 from . import analytics, linalg, measures
 from .evolution import CavityParams, closed_form_rho, integrate_master_grid, propagate
 from .states import (
-    BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, PlusPlus, Separable,
+    BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, Separable,
     WernerLike, WernerPhi, WernerPsi, _read, initial_density, initial_label,
     random_density_matrix, random_pure_state, to_density,
 )
@@ -53,11 +53,15 @@ def _fixed_families(rng: np.random.Generator) -> list:
     ]
 
 
-def _oracle_gap(initial, params: CavityParams, times, propagator) -> float:
-    rho0 = initial_density(initial)
-    numeric = integrate_master_grid(rho0.matrix, params, times, fock_dim=2)
-    got = np.asarray(propagator(rho0, params, times))
-    return float(np.max([linalg.trace_distance(a, b) for a, b in zip(got, numeric)]))
+def _oracle_gaps(initials, params: CavityParams, times, propagator) -> list:
+    """Max trace distance between propagator and oracle per initial state, from one oracle call for all."""
+    rho0s = [initial_density(initial) for initial in initials]
+    numeric = integrate_master_grid(np.array([rho0.matrix for rho0 in rho0s]), params, times, fock_dim=2)
+    gaps = []
+    for rho0, want in zip(rho0s, numeric):
+        got = np.asarray(propagator(rho0, params, times))
+        gaps.append(float(np.max([linalg.trace_distance(a, b) for a, b in zip(got, want)])))
+    return gaps
 
 
 def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> list:
@@ -87,8 +91,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     # Route 1 vs route 2: analytic propagator against the RK4 integration.
     fast_families = families[:4] + families[5:8]
-    for initial in (families if full else fast_families):
-        gap = _oracle_gap(initial, params, times, prop)
+    checked = families if full else fast_families
+    for initial, gap in zip(checked, _oracle_gaps(checked, params, times, prop)):
         record(f"oracle_equivalence/{initial_label(initial)}", gap <= 1e-8,
                f"max trace distance {gap:.2e} (limit 1e-8)")
 
@@ -99,8 +103,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
                 for chi_self in (0.0, 7.0):
                     p = CavityParams(gamma1=gamma, gamma2=gamma, chi11=chi_self,
                                      chi22=chi_self, chi12=chi12)
-                    for initial in families:
-                        sweep_worst = max(sweep_worst, _oracle_gap(initial, p, times, prop))
+                    sweep_worst = max(sweep_worst, *_oracle_gaps(families, p, times, prop))
         record("oracle_equivalence/parameter_sweep", sweep_worst <= 1e-8,
                f"worst trace distance {sweep_worst:.2e} over the full grid")
 
@@ -120,12 +123,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     def curve_gap(initial, curve_fn):
         states = prop(initial_density(initial), quiet, times)
-        got = zip(measures.concurrence(states), measures.negativity(states))
-        worst = 0.0
-        for t, (c, n) in zip(times, got):
-            c_ref, n_ref = curve_fn(float(t))
-            worst = max(worst, abs(c - c_ref), abs(n - n_ref))
-        return worst
+        c_ref, n_ref = curve_fn(times)
+        return float(np.max(np.abs([measures.concurrence(states) - c_ref, measures.negativity(states) - n_ref])))
 
     curve_cases = [
         ("bell_psi", BellPsi(+1), lambda t: analytics.bell_psi_curves(gamma, t)),
@@ -143,8 +142,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     for p in (0.4, 0.6, 0.8, 1.0):
         rho0 = initial_density(WernerLike(p))
         got = measures.concurrence(prop(rho0, lossless, times))
-        for t, c in zip(times, got):
-            worst = max(worst, abs(c - analytics.werner_like_lossless_curve(p, 20.0, float(t))))
+        worst = max(worst, float(np.max(np.abs(got - analytics.werner_like_lossless_curve(p, 20.0, times)))))
     record("decay_curves/werner_like_lossless", worst <= 1e-9,
            f"max curve gap {worst:.2e} (limit 1e-9)")
 
@@ -158,32 +156,36 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     record("werner/initial_value", worst <= 1e-10,
            f"max gap to (3p-1)/2 at t=0: {worst:.2e} (limit 1e-10)")
 
-    # Algebraic properties of the measures on the seeded corpus.
+    # Algebraic properties of the measures on the seeded corpus: the states
+    # are drawn one by one, in a fixed order, into one array filled in place
+    # (a list of small arrays would hold a thousand heap objects at once),
+    # and measured as one stack.
     n_corpus = 1000 if full else 200
-    worst = -1.0
-    for _ in range(n_corpus):
-        rho = random_density_matrix(rng)
-        worst = max(worst, measures.negativity(rho) - measures.concurrence(rho))
+    corpus = np.empty((n_corpus, 4, 4), dtype=complex)
+    for k in range(n_corpus):
+        corpus[k] = random_density_matrix(rng).matrix
+    corpus = DensityMatrix2Q(corpus)
+    worst = float(np.max(measures.negativity(corpus) - measures.concurrence(corpus)))
     record("measures/negativity_below_concurrence", worst <= 1e-9,
            f"max N - C on {n_corpus} random states: {worst:.2e}")
 
-    worst = 0.0
-    for _ in range(n_corpus):
+    corpus, cp = np.empty((n_corpus, 4, 4), dtype=complex), np.empty(n_corpus)
+    for k in range(n_corpus):
         psi = random_pure_state(rng)
-        rho = to_density(psi)
-        cp = measures.pure_concurrence(psi)
-        worst = max(worst, abs(measures.concurrence(rho) - cp),
-                    abs(measures.negativity(rho) - cp))
+        corpus[k], cp[k] = to_density(psi).matrix, measures.pure_concurrence(psi)
+    corpus = DensityMatrix2Q(corpus)
+    worst = float(np.max(np.abs([measures.concurrence(corpus) - cp, measures.negativity(corpus) - cp])))
     record("measures/pure_state_coincidence", worst <= 1e-9,
            f"max |measure - 2|c00 c11 - c01 c10|| on {n_corpus} pure states: {worst:.2e}")
 
-    worst = 0.0
-    for _ in range(50 if not full else 200):
-        rho = random_density_matrix(rng)
+    corpus, rotated = np.empty((2, 200 if full else 50, 4, 4), dtype=complex)
+    for k in range(len(corpus)):
+        corpus[k] = random_density_matrix(rng).matrix
         u = np.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
-        rotated = u @ rho.matrix @ u.conj().T
-        worst = max(worst, abs(measures.concurrence(rotated) - measures.concurrence(rho)),
-                    abs(measures.negativity(rotated) - measures.negativity(rho)))
+        rotated[k] = u @ corpus[k] @ u.conj().T
+    corpus, rotated = DensityMatrix2Q(corpus), DensityMatrix2Q(rotated)
+    worst = float(np.max(np.abs([measures.concurrence(rotated) - measures.concurrence(corpus),
+                                 measures.negativity(rotated) - measures.negativity(corpus)])))
     record("measures/local_unitary_invariance", worst <= 1e-9,
            f"max shift under local rotations: {worst:.2e}")
 
@@ -231,20 +233,17 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     if full:
         # Envelope fidelity at strong coupling, against measured revival peaks.
         strong = CavityParams(gamma1=4.0, gamma2=4.0, chi11=0.0, chi22=0.0, chi12=400.0)
-        period = math.pi / 400.0
         revs = analytics.revival_times(400.0, 5)
         rho_like = initial_density(BellLike())
 
         # compare curve and envelope at the nominal revival times
-        worst_c = worst_n = 0.0
-        worst_simple_margin = math.inf
         states = prop(rho_like, strong, revs)
-        for tn, c_t, n_t in zip(revs, measures.concurrence(states), measures.negativity(states)):
-            worst_c = max(worst_c, abs(c_t - analytics.concurrence_envelope(4.0, tn)))
-            dev_main = abs(n_t - analytics.negativity_envelope(4.0, tn))
-            dev_simple = abs(n_t - analytics.negativity_envelope(4.0, tn, simple=True))
-            worst_n = max(worst_n, dev_main)
-            worst_simple_margin = min(worst_simple_margin, dev_simple - dev_main)
+        c_t, n_t = measures.concurrence(states), measures.negativity(states)
+        dev_main = np.abs(n_t - analytics.negativity_envelope(4.0, revs))
+        dev_simple = np.abs(n_t - analytics.negativity_envelope(4.0, revs, simple=True))
+        worst_c = float(np.max(np.abs(c_t - analytics.concurrence_envelope(4.0, revs))))
+        worst_n = float(np.max(dev_main))
+        worst_simple_margin = float(np.min(dev_simple - dev_main))
         record("envelope/concurrence_peaks", worst_c <= 2e-3,
                f"worst revival-time gap {worst_c:.2e} (limit 2e-3)")
         record("envelope/negativity_peaks", worst_n <= 2e-3,
@@ -254,10 +253,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
         worst = 0.0
         for p in (0.6, 0.8, 1.0):
-            rho_p = initial_density(WernerLike(p))
-            peaks = measures.concurrence(prop(rho_p, strong, revs))
-            for tn, peak in zip(revs, peaks):
-                worst = max(worst, abs(peak - analytics.werner_concurrence_envelope(4.0, p, tn)))
+            peaks = measures.concurrence(prop(initial_density(WernerLike(p)), strong, revs))
+            worst = max(worst, float(np.max(np.abs(peaks - analytics.werner_concurrence_envelope(4.0, p, revs)))))
         record("envelope/werner_concurrence_peaks", worst <= 2e-3,
                f"worst revival-time gap {worst:.2e} (limit 2e-3)")
 

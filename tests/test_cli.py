@@ -617,10 +617,28 @@ class TestVerify:
         assert main(["verify", "slow"]) == 1
         capsys.readouterr()
 
-    def test_full_passes_all_42_checks(self):
+    @pytest.fixture
+    def oracle_calls(self, monkeypatch):
+        """The shape of rho0 at each oracle call the battery makes."""
+        shapes = []
+        oracle = verify.integrate_master_grid
+
+        def counting(rho0, *args, **kwargs):
+            shapes.append(np.shape(rho0))
+            return oracle(rho0, *args, **kwargs)
+        monkeypatch.setattr(verify, "integrate_master_grid", counting)
+        return shapes
+
+    def test_full_passes_all_42_checks(self, oracle_calls):
         results = verify.run_checks("full")
         assert len(results) == 42
         assert [r.name for r in results if not r.passed] == []
+        # one call for every family per parameter set: the base set and the 12 of the sweep
+        assert oracle_calls == [(10, 4, 4)] * 13
+
+    def test_fast_makes_one_oracle_call(self, oracle_calls):
+        verify.run_checks("fast")
+        assert oracle_calls == [(7, 4, 4)]
 
     def test_battery_catches_a_broken_propagator(self):
         # a wrong sign on the cross-Kerr coupling must not slip through

@@ -11,8 +11,8 @@ from kerrdeco.evolution import (
     propagate, rj_factor, trajectory,
 )
 from kerrdeco.states import (
-    BellLike, BellPhi, BellPsi, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi, WernerPsi,
-    bell_like, initial_density, random_density_matrix,
+    BellLike, BellPhi, BellPsi, CustomMixed, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi,
+    WernerPsi, bell_like, initial_density, random_density_matrix,
 )
 
 QUIET = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
@@ -382,6 +382,111 @@ class TestCoherenceOrders:
             assert np.array_equal(g, w)
 
 
+def frozen_oracle_loop(rho0, params, times, fock_dim):
+    """The single-state oracle as one matrix-vector step loop, frozen as the bit-for-bit reference."""
+    d = fock_dim * fock_dim
+    rho = np.array(rho0, dtype=complex, copy=True)
+    m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
+    o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
+    occupied = rho.reshape(o1.shape) != 0
+    keep = np.flatnonzero((o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0)))
+    lmat = _liouvillian(params, fock_dim, keep)
+    step = default_step(params, fock_dim)
+    out = []
+    prev = 0.0
+    v = rho.reshape(-1)[keep]
+    step_cache = {}
+    for target in times:
+        span = target - prev
+        if span > 0:
+            n = max(1, math.ceil(span / step))
+            h = span / n
+            m = step_cache.get(h)
+            if m is None:
+                m = _rk4_step_matrix(lmat, h)
+                step_cache[h] = m
+            for _ in range(n):
+                v = m @ v
+        snap = np.zeros((d, d), dtype=complex)
+        snap.flat[keep] = v
+        out.append(snap)
+        prev = target
+    return out
+
+
+def mixed_box_stack(rng, fock_dim):
+    """Separable |0>(0.6|0> + 0.8|1>), BellPsi and a random mixed state, embedded: three different boxes."""
+    initials = (Separable(1.0, 0.0, 0.6, 0.8), BellPsi(+1), CustomMixed(random_density_matrix(rng)))
+    return np.array([_embed_qubits(initial_density(i).matrix, fock_dim) for i in initials])
+
+
+class TestStackedOracle:
+    """One oracle call evolves a stack of initial states; one state keeps the matrix-vector loop."""
+
+    @pytest.mark.parametrize("params, fock_dim, times", [
+        (CavityParams(gamma1=4.0, gamma2=4.0, chi11=7.0, chi22=7.0, chi12=20.0), 2, np.linspace(0.1, 1.0, 10)),
+        (THERMAL, 4, np.linspace(0.0, 0.3, 31)),
+    ])
+    def test_one_state_is_the_frozen_loop_bit_for_bit(self, rng, params, fock_dim, times):
+        for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
+            rho0 = _embed_qubits(initial_density(initial).matrix, fock_dim)
+            got = integrate_master_grid(rho0, params, times, fock_dim)
+            want = frozen_oracle_loop(rho0, params, times.tolist(), fock_dim)
+            assert got.shape == (len(times), fock_dim ** 2, fock_dim ** 2)
+            assert got.tobytes() == np.array(want).tobytes()
+
+    @pytest.mark.parametrize("params, fock_dim, times", [
+        (CavityParams(gamma1=4.0, gamma2=4.0, chi11=7.0, chi22=7.0, chi12=20.0), 2, np.linspace(0.1, 1.0, 10)),
+        (THERMAL, 4, np.linspace(0.0, 0.3, 7)),
+    ])
+    def test_each_member_matches_its_own_call(self, rng, params, fock_dim, times):
+        # a stack steps by matrix-matrix products, one state by matrix-vector
+        # ones, so their roundoff differs: within 1e-14 over the verify grid at
+        # fock_dim 2, and within one unit roundoff per RK4 step over the 5295
+        # steps of the thermal run (6e-14 measured)
+        tol = 1e-14 if fock_dim == 2 else math.ceil(times[-1] / default_step(params, fock_dim)) * np.finfo(float).eps
+        stack = mixed_box_stack(rng, fock_dim)
+        if fock_dim == 2:
+            stack = np.concatenate([stack, [initial_density(f).matrix for f in (BellLike(), WernerPhi(0.4))]])
+        got = integrate_master_grid(stack, params, times, fock_dim)
+        assert got.shape == (len(stack), len(times), fock_dim ** 2, fock_dim ** 2)
+        for member, rho0 in zip(got, stack):
+            assert np.max(np.abs(member - integrate_master_grid(rho0, params, times, fock_dim))) <= tol
+
+    def test_a_mixed_box_stack_keeps_each_members_box(self, rng):
+        fd = 4
+        stack = mixed_box_stack(rng, fd)
+        got = integrate_master_grid(stack, THERMAL, [0.05, 0.2], fd)
+        sizes = []
+        for member, rho0 in zip(got, stack):
+            outside = np.ones(fd ** 4, dtype=bool)
+            outside[_kept_indices(rho0, fd)] = False
+            sizes.append(int(outside.sum()))
+            assert np.all(member.reshape(2, -1)[:, outside] == 0)
+        # the separable member's box is the smallest, so its zeros are not the union's
+        assert sizes[0] > sizes[1] == sizes[2] > 0
+        assert len(_kept_indices(stack, fd)) == fd ** 4 - sizes[1]
+
+    def test_a_non_finite_member_is_named(self):
+        stack = np.array([initial_density(f).matrix for f in (BellPsi(+1), BellLike(), PlusPlus())])
+        stack[2, 1, 2] = math.nan
+        with pytest.raises(ValueError, match=r"^rho0 has non-finite entries in state 2$"):
+            integrate_master_grid(stack, QUIET, [0.1])
+
+    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 16, 16), (16,), (3, 16, 15)])
+    def test_a_wrong_shaped_stack_is_named(self, shape):
+        with pytest.raises(ValueError, match=rf"^rho0 has shape \({', '.join(map(str, shape))},?\), expected"
+                                             r" \(16, 16\) or \(B, 16, 16\) for fock_dim 4$"):
+            integrate_master_grid(np.zeros(shape), THERMAL, [0.1], fock_dim=4)
+
+    def test_trace_drift_names_the_member(self):
+        rho0 = initial_density(BellLike()).matrix
+        with pytest.raises(RuntimeError, match=r"^trace drifted by \S+ for state 1 during integration$"):
+            integrate_master_grid(np.array([rho0, 1e8 * rho0]), QUIET, [0.1, 0.5])
+        with pytest.raises(RuntimeError, match=r"^trace drifted by \S+ during integration$"):
+            integrate_master_grid(1e8 * rho0, QUIET, [0.1, 0.5])
+
+
 class TestClosedForms:
     def test_reason_accepts_supported_cases(self):
         assert closed_form_reason(BellPsi(+1), CavityParams(chi11=9.0)) is None
@@ -540,3 +645,9 @@ class TestTimeRule:
             integrate_master_grid(rho0.matrix, QUIET, times)
         with pytest.raises(ValueError, match=grid):
             Trajectory(np.array(times), [None] * 3, QUIET, BellPsi(+1), "analytic")
+
+    def test_a_bad_time_in_a_multi_dimensional_array_is_named_by_its_multi_index(self):
+        with pytest.raises(ValueError, match=r"^times must be finite and nonnegative, got nan at index \(1, 1\)$"):
+            bell_psi_curves(4.0, np.array([[0.0, 0.1], [0.2, math.nan]]))
+        with pytest.raises(ValueError, match=r"got -1.0 at index \(0, 1, 0\)$"):
+            werner_like_lossless_curve(0.5, 20.0, np.array([[[0.0], [-1.0]]]))
