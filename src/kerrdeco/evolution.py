@@ -2,10 +2,10 @@
 
 Two independent routes to the same physics live here. ``propagate`` applies
 the exact amplitude-damping propagator, valid for quiet (zero-temperature)
-reservoirs, to one time or to a whole array of times in one call: its terms
-are numpy arrays over the time axis, each complex product spelled out as
-CPython forms it, so every matrix equals the scalar arithmetic bit for bit;
-it returns one ``DensityMatrix2Q``, a stack for an array of times.
+reservoirs, to one state or a stack of B at one time or an array of N times in
+one call: its terms are numpy arrays, each complex product spelled out as
+CPython forms it, so every matrix equals the scalar arithmetic bit for bit; it
+returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
 ``integrate_master_grid`` integrates the full master equation over a time
 grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
 it also covers thermal reservoirs. The generator conserves each mode's
@@ -261,20 +261,22 @@ _ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
 
 
 def propagate(rho0, params: CavityParams, t):
-    """Evolve one two-qubit density matrix for time t, or for each of a 1-d array of times.
+    """Evolve one two-qubit density matrix, or each of a stack of B, for time t or each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
     which ``integrate_master_grid`` is the supported route. The result is a
-    ``DensityMatrix2Q``, an (N, 4, 4) stack for N times; each matrix equals,
-    bit for bit, the one the scalar complex arithmetic gives for its time.
+    ``DensityMatrix2Q``, (N, 4, 4) for N times, with a leading B axis for a
+    (B, 4, 4) ``rho0``, whose mode factors are formed once; each matrix equals,
+    bit for bit, the one the scalar complex arithmetic gives for its state and time.
     """
     if not params.quiet:
         raise ValueError(_NEEDS_QUIET)
     t = _time_axis(t)
     rho0 = _as_density(rho0).matrix
-    if rho0.ndim != 2:
-        raise ValueError(f"rho0 must be one 4x4 density matrix, got shape {rho0.shape}")
-    src = rho0.reshape(-1)[_SRC]
+    if rho0.ndim > 3:
+        raise ValueError(f"rho0 must be one 4x4 density matrix or a (B, 4, 4) stack, got shape {rho0.shape}")
+    # (B, 1, terms) for a stack, against the (N, terms) factors
+    src = rho0.reshape(*rho0.shape[:-2], 1, 16)[..., _SRC]
     col = t.reshape(-1, 1)
     r1 = rj_factor(1, *_ROWS1, params, col)[:, _ROW1]
     r2 = rj_factor(2, *_ROWS2, params, col)[:, _ROW2]
@@ -282,14 +284,13 @@ def propagate(rho0, params: CavityParams, t):
     tr, ti = _cmul(*_cmul(r1.real, r1.imag, r2.real, r2.imag), src.real, src.imag)
     del r1, r2
     # each entry's terms summed in slot order, starting from 0.0 + 0.0j
-    re, im = 0.0 + tr[:, :16], 0.0 + ti[:, :16]
+    re, im = 0.0 + tr[..., :16], 0.0 + ti[..., :16]
     for slot in (1, 2, 3):
         k = _SLOT == slot
-        re[:, _ENTRY[k]] += tr[:, k]
-        im[:, _ENTRY[k]] += ti[:, k]
-    out = _complex(re, im).reshape(-1, 4, 4)
-    out = (out + out.conj().swapaxes(-1, -2)) / 2.0
-    return DensityMatrix2Q(out[0] if t.ndim == 0 else out)
+        re[..., _ENTRY[k]] += tr[..., k]
+        im[..., _ENTRY[k]] += ti[..., k]
+    out = _complex(re, im).reshape(*rho0.shape[:-2], *t.shape, 4, 4)
+    return DensityMatrix2Q((out + out.conj().swapaxes(-1, -2)) / 2.0)
 
 
 # ---------------------------------------------------------------------------

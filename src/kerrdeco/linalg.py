@@ -1,7 +1,7 @@
 """Dense complex-matrix helpers sized for two-qubit problems.
 
 Plain numpy throughout. Inputs are never mutated; every function returns a
-freshly allocated array.
+freshly allocated array. Matrices come one at a time or as (..., d, d) stacks.
 """
 
 from __future__ import annotations
@@ -93,18 +93,23 @@ def nonneg_spectrum_of_product(m) -> np.ndarray:
     return np.sort(re, axis=-1)
 
 
-def trace_distance(a, b) -> float:
-    """Half the trace norm of (a - b) for hermitian a, b of equal size."""
+def trace_distance(a, b):
+    """Half the trace norm of (a - b) for hermitian a, b of equal size, or of each pair of two stacks of one shape.
+
+    A float for two matrices, else a float64 array of the stacks' leading shape
+    from one ``eigvalsh``, each value bit for bit the one its pair gives alone.
+    """
     a, b = _square(a), _square(b)
-    if a.ndim != 2 or a.shape != b.shape:
-        raise ValueError(f"expected two matrices of one size, got {a.shape} and {b.shape}")
+    if a.shape != b.shape:
+        raise ValueError(f"expected two matrices or stacks of one shape, got {a.shape} and {b.shape}")
     # Accumulated roundoff from long evolutions is tolerated here, hence the
     # looser hermiticity threshold than elsewhere.
     _check_hermitian(a, 1e-10, "first argument")
     _check_hermitian(b, 1e-10, "second argument")
     diff = a - b
-    diff = (diff + diff.conj().T) / 2.0
-    return float(np.sum(np.abs(np.linalg.eigvalsh(diff)))) / 2.0
+    diff = (diff + diff.conj().swapaxes(-1, -2)) / 2.0
+    dist = np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1) / 2.0
+    return dist if dist.ndim else float(dist)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:

@@ -2,7 +2,7 @@
 
 Basis ordering is |00>, |01>, |10>, |11> with the first label belonging to
 cavity mode 1. Pure states carry four complex amplitudes; ``DensityMatrix2Q``
-holds one validated 4x4 density matrix or an (N, 4, 4) stack of them.
+holds one validated 4x4 density matrix or a (..., 4, 4) stack of them.
 """
 
 from __future__ import annotations
@@ -79,12 +79,12 @@ class PureState2Q:
         return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
 
 
-def _check_density(m: np.ndarray, stack: bool) -> None:
-    """Raise ValueError unless each 4x4 matrix of the (N, 4, 4) array ``m`` is a density matrix.
+def _check_density(m: np.ndarray, stack: tuple) -> None:
+    """Raise ValueError unless each 4x4 matrix of the (K, 4, 4) array ``m`` is a density matrix.
 
     Hermitian and of unit trace within 1e-12, no eigenvalue below ``_PSD_TOL``.
-    The message is about the first bad state; with ``stack`` it starts with that
-    state's index.
+    The message is about the first bad state; for a stack of shape ``stack``
+    (empty for one matrix) it starts with that state's index, a tuple if need be.
     """
     # each comparison is written so that NaN fails it
     herm_dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
@@ -108,15 +108,17 @@ def _check_density(m: np.ndarray, stack: bool) -> None:
     else:
         i = int(np.argmin(psd))
         msg = f"density matrix has negative eigenvalue {float(low[i]):.3e}"
-    raise ValueError(f"state {i}: {msg}" if stack else msg)
+    where = i if len(stack) <= 1 else tuple(int(k) for k in np.unravel_index(i, stack))
+    raise ValueError(f"state {where}: {msg}" if stack else msg)
 
 
 @dataclass(frozen=True)
 class DensityMatrix2Q:
-    """Validated 4x4 density matrix, or (N, 4, 4) stack of them: hermitian, unit trace, positive semidefinite.
+    """Validated 4x4 density matrix, or (..., 4, 4) stack of them: hermitian, unit trace, positive semidefinite.
 
     ``matrix`` is a read-only complex copy, checked once, here; a bad matrix
-    of a stack is named by its index. Its users take it as checked.
+    of a stack is named by its index, a tuple for a stack of more than one
+    axis such as (B, N, 4, 4). Its users take it as checked.
     """
 
     matrix: np.ndarray
@@ -125,10 +127,10 @@ class DensityMatrix2Q:
         try:
             m = np.array(self.matrix, dtype=complex)
         except (TypeError, ValueError) as exc:  # a ragged sequence, or entries that are not numbers
-            raise ValueError(f"expected a 4x4 matrix or an (N, 4, 4) stack: {exc}") from None
-        if m.ndim not in (2, 3) or m.shape[-2:] != (4, 4):
-            raise ValueError(f"expected a 4x4 matrix or an (N, 4, 4) stack, got shape {m.shape}")
-        _check_density(m.reshape(-1, 4, 4), stack=m.ndim == 3)
+            raise ValueError(f"expected a 4x4 matrix, an (N, 4, 4) stack or any (..., 4, 4) stack: {exc}") from None
+        if m.ndim < 2 or m.shape[-2:] != (4, 4):
+            raise ValueError(f"expected a 4x4 matrix, an (N, 4, 4) stack or any (..., 4, 4) stack, got shape {m.shape}")
+        _check_density(m.reshape(-1, 4, 4), m.shape[:-2])
         m.flags.writeable = False
         object.__setattr__(self, "matrix", m)
 
@@ -419,6 +421,11 @@ def random_pure_state(rng: np.random.Generator) -> PureState2Q:
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix2Q:
     """Full-rank random state G G^dagger normalized to unit trace."""
+    return DensityMatrix2Q(_random_density(rng))
+
+
+def _random_density(rng: np.random.Generator) -> np.ndarray:
+    """The draw of ``random_density_matrix``, unvalidated, for filling a stack that is checked once."""
     g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
     m = g @ g.conj().T
-    return DensityMatrix2Q(m / np.trace(m).real)
+    return m / np.trace(m).real

@@ -19,8 +19,8 @@ from . import analytics, linalg, measures
 from .evolution import CavityParams, closed_form_rho, integrate_master_grid, propagate
 from .states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, Separable,
-    WernerLike, WernerPhi, WernerPsi, _read, initial_density, initial_label,
-    random_density_matrix, random_pure_state, to_density,
+    WernerLike, WernerPhi, WernerPsi, _random_density, _read, initial_density, initial_label,
+    random_density_matrix, random_pure_state,
 )
 
 __all__ = ["CheckResult", "corpus_seed", "run_checks"]
@@ -35,7 +35,10 @@ class CheckResult:
 
 def corpus_seed() -> int:
     """Seed of the random-state corpus, overridable via KERRDECO_SEED."""
-    return _read(os.environ.get("KERRDECO_SEED", "42"), "KERRDECO_SEED", int)
+    seed = _read(os.environ.get("KERRDECO_SEED", "42"), "KERRDECO_SEED", int)
+    if seed < 0:
+        raise ValueError(f"KERRDECO_SEED must be nonnegative, got {seed}")
+    return seed
 
 
 def _fixed_families(rng: np.random.Generator) -> list:
@@ -53,15 +56,16 @@ def _fixed_families(rng: np.random.Generator) -> list:
     ]
 
 
-def _oracle_gaps(initials, params: CavityParams, times, propagator) -> list:
-    """Max trace distance between propagator and oracle per initial state, from one oracle call for all."""
-    rho0s = [initial_density(initial) for initial in initials]
-    numeric = integrate_master_grid(np.array([rho0.matrix for rho0 in rho0s]), params, times, fock_dim=2)
-    gaps = []
-    for rho0, want in zip(rho0s, numeric):
-        got = np.asarray(propagator(rho0, params, times))
-        gaps.append(float(np.max([linalg.trace_distance(a, b) for a, b in zip(got, want)])))
-    return gaps
+def _stack(initials) -> DensityMatrix2Q:
+    """The (B, 4, 4) stack of the initial densities of B tags."""
+    return DensityMatrix2Q(np.array([initial_density(initial).matrix for initial in initials]))
+
+
+def _oracle_gaps(rho0s: DensityMatrix2Q, params: CavityParams, times, propagator) -> list:
+    """Max trace distance between propagator and oracle per state of a stack, from one call of each."""
+    numeric = integrate_master_grid(rho0s.matrix, params, times, fock_dim=2)
+    got = np.asarray(propagator(rho0s, params, times))
+    return linalg.trace_distance(got, numeric).max(axis=1).tolist()
 
 
 def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> list:
@@ -70,10 +74,10 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     ``level`` is "fast" (seconds) or "full" (adds the complete family/
     parameter sweep, the strong-coupling envelope comparisons and larger
     random corpora). ``propagator`` can be substituted to probe the
-    battery itself: a callable ``(rho0, params, times)`` that returns the
-    states at a 1-d array of times as an (N, 4, 4) array or a
-    ``DensityMatrix2Q`` stack, as ``evolution.propagate`` does. It defaults
-    to ``propagate``.
+    battery itself: a callable ``(rho0, params, times)`` that receives a
+    (B, 4, 4) stack of initial states, all of one check's, and returns their
+    states at a 1-d array of N times as a (B, N, 4, 4) array or
+    ``DensityMatrix2Q``, as ``evolution.propagate`` does, the default.
     """
     if level not in ("fast", "full"):
         raise ValueError(f"level must be 'fast' or 'full', got {level!r}")
@@ -90,9 +94,10 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     families = _fixed_families(rng)
 
     # Route 1 vs route 2: analytic propagator against the RK4 integration.
-    fast_families = families[:4] + families[5:8]
-    checked = families if full else fast_families
-    for initial, gap in zip(checked, _oracle_gaps(checked, params, times, prop)):
+    checked = families if full else families[:4] + families[5:8]
+    rho0s = _stack(checked)
+    gaps = _oracle_gaps(rho0s, params, times, prop)
+    for initial, gap in zip(checked, gaps):
         record(f"oracle_equivalence/{initial_label(initial)}", gap <= 1e-8,
                f"max trace distance {gap:.2e} (limit 1e-8)")
 
@@ -103,15 +108,16 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
                 for chi_self in (0.0, 7.0):
                     p = CavityParams(gamma1=gamma, gamma2=gamma, chi11=chi_self,
                                      chi22=chi_self, chi12=chi12)
-                    sweep_worst = max(sweep_worst, *_oracle_gaps(families, p, times, prop))
+                    # the base set is one point of the grid, with the same states and times
+                    sweep_worst = max(sweep_worst, *(gaps if p == params else _oracle_gaps(rho0s, p, times, prop)))
         record("oracle_equivalence/parameter_sweep", sweep_worst <= 1e-8,
                f"worst trace distance {sweep_worst:.2e} over the full grid")
 
     # Closed-form matrices against the propagator.
     closed_params = CavityParams(gamma1=4.0, gamma2=4.0, chi11=0.0, chi22=0.0, chi12=20.0)
-    for initial in (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
-                    WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8)):
-        got = np.asarray(prop(initial_density(initial), closed_params, times))
+    closed = (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
+              WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8))
+    for initial, got in zip(closed, np.asarray(prop(_stack(closed), closed_params, times))):
         want = closed_form_rho(initial, closed_params, times).matrix
         worst = float(np.max(np.abs(want - got)))
         record(f"closed_form/{initial_label(initial)}", worst <= 1e-10,
@@ -121,11 +127,6 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     gamma = 4.0
     quiet = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=0.0)
 
-    def curve_gap(initial, curve_fn):
-        states = prop(initial_density(initial), quiet, times)
-        c_ref, n_ref = curve_fn(times)
-        return float(np.max(np.abs([measures.concurrence(states) - c_ref, measures.negativity(states) - n_ref])))
-
     curve_cases = [
         ("bell_psi", BellPsi(+1), lambda t: analytics.bell_psi_curves(gamma, t)),
         ("bell_phi", BellPhi(+1), lambda t: analytics.bell_phi_curves(gamma, t)),
@@ -133,37 +134,31 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         ("werner_psi", WernerPsi(0.8, +1), lambda t: analytics.werner_psi_curves(gamma, 0.8, t)),
         ("werner_phi", WernerPhi(0.8, +1), lambda t: analytics.werner_phi_curves(gamma, 0.8, t)),
     ]
-    for name, initial, fn in curve_cases:
-        gap = curve_gap(initial, fn)
+    states = prop(_stack([initial for _, initial, _ in curve_cases]), quiet, times)
+    for (name, _, fn), c, n in zip(curve_cases, measures.concurrence(states), measures.negativity(states)):
+        c_ref, n_ref = fn(times)
+        gap = float(np.max(np.abs([c - c_ref, n - n_ref])))
         record(f"decay_curves/{name}", gap <= 1e-9, f"max curve gap {gap:.2e} (limit 1e-9)")
 
     lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi11=0.0, chi22=0.0, chi12=20.0)
-    worst = 0.0
-    for p in (0.4, 0.6, 0.8, 1.0):
-        rho0 = initial_density(WernerLike(p))
-        got = measures.concurrence(prop(rho0, lossless, times))
-        worst = max(worst, float(np.max(np.abs(got - analytics.werner_like_lossless_curve(p, 20.0, times)))))
+    weights = (0.4, 0.6, 0.8, 1.0)
+    got = measures.concurrence(prop(_stack([WernerLike(p) for p in weights]), lossless, times))
+    worst = float(np.max(np.abs(got - [analytics.werner_like_lossless_curve(p, 20.0, times) for p in weights])))
     record("decay_curves/werner_like_lossless", worst <= 1e-9,
            f"max curve gap {worst:.2e} (limit 1e-9)")
 
-    worst = 0.0
-    for p in (0.4, 0.6, 0.8, 1.0):
-        for kind, ctor in (("psi", WernerPsi(p, +1)), ("phi", WernerPhi(p, +1)), ("like", WernerLike(p))):
-            rho0 = initial_density(ctor)
-            start = max(0.0, (3.0 * p - 1.0) / 2.0)
-            worst = max(worst, abs(measures.concurrence(rho0) - start),
-                        abs(measures.negativity(rho0) - start))
+    werners = _stack([tag for p in weights for tag in (WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))])
+    start = np.repeat([max(0.0, (3.0 * p - 1.0) / 2.0) for p in weights], 3)
+    worst = float(np.max(np.abs([measures.concurrence(werners) - start, measures.negativity(werners) - start])))
     record("werner/initial_value", worst <= 1e-10,
            f"max gap to (3p-1)/2 at t=0: {worst:.2e} (limit 1e-10)")
 
-    # Algebraic properties of the measures on the seeded corpus: the states
-    # are drawn one by one, in a fixed order, into one array filled in place
-    # (a list of small arrays would hold a thousand heap objects at once),
-    # and measured as one stack.
+    # Algebraic properties of the measures on seeded corpora, each drawn in a fixed order into one
+    # array filled in place (not a list of a thousand small arrays), then checked and measured at once.
     n_corpus = 1000 if full else 200
     corpus = np.empty((n_corpus, 4, 4), dtype=complex)
     for k in range(n_corpus):
-        corpus[k] = random_density_matrix(rng).matrix
+        corpus[k] = _random_density(rng)
     corpus = DensityMatrix2Q(corpus)
     worst = float(np.max(measures.negativity(corpus) - measures.concurrence(corpus)))
     record("measures/negativity_below_concurrence", worst <= 1e-9,
@@ -172,7 +167,8 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     corpus, cp = np.empty((n_corpus, 4, 4), dtype=complex), np.empty(n_corpus)
     for k in range(n_corpus):
         psi = random_pure_state(rng)
-        corpus[k], cp[k] = to_density(psi).matrix, measures.pure_concurrence(psi)
+        amps = psi.amplitudes()
+        corpus[k], cp[k] = np.outer(amps, amps.conj()), measures.pure_concurrence(psi)
     corpus = DensityMatrix2Q(corpus)
     worst = float(np.max(np.abs([measures.concurrence(corpus) - cp, measures.negativity(corpus) - cp])))
     record("measures/pure_state_coincidence", worst <= 1e-9,
@@ -180,7 +176,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     corpus, rotated = np.empty((2, 200 if full else 50, 4, 4), dtype=complex)
     for k in range(len(corpus)):
-        corpus[k] = random_density_matrix(rng).matrix
+        corpus[k] = _random_density(rng)
         u = np.kron(linalg.haar_unitary(2, rng), linalg.haar_unitary(2, rng))
         rotated[k] = u @ corpus[k] @ u.conj().T
     corpus, rotated = DensityMatrix2Q(corpus), DensityMatrix2Q(rotated)
@@ -206,27 +202,22 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
            f"at gamma*t = 0.5: C {c_psi:.5f} > {c_phi:.5f} while N {n_psi:.5f} < {n_phi:.5f}")
 
     # Propagator semigroup property and long-time limit.
-    worst = 0.0
-    rho0 = initial_density(BellLike())
-    for t1, t2 in ((0.05, 0.1), (0.2, 0.3)):
-        first_leg, one_leg = np.asarray(prop(rho0, params, np.array([t1, t1 + t2])))
-        two_leg = np.asarray(prop(first_leg, params, np.array([t2])))[0]
-        worst = max(worst, float(np.max(np.abs(two_leg - one_leg))))
+    # for (t1, t2) = (0.05, 0.1) and (0.2, 0.3): t1 + t2 in one leg against t2 after t1
+    rho0 = _stack([BellLike()])
+    legs = np.asarray(prop(rho0, params, np.array([0.05, 0.2, 0.05 + 0.1, 0.2 + 0.3])))[0]
+    two_legs = np.asarray(prop(legs[:2], params, np.array([0.1, 0.3])))[[0, 1], [0, 1]]
+    worst = float(np.max(np.abs(two_legs - legs[2:])))
     record("propagator/semigroup", worst <= 1e-10, f"max composition gap {worst:.2e}")
 
-    vac = np.zeros((4, 4), dtype=complex)
-    vac[0, 0] = 1.0
+    vac = np.diag([1.0, 0.0, 0.0, 0.0])
     # coherences decay at gamma/2, so gamma*t = 60 puts them below e^-30
-    t_late = 60.0 / gamma
-    late = np.array([t_late])
-    gap = max(
-        linalg.trace_distance(np.asarray(prop(initial_density(BellPhi(+1)), quiet, late))[0], vac),
-        linalg.trace_distance(np.asarray(prop(random_density_matrix(rng), quiet, late))[0], vac),
-    )
+    late = np.array([60.0 / gamma])
+    ends = DensityMatrix2Q([initial_density(BellPhi(+1)).matrix, _random_density(rng)])
+    gap = float(np.max(linalg.trace_distance(np.asarray(prop(ends, quiet, late))[:, 0], [vac, vac])))
     record("propagator/vacuum_limit", gap <= 1e-10, f"distance to vacuum at gamma*t = 60: {gap:.2e}")
 
-    purity = [np.trace(rho @ rho).real for rho in np.asarray(prop(rho0, lossless, times))]
-    worst = float(np.max(np.abs(np.array(purity) - 1.0)))
+    states = np.asarray(prop(rho0, lossless, times))
+    worst = float(np.max(np.abs(np.trace(states @ states, axis1=-2, axis2=-1).real - 1.0)))
     record("propagator/lossless_purity", worst <= 1e-10,
            f"max purity loss without damping: {worst:.2e}")
 
@@ -234,14 +225,14 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         # Envelope fidelity at strong coupling, against measured revival peaks.
         strong = CavityParams(gamma1=4.0, gamma2=4.0, chi11=0.0, chi22=0.0, chi12=400.0)
         revs = analytics.revival_times(400.0, 5)
-        rho_like = initial_density(BellLike())
+        envelope_weights = (0.6, 0.8, 1.0)
 
-        # compare curve and envelope at the nominal revival times
-        states = prop(rho_like, strong, revs)
-        c_t, n_t = measures.concurrence(states), measures.negativity(states)
+        # compare curves and envelopes at the nominal revival times, Bell-like state first
+        states = prop(_stack([BellLike(), *(WernerLike(p) for p in envelope_weights)]), strong, revs)
+        c_all, n_t = measures.concurrence(states), measures.negativity(states)[0]
         dev_main = np.abs(n_t - analytics.negativity_envelope(4.0, revs))
         dev_simple = np.abs(n_t - analytics.negativity_envelope(4.0, revs, simple=True))
-        worst_c = float(np.max(np.abs(c_t - analytics.concurrence_envelope(4.0, revs))))
+        worst_c = float(np.max(np.abs(c_all[0] - analytics.concurrence_envelope(4.0, revs))))
         worst_n = float(np.max(dev_main))
         worst_simple_margin = float(np.min(dev_simple - dev_main))
         record("envelope/concurrence_peaks", worst_c <= 2e-3,
@@ -251,15 +242,13 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         record("envelope/simple_form_less_accurate", worst_simple_margin > 0,
                f"smallest accuracy margin of the full form: {worst_simple_margin:.2e}")
 
-        worst = 0.0
-        for p in (0.6, 0.8, 1.0):
-            peaks = measures.concurrence(prop(initial_density(WernerLike(p)), strong, revs))
-            worst = max(worst, float(np.max(np.abs(peaks - analytics.werner_concurrence_envelope(4.0, p, revs)))))
+        worst = float(np.max(np.abs(c_all[1:] - [analytics.werner_concurrence_envelope(4.0, p, revs)
+                                                  for p in envelope_weights])))
         record("envelope/werner_concurrence_peaks", worst <= 2e-3,
                f"worst revival-time gap {worst:.2e} (limit 2e-3)")
 
         # Revival-time comparisons of the Werner-like curves.
-        for p in (0.6, 0.8, 1.0):
+        for p in envelope_weights:
             rep = analytics.check_ordering_inequalities(4.0, 20.0, chain_grid, p=p)
             ok = bool(np.all(rep.revival_concurrence_ok)) and bool(np.all(rep.revival_negativity_ok))
             record(f"ordering/revival_comparisons_p{p:g}", ok,

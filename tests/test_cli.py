@@ -1,3 +1,4 @@
+import collections
 import dataclasses
 import hashlib
 import importlib.util
@@ -16,7 +17,7 @@ from kerrdeco import cli, measures, states, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_simulate, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
 from kerrdeco.states import (
-    _FAMILIES, BellPsi, WernerLike, parse_initial, random_density_matrix, random_pure_state,
+    _FAMILIES, BellPsi, PureState2Q, WernerLike, parse_initial, random_density_matrix, random_pure_state,
 )
 
 BELL_DOC = {
@@ -606,6 +607,15 @@ class TestVerify:
         assert captured.out == ""
         assert "KERRDECO_SEED must be a whole number, got 'abc'" in captured.err
 
+    def test_negative_seed_names_the_variable(self, capsys, monkeypatch):
+        monkeypatch.setenv("KERRDECO_SEED", "-1")
+        assert main(["verify", "fast"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "KERRDECO_SEED must be nonnegative, got -1" in captured.err
+        monkeypatch.setenv("KERRDECO_SEED", "0")
+        assert verify.corpus_seed() == 0
+
     def test_bad_seed_stops_the_acceptance_tests_naming_the_variable(self, monkeypatch):
         monkeypatch.setenv("KERRDECO_SEED", "abc")
         path = Path(__file__).with_name("test_acceptance.py")
@@ -633,8 +643,23 @@ class TestVerify:
         results = verify.run_checks("full")
         assert len(results) == 42
         assert [r.name for r in results if not r.passed] == []
-        # one call for every family per parameter set: the base set and the 12 of the sweep
-        assert oracle_calls == [(10, 4, 4)] * 13
+        # one call for every family per parameter set: the base set, then the 11
+        # other points of the 12-point sweep, whose (gamma 4, chi 7/7/20) point
+        # is the base set itself and reuses its gaps
+        assert oracle_calls == [(10, 4, 4)] * 12
+
+    def test_the_propagator_receives_stacks_one_call_per_check(self):
+        shapes = []
+
+        def recording(rho0, params, t):
+            shapes.append(np.shape(rho0))
+            return propagate(rho0, params, t)
+        verify.run_checks("full", propagator=recording)
+        # 12 oracle comparisons, then closed forms, decay curves, lossless curves,
+        # two semigroup legs, vacuum limit, lossless purity and revival peaks
+        assert shapes[:12] == [(10, 4, 4)] * 12
+        assert shapes[12:] == [(7, 4, 4), (5, 4, 4), (4, 4, 4), (1, 4, 4), (2, 4, 4),
+                               (2, 4, 4), (1, 4, 4), (4, 4, 4)]
 
     def test_fast_makes_one_oracle_call(self, oracle_calls):
         verify.run_checks("fast")
@@ -689,6 +714,33 @@ class TestValidationCount:
                "outputs": ["concurrence", "negativity"]}
         run_simulate(parse_scenario(doc), io.StringIO())
         assert checked == [1, 401]
+
+    @pytest.mark.parametrize("level, n_corpus, n_rotated", [("fast", 200, 50), ("full", 1000, 200)])
+    def test_verify_checks_each_corpus_state_once(self, monkeypatch, level, n_corpus, n_rotated):
+        seen = collections.Counter()
+        check = states._check_density
+
+        def counting(m, stack):
+            seen.update(rho.tobytes() for rho in m)
+            check(m, stack)
+        monkeypatch.setattr(states, "_check_density", counting)
+        drawn = []
+
+        def recording(draw):
+            def wrapper(*args):
+                drawn.append(draw(*args))
+                return drawn[-1]
+            return wrapper
+        for name in ("_random_density", "random_pure_state"):
+            monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
+        verify.run_checks(level)
+        # the mixed and local-unitary corpora and the vacuum-limit state, then
+        # the pure corpus, drawn after the custom_pure family member
+        mixed = [x for x in drawn if not isinstance(x, PureState2Q)]
+        pure = [x for x in drawn if isinstance(x, PureState2Q)][1:]
+        assert (len(mixed), len(pure)) == (n_corpus + n_rotated + 1, n_corpus)
+        rhos = mixed + [np.outer(a, a.conj()) for a in (psi.amplitudes() for psi in pure)]
+        assert [seen[rho.tobytes()] for rho in rhos] == [1] * len(rhos)
 
 
 class TestUsage:

@@ -144,10 +144,25 @@ class TestPropagate:
             assert rho.tobytes() == propagate(rho0, QUIET, float(t)).matrix.tobytes()
         assert propagate(rho0, QUIET, np.array([])).matrix.shape == (0, 4, 4)
 
-    def test_rejects_a_stack_as_the_initial_state(self, rng):
+    @pytest.mark.parametrize("t", [0.3, np.array([0.3, 0.0, 0.7, 7.5])])
+    def test_a_stack_of_initial_states_equals_one_call_per_state_bit_for_bit(self, rng, t):
+        params = CavityParams(gamma1=4.0, gamma2=2.5, chi11=-7.0, chi22=5.0, chi12=20.0)
+        rho0s = np.array([random_density_matrix(rng).matrix for _ in range(3)])
+        stack = propagate(rho0s, params, t)
+        assert isinstance(stack, DensityMatrix2Q)
+        assert stack.matrix.shape == (3, *np.shape(t), 4, 4)
+        for rho0, got in zip(rho0s, stack.matrix):
+            assert got.tobytes() == propagate(rho0, params, t).matrix.tobytes()
+        assert propagate(rho0s[:0], params, t).matrix.shape == (0, *np.shape(t), 4, 4)
+
+    def test_rejects_an_initial_state_of_the_wrong_shape(self, rng):
         stack = propagate(random_density_matrix(rng), QUIET, np.array([0.1, 0.2]))
-        with pytest.raises(ValueError, match=r"rho0 must be one 4x4 density matrix, got shape \(2, 4, 4\)"):
-            propagate(stack, QUIET, 0.1)
+        both = np.array([stack.matrix, stack.matrix])
+        want = r"rho0 must be one 4x4 density matrix or a \(B, 4, 4\) stack, got shape \(2, 2, 4, 4\)"
+        with pytest.raises(ValueError, match=want):
+            propagate(both, QUIET, 0.1)
+        with pytest.raises(ValueError, match=r"got shape \(2, 3, 3\)"):
+            propagate(np.ones((2, 3, 3)) / 3.0, QUIET, 0.1)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -0.1])
     def test_names_the_first_bad_time_of_an_array(self, bad):

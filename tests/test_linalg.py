@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -170,11 +172,28 @@ class TestTraceDistance:
         with pytest.raises(ValueError):
             linalg.trace_distance(bad, np.eye(2))
 
-    def test_rejects_stacks_and_mismatched_sizes(self):
-        with pytest.raises(ValueError, match="two matrices of one size"):
-            linalg.trace_distance(np.stack([np.eye(4)] * 2) / 4.0, np.stack([np.eye(4)] * 2) / 4.0)
-        with pytest.raises(ValueError, match="two matrices of one size"):
-            linalg.trace_distance(np.eye(4) / 4.0, np.eye(2) / 2.0)
+    def test_a_stack_of_pairs_equals_one_call_per_pair_bit_for_bit(self, rng):
+        a = np.array([[random_density_matrix(rng).matrix for _ in range(4)] for _ in range(3)])
+        b = np.array([[random_density_matrix(rng).matrix for _ in range(4)] for _ in range(3)])
+        got = linalg.trace_distance(a, b)
+        assert got.shape == (3, 4) and got.dtype == np.float64
+        want = np.array([[linalg.trace_distance(x, y) for x, y in zip(row_a, row_b)] for row_a, row_b in zip(a, b)])
+        assert got.tobytes() == want.tobytes()
+        assert type(linalg.trace_distance(a[0, 0], b[0, 0])) is float
+
+    def test_a_stack_is_held_to_the_hermiticity_check(self, rng):
+        a = np.array([random_density_matrix(rng).matrix for _ in range(3)])
+        b = a.copy()
+        b[2, 0, 1] += 1e-9
+        with pytest.raises(ValueError, match="second argument is not hermitian"):
+            linalg.trace_distance(a, b)
+
+    def test_rejects_mismatched_shapes_naming_them(self):
+        one, two, three = (np.stack([np.eye(4)] * k) / 4.0 for k in (1, 2, 3))
+        for a, b in ((one[0], np.eye(2) / 2.0), (two, one[0]), (two, three)):
+            want = f"expected two matrices or stacks of one shape, got {a.shape} and {b.shape}"
+            with pytest.raises(ValueError, match=re.escape(want)):
+                linalg.trace_distance(a, b)
 
 
 class TestHaarUnitary:

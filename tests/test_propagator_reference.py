@@ -98,6 +98,18 @@ def test_every_family_matches_the_scalar_reference_bit_for_bit(name):
             assert one.matrix.tobytes() == ref[k].tobytes(), (initial, TIMES[k])
 
 
+@pytest.mark.parametrize("name", PARAMS)
+def test_a_stack_of_every_family_matches_the_scalar_reference_bit_for_bit(name):
+    prm = PARAMS[name]
+    srcs = np.array([initial_density(initial).matrix for initial in _families()])
+    ref = np.array([[_ref_propagate(src, prm, float(t)) for t in TIMES] for src in srcs])
+    stack = propagate(srcs, CavityParams(*prm), TIMES).matrix
+    assert stack.shape == (len(srcs), len(TIMES), 4, 4)
+    assert stack.tobytes() == ref.tobytes()
+    one_time = propagate(srcs, CavityParams(*prm), float(TIMES[-1])).matrix
+    assert one_time.tobytes() == ref[:, -1].tobytes()
+
+
 def test_trajectory_matches_the_scalar_reference_bit_for_bit():
     prm = PARAMS["unequal_rates_negative_self_kerr"]
     traj = trajectory(WernerLike(0.6), CavityParams(*prm), 1.0, 101)

@@ -123,9 +123,17 @@ class TestDensityStack:
         with pytest.raises(ValueError, match="^state 2: density matrix has negative eigenvalue"):
             DensityMatrix2Q(raw)
 
+    def test_a_stack_of_stacks_names_a_bad_state_by_its_index_tuple(self):
+        raw = self._stack(6).reshape(2, 3, 4, 4)
+        out = DensityMatrix2Q(raw).matrix
+        assert out.shape == (2, 3, 4, 4) and out.tobytes() == raw.tobytes()
+        raw[1, 2] = np.diag([0.7, 0.5, -0.1, -0.1])
+        with pytest.raises(ValueError, match=r"^state \(1, 2\): density matrix has negative eigenvalue"):
+            DensityMatrix2Q(raw)
+
     def test_rejects_a_stack_of_the_wrong_shape(self):
-        with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
-            DensityMatrix2Q(np.ones((2, 2, 4, 4)) / 4.0)
+        with pytest.raises(ValueError, match=r"\(\.\.\., 4, 4\) stack, got shape \(2, 2, 3, 3\)"):
+            DensityMatrix2Q(np.ones((2, 2, 3, 3)) / 3.0)
         with pytest.raises(ValueError, match=r"\(N, 4, 4\)"):
             DensityMatrix2Q(np.ones((2, 3, 3)) / 3.0)
         with pytest.raises(ValueError, match=r"\(N, 4, 4\) stack"):
