@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .evolution import CavityParams, _checked_times, propagate
-from .states import PureState2Q, WernerLike, _check_weight, initial_density
+from .states import PureState2Q, WernerLike, _check_weight, _check_whole, initial_density
 
 __all__ = [
     "CurvePoint",
@@ -41,6 +41,9 @@ __all__ = [
 ]
 
 _RADICAND_SLACK = -1e-9
+# roundoff allowed in the ordering chains, and how many revivals they compare
+_ORDERING_SLACK = 1e-9
+_REVIVAL_COUNT = 5
 
 
 class CurvePoint(NamedTuple):
@@ -218,6 +221,8 @@ def numeric_envelope(curve: Sequence) -> list:
         raise ValueError("need at least two samples")
     ts = np.array([p.t for p in pts])
     vs = np.array([p.value for p in pts])
+    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
+        raise ValueError("sample times and values must be finite")
     if np.any(np.diff(ts) <= 0):
         raise ValueError("sample times must be strictly increasing")
 
@@ -244,8 +249,9 @@ def numeric_envelope(curve: Sequence) -> list:
 
 def revival_times(chi12: float, count: int) -> np.ndarray:
     """The first ``count`` revival times n*pi/chi12 of the coupled oscillation."""
-    if chi12 <= 0:
-        raise ValueError(f"chi12 must be positive, got {chi12}")
+    if not 0 < chi12 < math.inf:
+        raise ValueError(f"chi12 must be positive and finite, got {chi12}")
+    _check_whole(count, "count")
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     return np.arange(1, count + 1) * math.pi / chi12
@@ -291,18 +297,17 @@ class OrderingReport:
 
 
 def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
-                                p: Optional[float] = None,
-                                slack: float = 1e-9,
-                                revival_count: int = 5) -> OrderingReport:
+                                p: Optional[float] = None) -> OrderingReport:
     """Evaluate the decay-ordering chains on a time grid.
 
     The chain verdicts compare the closed-form curves pointwise, allowing
-    ``slack`` for roundoff (equalities at t = 0 or gamma = 0 count as
-    holding). When a Werner weight ``p`` is given and chi12 > 0, the
-    revival-time comparisons are evaluated from actual propagated states:
-    the local peak of the coupled Werner-like measure near each revival
-    must not fall below the uncoupled curve at that revival.
+    1e-9 for roundoff (equalities at t = 0 or gamma = 0 count as holding).
+    When a Werner weight ``p`` is given and chi12 > 0, the revival-time
+    comparisons at the first five revivals are evaluated from actual
+    propagated states: the local peak of the coupled Werner-like measure
+    near each revival must not fall below the uncoupled curve at that revival.
     """
+    slack = _ORDERING_SLACK
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     c_psi, n_psi = bell_psi_curves(gamma, ts)
     c_phi, n_phi = bell_phi_curves(gamma, ts)
@@ -323,7 +328,7 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
     revs = rev_c = rev_n = None
     if p is not None and chi12 > 0:
         rho0 = initial_density(WernerLike(p))
-        revs = revival_times(chi12, revival_count)
+        revs = revival_times(chi12, _REVIVAL_COUNT)
         params_on = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=chi12)
         params_off = CavityParams(gamma1=gamma, gamma2=gamma, chi11=0.0, chi22=0.0, chi12=0.0)
         halfwidth = 0.05 * (math.pi / chi12)
@@ -358,11 +363,15 @@ class EitParams:
     n_at: int
 
     def __post_init__(self):
-        if self.omega_c <= 0:
-            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
-        if self.delta_omega2 == 0:
-            raise ValueError("delta_omega2 must be nonzero")
-        if self.n_at < 1:
+        # each comparison is written so that NaN fails it
+        for name in ("g13", "g24"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
+        if not 0 < self.omega_c < math.inf:
+            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
+        if not (self.delta_omega2 != 0 and math.isfinite(self.delta_omega2)):
+            raise ValueError(f"delta_omega2 must be nonzero and finite, got {self.delta_omega2}")
+        if not self.n_at >= 1:
             raise ValueError(f"n_at must be at least 1, got {self.n_at}")
 
 

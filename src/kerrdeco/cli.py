@@ -58,11 +58,10 @@ class Scenario:
     engine: str = "analytic"
     outputs: tuple = _MEASURE_OUTPUTS
     fock_dim: int = 2
-    step: Optional[float] = None
 
     def __post_init__(self):
         validate_run(self.initial, self.params, self.t_max, self.n_points,
-                     self.engine, self.fock_dim, self.step)
+                     self.engine, self.fock_dim)
         outs = tuple(self.outputs)
         if not outs:
             raise ValueError("outputs must name at least one column set")
@@ -98,8 +97,6 @@ def parse_scenario(doc: dict) -> Scenario:
     for f in fields(Scenario):
         if f.name in doc and type(f.default) in (int, float):
             kwargs[f.name] = _read(doc[f.name], f.name, type(f.default))
-    if doc.get("step") is not None:
-        kwargs["step"] = _read(doc["step"], "step")
     if "engine" in doc:
         kwargs["engine"] = str(doc["engine"])
     if "outputs" in doc:
@@ -141,8 +138,7 @@ def _output_header(wanted: Sequence[str]) -> list:
 def _table(scenario: Scenario) -> np.ndarray:
     """Evolve and measure the scenario: one row per grid time, the time column first."""
     traj = trajectory(scenario.initial, scenario.params, scenario.t_max,
-                      scenario.n_points, scenario.engine, scenario.fock_dim,
-                      scenario.step)
+                      scenario.n_points, scenario.engine, scenario.fock_dim)
     cols = [traj.times]
     c = n = None
     for name in scenario.outputs:

@@ -8,9 +8,10 @@ CPython forms it, so every matrix equals the scalar arithmetic bit for bit; it
 returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
 ``integrate_master_grid`` integrates the full master equation over a time
 grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
-it also covers thermal reservoirs. The generator conserves each mode's
-coherence order ``m_j - n_j``, so the oracle evolves only the entries within
-the orders the initial state occupies; every other entry stays exactly zero.
+it also covers thermal reservoirs. The step is not an option: ``_default_step``
+derives it from the rates and ``fock_dim``. The generator conserves each
+mode's coherence order ``m_j - n_j``, so the oracle evolves only the entries
+within the orders the initial state occupies; every other entry stays exactly zero.
 It takes one initial matrix or a stack of them, evolved together in one
 step loop, and returns an (N, d, d) array of snapshots, (B, N, d, d) for a
 stack of B.
@@ -29,7 +30,7 @@ import numpy as np
 
 from .states import (
     BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, _as_density, initial_density, initial_label,
+    WernerLike, WernerPhi, WernerPsi, _as_density, _check_whole, initial_density, initial_label,
 )
 
 __all__ = [
@@ -42,7 +43,6 @@ __all__ = [
     "closed_form_reason",
     "trajectory",
     "validate_run",
-    "default_step",
 ]
 
 # Below this value of |x*t| the pump factor switches to its series form,
@@ -92,9 +92,7 @@ class Trajectory:
 
     ``states.matrix[k]`` is the density matrix at ``times[k]``. A raw (N, 4, 4)
     array (from the oracle engine) is checked here, once; a ``DensityMatrix2Q``
-    (from ``propagate`` or ``closed_form_rho``) passes through. ``approximate`` is
-    set when the states were projected out of a larger Fock space (thermal
-    oracle runs) and renormalized.
+    (from ``propagate`` or ``closed_form_rho``) passes through.
     """
 
     times: np.ndarray
@@ -102,7 +100,6 @@ class Trajectory:
     params: CavityParams
     initial: InitialState
     engine: str
-    approximate: bool = False
 
     def __post_init__(self):
         t = _time_grid(self.times)
@@ -112,6 +109,11 @@ class Trajectory:
         t.flags.writeable = False
         object.__setattr__(self, "times", t)
         object.__setattr__(self, "states", states)
+
+    @property
+    def approximate(self) -> bool:
+        """True for thermal runs: their states were projected out of a larger Fock space and renormalized."""
+        return not self.params.quiet
 
 
 def _checked_times(t) -> np.ndarray:
@@ -326,21 +328,17 @@ def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray) -> np.nd
     return lmat
 
 
-def default_step(params: CavityParams, fock_dim: int) -> float:
-    """Integration step keeping phase truncation error well under 1e-8 per run.
+def _default_step(params: CavityParams, fock_dim: int) -> float:
+    """The RK4 step: phase truncation error well under 1e-8 per run, and stable.
 
-    Also clamped so the stability guard in ``integrate_master_grid`` can
-    never reject the default.
+    The step times the stability scale, the fastest damping plus
+    2 * (strongest Kerr coupling) * fock_dim**2, stays below ``_STABILITY_LIMIT``.
     """
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
     accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 2.0 * chi_sum * fock_dim + 1.0)
-    return min(accuracy, _STABILITY_LIMIT / (_rate_scale(params, fock_dim) + 1.0))
-
-
-def _rate_scale(params: CavityParams, fock_dim: int) -> float:
-    """The RK4 stability scale: the fastest damping plus 2 * (strongest Kerr coupling) * fock_dim**2."""
     chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
-    return max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
+    scale = max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
+    return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
 
 
 def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
@@ -354,17 +352,6 @@ def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
         term = term @ hl / k
         m = m + term
     return m
-
-
-def _check_step(params: CavityParams, fock_dim: int, step: float) -> None:
-    if not 0 < step < math.inf:
-        raise ValueError(f"step must be positive and finite, got {step}")
-    scale = _rate_scale(params, fock_dim)
-    if scale * step > _STABILITY_LIMIT:
-        raise ValueError(
-            f"step {step:g} too large for rate scale {scale:g} (product {scale * step:.3g} > {_STABILITY_LIMIT});"
-            " reduce the step or leave it unset"
-        )
 
 
 def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -384,7 +371,7 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
-                          fock_dim: int = 2, step: Optional[float] = None) -> np.ndarray:
+                          fock_dim: int = 2) -> np.ndarray:
     """Integrate the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
     Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
@@ -405,8 +392,6 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         Times in us: 1-d, strictly increasing, finite and nonnegative.
     fock_dim : int
         Per-mode truncation, at least 2; thermal runs need headroom above the qubit subspace.
-    step : float, optional
-        RK4 step, ``default_step`` if unset; a step past the stability guard is rejected.
 
     Returns
     -------
@@ -426,10 +411,9 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
     grid = _time_grid(times)
-    if step is None:
-        step = default_step(params, fock_dim)
-    _check_step(params, fock_dim, step)
-
+    step = _default_step(params, fock_dim)
+    if not step > 0:
+        raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: its RK4 step underflows to 0")
     keep = _kept_indices(rho, fock_dim)
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
     kept = _rk4_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0),
@@ -588,19 +572,19 @@ _ENGINES = ("analytic", "oracle", "closed_form")
 
 
 def validate_run(initial: InitialState, params: CavityParams, t_max: float,
-                 n_points: int, engine: str = "analytic", fock_dim: int = 2,
-                 step: Optional[float] = None) -> None:
+                 n_points: int, engine: str = "analytic", fock_dim: int = 2) -> None:
     """Raise ValueError, naming the field, unless ``trajectory`` accepts this request."""
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _check_whole(n_points, "n_points")
+    _check_whole(fock_dim, "fock_dim")
     if n_points < 2:
         raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if fock_dim > _MAX_FOCK_DIM:
-        raise ValueError(f"fock_dim must be at most {_MAX_FOCK_DIM}, got {fock_dim}")
-    if step is not None:
-        _check_step(params, fock_dim, step)
+    if not 2 <= fock_dim <= _MAX_FOCK_DIM:
+        bound = "at least 2" if fock_dim < 2 else f"at most {_MAX_FOCK_DIM}"
+        raise ValueError(f"fock_dim must be {bound}, got {fock_dim}")
     if engine == "closed_form":
         reason = closed_form_reason(initial, params)
         if reason is not None:
@@ -608,15 +592,12 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     elif engine == "analytic":
         if not params.quiet:
             raise ValueError(_NEEDS_QUIET)
-    elif fock_dim < 2:
-        raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,
-               n_points: int, engine: str = "analytic", fock_dim: int = 2,
-               step: Optional[float] = None) -> Trajectory:
+               n_points: int, engine: str = "analytic", fock_dim: int = 2) -> Trajectory:
     """Evolve an initial state on a uniform grid of n_points times in [0, t_max].
 
     Engines: "analytic" uses the damped propagator, "oracle" the RK4
@@ -625,7 +606,7 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     resulting qubit states are projections and are marked approximate.
     The request is checked by ``validate_run`` before any work is done.
     """
-    validate_run(initial, params, t_max, n_points, engine, fock_dim, step)
+    validate_run(initial, params, t_max, n_points, engine, fock_dim)
     times = np.linspace(0.0, t_max, n_points)
     rho0 = initial_density(initial)
     if engine == "analytic":
@@ -633,9 +614,9 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     elif engine == "closed_form":
         states = closed_form_rho(initial, params, times)
     else:
-        raw = integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim, step)
+        raw = integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim)
         states = _extract_qubits(raw, fock_dim)
-    return Trajectory(times, states, params, initial, engine, approximate=not params.quiet)
+    return Trajectory(times, states, params, initial, engine)
 
 
 def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:

@@ -39,8 +39,10 @@ def _square(a) -> np.ndarray:
 
 
 def _check_hermitian(m: np.ndarray, tol: float, what: str) -> None:
+    if not np.isfinite(m).all():
+        raise ValueError(f"{what} has non-finite entries")
     dev = float(np.max(np.abs(m - m.conj().swapaxes(-1, -2)), initial=0.0))
-    if dev > tol:
+    if not dev <= tol:
         raise ValueError(f"{what} is not hermitian (max deviation {dev:.3e} > {tol:g})")
 
 
@@ -55,14 +57,14 @@ def partial_transpose_first(rho) -> np.ndarray:
     return rho.reshape(*rho.shape[:-2], 2, 2, 2, 2).swapaxes(-4, -2).reshape(rho.shape)
 
 
-def hermitian_eigenvalues(h, tol: float = HERMITIAN_TOL) -> np.ndarray:
+def hermitian_eigenvalues(h) -> np.ndarray:
     """Real eigenvalues of a hermitian matrix, ascending, or of each matrix in a stack.
 
-    Raises ValueError if the input deviates from hermiticity by more
-    than ``tol`` in any entry.
+    Raises ValueError if an entry is not finite or the input deviates from
+    hermiticity by more than ``HERMITIAN_TOL`` in any entry.
     """
     h = _square(h)
-    _check_hermitian(h, tol, "input")
+    _check_hermitian(h, HERMITIAN_TOL, "input")
     return np.linalg.eigvalsh(h)
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import operator
 from dataclasses import dataclass, fields
 from typing import Union
 
@@ -264,11 +265,8 @@ def bell_phi(sign=+1) -> PureState2Q:
     return PureState2Q(_SQRT_HALF, 0.0, 0.0, s * _SQRT_HALF)
 
 
-def bell_like(sign=None) -> PureState2Q:
-    """(|00> + |01> + |10> - |11>)/2, maximally entangled but not a Bell state.
-
-    The sign argument is accepted for interface symmetry and ignored.
-    """
+def bell_like() -> PureState2Q:
+    """(|00> + |01> + |10> - |11>)/2, maximally entangled but not a Bell state."""
     return PureState2Q(0.5, 0.5, 0.5, -0.5)
 
 
@@ -350,12 +348,16 @@ def initial_label(initial: InitialState) -> str:
 def _read(value, name: str, kind: type = float):
     """Read a JSON value as a float, a whole int or a complex number.
 
-    A value that is not one raises ValueError naming the field ``name``. A
-    complex number is written as a number or an [re, im] pair. Non-finite
-    floats pass; the field's own check names them.
+    A value that is not one, a JSON ``true``/``false`` included, raises
+    ValueError naming the field ``name``. A complex number is written as a
+    number or an [re, im] pair. Non-finite floats pass; the field's own
+    check names them.
     """
     try:
-        if kind is complex and isinstance(value, (list, tuple)) and len(value) == 2:
+        pair = kind is complex and isinstance(value, (list, tuple)) and len(value) == 2
+        if any(isinstance(v, bool) for v in (value if pair else [value])):
+            raise TypeError
+        if pair:
             return complex(float(value[0]), float(value[1]))
         if kind is complex and not isinstance(value, (int, float)):
             raise TypeError
@@ -367,6 +369,14 @@ def _read(value, name: str, kind: type = float):
         what = {float: "a number", int: "a whole number",
                 complex: "a complex number, written as a number or [re, im]"}[kind]
         raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _check_whole(value, name: str) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (``operator.index`` takes it)."""
+    try:
+        operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be a whole number, got {value!r}") from None
 
 
 def _four(value, usage: str):

@@ -141,7 +141,7 @@ def test_05_ordering_chains_and_revival_comparisons():
     chains_ok = True
     revivals_ok = True
     for p in (0.6, 0.8, 1.0):
-        rep = check_ordering_inequalities(4.0, 20.0, grid, p=p, revival_count=5)
+        rep = check_ordering_inequalities(4.0, 20.0, grid, p=p)
         chains_ok = chains_ok and bool(np.all(rep.concurrence_chain_ok)) \
             and bool(np.all(rep.negativity_chain_ok))
         revivals_ok = revivals_ok and bool(np.all(rep.revival_concurrence_ok)) \

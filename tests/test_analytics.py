@@ -290,6 +290,15 @@ class TestNumericEnvelope:
         with pytest.raises(ValueError):
             numeric_envelope([(0.0, 1.0), (0.0, 2.0)])
 
+    @pytest.mark.parametrize("samples", [
+        [(0.0, math.nan), (0.5, math.nan), (1.0, math.nan)],
+        [(0.0, 1.0), (0.5, math.inf), (1.0, 0.5)],
+        [(0.0, 1.0), (math.nan, 0.8), (1.0, 0.5)],
+    ])
+    def test_rejects_non_finite_samples(self, samples):
+        with pytest.raises(ValueError, match="must be finite"):
+            numeric_envelope(samples)
+
     def test_curve_point_fields(self):
         pt = CurvePoint(0.5, 0.25)
         assert pt.t == 0.5 and pt.value == 0.25
@@ -305,11 +314,21 @@ class TestRevivalTimes:
         with pytest.raises(ValueError):
             revival_times(20.0, 0)
 
+    @pytest.mark.parametrize("chi12", [math.nan, math.inf])
+    def test_rejects_a_non_finite_coupling(self, chi12):
+        with pytest.raises(ValueError, match="chi12 must be positive and finite"):
+            revival_times(chi12, 3)
+
+    def test_rejects_a_fractional_count(self):
+        with pytest.raises(ValueError, match="count must be a whole number, got 2.5"):
+            revival_times(20.0, 2.5)
+
 
 class TestOrderingReport:
     def test_reference_point_holds_everything(self):
         grid = np.linspace(0.02, 1.0, 50)
         rep = check_ordering_inequalities(GAMMA, 20.0, grid, p=0.8)
+        assert np.array_equal(rep.revivals, revival_times(20.0, 5))
         assert np.all(rep.concurrence_chain_ok)
         assert np.all(rep.negativity_chain_ok)
         assert np.any(rep.measure_disagreement)
@@ -384,6 +403,12 @@ class TestCrossCoupling:
             EitParams(1.0, 1.0, 10.0, 0.0, 100)
         with pytest.raises(ValueError, match="n_at"):
             EitParams(1.0, 1.0, 10.0, 5.0, 0)
+
+    @pytest.mark.parametrize("field", ["g13", "g24", "omega_c", "delta_omega2", "n_at"])
+    def test_a_nan_field_is_named(self, field):
+        good = dict(g13=1.0, g24=1.0, omega_c=10.0, delta_omega2=5.0, n_at=100)
+        with pytest.raises(ValueError, match=field):
+            EitParams(**{**good, field: math.nan})
 
     def test_estimate_is_frozen(self):
         est = CrossCouplingEstimate(0.3, 1.0, False)

@@ -44,7 +44,7 @@ def trajectory_args(doc):
                 params=CavityParams(**doc.get("params", {})),
                 t_max=doc.get("t_max", 1.0), n_points=doc.get("n_points", 401),
                 engine=doc.get("engine", "analytic"),
-                fock_dim=doc.get("fock_dim", 2), step=doc.get("step"))
+                fock_dim=doc.get("fock_dim", 2))
 
 
 def scenario_inputs(seed):
@@ -84,28 +84,29 @@ SEED0_RUNS = [f"{family}-{engine}" for family in SEED0_INITIALS
               if not (engine == "closed_form" and family.startswith("custom"))] + ["sweep"]
 
 
-# one bad field per request, and a word the error message must contain
+# one bad field per request, and a word the error message must contain; each
+# case keeps its number as its id (6 to 9 were the cases of the removed step key)
 BAD_REQUESTS = [
-    ({"engine": "exact"}, "unknown engine"),
-    ({"t_max": 0.0}, "t_max"),
-    ({"t_max": -1.0}, "t_max"),
-    ({"t_max": math.nan}, "t_max"),
-    ({"t_max": math.inf}, "t_max"),
-    ({"n_points": 1}, "n_points"),
-    ({"step": 0.0, "engine": "oracle"}, "step"),
-    ({"step": math.nan, "engine": "oracle"}, "step"),
-    ({"step": math.nan}, "step"),
-    ({"step": 0.5, "engine": "oracle"}, "step"),
-    ({"params": {"nbar1": 0.2}}, "quiet"),
-    ({"params": {"nbar1": 0.2}, "engine": "oracle"}, "fock_dim"),
-    ({"engine": "oracle", "fock_dim": 1}, "fock_dim"),
-    ({"params": {"nbar2": 0.1}, "engine": "closed_form"}, "quiet"),
-    ({"params": {"gamma1": 1.0, "gamma2": 2.0}, "engine": "closed_form"}, "damping"),
-    ({"initial": {"family": "separable", "d": [1, 0, 1, 0]}, "engine": "closed_form"},
+    (0, {"engine": "exact"}, "unknown engine"),
+    (1, {"t_max": 0.0}, "t_max"),
+    (2, {"t_max": -1.0}, "t_max"),
+    (3, {"t_max": math.nan}, "t_max"),
+    (4, {"t_max": math.inf}, "t_max"),
+    (5, {"n_points": 1}, "n_points"),
+    (10, {"params": {"nbar1": 0.2}}, "quiet"),
+    (11, {"params": {"nbar1": 0.2}, "engine": "oracle"}, "fock_dim"),
+    (12, {"engine": "oracle", "fock_dim": 1}, "fock_dim"),
+    (13, {"params": {"nbar2": 0.1}, "engine": "closed_form"}, "quiet"),
+    (14, {"params": {"gamma1": 1.0, "gamma2": 2.0}, "engine": "closed_form"}, "damping"),
+    (15, {"initial": {"family": "separable", "d": [1, 0, 1, 0]}, "engine": "closed_form"},
      "no closed form"),
-    ({"initial": {"family": "plus_plus"}, "params": {"chi11": 1.0}, "engine": "closed_form"},
+    (16, {"initial": {"family": "plus_plus"}, "params": {"chi11": 1.0}, "engine": "closed_form"},
      "self-Kerr"),
-    ({"engine": "oracle", "fock_dim": 17}, "fock_dim"),
+    (17, {"engine": "oracle", "fock_dim": 17}, "fock_dim"),
+    (18, {"fock_dim": 0}, "fock_dim"),
+    (19, {"engine": "closed_form", "fock_dim": 1}, "fock_dim"),
+    (20, {"n_points": 3.5}, "n_points"),
+    (21, {"fock_dim": 2.5}, "fock_dim"),
 ]
 
 
@@ -113,7 +114,7 @@ class TestParseScenario:
     def test_defaults(self):
         s = parse_scenario({"initial": {"family": "bell_like"}})
         assert s.t_max == 1.0 and s.n_points == 401
-        assert s.engine == "analytic" and s.fock_dim == 2 and s.step is None
+        assert s.engine == "analytic" and s.fock_dim == 2
         assert s.outputs == ("concurrence", "negativity", "eof", "log_negativity")
         assert s.params == CavityParams()
 
@@ -123,16 +124,31 @@ class TestParseScenario:
             "params": {"gamma1": 1.0, "gamma2": 2.0, "chi11": 3.0, "chi22": 4.0, "chi12": 5.0},
             "t_max": 2.0, "n_points": 7, "engine": "oracle",
             "outputs": ["concurrence", "matrix_elements"],
-            "fock_dim": 3, "step": 0.001,
+            "fock_dim": 3,
         })
         assert s.initial.p == 0.8 and s.initial.sign == -1
         assert s.params.chi12 == 5.0 and s.engine == "oracle"
         assert s.outputs == ("concurrence", "matrix_elements")
-        assert s.fock_dim == 3 and s.step == 0.001
+        assert s.fock_dim == 3
 
-    def test_null_step_means_auto(self):
-        s = parse_scenario({"initial": {"family": "bell_like"}, "step": None})
-        assert s.step is None
+    @pytest.mark.parametrize("step", [0.001, None])
+    def test_step_is_not_a_scenario_key(self, step):
+        with pytest.raises(ValueError, match=r"^unknown scenario keys: \['step'\]$"):
+            parse_scenario({"initial": {"family": "bell_like"}, "engine": "oracle", "step": step})
+
+    @pytest.mark.parametrize("bad, field", [
+        ({"t_max": True}, "t_max"),
+        ({"n_points": True}, "n_points"),
+        ({"fock_dim": True}, "fock_dim"),
+        ({"params": {"gamma1": True}}, "gamma1"),
+        ({"params": {"chi12": False}}, "chi12"),
+        ({"initial": {"family": "werner_like", "p": True}}, "p"),
+        ({"initial": {"family": "separable", "d": [True, 0, 1, 0]}}, r"d\[0\]"),
+        ({"initial": {"family": "custom_pure", "amplitudes": [[1, False], 0, 0, 0]}}, r"amplitudes\[0\]"),
+    ])
+    def test_rejects_json_booleans_naming_the_field(self, bad, field):
+        with pytest.raises(ValueError, match=rf"^{field} must be a (whole |complex )?number"):
+            parse_scenario({"initial": {"family": "bell_like"}, **bad})
 
     def test_rejects_unknown_scenario_key(self):
         with pytest.raises(ValueError, match="unknown scenario keys"):
@@ -193,7 +209,8 @@ class TestParseScenario:
 
 
 class TestSharedValidation:
-    @pytest.mark.parametrize("bad, word", BAD_REQUESTS)
+    @pytest.mark.parametrize("bad, word", [pytest.param(bad, word, id=f"bad{i}-{word}")
+                                           for i, bad, word in BAD_REQUESTS])
     def test_scenario_and_trajectory_reject_alike(self, bad, word):
         doc = {"initial": {"family": "bell_like"}, **bad}
         with pytest.raises(ValueError, match=word) as via_scenario:
@@ -234,10 +251,17 @@ class TestSharedValidation:
         assert captured.out == ""
         assert field in captured.err
 
-    @pytest.mark.parametrize("step", ['"step": 0.001, ', ""])
-    def test_huge_fock_dim_names_the_field(self, tmp_path, capsys, step):
+    def test_a_step_key_fails_simulate_naming_it(self, tmp_path, capsys):
+        path = write_scenario(tmp_path, {"initial": {"family": "bell_like"}, "engine": "oracle", "step": 0.001})
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unknown scenario keys: ['step']" in captured.err
+
+    @pytest.mark.parametrize("params", ['"params": {"nbar1": 0.5}, ', ""])
+    def test_huge_fock_dim_names_the_field(self, tmp_path, capsys, params):
         path = tmp_path / "scen.json"
-        path.write_text('{"initial": {"family": "bell_like"}, "engine": "oracle", ' + step
+        path.write_text('{"initial": {"family": "bell_like"}, "engine": "oracle", ' + params
                         + '"fock_dim": 1' + "0" * 200 + "}", encoding="utf-8")
         assert main(["simulate", "--scenario", str(path)]) == 1
         captured = capsys.readouterr()

@@ -78,11 +78,20 @@ class TestHermitianEigenvalues:
         with pytest.raises(ValueError, match="hermitian"):
             linalg.hermitian_eigenvalues(np.stack([good, np.array([[0.0, 1.0], [0.0, 0.0]])]))
 
-    def test_tolerance_is_adjustable(self):
-        h = np.array([[1.0, 1e-11], [0.0, 1.0]])
-        with pytest.raises(ValueError):
-            linalg.hermitian_eigenvalues(h)
-        linalg.hermitian_eigenvalues(h, tol=1e-10)
+    def test_tolerance_is_hermitian_tol(self):
+        ok = np.array([[1.0, 0.5 * linalg.HERMITIAN_TOL], [0.0, 1.0]])
+        assert np.allclose(linalg.hermitian_eigenvalues(ok), [1.0, 1.0])
+        with pytest.raises(ValueError, match="1e-12"):
+            linalg.hermitian_eigenvalues(np.array([[1.0, 1e-11], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0.0, np.nan)])
+    def test_rejects_a_non_finite_entry(self, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="input has non-finite entries"):
+            linalg.hermitian_eigenvalues(m)
+        with pytest.raises(ValueError, match="input has non-finite entries"):
+            linalg.hermitian_eigenvalues(np.stack([np.eye(4) / 4.0, m]))
 
 
 class TestSpinFlipSpectrum:
@@ -171,6 +180,15 @@ class TestTraceDistance:
         bad = np.array([[0.0, 1.0], [0.0, 0.0]])
         with pytest.raises(ValueError):
             linalg.trace_distance(bad, np.eye(2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_a_non_finite_entry(self, bad):
+        m = np.eye(4, dtype=complex) / 4.0
+        m[0, 0] = bad
+        with pytest.raises(ValueError, match="first argument has non-finite entries"):
+            linalg.trace_distance(m, np.eye(4) / 4.0)
+        with pytest.raises(ValueError, match="second argument has non-finite entries"):
+            linalg.trace_distance(np.eye(4) / 4.0, m)
 
     def test_a_stack_of_pairs_equals_one_call_per_pair_bit_for_bit(self, rng):
         a = np.array([[random_density_matrix(rng).matrix for _ in range(4)] for _ in range(3)])

@@ -153,8 +153,7 @@ class TestConstructors:
         assert np.allclose(bell_phi("+").amplitudes(), [RT2, 0, 0, RT2])
         assert np.allclose(bell_phi("-").amplitudes(), [RT2, 0, 0, -RT2])
 
-    def test_bell_like_ignores_sign(self):
-        assert bell_like() == bell_like(-1)
+    def test_bell_like_amplitudes(self):
         assert np.allclose(bell_like().amplitudes(), [0.5, 0.5, 0.5, -0.5])
 
     def test_bad_sign_rejected(self):
