@@ -63,6 +63,7 @@ from .states import (
     bell_phi,
     bell_psi,
     initial_density,
+    initial_densities,
     parse_initial,
     separable,
     to_density,

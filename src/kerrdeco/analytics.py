@@ -371,6 +371,7 @@ class EitParams:
             raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
         if not (self.delta_omega2 != 0 and math.isfinite(self.delta_omega2)):
             raise ValueError(f"delta_omega2 must be nonzero and finite, got {self.delta_omega2}")
+        _check_whole(self.n_at, "n_at")
         if not self.n_at >= 1:
             raise ValueError(f"n_at must be at least 1, got {self.n_at}")
 

@@ -20,12 +20,10 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import analytics, measures, verify
-# propagate is unused here but stays reachable as cli.propagate, which the
-# benchmark's tracing test rebinds
-from .evolution import CavityParams, propagate, trajectory, validate_run  # noqa: F401
+from .evolution import CavityParams, propagate, trajectory, validate_run
 from .states import (
     BellLike, BellPhi, BellPsi, InitialState, WernerLike, WernerPhi, WernerPsi,
-    _read, initial_label, parse_initial,
+    _read, initial_densities, initial_label, parse_initial,
 )
 
 __all__ = ["Scenario", "parse_scenario", "load_scenario", "run_simulate",
@@ -144,10 +142,10 @@ def _table(scenario: Scenario) -> np.ndarray:
     for name in scenario.outputs:
         if name in ("concurrence", "eof"):
             c = measures.concurrence(traj.states) if c is None else c
-            cols.append(c if name == "concurrence" else [measures.eof(x) for x in c])
+            cols.append(c if name == "concurrence" else measures.eof(c))
         elif name in ("negativity", "log_negativity"):
             n = measures.negativity(traj.states) if n is None else n
-            cols.append(n if name == "negativity" else [measures.log_negativity(x) for x in n])
+            cols.append(n if name == "negativity" else measures.log_negativity(n))
         else:
             # (i, j, re/im) per row, the order of _MATRIX_COLUMNS
             cols.append(traj.states.matrix.view(float).reshape(len(traj.times), -1))
@@ -162,15 +160,10 @@ def run_simulate(scenario: Scenario, stream: TextIO) -> None:
 # ---------------------------------------------------------------------------
 # Figure reproduction.
 
-_FIG_T_MAX = 1.0
 _FIG_POINTS = 401
-_FIG_GRID = np.linspace(0.0, _FIG_T_MAX, _FIG_POINTS)
+_FIG_GRID = np.linspace(0.0, 1.0, _FIG_POINTS)
 _FIG_GAMMA = 4.0
 _FIG_CHI12 = 20.0
-
-
-def _measured_curve(initial, params: CavityParams, measure_fn) -> np.ndarray:
-    return measure_fn(trajectory(initial, params, _FIG_T_MAX, _FIG_POINTS).states)
 
 
 def _envelope(fig_id: str, p: Optional[float], curve_c: np.ndarray) -> np.ndarray:
@@ -195,6 +188,10 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     a leading p column. The negativity envelope of the Werner family has
     no closed form here, so fig4's curve_e interpolates the numeric
     envelope of curve_c.
+
+    The curves that share parameters share one ``propagate`` call and one
+    measure call: the coupled curve_c of every panel, then each panel's
+    uncoupled curves a, b and d.
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure {fig_id!r}, expected one of {_FIGURES}")
@@ -211,12 +208,12 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     coupled = CavityParams(gamma1=_FIG_GAMMA, gamma2=_FIG_GAMMA, chi11=0.0, chi22=0.0,
                            chi12=_FIG_CHI12)
     uncoupled = dataclasses.replace(coupled, chi12=0.0)
+    coupled_curves = measure_fn(propagate(initial_densities([like for *_, like in panels]),
+                                          coupled, _FIG_GRID))
     blocks = []
-    for p, psi, phi, like in panels:
-        curve_a = _measured_curve(psi, uncoupled, measure_fn)
-        curve_b = _measured_curve(phi, uncoupled, measure_fn)
-        curve_c = _measured_curve(like, coupled, measure_fn)
-        curve_d = _measured_curve(like, uncoupled, measure_fn)
+    for (p, psi, phi, like), curve_c in zip(panels, coupled_curves):
+        stack = initial_densities([psi, phi, like])
+        curve_a, curve_b, curve_d = measure_fn(propagate(stack, uncoupled, _FIG_GRID))
         curve_e = _envelope(fig_id, p, curve_c)
         lead = [] if p is None else [np.full(_FIG_POINTS, p)]
         blocks.append(np.column_stack(lead + [_FIG_GRID, curve_a, curve_b, curve_c, curve_d, curve_e]))

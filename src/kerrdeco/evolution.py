@@ -9,7 +9,8 @@ returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
 ``integrate_master_grid`` integrates the full master equation over a time
 grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
 it also covers thermal reservoirs. The step is not an option: ``_default_step``
-derives it from the rates and ``fock_dim``. The generator conserves each
+derives it from the rates and ``fock_dim``, and a run that would take more than
+``_MAX_RK4_STEPS`` steps is rejected before it starts. The generator conserves each
 mode's coherence order ``m_j - n_j``, so the oracle evolves only the entries
 within the orders the initial state occupies; every other entry stays exactly zero.
 It takes one initial matrix or a stack of them, evolved together in one
@@ -54,6 +55,11 @@ _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); therm
 
 # A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
 _MAX_FOCK_DIM = 16
+
+# The most RK4 steps an oracle run may take to its last time: 50x the largest
+# shipped run (thermal, fock_dim 5, t_max 1: about 20k). Stronger rates or a
+# longer run fail at the boundary instead of stepping for hours.
+_MAX_RK4_STEPS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -282,17 +288,30 @@ def propagate(rho0, params: CavityParams, t):
     col = t.reshape(-1, 1)
     r1 = rj_factor(1, *_ROWS1, params, col)[:, _ROW1]
     r2 = rj_factor(2, *_ROWS2, params, col)[:, _ROW2]
-    # r1 * r2 * src[...] per term
-    tr, ti = _cmul(*_cmul(r1.real, r1.imag, r2.real, r2.imag), src.real, src.imag)
+    fr, fi = _cmul(r1.real, r1.imag, r2.real, r2.imag)
     del r1, r2
+    # r1 * r2 * src[...] per term as _cmul forms it, in preallocated (B, N, terms) buffers: a stack makes no more
+    # temporaries of that size than these three
+    shape = np.broadcast_shapes(fr.shape, src.shape)
+    tr, ti, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
+    np.multiply(fr, src.real, out=tr)
+    tr -= np.multiply(fi, src.imag, out=scratch)
+    np.multiply(fr, src.imag, out=ti)
+    ti += np.multiply(fi, src.real, out=scratch)
+    del scratch
     # each entry's terms summed in slot order, starting from 0.0 + 0.0j
     re, im = 0.0 + tr[..., :16], 0.0 + ti[..., :16]
     for slot in (1, 2, 3):
         k = _SLOT == slot
         re[..., _ENTRY[k]] += tr[..., k]
         im[..., _ENTRY[k]] += ti[..., k]
+    del tr, ti
     out = _complex(re, im).reshape(*rho0.shape[:-2], *t.shape, 4, 4)
-    return DensityMatrix2Q((out + out.conj().swapaxes(-1, -2)) / 2.0)
+    del re, im
+    # the hermitian part, (out + out^dagger) / 2, in place: the conjugate is a copy
+    out += out.conj().swapaxes(-1, -2)
+    out /= 2.0
+    return DensityMatrix2Q(out)
 
 
 # ---------------------------------------------------------------------------
@@ -339,6 +358,18 @@ def _default_step(params: CavityParams, fock_dim: int) -> float:
     chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
     scale = max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
     return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
+
+
+def _checked_step(params: CavityParams, fock_dim: int, t_end: float) -> float:
+    """The RK4 step, after a ValueError naming the rates if reaching ``t_end`` takes more than ``_MAX_RK4_STEPS``."""
+    step = _default_step(params, fock_dim)
+    steps = t_end / step if step > 0 else math.inf
+    if not steps <= _MAX_RK4_STEPS:
+        rates = ", ".join(f"{name} = {getattr(params, name):g}"
+                          for name in ("gamma1", "gamma2", "chi11", "chi22", "chi12"))
+        raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
+                         f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {rates}")
+    return step
 
 
 def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
@@ -411,9 +442,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
     grid = _time_grid(times)
-    step = _default_step(params, fock_dim)
-    if not step > 0:
-        raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: its RK4 step underflows to 0")
+    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0)
     keep = _kept_indices(rho, fock_dim)
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
     kept = _rk4_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0),
@@ -447,7 +476,7 @@ def _rk4_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarr
                 m = _rk4_step_matrix(lmat, h)
                 step_cache[h] = m
             for _ in range(n):
-                v = m @ v
+                v = np.dot(m, v)
         kept[i] = v
         prev = target
     return kept
@@ -594,6 +623,8 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
             raise ValueError(_NEEDS_QUIET)
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
+    if engine == "oracle":
+        _checked_step(params, fock_dim, t_max)
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,

@@ -32,7 +32,8 @@ _ZERO_FLOOR_REL = 1e-12
 
 
 def _square(a) -> np.ndarray:
-    m = np.array(a, dtype=complex, copy=True)
+    """``a`` as a complex array of square matrices, not copied: no caller writes to it."""
+    m = np.asarray(a, dtype=complex)
     if m.ndim < 2 or m.shape[-1] != m.shape[-2]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     return m

@@ -4,8 +4,8 @@ Concurrence via the spin-flip spectrum and negativity via the partial transpose
 take a ``DensityMatrix2Q``, as checked, and return a float for one state or a
 float64 array for a stack such as ``Trajectory.states``. Any other input is
 made one by ``states._as_density``. Entanglement of formation and logarithmic
-negativity derive from one float, ``report`` from one state; each names the
-shape of an array or stack it rejects.
+negativity derive from one float or from each value of an array, ``report``
+from one state, and it names the shape of a stack it rejects.
 """
 
 from __future__ import annotations
@@ -80,13 +80,23 @@ def negativity(rho):
     return n if n.ndim else float(n)
 
 
-def _unit_value(x, fn: str, measure: str) -> float:
-    """One value of ``measure`` for ``fn``, within roundoff of [0, 1], clamped to it."""
-    if np.ndim(x):
-        raise ValueError(f"{fn} takes one value, got an array of shape {np.shape(x)}")
-    if not (-_RANGE_SLACK <= x <= 1.0 + _RANGE_SLACK):
-        raise ValueError(f"{measure} {x!r} outside [0, 1]")
-    return min(max(x, 0.0), 1.0)
+def _unit_values(x, measure: str) -> np.ndarray:
+    """``x``, one value or an array, as floats within roundoff of [0, 1], clamped to it."""
+    x = np.asarray(x, dtype=float)
+    ok = (x >= -_RANGE_SLACK) & (x <= 1.0 + _RANGE_SLACK)  # written so that NaN fails it
+    if not ok.all():
+        raise ValueError(f"{measure} {float(x.flat[np.argmin(ok)])!r} outside [0, 1]")
+    return np.where(x < 0.0, 0.0, np.where(x > 1.0, 1.0, x))
+
+
+def _per_value(fn, x: np.ndarray):
+    """``fn`` of each value of ``x``: a float for one value, else an array of its shape.
+
+    ``math.log2`` is kept, value by value, because ``np.log2`` differs from
+    it in the last bit on about 0.2-0.3% of inputs.
+    """
+    out = [fn(v) for v in x.ravel().tolist()]
+    return out[0] if x.ndim == 0 else np.array(out).reshape(x.shape)
 
 
 def _binary_entropy(x: float) -> float:
@@ -95,15 +105,15 @@ def _binary_entropy(x: float) -> float:
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def eof(c: float) -> float:
-    """Entanglement of formation as a function of one concurrence value."""
-    c = _unit_value(c, "eof", "concurrence")
-    return _binary_entropy((1.0 + math.sqrt(1.0 - c * c)) / 2.0)
+def eof(c):
+    """Entanglement of formation as a function of concurrence: one value, or each value of an array."""
+    c = _unit_values(c, "concurrence")
+    return _per_value(_binary_entropy, (1.0 + np.sqrt(1.0 - c * c)) / 2.0)
 
 
-def log_negativity(n: float) -> float:
-    """Logarithmic negativity as a function of one negativity value."""
-    return math.log2(1.0 + _unit_value(n, "log_negativity", "negativity"))
+def log_negativity(n):
+    """Logarithmic negativity as a function of negativity: one value, or each value of an array."""
+    return _per_value(math.log2, 1.0 + _unit_values(n, "negativity"))
 
 
 def pure_concurrence(psi: PureState2Q) -> float:

@@ -37,6 +37,7 @@ __all__ = [
     "werner",
     "to_density",
     "initial_density",
+    "initial_densities",
     "initial_label",
     "parse_initial",
     "random_pure_state",
@@ -47,6 +48,7 @@ NORM_TOL = 1e-12
 _PSD_TOL = -1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
+_UPPER = np.triu_indices(4)
 
 
 def _norm_sign(sign) -> int:
@@ -88,7 +90,8 @@ def _check_density(m: np.ndarray, stack: tuple) -> None:
     (empty for one matrix) it starts with that state's index, a tuple if need be.
     """
     # each comparison is written so that NaN fails it
-    herm_dev = np.abs(m - m.conj().swapaxes(-1, -2)).max(axis=(-2, -1), initial=0.0)
+    # over the 10 pairs (i, j), i <= j: |m_ji - conj(m_ij)| equals |m_ij - conj(m_ji)|
+    herm_dev = np.abs(m[:, _UPPER[0], _UPPER[1]] - m[:, _UPPER[1], _UPPER[0]].conj()).max(axis=-1, initial=0.0)
     tr = np.trace(m, axis1=-2, axis2=-1)
     good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
     # eigvalsh only sees the states before the first hermiticity or trace failure
@@ -282,29 +285,36 @@ def separable(d1, d2, d3, d4) -> PureState2Q:
 
 def to_density(psi: PureState2Q) -> DensityMatrix2Q:
     """Rank-one projector onto a pure state."""
+    return DensityMatrix2Q(_projector(psi))
+
+
+def _projector(psi: PureState2Q) -> np.ndarray:
     amps = psi.amplitudes()
-    return DensityMatrix2Q(np.outer(amps, amps.conj()))
+    return np.outer(amps, amps.conj())
 
 
-def werner(kind: str, sign=+1, p: float = 1.0) -> DensityMatrix2Q:
+def werner(kind: str, sign=None, p: float = 1.0) -> DensityMatrix2Q:
     """Werner mixture p |state><state| + (1-p)/4 * identity.
 
     kind selects the entangled core: "psi" and "phi" take the Bell pair of
-    that parity with the given sign, "like" takes the Bell-like state (sign
-    ignored).
+    that parity with the given sign, '+' if none is given; "like" takes the
+    Bell-like state, which has no sign, so giving one raises ValueError.
     """
+    return DensityMatrix2Q(_werner_matrix(kind, sign, p))
+
+
+def _werner_matrix(kind: str, sign, p: float) -> np.ndarray:
     _check_weight(p)
-    if kind == "psi":
-        core = bell_psi(sign)
-    elif kind == "phi":
-        core = bell_phi(sign)
+    if kind in ("psi", "phi"):
+        core = (bell_psi if kind == "psi" else bell_phi)(+1 if sign is None else sign)
     elif kind == "like":
+        if sign is not None:
+            raise ValueError(f"the 'like' Werner kind takes no sign, got {sign!r}")
         core = bell_like()
     else:
         raise ValueError(f"unknown Werner kind {kind!r}, expected 'psi', 'phi' or 'like'")
     amps = core.amplitudes()
-    m = p * np.outer(amps, amps.conj()) + (1.0 - p) / 4.0 * np.eye(4)
-    return DensityMatrix2Q(m)
+    return p * np.outer(amps, amps.conj()) + (1.0 - p) / 4.0 * np.eye(4)
 
 
 # ---------------------------------------------------------------------------
@@ -313,26 +323,42 @@ def werner(kind: str, sign=+1, p: float = 1.0) -> DensityMatrix2Q:
 
 def initial_density(initial: InitialState) -> DensityMatrix2Q:
     """Density matrix at t = 0 for any initial-state tag."""
-    if isinstance(initial, BellPsi):
-        return to_density(bell_psi(initial.sign))
-    if isinstance(initial, BellPhi):
-        return to_density(bell_phi(initial.sign))
-    if isinstance(initial, BellLike):
-        return to_density(bell_like())
-    if isinstance(initial, PlusPlus):
-        return to_density(separable(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF))
-    if isinstance(initial, Separable):
-        return to_density(separable(initial.d1, initial.d2, initial.d3, initial.d4))
-    if isinstance(initial, WernerPsi):
-        return werner("psi", initial.sign, initial.p)
-    if isinstance(initial, WernerPhi):
-        return werner("phi", initial.sign, initial.p)
-    if isinstance(initial, WernerLike):
-        return werner("like", p=initial.p)
-    if isinstance(initial, CustomPure):
-        return to_density(initial.state)
     if isinstance(initial, CustomMixed):
-        return initial.rho
+        return initial.rho  # checked when the tag was made
+    return DensityMatrix2Q(_initial_matrix(initial))
+
+
+def initial_densities(initials) -> DensityMatrix2Q:
+    """The (B, 4, 4) stack of the t = 0 densities of B tags, checked once, as one stack.
+
+    A ``CustomMixed`` matrix, checked when its tag was made, is checked again
+    with the stack; every other state is checked only here.
+    """
+    return DensityMatrix2Q(np.array([_initial_matrix(i) for i in initials], dtype=complex).reshape(-1, 4, 4))
+
+
+def _initial_matrix(initial: InitialState) -> np.ndarray:
+    """The unchecked t = 0 matrix of a tag, for a state or stack that is then checked once."""
+    if isinstance(initial, BellPsi):
+        return _projector(bell_psi(initial.sign))
+    if isinstance(initial, BellPhi):
+        return _projector(bell_phi(initial.sign))
+    if isinstance(initial, BellLike):
+        return _projector(bell_like())
+    if isinstance(initial, PlusPlus):
+        return _projector(separable(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF))
+    if isinstance(initial, Separable):
+        return _projector(separable(initial.d1, initial.d2, initial.d3, initial.d4))
+    if isinstance(initial, WernerPsi):
+        return _werner_matrix("psi", initial.sign, initial.p)
+    if isinstance(initial, WernerPhi):
+        return _werner_matrix("phi", initial.sign, initial.p)
+    if isinstance(initial, WernerLike):
+        return _werner_matrix("like", None, initial.p)
+    if isinstance(initial, CustomPure):
+        return _projector(initial.state)
+    if isinstance(initial, CustomMixed):
+        return initial.rho.matrix
     raise ValueError(f"unknown initial state {initial!r}")
 
 

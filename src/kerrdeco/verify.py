@@ -19,8 +19,8 @@ from . import analytics, linalg, measures
 from .evolution import CavityParams, closed_form_rho, integrate_master_grid, propagate
 from .states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, Separable,
-    WernerLike, WernerPhi, WernerPsi, _random_density, _read, initial_density, initial_label,
-    random_density_matrix, random_pure_state,
+    WernerLike, WernerPhi, WernerPsi, _initial_matrix, _random_density, _read, initial_densities,
+    initial_label, random_density_matrix, random_pure_state,
 )
 
 __all__ = ["CheckResult", "corpus_seed", "run_checks"]
@@ -54,11 +54,6 @@ def _fixed_families(rng: np.random.Generator) -> list:
         CustomPure(random_pure_state(rng)),
         CustomMixed(random_density_matrix(rng)),
     ]
-
-
-def _stack(initials) -> DensityMatrix2Q:
-    """The (B, 4, 4) stack of the initial densities of B tags."""
-    return DensityMatrix2Q(np.array([initial_density(initial).matrix for initial in initials]))
 
 
 def _oracle_gaps(rho0s: DensityMatrix2Q, params: CavityParams, times, propagator) -> list:
@@ -95,7 +90,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     # Route 1 vs route 2: analytic propagator against the RK4 integration.
     checked = families if full else families[:4] + families[5:8]
-    rho0s = _stack(checked)
+    rho0s = initial_densities(checked)
     gaps = _oracle_gaps(rho0s, params, times, prop)
     for initial, gap in zip(checked, gaps):
         record(f"oracle_equivalence/{initial_label(initial)}", gap <= 1e-8,
@@ -117,7 +112,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     closed_params = CavityParams(gamma1=4.0, gamma2=4.0, chi11=0.0, chi22=0.0, chi12=20.0)
     closed = (BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(),
               WernerPsi(0.8, +1), WernerPhi(0.8, -1), WernerLike(0.8))
-    for initial, got in zip(closed, np.asarray(prop(_stack(closed), closed_params, times))):
+    for initial, got in zip(closed, np.asarray(prop(initial_densities(closed), closed_params, times))):
         want = closed_form_rho(initial, closed_params, times).matrix
         worst = float(np.max(np.abs(want - got)))
         record(f"closed_form/{initial_label(initial)}", worst <= 1e-10,
@@ -134,7 +129,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         ("werner_psi", WernerPsi(0.8, +1), lambda t: analytics.werner_psi_curves(gamma, 0.8, t)),
         ("werner_phi", WernerPhi(0.8, +1), lambda t: analytics.werner_phi_curves(gamma, 0.8, t)),
     ]
-    states = prop(_stack([initial for _, initial, _ in curve_cases]), quiet, times)
+    states = prop(initial_densities([initial for _, initial, _ in curve_cases]), quiet, times)
     for (name, _, fn), c, n in zip(curve_cases, measures.concurrence(states), measures.negativity(states)):
         c_ref, n_ref = fn(times)
         gap = float(np.max(np.abs([c - c_ref, n - n_ref])))
@@ -142,12 +137,13 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi11=0.0, chi22=0.0, chi12=20.0)
     weights = (0.4, 0.6, 0.8, 1.0)
-    got = measures.concurrence(prop(_stack([WernerLike(p) for p in weights]), lossless, times))
+    got = measures.concurrence(prop(initial_densities([WernerLike(p) for p in weights]), lossless, times))
     worst = float(np.max(np.abs(got - [analytics.werner_like_lossless_curve(p, 20.0, times) for p in weights])))
     record("decay_curves/werner_like_lossless", worst <= 1e-9,
            f"max curve gap {worst:.2e} (limit 1e-9)")
 
-    werners = _stack([tag for p in weights for tag in (WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))])
+    werners = initial_densities([tag for p in weights
+                                 for tag in (WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))])
     start = np.repeat([max(0.0, (3.0 * p - 1.0) / 2.0) for p in weights], 3)
     worst = float(np.max(np.abs([measures.concurrence(werners) - start, measures.negativity(werners) - start])))
     record("werner/initial_value", worst <= 1e-10,
@@ -203,7 +199,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
 
     # Propagator semigroup property and long-time limit.
     # for (t1, t2) = (0.05, 0.1) and (0.2, 0.3): t1 + t2 in one leg against t2 after t1
-    rho0 = _stack([BellLike()])
+    rho0 = initial_densities([BellLike()])
     legs = np.asarray(prop(rho0, params, np.array([0.05, 0.2, 0.05 + 0.1, 0.2 + 0.3])))[0]
     two_legs = np.asarray(prop(legs[:2], params, np.array([0.1, 0.3])))[[0, 1], [0, 1]]
     worst = float(np.max(np.abs(two_legs - legs[2:])))
@@ -212,7 +208,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     vac = np.diag([1.0, 0.0, 0.0, 0.0])
     # coherences decay at gamma/2, so gamma*t = 60 puts them below e^-30
     late = np.array([60.0 / gamma])
-    ends = DensityMatrix2Q([initial_density(BellPhi(+1)).matrix, _random_density(rng)])
+    ends = DensityMatrix2Q([_initial_matrix(BellPhi(+1)), _random_density(rng)])
     gap = float(np.max(linalg.trace_distance(np.asarray(prop(ends, quiet, late))[:, 0], [vac, vac])))
     record("propagator/vacuum_limit", gap <= 1e-10, f"distance to vacuum at gamma*t = 60: {gap:.2e}")
 
@@ -228,7 +224,7 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
         envelope_weights = (0.6, 0.8, 1.0)
 
         # compare curves and envelopes at the nominal revival times, Bell-like state first
-        states = prop(_stack([BellLike(), *(WernerLike(p) for p in envelope_weights)]), strong, revs)
+        states = prop(initial_densities([BellLike(), *(WernerLike(p) for p in envelope_weights)]), strong, revs)
         c_all, n_t = measures.concurrence(states), measures.negativity(states)[0]
         dev_main = np.abs(n_t - analytics.negativity_envelope(4.0, revs))
         dev_simple = np.abs(n_t - analytics.negativity_envelope(4.0, revs, simple=True))

@@ -404,6 +404,11 @@ class TestCrossCoupling:
         with pytest.raises(ValueError, match="n_at"):
             EitParams(1.0, 1.0, 10.0, 5.0, 0)
 
+    @pytest.mark.parametrize("n_at", [100.5, 100.0, "100"])
+    def test_a_fractional_atom_count_is_rejected(self, n_at):
+        with pytest.raises(ValueError, match=rf"^n_at must be a whole number, got {n_at!r}$"):
+            EitParams(1.0, 1.0, 10.0, 5.0, n_at)
+
     @pytest.mark.parametrize("field", ["g13", "g24", "omega_c", "delta_omega2", "n_at"])
     def test_a_nan_field_is_named(self, field):
         good = dict(g13=1.0, g24=1.0, omega_c=10.0, delta_omega2=5.0, n_at=100)

@@ -732,6 +732,25 @@ class TestValidationCount:
         run_figure(fig_id, stream=io.StringIO())
         assert sum(checked) == states_checked
 
+    @pytest.mark.parametrize("fig_id, panels", [("fig1", 1), ("fig2", 1), ("fig3", 4), ("fig4", 2)])
+    def test_figure_propagates_once_per_parameter_set(self, monkeypatch, fig_id, panels):
+        calls = []
+
+        def counting(rho0, params, t):
+            calls.append((rho0.matrix.shape, params.chi12))
+            return propagate(rho0, params, t)
+        monkeypatch.setattr(cli, "propagate", counting)
+        run_figure(fig_id, [0.5, 0.9] if panels == 2 else None, io.StringIO())
+        # the coupled curve_c of every panel, then each panel's three uncoupled curves
+        assert calls == [((panels, 4, 4), 20.0)] + [((3, 4, 4), 0.0)] * panels
+
+    @pytest.mark.parametrize("level, states_checked", [("fast", 861), ("full", 6351)])
+    def test_verify(self, checked, level, states_checked):
+        # each stacked initial state is checked once, with its stack: 898 and
+        # 6394 when every one was checked alone and then again in its stack
+        verify.run_checks(level)
+        assert sum(checked) == states_checked
+
     @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
     def test_simulate(self, checked, engine):
         doc = {"initial": {"family": "bell_like"}, "engine": engine,

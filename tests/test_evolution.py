@@ -6,9 +6,9 @@ import pytest
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    CavityParams, Trajectory, _default_step, _destroy, _embed_qubits, _kept_indices, _liouvillian,
+    _MAX_RK4_STEPS, CavityParams, Trajectory, _default_step, _destroy, _embed_qubits, _kept_indices, _liouvillian,
     _rk4_kept, _rk4_step_matrix, closed_form_reason, closed_form_rho, integrate_master_grid,
-    propagate, rj_factor, trajectory,
+    propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi,
@@ -607,6 +607,27 @@ class TestTrajectory:
         assert traj.approximate is False
         with pytest.raises(AttributeError):
             traj.approximate = True
+
+    def test_an_oracle_run_past_the_step_cap_fails_at_the_boundary(self):
+        huge = CavityParams(chi12=1e200)
+        message = (r"^rates too large for the oracle at fock_dim 2: reaching t = 1 takes 4e\+202 RK4 steps, "
+                   r"above the cap of 1000000, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, chi12 = 1e\+200$")
+        with pytest.raises(ValueError, match=message):
+            trajectory(BellLike(), huge, 1.0, 3, engine="oracle")
+        with pytest.raises(ValueError, match="above the cap of 1000000"):
+            integrate_master_grid(initial_density(BellLike()).matrix, huge, [0.5, 1.0])
+        # the other engines take no RK4 steps
+        validate_run(BellLike(), huge, 1.0, 3, "analytic")
+
+    def test_the_step_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
+        # the thermal workload at fock_dim 5, 401 points to t_max 1: about 20k steps
+        thermal = CavityParams(nbar1=0.5, nbar2=0.5)
+        assert 1e4 < 1.0 / _default_step(thermal, 5) < _MAX_RK4_STEPS / 10
+        validate_run(BellLike(), thermal, 1.0, 401, "oracle", 5)
+        t_cap = _MAX_RK4_STEPS * _default_step(QUIET, 2)
+        validate_run(BellLike(), QUIET, t_cap, 3, "oracle")
+        with pytest.raises(ValueError, match="above the cap"):
+            validate_run(BellLike(), QUIET, t_cap * (1 + 1e-9), 3, "oracle")
 
     def test_rejects_bad_grid_arguments(self):
         with pytest.raises(ValueError, match="n_points"):

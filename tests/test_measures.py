@@ -43,7 +43,7 @@ class TestKnownValues:
     def test_werner_initial_values(self, p):
         want = max(0.0, (3.0 * p - 1.0) / 2.0)
         for kind in ("psi", "phi", "like"):
-            rho = werner(kind, +1, p)
+            rho = werner(kind, p=p)
             assert concurrence(rho) == pytest.approx(want, abs=1e-10)
             assert negativity(rho) == pytest.approx(want, abs=1e-10)
 
@@ -76,11 +76,48 @@ class TestEof:
         assert eof(-1e-12) == 0.0
 
     @pytest.mark.parametrize("fn", [eof, log_negativity])
-    @pytest.mark.parametrize("values, shape", [(np.zeros(3), r"\(3,\)"), ([0.1, 0.2], r"\(2,\)"),
-                                               (np.zeros((2, 2)), r"\(2, 2\)")])
-    def test_an_array_is_rejected_by_its_shape(self, fn, values, shape):
-        with pytest.raises(ValueError, match=rf"^{fn.__name__} takes one value, got an array of shape {shape}$"):
+    @pytest.mark.parametrize("values, shape", [(np.zeros(3), (3,)), ([0.1, 0.2], (2,)),
+                                               (np.zeros((2, 2)), (2, 2))])
+    def test_an_array_gives_an_array_of_its_shape(self, fn, values, shape):
+        out = fn(values)
+        assert isinstance(out, np.ndarray) and out.dtype == float and out.shape == shape
+
+    @pytest.mark.parametrize("fn, measure", [(eof, "concurrence"), (log_negativity, "negativity")])
+    @pytest.mark.parametrize("values, bad", [([0.5, 1.5, -0.2], "1.5"), (np.array([[0.1, -0.2], [2.0, 0.3]]), "-0.2"),
+                                             ([0.2, math.nan], "nan")])
+    def test_an_array_error_names_its_first_value_out_of_range(self, fn, measure, values, bad):
+        with pytest.raises(ValueError, match=rf"^{measure} {bad} outside \[0, 1\]$"):
             fn(values)
+
+
+def _scalar_eof(c: float) -> float:
+    """``eof`` as it was computed one Python float at a time, frozen as the reference."""
+    c = min(max(c, 0.0), 1.0)
+    x = (1.0 + math.sqrt(1.0 - c * c)) / 2.0
+    if x <= 0.0 or x >= 1.0:
+        return 0.0
+    return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
+
+
+def _scalar_log_negativity(n: float) -> float:
+    """``log_negativity`` as it was computed one Python float at a time, frozen as the reference."""
+    return math.log2(1.0 + min(max(n, 0.0), 1.0))
+
+
+class TestArrayForm:
+    """The array form of eof and log_negativity is the scalar form, value by value, bit for bit."""
+
+    # the edges, the +-1e-12 roundoff slack around them, and a seeded uniform draw
+    GRID = np.concatenate([[0.0, -0.0, 1.0, -1e-12, 1e-12, 1.0 - 1e-12, 1.0 + 1e-12],
+                           np.random.default_rng(2024).uniform(0.0, 1.0, 4000)])
+
+    @pytest.mark.parametrize("fn, scalar", [(eof, _scalar_eof), (log_negativity, _scalar_log_negativity)])
+    def test_array_form_equals_the_scalar_form_bit_for_bit(self, fn, scalar):
+        values = self.GRID.tolist()
+        one_by_one = [fn(v) for v in values]
+        assert all(type(v) is float for v in one_by_one)
+        assert fn(self.GRID).tobytes() == np.array(one_by_one).tobytes()
+        assert np.array(one_by_one).tobytes() == np.array([scalar(v) for v in values]).tobytes()
 
 
 class TestLogNegativity:

@@ -1,12 +1,14 @@
 import math
+import re
 
 import numpy as np
 import pytest
 
+from kerrdeco import states
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q,
     PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi, WernerPsi,
-    bell_like, bell_phi, bell_psi, initial_density, initial_label,
+    bell_like, bell_phi, bell_psi, initial_densities, initial_density, initial_label,
     parse_initial, random_density_matrix, random_pure_state, separable,
     to_density, werner,
 )
@@ -188,6 +190,15 @@ class TestConstructors:
         with pytest.raises(ValueError, match="weight"):
             werner("psi", +1, 1.2)
 
+    @pytest.mark.parametrize("sign", [+1, -1, "+"])
+    def test_werner_like_takes_no_sign(self, sign):
+        with pytest.raises(ValueError, match=rf"^the 'like' Werner kind takes no sign, got {re.escape(repr(sign))}$"):
+            werner("like", sign, 0.5)
+
+    def test_werner_sign_defaults_to_plus(self):
+        for kind in ("psi", "phi"):
+            assert werner(kind, p=0.5).matrix.tobytes() == werner(kind, "+", 0.5).matrix.tobytes()
+
     def test_to_density_projector(self):
         rho = to_density(bell_phi(+1)).matrix
         assert np.trace(rho @ rho).real == pytest.approx(1.0, abs=1e-14)
@@ -226,6 +237,26 @@ class TestTags:
         for tag in cases:
             rho = initial_density(tag)
             assert isinstance(rho, DensityMatrix2Q)
+
+    def test_initial_densities_is_the_stack_of_initial_density_checked_once(self, rng, monkeypatch):
+        cases = [
+            BellPsi(-1), BellPhi(+1), BellLike(), PlusPlus(), Separable(0.6, 0.8, 1.0, 0.0),
+            WernerPsi(0.7), WernerPhi(0.7, -1), WernerLike(0.7), CustomPure(random_pure_state(rng)),
+            CustomMixed(random_density_matrix(rng)),
+        ]
+        want = np.array([initial_density(tag).matrix for tag in cases])
+        checked = []
+        check = states._check_density
+
+        def counting(m, stack):
+            checked.append(len(m))
+            check(m, stack)
+        monkeypatch.setattr(states, "_check_density", counting)
+        got = initial_densities(cases)
+        assert checked == [len(cases)]
+        assert got.matrix.shape == (len(cases), 4, 4) and not got.matrix.flags.writeable
+        assert got.matrix.tobytes() == want.tobytes()
+        assert initial_densities([]).matrix.shape == (0, 4, 4)
 
     def test_plus_plus_is_uniform_superposition(self):
         rho = initial_density(PlusPlus()).matrix
