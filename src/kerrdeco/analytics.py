@@ -11,12 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Sequence
+from typing import NamedTuple, Optional
 
 import numpy as np
 
 from . import measures
-from .evolution import CavityParams, _checked_times, propagate
+from .evolution import CavityParams, _checked_times, _time_grid, propagate
 from .states import PureState2Q, WernerLike, _check_weight, _check_whole, initial_density
 
 __all__ = [
@@ -94,18 +94,13 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
 
 
 def bell_psi_curves(gamma: float, t):
-    """(concurrence, negativity) of the damped single-excitation Bell pair."""
-    t, g = _survival(gamma, t)
-    c = g
-    n = np.sqrt(2.0 * g * g - 2.0 * g + 1.0) + g - 1.0
-    return _unwrap(t, c, n)
+    """(concurrence, negativity) of the damped psi Bell pair, the p = 1 Werner curves: g, sqrt(2g^2-2g+1) + g - 1."""
+    return werner_psi_curves(gamma, 1.0, t)
 
 
 def bell_phi_curves(gamma: float, t):
-    """(concurrence, negativity) of the damped even-parity Bell pair; both equal g^2."""
-    t, g = _survival(gamma, t)
-    c = g * g
-    return _unwrap(t, c, c.copy())
+    """(concurrence, negativity) of the damped phi Bell pair, the p = 1 Werner curves: both equal g^2."""
+    return werner_phi_curves(gamma, 1.0, t)
 
 
 def bell_like_uncoupled_curves(gamma: float, t):
@@ -208,52 +203,39 @@ def werner_concurrence_envelope(gamma: float, p: float, t):
 # Numeric envelope extraction.
 
 
-def numeric_envelope(curve: Sequence) -> list:
+def numeric_envelope(curve) -> list:
     """Local maxima of a sampled curve, by three-point comparison.
 
-    Endpoints are included when they are maximal against their single
-    neighbor. The input must resolve the oscillation: when at least two
+    ``curve`` holds N >= 2 (t, value) samples, as an (N, 2) array or a list
+    of pairs. Endpoints are included when they are maximal against their
+    single neighbor. The input must resolve the oscillation: when at least two
     interior maxima exist, their spacing estimates the period, and fewer
     than 8 samples per period raises ValueError.
     """
-    pts = [CurvePoint(float(t), float(v)) for t, v in curve]
-    if len(pts) < 2:
-        raise ValueError("need at least two samples")
-    ts = np.array([p.t for p in pts])
-    vs = np.array([p.value for p in pts])
-    if not (np.all(np.isfinite(ts)) and np.all(np.isfinite(vs))):
-        raise ValueError("sample times and values must be finite")
-    if np.any(np.diff(ts) <= 0):
-        raise ValueError("sample times must be strictly increasing")
-
-    peaks = []
-    if vs[0] >= vs[1]:
-        peaks.append(pts[0])
-    interior = [
-        pts[i] for i in range(1, len(pts) - 1)
-        if vs[i] > vs[i - 1] and vs[i] >= vs[i + 1]
-    ]
-    peaks.extend(interior)
-    if vs[-1] >= vs[-2]:
-        peaks.append(pts[-1])
-
+    samples = np.asarray(curve, dtype=float)
+    if samples.ndim != 2 or samples.shape[1] != 2 or len(samples) < 2:
+        raise ValueError(f"need at least two (t, value) samples as an (N, 2) array, got shape {samples.shape}")
+    ts, vs = _time_grid(samples[:, 0]), samples[:, 1]
+    if not np.all(np.isfinite(vs)):
+        raise ValueError("sample values must be finite")
+    # strictly above the left neighbor (the last sample: not below it), and not below the right one
+    peak = np.r_[True, vs[1:-1] > vs[:-2], vs[-1] >= vs[-2]] & np.r_[vs[:-1] >= vs[1:], True]
+    interior = ts[1:-1][peak[1:-1]]
     if len(interior) >= 2:
-        period = float(np.mean(np.diff([p.t for p in interior])))
+        period = float(np.mean(np.diff(interior)))
         spacing = float(np.median(np.diff(ts)))
         if period / spacing < 8.0:
             raise ValueError(
                 f"under-sampled curve: about {period / spacing:.1f} samples per period, need at least 8"
             )
-    return peaks
+    return [CurvePoint(t, v) for t, v in samples[peak].tolist()]
 
 
 def revival_times(chi12: float, count: int) -> np.ndarray:
     """The first ``count`` revival times n*pi/chi12 of the coupled oscillation."""
     if not 0 < chi12 < math.inf:
         raise ValueError(f"chi12 must be positive and finite, got {chi12}")
-    _check_whole(count, "count")
-    if count < 1:
-        raise ValueError(f"count must be at least 1, got {count}")
+    _check_whole(count, "count", 1)
     return np.arange(1, count + 1) * math.pi / chi12
 
 
@@ -371,9 +353,7 @@ class EitParams:
             raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
         if not (self.delta_omega2 != 0 and math.isfinite(self.delta_omega2)):
             raise ValueError(f"delta_omega2 must be nonzero and finite, got {self.delta_omega2}")
-        _check_whole(self.n_at, "n_at")
-        if not self.n_at >= 1:
-            raise ValueError(f"n_at must be at least 1, got {self.n_at}")
+        _check_whole(self.n_at, "n_at", 1)
 
 
 @dataclass(frozen=True)

@@ -173,8 +173,8 @@ def _envelope(fig_id: str, p: Optional[float], curve_c: np.ndarray) -> np.ndarra
         return analytics.negativity_envelope(_FIG_GAMMA, _FIG_GRID)
     if fig_id == "fig3":
         return analytics.werner_concurrence_envelope(_FIG_GAMMA, p, _FIG_GRID)
-    peaks = analytics.numeric_envelope(list(zip(_FIG_GRID, curve_c)))
-    return np.interp(_FIG_GRID, [q.t for q in peaks], [q.value for q in peaks])
+    peaks = analytics.numeric_envelope(np.column_stack((_FIG_GRID, curve_c)))
+    return np.interp(_FIG_GRID, *np.transpose(peaks))
 
 
 def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
@@ -226,18 +226,13 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
 
 
 def _override(base: Scenario, vary: str, value: float) -> Scenario:
-    if vary == "gamma":
-        params = dataclasses.replace(base.params, gamma1=value, gamma2=value)
-        return dataclasses.replace(base, params=params)
-    if vary == "chi12":
-        params = dataclasses.replace(base.params, chi12=value)
-        return dataclasses.replace(base, params=params)
     if vary == "p":
         if not hasattr(base.initial, "p"):
-            raise ValueError(
-                f"cannot sweep p: initial family {initial_label(base.initial)} has no mixing weight")
+            raise ValueError(f"cannot sweep p: initial family {initial_label(base.initial)} has no mixing weight")
         return dataclasses.replace(base, initial=dataclasses.replace(base.initial, p=value))
-    raise ValueError(f"unknown sweep parameter {vary!r}, expected one of {_SWEEPABLE}")
+    # gamma or chi12, the other names run_sweep lets through
+    rates = {"gamma1": value, "gamma2": value} if vary == "gamma" else {"chi12": value}
+    return dataclasses.replace(base, params=dataclasses.replace(base.params, **rates))
 
 
 def run_sweep(base: Scenario, vary: str, values: Sequence[float], stream: TextIO) -> None:
@@ -359,6 +354,13 @@ def _open_out(path: Optional[str]):
         yield types.SimpleNamespace(write=write)
 
 
+def _one_form(flag: str, positional: Optional[str], flagged: Optional[str]) -> Optional[str]:
+    """The value given positionally or as ``--flag``; both forms with different values are a usage error."""
+    if positional and flagged and positional != flagged:
+        raise ValueError(f"conflicting values {positional!r} and --{flag} {flagged!r}")
+    return flagged or positional
+
+
 def _dispatch(args) -> int:
     if args.command == "simulate":
         scenario = load_scenario(args.scenario)
@@ -366,7 +368,7 @@ def _dispatch(args) -> int:
             run_simulate(scenario, stream)
         return 0
     if args.command == "figure":
-        fig_id = args.figure_flag or args.figure_id
+        fig_id = _one_form("figure", args.figure_id, args.figure_flag)
         if fig_id is None:
             raise ValueError("figure needs an id: positional or --figure")
         p_values = _parse_values(args.p) if args.p else None
@@ -380,7 +382,7 @@ def _dispatch(args) -> int:
             run_sweep(scenario, args.sweep, values, stream)
         return 0
     if args.command == "verify":
-        level = args.level_flag or args.level or "fast"
+        level = _one_form("verify", args.level, args.level_flag) or "fast"
         with _open_out(args.out) as stream:
             return run_verify(level, args.json, stream)
     raise ValueError(f"unknown command {args.command!r}")

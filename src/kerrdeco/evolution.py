@@ -10,7 +10,8 @@ returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
 grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
 it also covers thermal reservoirs. The step is not an option: ``_default_step``
 derives it from the rates and ``fock_dim``, and a run that would take more than
-``_MAX_RK4_STEPS`` steps is rejected before it starts. The generator conserves each
+``_MAX_RK4_STEPS`` steps, or more than ``_MAX_RK4_WORK`` steps * K**2 * B for K evolved
+entries of B states, is rejected before it starts. The generator conserves each
 mode's coherence order ``m_j - n_j``, so the oracle evolves only the entries
 within the orders the initial state occupies; every other entry stays exactly zero.
 It takes one initial matrix or a stack of them, evolved together in one
@@ -31,7 +32,7 @@ import numpy as np
 
 from .states import (
     BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, _as_density, _check_whole, initial_density, initial_label,
+    WernerLike, WernerPhi, WernerPsi, _as_density, _check_whole, _initial_matrix, initial_density, initial_label,
 )
 
 __all__ = [
@@ -56,10 +57,13 @@ _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); therm
 # A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
 _MAX_FOCK_DIM = 16
 
-# The most RK4 steps an oracle run may take to its last time: 50x the largest
-# shipped run (thermal, fock_dim 5, t_max 1: about 20k). Stronger rates or a
-# longer run fail at the boundary instead of stepping for hours.
+# The most RK4 steps an oracle run may take to its last time, and the most work,
+# steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
+# entries: 50x the largest shipped run (thermal, fock_dim 5, t_max 1: about 20k steps
+# at K = 169, 5.8e8). Stronger rates, a longer run or a larger fock_dim fail at the
+# boundary instead of stepping for hours.
 _MAX_RK4_STEPS = 1_000_000
+_MAX_RK4_WORK = 29_000_000_000
 
 
 @dataclass(frozen=True)
@@ -360,8 +364,15 @@ def _default_step(params: CavityParams, fock_dim: int) -> float:
     return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
 
 
-def _checked_step(params: CavityParams, fock_dim: int, t_end: float) -> float:
-    """The RK4 step, after a ValueError naming the rates if reaching ``t_end`` takes more than ``_MAX_RK4_STEPS``."""
+def _check_fock_dim(fock_dim) -> None:
+    """The one ``fock_dim`` rule: a whole number from 2 to ``_MAX_FOCK_DIM``."""
+    _check_whole(fock_dim, "fock_dim", 2)
+    if fock_dim > _MAX_FOCK_DIM:
+        raise ValueError(f"fock_dim must be at most {_MAX_FOCK_DIM}, got {fock_dim}")
+
+
+def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int) -> float:
+    """The RK4 step, after a ValueError if reaching ``t_end`` exceeds ``_MAX_RK4_STEPS`` or ``_MAX_RK4_WORK``."""
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
@@ -369,6 +380,10 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float) -> float:
                           for name in ("gamma1", "gamma2", "chi11", "chi22", "chi12"))
         raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
                          f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {rates}")
+    work = steps * kept * kept * stack
+    if not work <= _MAX_RK4_WORK:
+        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
+                         f"kept entries and {stack} state(s) make {work:.3g}, above the cap of {_MAX_RK4_WORK:.3g}")
     return step
 
 
@@ -422,7 +437,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     times : sequence of float
         Times in us: 1-d, strictly increasing, finite and nonnegative.
     fock_dim : int
-        Per-mode truncation, at least 2; thermal runs need headroom above the qubit subspace.
+        Per-mode truncation, a whole number from 2 to 16; thermal runs need headroom above the qubit subspace.
 
     Returns
     -------
@@ -431,8 +446,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack. Trace
         preservation within 1e-9 is enforced for every member and time.
     """
-    if fock_dim < 2:
-        raise ValueError(f"fock_dim must be at least 2, got {fock_dim}")
+    _check_fock_dim(fock_dim)
     d = fock_dim * fock_dim
     rho = np.array(rho0, dtype=complex, copy=True)
     if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
@@ -442,8 +456,8 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
     grid = _time_grid(times)
-    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0)
     keep = _kept_indices(rho, fock_dim)
+    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d))
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
     kept = _rk4_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0),
                      params, fock_dim, keep, grid, step)
@@ -607,13 +621,8 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
     if not 0 < t_max < math.inf:
         raise ValueError(f"t_max must be positive and finite, got {t_max}")
-    _check_whole(n_points, "n_points")
-    _check_whole(fock_dim, "fock_dim")
-    if n_points < 2:
-        raise ValueError(f"n_points must be at least 2, got {n_points}")
-    if not 2 <= fock_dim <= _MAX_FOCK_DIM:
-        bound = "at least 2" if fock_dim < 2 else f"at most {_MAX_FOCK_DIM}"
-        raise ValueError(f"fock_dim must be {bound}, got {fock_dim}")
+    _check_whole(n_points, "n_points", 2)
+    _check_fock_dim(fock_dim)
     if engine == "closed_form":
         reason = closed_form_reason(initial, params)
         if reason is not None:
@@ -624,7 +633,8 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
     if engine == "oracle":
-        _checked_step(params, fock_dim, t_max)
+        kept = _kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim)
+        _checked_step(params, fock_dim, t_max, len(kept), 1)
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,

@@ -52,7 +52,7 @@ _UPPER = np.triu_indices(4)
 
 
 def _norm_sign(sign) -> int:
-    if sign in (1, +1, "+", "plus"):
+    if sign in (1, "+", "plus") and not isinstance(sign, bool):  # True == 1
         return +1
     if sign in (-1, "-", "minus"):
         return -1
@@ -245,6 +245,8 @@ _FAMILIES = {
     "custom_pure": CustomPure, "custom_mixed": CustomMixed,
 }
 _FAMILY_NAMES = {tag: name for name, tag in _FAMILIES.items()}
+# the scenario keys of the families whose tag fields are not their keys
+_JSON_KEYS = {Separable: {"d"}, CustomPure: {"amplitudes"}, CustomMixed: {"matrix"}}
 
 
 def _check_weight(p: float) -> None:
@@ -397,12 +399,14 @@ def _read(value, name: str, kind: type = float):
         raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
-def _check_whole(value, name: str) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (``operator.index`` takes it)."""
+def _check_whole(value, name: str, least: int) -> None:
+    """Raise ValueError naming ``name`` unless ``value`` is an integer (``operator.index`` takes it) >= ``least``."""
     try:
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be a whole number, got {value!r}") from None
+    if value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
 
 
 def _four(value, usage: str):
@@ -417,8 +421,8 @@ def parse_initial(obj: dict) -> InitialState:
     The document carries a "family" key naming one of the ten families, plus
     the family's own fields: "sign" for Bell and Werner psi/phi, "p" for the
     Werner mixtures, "d" (four entries) for separable, "amplitudes" for
-    custom_pure and "matrix" for custom_mixed. Complex entries are written as
-    [re, im] pairs; bare numbers are taken as real.
+    custom_pure and "matrix" for custom_mixed; any other key raises ValueError.
+    Complex entries are written as [re, im] pairs; bare numbers are taken as real.
     """
     if not isinstance(obj, dict):
         raise ValueError(f"initial state must be a JSON object, got {type(obj).__name__}")
@@ -426,6 +430,10 @@ def parse_initial(obj: dict) -> InitialState:
     tag = _FAMILIES.get(family) if isinstance(family, str) else None
     if tag is None:
         raise ValueError(f"unknown initial-state family {family!r}")
+    keys = _JSON_KEYS.get(tag, {f.name for f in fields(tag)})
+    unknown = set(obj) - keys - {"family"}
+    if unknown:
+        raise ValueError(f"unknown initial keys for family {family}: {sorted(unknown)}")
     if tag is Separable:
         d = _four(obj.get("d"), "separable needs 'd': four amplitudes [d1, d2, d3, d4]")
         return Separable(*(_read(v, f"d[{i}]", complex) for i, v in enumerate(d)))
@@ -438,9 +446,8 @@ def parse_initial(obj: dict) -> InitialState:
         m = [[_read(v, f"matrix[{i}][{j}]", complex) for j, v in enumerate(_four(row, usage))]
              for i, row in enumerate(_four(obj.get("matrix"), usage))]
         return CustomMixed(DensityMatrix2Q(np.array(m, dtype=complex)))
-    names = {f.name for f in fields(tag)}
-    kwargs = {"sign": obj.get("sign", "+")} if "sign" in names else {}
-    if "p" in names:
+    kwargs = {"sign": obj.get("sign", "+")} if "sign" in keys else {}
+    if "p" in keys:
         kwargs["p"] = _read(obj.get("p"), "p")
     return tag(**kwargs)
 

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -37,6 +38,16 @@ class TestBellCurves:
         c, n = bell_like_uncoupled_curves(GAMMA, T_HALF)
         assert c == pytest.approx(0.487205050442039, abs=1e-12)
         assert n == pytest.approx(0.339289940749330, abs=1e-12)
+
+    @pytest.mark.parametrize("gamma, ts", [(GAMMA, np.linspace(0.0, 1.0, 401)), (0.5, np.linspace(0.0, 40.0, 97))])
+    def test_the_bell_curves_are_the_reduced_forms(self, gamma, ts):
+        # the p = 1 Werner curves against the paper's Bell-pair forms
+        g = np.exp(-gamma * ts)
+        c, n = bell_psi_curves(gamma, ts)
+        assert np.max(np.abs(c - g)) <= 1e-15
+        assert np.max(np.abs(n - (np.sqrt(2.0 * g * g - 2.0 * g + 1.0) + g - 1.0))) <= 1e-15
+        c, n = bell_phi_curves(gamma, ts)
+        assert np.max(np.abs(c - g * g)) <= 1e-15 and np.max(np.abs(n - g * g)) <= 1e-15
 
     def test_vectorized_matches_scalar(self):
         ts = np.linspace(0.0, 1.0, 7)
@@ -257,7 +268,55 @@ class TestEnvelopes:
         assert werner_concurrence_envelope(GAMMA, 0.2, 1.0) == 0.0
 
 
+def loop_envelope(curve):
+    """Frozen per-sample form of ``numeric_envelope``'s peak rule, the reference for its array expression."""
+    pts = [CurvePoint(float(t), float(v)) for t, v in curve]
+    vs = [p.value for p in pts]
+    peaks = [pts[0]] if vs[0] >= vs[1] else []
+    peaks.extend(pts[i] for i in range(1, len(pts) - 1) if vs[i] > vs[i - 1] and vs[i] >= vs[i + 1])
+    if vs[-1] >= vs[-2]:
+        peaks.append(pts[-1])
+    return peaks
+
+
 class TestNumericEnvelope:
+    def test_array_peaks_equal_the_frozen_loop_on_every_short_curve(self):
+        # every curve of 2 to 4 samples over three levels: plateaus, ties and maxima at either end
+        for n in (2, 3, 4):
+            ts = np.arange(n) * 0.25
+            for vals in itertools.product((0.0, 0.5, 1.0), repeat=n):
+                assert numeric_envelope(np.column_stack((ts, vals))) == loop_envelope(zip(ts, vals))
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_array_peaks_equal_the_frozen_loop_on_seeded_curves(self, seed):
+        # a sine rounded to one decimal on an uneven grid, about 20 samples per period and a random
+        # phase: plateaus and ties at every level, and maxima at either end on some seeds
+        rng = np.random.default_rng(seed)
+        ts = np.cumsum(rng.uniform(0.5, 1.5, int(rng.integers(50, 300)))) - 0.5
+        vals = np.round(np.sin(ts * (2.0 * math.pi / 20.0) + rng.uniform(0.0, 2.0 * math.pi)), 1)
+        want = loop_envelope(zip(ts, vals))
+        assert len(want) >= 3
+        assert numeric_envelope(np.column_stack((ts, vals))) == want
+        assert numeric_envelope(list(zip(ts, vals))) == want
+
+    @pytest.mark.parametrize("vals, want", [
+        ([1.0, 1.0], [0, 1]), ([2.0, 1.0], [0]), ([1.0, 2.0], [1]),
+        ([1.0, 2.0, 2.0, 1.0], [1]), ([2.0, 2.0, 1.0], [0]), ([1.0, 2.0, 2.0], [1, 2]),
+    ])
+    def test_plateaus_ties_and_ends(self, vals, want):
+        ts = np.arange(len(vals), dtype=float)
+        assert numeric_envelope(np.column_stack((ts, vals))) == [CurvePoint(ts[i], vals[i]) for i in want]
+        assert loop_envelope(zip(ts, vals)) == [CurvePoint(ts[i], vals[i]) for i in want]
+
+    def test_negative_times_are_rejected(self):
+        with pytest.raises(ValueError, match="must be finite and nonnegative, got -0.5 at index 0"):
+            numeric_envelope([(-0.5, 1.0), (0.5, 0.5)])
+
+    @pytest.mark.parametrize("curve", [[], [(0.0, 1.0)], [0.0, 1.0, 2.0], [(0.0, 1.0, 2.0), (1.0, 0.5, 0.0)]])
+    def test_rejects_a_curve_that_is_not_two_or_more_pairs(self, curve):
+        with pytest.raises(ValueError, match=r"need at least two \(t, value\) samples"):
+            numeric_envelope(curve)
+
     def test_extracts_oscillation_peaks(self):
         chi12 = 20.0
         ts = np.linspace(0.0, 0.5, 401)

@@ -787,6 +787,24 @@ class TestValidationCount:
 
 
 class TestUsage:
+    @pytest.mark.parametrize("argv, named", [
+        (["figure", "fig1", "--figure", "fig2"], "'fig1' and --figure 'fig2'"),
+        (["verify", "fast", "--verify", "full"], "'fast' and --verify 'full'"),
+    ])
+    def test_conflicting_positional_and_flag_forms_exit_one(self, tmp_path, capsys, argv, named):
+        out = tmp_path / "out.txt"
+        assert main(argv + ["--out", str(out)]) == 1
+        assert f"kerrdeco: conflicting values {named}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_matching_positional_and_flag_forms_run(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+        assert main(["figure", "fig2", "--out", str(out1)]) == 0
+        assert main(["figure", "fig2", "--figure", "fig2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert main(["verify", "fast", "--verify", "fast", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["level"] == "fast"
+
     def test_unknown_subcommand(self, capsys):
         assert main(["transmogrify"]) == 1
         capsys.readouterr()

@@ -6,8 +6,8 @@ import pytest
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_RK4_STEPS, CavityParams, Trajectory, _default_step, _destroy, _embed_qubits, _kept_indices, _liouvillian,
-    _rk4_kept, _rk4_step_matrix, closed_form_reason, closed_form_rho, integrate_master_grid,
+    _MAX_RK4_STEPS, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits, _kept_indices,
+    _liouvillian, _rk4_kept, _rk4_step_matrix, closed_form_reason, closed_form_rho, integrate_master_grid,
     propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
@@ -259,6 +259,19 @@ class TestMasterEquation:
     def test_fock_dim_must_be_at_least_two(self):
         with pytest.raises(ValueError, match="fock_dim"):
             integrate_master_grid(np.eye(1), QUIET, [0.1], fock_dim=1)
+
+    @pytest.mark.parametrize("fock_dim, message", [
+        (1, "fock_dim must be at least 2, got 1"),
+        (2.0, "fock_dim must be a whole number, got 2.0"),
+        (17, "fock_dim must be at most 16, got 17"),
+        (10 ** 200, "fock_dim must be at most 16, got 1" + "0" * 200),
+    ])
+    def test_fock_dim_rule_is_the_one_validate_run_applies(self, fock_dim, message):
+        # checked before rho0 is read, so a huge fock_dim allocates nothing
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            integrate_master_grid(np.eye(4), QUIET, [0.1], fock_dim=fock_dim)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            validate_run(BellLike(), QUIET, 1.0, 3, "oracle", fock_dim)
 
     def test_thermal_steady_state_is_truncated_geometric(self):
         # detailed balance fixes p(n+1)/p(n) = nbar/(nbar+1) even when truncated
@@ -618,6 +631,26 @@ class TestTrajectory:
             integrate_master_grid(initial_density(BellLike()).matrix, huge, [0.5, 1.0])
         # the other engines take no RK4 steps
         validate_run(BellLike(), huge, 1.0, 3, "analytic")
+
+    def test_an_oracle_run_past_the_work_cap_fails_at_the_boundary(self):
+        # fock_dim 16 keeps K = 2116 entries of a Bell-like start: 9.2e5 steps pass the step cap,
+        # but each is a 2116 x 2116 product, hours of stepping
+        message = (r"^oracle run too large at fock_dim 16: 9.22e\+05 RK4 steps to t = 9, 2116 kept entries "
+                   r"and 1 state\(s\) make 4.13e\+12, above the cap of 2.9e\+10$")
+        with pytest.raises(ValueError, match=message):
+            validate_run(BellLike(), CavityParams(), 9.0, 401, "oracle", 16)
+        with pytest.raises(ValueError, match="2116 kept entries and 1 state"):
+            trajectory(BellLike(), CavityParams(), 1.0, 401, engine="oracle", fock_dim=16)
+
+    def test_the_work_cap_counts_every_state_of_a_stack(self):
+        # fock_dim 4 keeps K = 100 entries of a Bell-like start; t = 1 takes 16250 steps, 1.6e8 per state
+        big = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        assert len(_kept_indices(big, 4)) == 100
+        _checked_step(QUIET, 4, 1.0, 100, 150)
+        with pytest.raises(ValueError, match="100 kept entries and 200 state"):
+            _checked_step(QUIET, 4, 1.0, 100, 200)
+        with pytest.raises(ValueError, match="100 kept entries and 200 state"):
+            integrate_master_grid(np.stack([big] * 200), QUIET, [0.5, 1.0], fock_dim=4)
 
     def test_the_step_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
         # the thermal workload at fock_dim 5, 401 points to t_max 1: about 20k steps

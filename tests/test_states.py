@@ -317,6 +317,27 @@ class TestParseInitial:
         with pytest.raises(ValueError, match="p must be"):
             parse_initial({"family": "werner_psi"})
 
+    @pytest.mark.parametrize("doc, keys", [
+        ({"family": "bell_like", "sign": "-"}, "['sign']"),
+        ({"family": "bell_psi", "p": 0.5}, "['p']"),
+        ({"family": "werner_like", "p": 0.5, "sign": "+"}, "['sign']"),
+        ({"family": "plus_plus", "d": [1, 0, 1, 0], "amplitudes": []}, "['amplitudes', 'd']"),
+        ({"family": "separable", "d": [1, 0, 1, 0], "d1": 1}, "['d1']"),
+        ({"family": "custom_pure", "amplitudes": [1, 0, 0, 0], "matrix": []}, "['matrix']"),
+        ({"family": "custom_mixed", "matrix": [], "state": []}, "['state']"),
+    ])
+    def test_keys_the_family_does_not_take_are_rejected(self, doc, keys):
+        family = doc["family"]
+        with pytest.raises(ValueError, match=re.escape(f"unknown initial keys for family {family}: {keys}")):
+            parse_initial(doc)
+
+    @pytest.mark.parametrize("doc", [{"family": "bell_psi"}, {"family": "werner_phi", "p": 0.5}])
+    @pytest.mark.parametrize("sign", [True, False])
+    def test_a_boolean_sign_is_rejected(self, doc, sign):
+        # True == 1, which would otherwise read as '+'
+        with pytest.raises(ValueError, match=f"^sign must be '\\+' or '-', got {sign}$"):
+            parse_initial({**doc, "sign": sign})
+
 
 class TestRandomStates:
     def test_pure_state_normalized(self, rng):
