@@ -67,7 +67,6 @@ from .states import (
     parse_initial,
     separable,
     to_density,
-    werner,
 )
 
 __version__ = "0.1.0"

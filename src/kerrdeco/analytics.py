@@ -58,6 +58,12 @@ def _survival(gamma: float, t):
     return t, np.exp(-gamma * t)
 
 
+def _check_chi12(chi12: float) -> None:
+    """The one chi12 rule of the functions here: any sign, but NaN and +-inf fail, named."""
+    if not math.isfinite(chi12):
+        raise ValueError(f"chi12 must be finite, got {chi12}")
+
+
 def _unwrap(t: np.ndarray, *vals):
     """The values as floats for a single time ``t``, else as the arrays they are."""
     out = tuple(float(v) if t.ndim == 0 else v for v in vals)
@@ -84,6 +90,7 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
     amplitudes d1..d4 this reduces to 4 |d1 d2 d3 d4 sin(chi12 t)|, and for
     the Bell-like state to |cos(chi12 t)|.
     """
+    _check_chi12(chi12)
     t = _checked_times(t)
     val = 2.0 * np.abs(np.exp(-2j * chi12 * t) * psi0.c00 * psi0.c11 - psi0.c01 * psi0.c10)
     return _unwrap(t, val)
@@ -178,6 +185,7 @@ def werner_like_lossless_curve(p: float, chi12: float, t):
     Starts at (3p - 1)/2 and oscillates with the Kerr phase.
     """
     _check_weight(p)
+    _check_chi12(chi12)
     t = _checked_times(t)
     val = 0.5 * np.maximum(0.0, p * (2.0 * np.abs(np.cos(chi12 * t)) + 1.0) - 1.0)
     return _unwrap(t, val)
@@ -288,7 +296,9 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
     comparisons at the first five revivals are evaluated from actual
     propagated states: the local peak of the coupled Werner-like measure
     near each revival must not fall below the uncoupled curve at that revival.
+    A finite chi12 <= 0 skips them; a NaN or infinite chi12 raises ValueError.
     """
+    _check_chi12(chi12)
     slack = _ORDERING_SLACK
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     c_psi, n_psi = bell_psi_curves(gamma, ts)

@@ -63,9 +63,11 @@ class Scenario:
         outs = tuple(self.outputs)
         if not outs:
             raise ValueError("outputs must name at least one column set")
-        for o in outs:
+        for i, o in enumerate(outs):
             if o not in _OUTPUTS:
                 raise ValueError(f"unknown output {o!r}, expected names from {_OUTPUTS}")
+            if o in outs[:i]:
+                raise ValueError(f"output {o!r} is listed twice")
         object.__setattr__(self, "outputs", outs)
 
 
@@ -191,17 +193,20 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
 
     The curves that share parameters share one ``propagate`` call and one
     measure call: the coupled curve_c of every panel, then each panel's
-    uncoupled curves a, b and d.
+    uncoupled curves a, b and d. ``p_values=None`` draws the default panels
+    0.4, 0.6, 0.8 and 1; an empty list raises ValueError.
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure {fig_id!r}, expected one of {_FIGURES}")
     werner = fig_id in ("fig3", "fig4")
-    if p_values and not werner:
-        raise ValueError(f"{fig_id} does not take mixing weights")
+    if p_values is not None and not werner:
+        raise ValueError(f"{fig_id} does not take mixing weights (--p)")
+    if p_values is not None and len(p_values) == 0:
+        raise ValueError("--p names no mixing weight; leave it out for the default panels")
     # the tags validate every weight before the first byte is written
     if werner:
         panels = [(p, WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))
-                  for p in (p_values or _DEFAULT_PANEL_WEIGHTS)]
+                  for p in (_DEFAULT_PANEL_WEIGHTS if p_values is None else p_values)]
     else:
         panels = [(None, BellPsi(+1), BellPhi(+1), BellLike())]
     measure_fn = measures.concurrence if fig_id in ("fig1", "fig3") else measures.negativity
@@ -371,7 +376,7 @@ def _dispatch(args) -> int:
         fig_id = _one_form("figure", args.figure_id, args.figure_flag)
         if fig_id is None:
             raise ValueError("figure needs an id: positional or --figure")
-        p_values = _parse_values(args.p) if args.p else None
+        p_values = None if args.p is None else _parse_values(args.p)
         with _open_out(args.out) as stream:
             run_figure(fig_id, p_values, stream)
         return 0

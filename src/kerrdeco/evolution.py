@@ -31,9 +31,10 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .states import (
-    BellLike, BellPhi, BellPsi, DensityMatrix2Q, InitialState, PlusPlus,
-    WernerLike, WernerPhi, WernerPsi, _as_density, _check_whole, _initial_matrix, initial_density, initial_label,
+    DensityMatrix2Q, InitialState, _CORES, _as_density, _check_whole, _initial_matrix,
+    bell_like, bell_phi, bell_psi, initial_density, initial_label,
 )
+from .states import BellLike  # noqa: F401  benchmarks/test_benchmark.py reaches the tag as evolution.BellLike
 
 __all__ = [
     "CavityParams",
@@ -500,51 +501,18 @@ def _rk4_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarr
 # Closed-form evolved matrices for the named families.
 
 
-def _bell_like_matrix(gamma: float, chi12: float, t: float, plus_plus: bool = False) -> np.ndarray:
-    """Evolved matrix shared by the Bell-like and the |+,+> initial states.
-
-    Requires vanishing self-Kerr couplings; the two cases differ only in
-    the oscillator factor f and the corner coefficient h.
-    """
-    g = math.exp(-gamma * t)
-    if plus_plus:
-        f = -cmath.exp(2j * chi12 * t)
-    else:
-        f = cmath.exp(2j * chi12 * t)
-    den = complex(gamma, -2.0 * chi12)
-    if den == 0:
-        # no damping and no coupling: the state is stationary
-        h = (2.0 + f * g) if plus_plus else f * g
-    elif plus_plus:
-        h = (gamma * (2.0 + f * g) - 2j * chi12) / den
-    else:
-        h = (gamma * f * g - 2j * chi12) / den
-    rg = math.sqrt(g)
-    g32 = g * rg
-    hb = h.conjugate()
-    fb = f.conjugate()
-    m = np.array([
-        [(2.0 - g) ** 2, h * rg,        h * rg,        -f * g],
-        [hb * rg,        g * (2.0 - g), g,             -f * g32],
-        [hb * rg,        g,             g * (2.0 - g), -f * g32],
-        [-fb * g,        -fb * g32,     -fb * g32,     g * g],
-    ], dtype=complex) / 4.0
-    return m
-
-
 def closed_form_reason(initial: InitialState, params: CavityParams) -> Optional[str]:
     """Why the closed-form engine cannot handle this combination, or None if it can."""
     if not params.quiet:
         return "closed forms assume quiet reservoirs (nbar = 0)"
     if params.gamma1 != params.gamma2:
         return "closed forms assume equal damping rates for both modes"
-    if isinstance(initial, (BellPsi, BellPhi, WernerPsi, WernerPhi)):
-        return None
-    if isinstance(initial, (BellLike, PlusPlus, WernerLike)):
-        if params.chi11 != 0.0 or params.chi22 != 0.0:
-            return f"the {initial_label(initial)} closed form needs vanishing self-Kerr couplings"
-        return None
-    return f"no closed form for the {initial_label(initial)} family"
+    core = _CORES.get(type(initial))
+    if core is None:
+        return f"no closed form for the {initial_label(initial)} family"
+    if core not in (bell_psi, bell_phi) and (params.chi11 != 0.0 or params.chi22 != 0.0):
+        return f"the {initial_label(initial)} closed form needs vanishing self-Kerr couplings"
+    return None
 
 
 def closed_form_rho(initial: InitialState, params: CavityParams, t) -> DensityMatrix2Q:
@@ -564,36 +532,25 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t) -> DensityMa
 
 
 def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -> np.ndarray:
-    """The matrix of ``closed_form_rho`` at one time, unvalidated."""
+    """The matrix of ``closed_form_rho`` at one time, unvalidated.
+
+    One branch per pure core of ``states._CORES``; a Bell tag takes its
+    Werner form at p = 1.
+    """
+    core = _CORES[type(initial)]
+    p = getattr(initial, "p", 1.0)
     gamma = params.gamma1
     g = math.exp(-gamma * t)
     m = np.zeros((4, 4), dtype=complex)
 
-    if isinstance(initial, BellPsi):
-        phase = cmath.exp(1j * (params.chi11 - params.chi22) * t)
-        m[0, 0] = 1.0 - g
-        m[1, 1] = m[2, 2] = g / 2.0
-        m[1, 2] = initial.sign * (g / 2.0) * phase
-        m[2, 1] = m[1, 2].conjugate()
-    elif isinstance(initial, BellPhi):
-        phase = cmath.exp(1j * (params.chi11 + 2.0 * params.chi12 + params.chi22) * t)
-        m[0, 0] = (2.0 - 2.0 * g + g * g) / 2.0
-        m[1, 1] = m[2, 2] = (1.0 - g) * g / 2.0
-        m[3, 3] = g * g / 2.0
-        m[0, 3] = initial.sign * (g / 2.0) * phase
-        m[3, 0] = m[0, 3].conjugate()
-    elif isinstance(initial, (BellLike, PlusPlus)):
-        m = _bell_like_matrix(gamma, params.chi12, t, plus_plus=isinstance(initial, PlusPlus))
-    elif isinstance(initial, WernerPsi):
-        p = initial.p
+    if core is bell_psi:
         phase = cmath.exp(1j * (params.chi11 - params.chi22) * t)
         m[0, 0] = ((2.0 - g) ** 2 - g * g * p) / 4.0
         m[3, 3] = g * g * (1.0 - p) / 4.0
         m[1, 1] = m[2, 2] = g * (2.0 - g * (1.0 - p)) / 4.0
         m[1, 2] = initial.sign * (g * p / 2.0) * phase
         m[2, 1] = m[1, 2].conjugate()
-    elif isinstance(initial, WernerPhi):
-        p = initial.p
+    elif core is bell_phi:
         xp = (1.0 + p) * g * g / 2.0
         f = g * cmath.exp(1j * (params.chi11 + 2.0 * params.chi12 + params.chi22) * t)
         m[0, 0] = (2.0 - 2.0 * g + xp) / 2.0
@@ -601,10 +558,34 @@ def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -
         m[3, 3] = xp / 2.0
         m[0, 3] = initial.sign * p * f / 2.0
         m[3, 0] = m[0, 3].conjugate()
-    elif isinstance(initial, WernerLike):
-        m = _bell_like_matrix(gamma, params.chi12, t)
-        off = ~np.eye(4, dtype=bool)
-        m[off] *= initial.p
+    else:
+        # the Bell-like core and |+,+>, with vanishing self-Kerr couplings; they
+        # differ only in the oscillator factor f and the corner coefficient h
+        plus_plus = core is not bell_like
+        chi12 = params.chi12
+        f = cmath.exp(2j * chi12 * t)
+        if plus_plus:
+            f = -f
+        den = complex(gamma, -2.0 * chi12)
+        if den == 0:
+            # no damping and no coupling: the state is stationary
+            h = (2.0 + f * g) if plus_plus else f * g
+        elif plus_plus:
+            h = (gamma * (2.0 + f * g) - 2j * chi12) / den
+        else:
+            h = (gamma * f * g - 2j * chi12) / den
+        rg = math.sqrt(g)
+        g32 = g * rg
+        hb = h.conjugate()
+        fb = f.conjugate()
+        m = np.array([
+            [(2.0 - g) ** 2, h * rg,        h * rg,        -f * g],
+            [hb * rg,        g * (2.0 - g), g,             -f * g32],
+            [hb * rg,        g,             g * (2.0 - g), -f * g32],
+            [-fb * g,        -fb * g32,     -fb * g32,     g * g],
+        ], dtype=complex) / 4.0
+        if p != 1.0:  # the Werner-like mixture scales the coherences; by 1.0 it would change no bit
+            m[~np.eye(4, dtype=bool)] *= p
     return m
 
 

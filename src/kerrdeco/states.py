@@ -34,7 +34,6 @@ __all__ = [
     "bell_phi",
     "bell_like",
     "separable",
-    "werner",
     "to_density",
     "initial_density",
     "initial_densities",
@@ -287,40 +286,21 @@ def separable(d1, d2, d3, d4) -> PureState2Q:
 
 def to_density(psi: PureState2Q) -> DensityMatrix2Q:
     """Rank-one projector onto a pure state."""
-    return DensityMatrix2Q(_projector(psi))
-
-
-def _projector(psi: PureState2Q) -> np.ndarray:
     amps = psi.amplitudes()
-    return np.outer(amps, amps.conj())
-
-
-def werner(kind: str, sign=None, p: float = 1.0) -> DensityMatrix2Q:
-    """Werner mixture p |state><state| + (1-p)/4 * identity.
-
-    kind selects the entangled core: "psi" and "phi" take the Bell pair of
-    that parity with the given sign, '+' if none is given; "like" takes the
-    Bell-like state, which has no sign, so giving one raises ValueError.
-    """
-    return DensityMatrix2Q(_werner_matrix(kind, sign, p))
-
-
-def _werner_matrix(kind: str, sign, p: float) -> np.ndarray:
-    _check_weight(p)
-    if kind in ("psi", "phi"):
-        core = (bell_psi if kind == "psi" else bell_phi)(+1 if sign is None else sign)
-    elif kind == "like":
-        if sign is not None:
-            raise ValueError(f"the 'like' Werner kind takes no sign, got {sign!r}")
-        core = bell_like()
-    else:
-        raise ValueError(f"unknown Werner kind {kind!r}, expected 'psi', 'phi' or 'like'")
-    amps = core.amplitudes()
-    return p * np.outer(amps, amps.conj()) + (1.0 - p) / 4.0 * np.eye(4)
+    return DensityMatrix2Q(np.outer(amps, amps.conj()))
 
 
 # ---------------------------------------------------------------------------
 # Tag dispatch.
+
+# The pure core of each named family. A Werner tag mixes its core with white
+# noise, p |core><core| + (1 - p)/4 * identity, and a Bell tag is its Werner tag
+# at p = 1. The closed forms of ``evolution`` read the same table.
+_CORES = {
+    BellPsi: bell_psi, WernerPsi: bell_psi, BellPhi: bell_phi, WernerPhi: bell_phi,
+    BellLike: bell_like, WernerLike: bell_like,
+    PlusPlus: lambda: separable(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF),
+}
 
 
 def initial_density(initial: InitialState) -> DensityMatrix2Q:
@@ -339,29 +319,31 @@ def initial_densities(initials) -> DensityMatrix2Q:
     return DensityMatrix2Q(np.array([_initial_matrix(i) for i in initials], dtype=complex).reshape(-1, 4, 4))
 
 
-def _initial_matrix(initial: InitialState) -> np.ndarray:
-    """The unchecked t = 0 matrix of a tag, for a state or stack that is then checked once."""
-    if isinstance(initial, BellPsi):
-        return _projector(bell_psi(initial.sign))
-    if isinstance(initial, BellPhi):
-        return _projector(bell_phi(initial.sign))
-    if isinstance(initial, BellLike):
-        return _projector(bell_like())
-    if isinstance(initial, PlusPlus):
-        return _projector(separable(_SQRT_HALF, _SQRT_HALF, _SQRT_HALF, _SQRT_HALF))
+def _core(initial: InitialState) -> PureState2Q:
+    """The pure state of a tag other than ``CustomMixed``; for a Werner tag, the core it mixes."""
+    make = _CORES.get(type(initial))
+    if make is not None:
+        return make(initial.sign) if hasattr(initial, "sign") else make()
     if isinstance(initial, Separable):
-        return _projector(separable(initial.d1, initial.d2, initial.d3, initial.d4))
-    if isinstance(initial, WernerPsi):
-        return _werner_matrix("psi", initial.sign, initial.p)
-    if isinstance(initial, WernerPhi):
-        return _werner_matrix("phi", initial.sign, initial.p)
-    if isinstance(initial, WernerLike):
-        return _werner_matrix("like", None, initial.p)
+        return separable(initial.d1, initial.d2, initial.d3, initial.d4)
     if isinstance(initial, CustomPure):
-        return _projector(initial.state)
+        return initial.state
+    raise ValueError(f"unknown initial state {initial!r}")
+
+
+def _initial_matrix(initial: InitialState) -> np.ndarray:
+    """The unchecked t = 0 matrix of a tag, for a state or stack that is then checked once.
+
+    Only a Werner tag is mixed: the other tags keep the bare projector, whose
+    -0.0 entries adding 0 * identity would turn into +0.0.
+    """
     if isinstance(initial, CustomMixed):
         return initial.rho.matrix
-    raise ValueError(f"unknown initial state {initial!r}")
+    amps = _core(initial).amplitudes()
+    rho = np.outer(amps, amps.conj())
+    if not hasattr(initial, "p"):
+        return rho
+    return initial.p * rho + (1.0 - initial.p) / 4.0 * np.eye(4)
 
 
 def initial_label(initial: InitialState) -> str:

@@ -215,6 +215,18 @@ class TestLosslessFormulas:
         with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
             unitary_pure_entanglement(bell_like(), 20.0, t)
 
+    @pytest.mark.parametrize("chi12", [math.nan, math.inf, -math.inf])
+    def test_a_non_finite_coupling_is_named(self, chi12):
+        want = f"^chi12 must be finite, got {chi12}$"
+        with pytest.raises(ValueError, match=want):
+            unitary_pure_entanglement(bell_like(), chi12, 0.1)
+        with pytest.raises(ValueError, match=want):
+            werner_like_lossless_curve(0.5, chi12, 0.1)
+        with pytest.raises(ValueError, match=want):
+            check_ordering_inequalities(GAMMA, chi12, np.linspace(0.02, 1.0, 5), p=0.8)
+        with pytest.raises(ValueError, match=want):
+            check_ordering_inequalities(GAMMA, chi12, np.linspace(0.02, 1.0, 5))
+
     def test_werner_like_curve_matches_measured(self):
         lossless = CavityParams(gamma1=0.0, gamma2=0.0, chi12=20.0)
         times = np.linspace(0.0, 0.4, 11)
@@ -421,6 +433,12 @@ class TestOrderingReport:
             check_ordering_inequalities(-1.0, 20.0, np.array([0.1]))
         with pytest.raises(ValueError):
             check_ordering_inequalities(GAMMA, 20.0, np.array([-0.1]))
+
+    @pytest.mark.parametrize("chi12", [0.0, -20.0])
+    def test_a_coupling_of_zero_or_less_skips_the_revivals(self, chi12):
+        rep = check_ordering_inequalities(GAMMA, chi12, np.linspace(0.02, 1.0, 50), p=0.8)
+        assert rep.revivals is None and rep.revival_concurrence_ok is None
+        assert rep.all_hold()
 
     def test_all_hold_logic(self):
         base = dict(times=np.array([0.1]),

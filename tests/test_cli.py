@@ -196,6 +196,9 @@ class TestParseScenario:
             parse_scenario({"initial": {"family": "bell_like"}, "outputs": []})
         with pytest.raises(ValueError, match="outputs"):
             parse_scenario({"initial": {"family": "bell_like"}, "outputs": "concurrence"})
+        with pytest.raises(ValueError, match="^output 'concurrence' is listed twice$"):
+            parse_scenario({"initial": {"family": "bell_like"},
+                            "outputs": ["concurrence", "eof", "concurrence"]})
 
     def test_rejects_bad_grid(self):
         with pytest.raises(ValueError, match="t_max"):
@@ -466,6 +469,21 @@ class TestFigure:
     def test_fig1_rejects_weights(self, capsys):
         assert main(["figure", "fig1", "--p", "0.5"]) == 1
         assert "mixing weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("argv", [["figure", "fig3", "--p", ","], ["figure", "fig3", "--p", ""],
+                                      ["figure", "fig4", "--p", " , "], ["figure", "fig1", "--p", ""]],
+                             ids=["fig3-comma", "fig3-empty", "fig4-blank", "fig1-empty"])
+    def test_an_empty_weight_list_is_a_usage_error(self, argv, capsys):
+        assert main(argv) == 1
+        out, err = capsys.readouterr()
+        assert out == "" and "--p" in err
+
+    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
+    def test_run_figure_rejects_an_empty_weight_list(self, fig):
+        buf = io.StringIO()
+        with pytest.raises(ValueError, match="--p"):
+            run_figure(fig, [], buf)
+        assert buf.getvalue() == ""
 
     def test_bad_weight_rejected(self, capsys):
         assert main(["figure", "fig3", "--p", "1.5"]) == 1

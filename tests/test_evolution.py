@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -546,6 +547,33 @@ class TestClosedForms:
         rho0 = initial_density(BellLike()).matrix
         out = closed_form_rho(BellLike(), frozen, 5.0).matrix
         assert np.allclose(out, rho0, atol=1e-14)
+
+    @staticmethod
+    def _bell_branches(initial, params, t):
+        # the BellPsi and BellPhi branches of the closed forms before they became the p = 1 Werner forms
+        g = math.exp(-params.gamma1 * t)
+        m = np.zeros((4, 4), dtype=complex)
+        if isinstance(initial, BellPsi):
+            phase = cmath.exp(1j * (params.chi11 - params.chi22) * t)
+            m[0, 0] = 1.0 - g
+            m[1, 1] = m[2, 2] = g / 2.0
+            m[1, 2] = initial.sign * (g / 2.0) * phase
+            m[2, 1] = m[1, 2].conjugate()
+        else:
+            phase = cmath.exp(1j * (params.chi11 + 2.0 * params.chi12 + params.chi22) * t)
+            m[0, 0] = (2.0 - 2.0 * g + g * g) / 2.0
+            m[1, 1] = m[2, 2] = (1.0 - g) * g / 2.0
+            m[3, 3] = g * g / 2.0
+            m[0, 3] = initial.sign * (g / 2.0) * phase
+            m[3, 0] = m[0, 3].conjugate()
+        return m
+
+    @pytest.mark.parametrize("params", [QUIET, CavityParams(chi11=7.0, chi22=5.0)], ids=["fig", "self_kerr"])
+    @pytest.mark.parametrize("initial", [BellPsi(+1), BellPsi(-1), BellPhi(+1), BellPhi(-1)])
+    def test_bell_forms_are_the_full_weight_werner_forms(self, initial, params):
+        grid = np.linspace(0.0, 1.0, 401)
+        want = np.array([self._bell_branches(initial, params, t) for t in grid.tolist()])
+        assert np.max(np.abs(closed_form_rho(initial, params, grid).matrix - want)) <= 1e-15
 
     def test_werner_like_off_diagonal_scaling(self):
         full = closed_form_rho(BellLike(), QUIET, 0.2).matrix

@@ -11,7 +11,7 @@ from kerrdeco.measures import (
 )
 from kerrdeco.states import (
     BellLike, BellPhi, PlusPlus, Separable, WernerLike, WernerPhi, WernerPsi, bell_like, bell_phi, bell_psi, initial_density,
-    random_density_matrix, random_pure_state, separable, to_density, werner,
+    random_density_matrix, random_pure_state, separable, to_density,
 )
 
 CORPUS = 1000
@@ -42,8 +42,8 @@ class TestKnownValues:
     @pytest.mark.parametrize("p", [0.0, 0.2, 1.0 / 3.0, 0.4, 0.6, 0.8, 1.0])
     def test_werner_initial_values(self, p):
         want = max(0.0, (3.0 * p - 1.0) / 2.0)
-        for kind in ("psi", "phi", "like"):
-            rho = werner(kind, p=p)
+        for rho in (initial_density(WernerPsi(p)), initial_density(WernerPhi(p)),
+                    initial_density(WernerLike(p))):
             assert concurrence(rho) == pytest.approx(want, abs=1e-10)
             assert negativity(rho) == pytest.approx(want, abs=1e-10)
 

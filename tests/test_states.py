@@ -10,7 +10,7 @@ from kerrdeco.states import (
     PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi, WernerPsi,
     bell_like, bell_phi, bell_psi, initial_densities, initial_density, initial_label,
     parse_initial, random_density_matrix, random_pure_state, separable,
-    to_density, werner,
+    to_density,
 )
 
 RT2 = 1.0 / math.sqrt(2.0)
@@ -173,31 +173,21 @@ class TestConstructors:
             separable(0.6, 0.8, 0.5, 0.5)
 
     def test_werner_limits(self):
-        full = werner("psi", +1, 1.0).matrix
+        full = initial_density(WernerPsi(1.0, +1)).matrix
         assert np.allclose(full, to_density(bell_psi(+1)).matrix)
-        mixed = werner("phi", +1, 0.0).matrix
+        mixed = initial_density(WernerPhi(0.0, +1)).matrix
         assert np.allclose(mixed, np.eye(4) / 4.0)
 
     def test_werner_mixture_structure(self):
         p = 0.8
-        rho = werner("like", p=p).matrix
+        rho = initial_density(WernerLike(p)).matrix
         core = to_density(bell_like()).matrix
         assert np.allclose(rho, p * core + (1 - p) / 4.0 * np.eye(4), atol=1e-15)
 
-    def test_werner_rejects_bad_kind_and_weight(self):
-        with pytest.raises(ValueError, match="kind"):
-            werner("ghz")
-        with pytest.raises(ValueError, match="weight"):
-            werner("psi", +1, 1.2)
-
-    @pytest.mark.parametrize("sign", [+1, -1, "+"])
-    def test_werner_like_takes_no_sign(self, sign):
-        with pytest.raises(ValueError, match=rf"^the 'like' Werner kind takes no sign, got {re.escape(repr(sign))}$"):
-            werner("like", sign, 0.5)
-
     def test_werner_sign_defaults_to_plus(self):
-        for kind in ("psi", "phi"):
-            assert werner(kind, p=0.5).matrix.tobytes() == werner(kind, "+", 0.5).matrix.tobytes()
+        for tag in (WernerPsi, WernerPhi):
+            want = initial_density(tag(0.5, "+")).matrix.tobytes()
+            assert initial_density(tag(0.5)).matrix.tobytes() == want
 
     def test_to_density_projector(self):
         rho = to_density(bell_phi(+1)).matrix
@@ -220,6 +210,32 @@ class TestTags:
     def test_separable_tag_checks_each_factor(self, d, names):
         with pytest.raises(ValueError, match=f"factor \\({names}\\) is not normalized"):
             Separable(*d)
+
+    @staticmethod
+    def _werner_matrix(core, p):
+        # the Werner matrix as states._werner_matrix built it before the tags took its place
+        amps = core.amplitudes()
+        return p * np.outer(amps, amps.conj()) + (1.0 - p) / 4.0 * np.eye(4)
+
+    @pytest.mark.parametrize("sign", [+1, -1])
+    def test_werner_tags_keep_the_bytes_of_the_old_werner_matrix(self, sign):
+        weights = np.concatenate([np.linspace(0.0, 1.0, 41), [1.0 / 3.0],
+                                  np.random.default_rng(5).uniform(0.0, 1.0, 40)])
+        for p in weights.tolist():
+            for tag, core in ((WernerPsi(p, sign), bell_psi(sign)), (WernerPhi(p, sign), bell_phi(sign)),
+                              (WernerLike(p), bell_like())):
+                assert initial_density(tag).matrix.tobytes() == self._werner_matrix(core, p).tobytes()
+
+    def test_bell_tags_are_their_werner_tags_at_full_weight(self):
+        for bell, werner in ((BellPsi(+1), WernerPsi(1.0, +1)), (BellPsi(-1), WernerPsi(1.0, -1)),
+                             (BellPhi(+1), WernerPhi(1.0, +1)), (BellPhi(-1), WernerPhi(1.0, -1)),
+                             (BellLike(), WernerLike(1.0))):
+            assert np.array_equal(initial_density(bell).matrix, initial_density(werner).matrix)
+
+    def test_bell_tags_keep_the_bare_projector(self):
+        # the Werner mixture at p = 1 would turn the projector's -0.0 entries into +0.0
+        for tag, core in ((BellPsi(-1), bell_psi(-1)), (BellPhi(-1), bell_phi(-1)), (BellLike(), bell_like())):
+            assert initial_density(tag).matrix.tobytes() == to_density(core).matrix.tobytes()
 
     def test_werner_tags_validate_weight(self):
         with pytest.raises(ValueError):
