@@ -1,11 +1,12 @@
 """Two independent routes to the same density matrix.
 
 The analytic propagator sums a closed-form series; the oracle
-integrates the master equation with fixed-step RK4 and knows nothing
-about that series. Agreement in trace distance is the strongest
-internal consistency check the package has, and `kerrdeco verify`
-runs a battery of these. This demo does one by hand, including a
-thermal reservoir case the analytic route refuses.
+evolves the master equation and knows nothing about that series. With
+quiet reservoirs it steps fixed-step RK4; with warm ones it applies the
+exact propagator of each coherence sector. Agreement in trace distance
+is the strongest internal consistency check the package has, and
+`kerrdeco verify` runs a battery of these. This demo does one by hand,
+including a thermal reservoir case the analytic route refuses.
 """
 
 import numpy as np

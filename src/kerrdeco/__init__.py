@@ -1,8 +1,9 @@
 """Decoherence of two optical qubits in a lossy Kerr-nonlinear cavity.
 
 A small numpy library with three routes over a time axis, one call each:
-the analytic damped propagator, the fixed-step RK4 master-equation oracle
-and the closed-form matrices. Around them sit two-qubit entanglement
+the analytic damped propagator, the master-equation oracle (fixed-step RK4
+for quiet reservoirs, exact per-sector propagators for warm ones) and the
+closed-form matrices. Around them sit two-qubit entanglement
 measures, the decay curves and envelopes of the named state families and
 a CSV-emitting command line (``kerrdeco``).
 """

@@ -6,17 +6,20 @@ reservoirs, to one state or a stack of B at one time or an array of N times in
 one call: its terms are numpy arrays, each complex product spelled out as
 CPython forms it, so every matrix equals the scalar arithmetic bit for bit; it
 returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
-``integrate_master_grid`` integrates the full master equation over a time
-grid with fixed-step RK4 on a truncated Fock space, the cross-checking oracle;
-it also covers thermal reservoirs. The step is not an option: ``_default_step``
-derives it from the rates and ``fock_dim``, and a run that would take more than
-``_MAX_RK4_STEPS`` steps, or more than ``_MAX_RK4_WORK`` steps * K**2 * B for K evolved
-entries of B states, is rejected before it starts. The generator conserves each
-mode's coherence order ``m_j - n_j``, so the oracle evolves only the entries
-within the orders the initial state occupies; every other entry stays exactly zero.
-It takes one initial matrix or a stack of them, evolved together in one
-step loop, and returns an (N, d, d) array of snapshots, (B, N, d, d) for a
-stack of B.
+``integrate_master_grid`` evolves the full master equation over a time grid
+on a truncated Fock space, the cross-checking oracle; it also covers thermal
+reservoirs. The generator conserves each mode's coherence order ``m_j - n_j``,
+so the oracle evolves only the entries within the orders the initial state
+occupies; every other entry stays exactly zero. Quiet runs step fixed-step
+RK4, because the pinned oracle CSV hashes hold its bytes until they are
+re-recorded; warm runs (``nbar > 0``) take no steps and apply the exact
+propagator ``exp(span * L)`` of each signed coherence sector, formed by Taylor
+scaling and squaring. The step is not an option: ``_default_step`` derives it
+from the rates and ``fock_dim``, and a run that would take more than
+``_MAX_RK4_STEPS`` steps, or more than ``_MAX_RK4_WORK`` steps * K**2 * B for K
+evolved entries of B states, is rejected before it starts, warm runs included.
+It takes one initial matrix or a stack of them, evolved together, and returns
+an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B.
 
 Rates are in rad/us, times in us.
 """
@@ -60,9 +63,10 @@ _MAX_FOCK_DIM = 16
 
 # The most RK4 steps an oracle run may take to its last time, and the most work,
 # steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
-# entries: 50x the largest shipped run (thermal, fock_dim 5, t_max 1: about 20k steps
-# at K = 169, 5.8e8). Stronger rates, a longer run or a larger fock_dim fail at the
-# boundary instead of stepping for hours.
+# entries: 50x the largest run these caps were set for (thermal, fock_dim 5, t_max 1:
+# about 20k steps at K = 169, 5.8e8). Stronger rates, a longer run or a larger
+# fock_dim fail at the boundary instead of stepping for hours. Warm runs take no RK4
+# steps (``_exact_kept``), so for them the caps bound the request, not the work done.
 _MAX_RK4_STEPS = 1_000_000
 _MAX_RK4_WORK = 29_000_000_000
 
@@ -419,13 +423,16 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
                           fock_dim: int = 2) -> np.ndarray:
-    """Integrate the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
+    """Evolve the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
     Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
-    for a stack the union of its members' boxes) are integrated; every other
+    for a stack the union of its members' boxes) are evolved; every other
     entry of each snapshot is exactly zero, and so is every entry outside a
-    member's own box. A stack is evolved in one step loop: each RK4 step is
-    one matrix product over all its members.
+    member's own box. Quiet reservoirs step RK4 (``_rk4_kept``), whose bytes
+    the pinned oracle CSV hashes record; warm ones apply each coherence
+    sector's exact propagator once per grid time (``_exact_kept``). A stack
+    is evolved together: each RK4 step, or each propagator product, is one
+    matrix product over all its members.
 
     Parameters
     ----------
@@ -460,15 +467,18 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     keep = _kept_indices(rho, fock_dim)
     step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d))
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
-    kept = _rk4_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0),
-                     params, fock_dim, keep, grid, step)
+    v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
+    if params.quiet:
+        kept = _rk4_kept(v, params, fock_dim, keep, grid, step)
+    else:
+        kept = _exact_kept(v, params, fock_dim, keep, grid)
     # the diagonal entries i * (d + 1) are always kept
     drift = np.abs(kept[:, keep % (d + 1) == 0].sum(axis=1) - np.trace(rho, axis1=-2, axis2=-1))
     if not np.all(drift <= 1e-9):
         bad = np.argwhere(~(drift <= 1e-9))[0]
         who = "" if rho.ndim == 2 else f" for state {bad[1]}"
         raise RuntimeError(f"trace drifted by {drift[tuple(bad)]:.3e}{who} during integration")
-    # assembled only after _rk4_kept has returned, so its step matrices are freed first (lower peak memory)
+    # assembled only after the kernel has returned, so its matrices are freed first (lower peak memory)
     out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
     out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
     return out.reshape(*out.shape[:-1], d, d)
@@ -495,6 +505,58 @@ def _rk4_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarr
         kept[i] = v
         prev = target
     return kept
+
+
+def _exact_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
+                grid: np.ndarray) -> np.ndarray:
+    """The kept entries ``v``, shape (K,) or (K, B), evolved exactly to every grid time: (N, K) or (N, K, B).
+
+    The generator is block-diagonal in the signed coherence orders
+    ``(m1 - n1, m2 - n2)``, so each sector is evolved alone by its own
+    propagator ``exp(span * L_s)``, formed once per distinct grid span and
+    applied once per grid time. A sector whose entries all start at zero
+    stays exactly zero and is skipped.
+    """
+    kept = np.zeros((len(grid), *v.shape), dtype=complex)
+    m1, m2, n1, n2 = np.unravel_index(keep, (fock_dim,) * 4)
+    orders = np.stack([m1 - n1, m2 - n2], axis=1)
+    spans = np.diff(grid, prepend=0.0)
+    distinct, which = np.unique(spans, return_inverse=True)
+    for order in np.unique(orders, axis=0):
+        idx = np.flatnonzero((orders == order).all(axis=1))
+        u = v[idx]
+        if not u.any():
+            continue
+        props = list(_expm(np.multiply.outer(distinct, _liouvillian(params, fock_dim, keep[idx]))))
+        snaps = np.empty((len(grid), *u.shape), dtype=complex)
+        for i, j in enumerate(which.tolist()):
+            u = np.dot(props[j], u, out=snaps[i])
+        kept[:, idx] = snaps
+    return kept
+
+
+def _expm(a: np.ndarray) -> np.ndarray:
+    """exp of each matrix of an (S, k, k) stack, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
+
+    With s chosen so that every ``a / 2**s`` has a 1-norm below ``theta < 1``,
+    the Taylor series stops at the degree q where ``theta**(q + 1) / (q + 1)!``
+    falls below the unit roundoff, and each sum is squared s times. A zero
+    matrix gives the identity exactly.
+    """
+    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    s = max(0, math.frexp(norm)[1])
+    a = a / 2.0 ** s
+    theta = norm / 2.0 ** s
+    m = term = np.eye(a.shape[-1], dtype=complex)
+    q, bound = 0, theta
+    while bound > 2.0 ** -53:
+        q += 1
+        term = term @ a / q
+        m = m + term
+        bound *= theta / (q + 1)
+    for _ in range(s):
+        m = m @ m
+    return np.broadcast_to(m, a.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +684,11 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
                n_points: int, engine: str = "analytic", fock_dim: int = 2) -> Trajectory:
     """Evolve an initial state on a uniform grid of n_points times in [0, t_max].
 
-    Engines: "analytic" uses the damped propagator, "oracle" the RK4
-    master-equation integration, "closed_form" the direct evolved matrices.
-    Thermal parameters require the oracle engine with fock_dim >= 4; the
-    resulting qubit states are projections and are marked approximate.
+    Engines: "analytic" uses the damped propagator, "oracle" the
+    master-equation oracle (RK4 steps for quiet reservoirs, each coherence
+    sector's exact propagator for warm ones), "closed_form" the direct evolved
+    matrices. Thermal parameters require the oracle engine with fock_dim >= 4;
+    the resulting qubit states are projections and are marked approximate.
     The request is checked by ``validate_run`` before any work is done.
     """
     validate_run(initial, params, t_max, n_points, engine, fock_dim)

@@ -1,4 +1,5 @@
 import cmath
+import dataclasses
 import math
 
 import numpy as np
@@ -319,6 +320,12 @@ def dense_rk4_grid(rho0, params, times, fock_dim):
 
 THERMAL = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0,
                        nbar1=0.3, nbar2=0.2)
+# THERMAL's rates with quiet reservoirs: the runs that step RK4
+COLD = dataclasses.replace(THERMAL, nbar1=0.0, nbar2=0.0)
+# how far a warm run, evolved exactly, may sit from the RK4 recurrence at the
+# default step: RK4's own truncation error, measured at 8.0e-12 on the
+# order-two coherence below; RK4 itself meets it at 0
+RK4_BOUND = 1e-10
 
 
 def kron_liouvillian(params, fock_dim):
@@ -337,6 +344,18 @@ def kron_liouvillian(params, fock_dim):
         up = 2.0 * np.kron(adj, aj.T) - np.kron(anti, eye) - np.kron(eye, anti.T)
         lmat = lmat + (gamma / 2.0) * ((nbar + 1.0) * down + nbar * up)
     return lmat
+
+
+def dense_exact_grid(rho0, params, times, fock_dim):
+    """exp(t L) vec(rho0) at every time, L the whole-space kron build, from its eigendecomposition.
+
+    One (d, d) start gives (N, d, d), a (B, d, d) stack (B, N, d, d).
+    """
+    lam, vecs = np.linalg.eig(kron_liouvillian(params, fock_dim))
+    rho0 = np.asarray(rho0, dtype=complex)
+    coef = np.linalg.solve(vecs, rho0.reshape(-1, fock_dim ** 4).T)
+    out = np.array([(vecs * np.exp(lam * t)) @ coef for t in times])
+    return np.moveaxis(out, -1, 0).reshape(*rho0.shape[:-2], len(times), *rho0.shape[-2:])
 
 
 class TestCoherenceOrders:
@@ -378,8 +397,8 @@ class TestCoherenceOrders:
         rho0 = np.outer(psi, psi.conj())
         times = [0.05, 0.1]
         got = integrate_master_grid(rho0, THERMAL, times, fd)
-        want = dense_rk4_grid(rho0, THERMAL, times, fd)
-        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, fd)).max() < 1e-12
+        assert max(np.abs(g - w).max() for g, w in zip(got, dense_rk4_grid(rho0, THERMAL, times, fd))) < RK4_BOUND
         # the coherence |2,1><0,0| has orders (2, 1) and survives damping
         assert abs(got[-1][2 * fd + 1, 0]) > 1e-2
         d1, d2 = coherence_orders(fd)
@@ -401,12 +420,20 @@ class TestCoherenceOrders:
         assert np.trace(got[-1]).real == pytest.approx(1.0, abs=1e-10)
 
     def test_qubit_space_with_both_coherences_is_bit_identical(self, rng):
+        # at fock_dim 2 the box is the whole space, so a quiet run does the dense arithmetic
+        rho0 = random_density_matrix(rng).matrix
+        times = [0.05, 0.1, 0.2]
+        got = integrate_master_grid(rho0, COLD, times, 2)
+        want = dense_rk4_grid(rho0, COLD, times, 2)
+        for g, w in zip(got, want):
+            assert np.array_equal(g, w)
+
+    def test_warm_qubit_space_is_the_dense_recurrence_within_the_rk4_bound(self, rng):
         rho0 = random_density_matrix(rng).matrix
         times = [0.05, 0.1, 0.2]
         got = integrate_master_grid(rho0, THERMAL, times, 2)
-        want = dense_rk4_grid(rho0, THERMAL, times, 2)
-        for g, w in zip(got, want):
-            assert np.array_equal(g, w)
+        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, 2)).max() < 1e-12
+        assert max(np.abs(g - w).max() for g, w in zip(got, dense_rk4_grid(rho0, THERMAL, times, 2))) < RK4_BOUND
 
 
 def frozen_oracle_loop(rho0, params, times, fock_dim):
@@ -452,15 +479,27 @@ class TestStackedOracle:
 
     @pytest.mark.parametrize("params, fock_dim, times", [
         (CavityParams(gamma1=4.0, gamma2=4.0, chi11=7.0, chi22=7.0, chi12=20.0), 2, np.linspace(0.1, 1.0, 10)),
-        (THERMAL, 4, np.linspace(0.0, 0.3, 31)),
+        (COLD, 4, np.linspace(0.0, 0.3, 31)),
     ])
     def test_one_state_is_the_frozen_loop_bit_for_bit(self, rng, params, fock_dim, times):
+        # quiet runs step RK4; warm ones are held to the loop by the next test
         for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
             rho0 = _embed_qubits(initial_density(initial).matrix, fock_dim)
             got = integrate_master_grid(rho0, params, times, fock_dim)
             want = frozen_oracle_loop(rho0, params, times.tolist(), fock_dim)
             assert got.shape == (len(times), fock_dim ** 2, fock_dim ** 2)
             assert got.tobytes() == np.array(want).tobytes()
+
+    def test_one_warm_state_is_the_frozen_loop_within_the_rk4_bound(self, rng):
+        fd, times = 4, np.linspace(0.0, 0.3, 31)
+        for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
+            rho0 = _embed_qubits(initial_density(initial).matrix, fd)
+            got = integrate_master_grid(rho0, THERMAL, times, fd)
+            want = np.array(frozen_oracle_loop(rho0, THERMAL, times.tolist(), fd))
+            assert got.shape == (len(times), fd ** 2, fd ** 2)
+            assert np.abs(got - want).max() < RK4_BOUND
+            # entries outside the box stay exactly zero on both routes
+            assert np.array_equal(got == 0, want == 0)
 
     @pytest.mark.parametrize("params, fock_dim, times", [
         (CavityParams(gamma1=4.0, gamma2=4.0, chi11=7.0, chi22=7.0, chi12=20.0), 2, np.linspace(0.1, 1.0, 10)),
@@ -512,6 +551,66 @@ class TestStackedOracle:
             integrate_master_grid(np.array([rho0, 1e8 * rho0]), QUIET, [0.1, 0.5])
         with pytest.raises(RuntimeError, match=r"^trace drifted by \S+ during integration$"):
             integrate_master_grid(1e8 * rho0, QUIET, [0.1, 0.5])
+
+
+class TestWarmOracle:
+    """Warm reservoirs are evolved by each coherence sector's exact propagator, not by RK4."""
+
+    TIMES = [0.0, 0.05, 0.2, 0.5, 1.0]
+
+    @pytest.mark.parametrize("fock_dim", [3, 4])
+    @pytest.mark.parametrize("initial", [BellLike(), BellPhi(-1)], ids=["bell_like", "bell_phi"])
+    def test_one_state_is_the_dense_exponential(self, initial, fock_dim):
+        rho0 = _embed_qubits(initial_density(initial).matrix, fock_dim)
+        got = integrate_master_grid(rho0, THERMAL, self.TIMES, fock_dim)
+        assert np.abs(got - dense_exact_grid(rho0, THERMAL, self.TIMES, fock_dim)).max() <= 1e-12
+        # t = 0 is the start itself, and a sector that starts empty stays exactly zero:
+        # Bell-phi fills only the orders (0, 0), (1, 1) and (-1, -1) of its box
+        assert np.array_equal(got[0], rho0)
+        d1, d2 = (o.reshape(fock_dim ** 2, fock_dim ** 2) for o in coherence_orders(fock_dim))
+        empty = (d1 != d2) if isinstance(initial, BellPhi) else (np.abs(d1) > 1) | (np.abs(d2) > 1)
+        assert np.all(got[:, empty] == 0)
+        assert np.any(got[-1][~empty] != 0)
+
+    @pytest.mark.parametrize("fock_dim", [3, 4])
+    def test_a_stack_is_the_dense_exponential_of_each_member(self, rng, fock_dim):
+        stack = np.concatenate([mixed_box_stack(rng, fock_dim),
+                                [_embed_qubits(initial_density(BellPhi(+1)).matrix, fock_dim)]])
+        got = integrate_master_grid(stack, THERMAL, self.TIMES, fock_dim)
+        assert got.shape == (len(stack), len(self.TIMES), fock_dim ** 2, fock_dim ** 2)
+        assert np.abs(got - dense_exact_grid(stack, THERMAL, self.TIMES, fock_dim)).max() <= 1e-12
+
+    def test_quiet_limit_is_the_analytic_propagator(self):
+        # nbar = 1e-12 takes the exponential path; the qubit block must then be the quiet state
+        warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=7.0, chi22=0.0, chi12=20.0, nbar1=1e-12, nbar2=1e-12)
+        assert not warm.quiet
+        traj = trajectory(BellLike(), warm, 1.0, 41, engine="oracle", fock_dim=4)
+        quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
+        exact = propagate(initial_density(BellLike()), quiet, traj.times)
+        assert np.abs(traj.states.matrix - exact.matrix).max() <= 1e-8
+
+    def test_gibbs_limit_is_the_truncated_product_state(self):
+        # detailed balance holds in the truncated space, so every start relaxes to the
+        # normalized product of p_n ~ (nbar / (1 + nbar))**n per mode; the populations of
+        # a Bell-like start keep the run under the work cap, which its coherences would pass
+        fd = 6
+        warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
+        rho0 = np.diag(np.diag(_embed_qubits(initial_density(BellLike()).matrix, fd)))
+        got = integrate_master_grid(rho0, warm, [30.0], fock_dim=fd)[0]
+        p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(fd) for nbar in (warm.nbar1, warm.nbar2))
+        gibbs = np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))
+        assert np.abs(got - gibbs).max() <= 1e-10
+
+    def test_only_quiet_runs_step_rk4(self, monkeypatch):
+        from kerrdeco import evolution
+        calls = []
+        for name in ("_rk4_kept", "_exact_kept"):
+            kernel = getattr(evolution, name)
+            monkeypatch.setattr(evolution, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
+        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        for params in (COLD, THERMAL, COLD):
+            integrate_master_grid(rho0, params, [0.1], fock_dim=4)
+        assert calls == ["_rk4_kept", "_exact_kept", "_rk4_kept"]
 
 
 class TestClosedForms:
