@@ -10,14 +10,15 @@ returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
 on a truncated Fock space, the cross-checking oracle; it also covers thermal
 reservoirs. The generator conserves each mode's coherence order ``m_j - n_j``,
 so the oracle evolves only the entries within the orders the initial state
-occupies; every other entry stays exactly zero. Quiet runs step fixed-step
-RK4, because the pinned oracle CSV hashes hold its bytes until they are
-re-recorded; warm runs (``nbar > 0``) take no steps and apply the exact
-propagator ``exp(span * L)`` of each signed coherence sector, formed by Taylor
-scaling and squaring. The step is not an option: ``_default_step`` derives it
-from the rates and ``fock_dim``, and a run that would take more than
-``_MAX_RK4_STEPS`` steps, or more than ``_MAX_RK4_WORK`` steps * K**2 * B for K
-evolved entries of B states, is rejected before it starts, warm runs included.
+occupies; every other entry stays exactly zero. One kernel evolves them in
+groups, by one propagator per group and distinct grid span. A quiet run is one
+group, the whole box, stepped by fixed-step RK4, because the pinned oracle CSV
+hashes hold its bytes until they are re-recorded; a warm run (``nbar > 0``) has
+one group per signed coherence sector and applies its exact ``exp(span * L)``,
+by Taylor scaling and squaring. The step is not an option: ``_default_step``
+derives it from the rates and ``fock_dim``. A run past ``_MAX_RK4_STEPS`` steps
+is rejected before it starts, and a quiet one past ``_MAX_RK4_WORK`` steps *
+K**2 * B for K evolved entries of B states.
 It takes one initial matrix or a stack of them, evolved together, and returns
 an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B.
 
@@ -65,8 +66,9 @@ _MAX_FOCK_DIM = 16
 # steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
 # entries: 50x the largest run these caps were set for (thermal, fock_dim 5, t_max 1:
 # about 20k steps at K = 169, 5.8e8). Stronger rates, a longer run or a larger
-# fock_dim fail at the boundary instead of stepping for hours. Warm runs take no RK4
-# steps (``_exact_kept``), so for them the caps bound the request, not the work done.
+# fock_dim fail at the boundary instead of stepping for hours. The work cap holds only
+# for quiet runs, which step RK4; the step cap holds for every run, as for warm ones it
+# bounds rates times time and so the squarings of ``_expm``.
 _MAX_RK4_STEPS = 1_000_000
 _MAX_RK4_WORK = 29_000_000_000
 
@@ -377,7 +379,7 @@ def _check_fock_dim(fock_dim) -> None:
 
 
 def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int) -> float:
-    """The RK4 step, after a ValueError if reaching ``t_end`` exceeds ``_MAX_RK4_STEPS`` or ``_MAX_RK4_WORK``."""
+    """The RK4 step, after a ValueError if reaching ``t_end`` exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` if quiet."""
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
@@ -386,23 +388,10 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
         raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
                          f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {rates}")
     work = steps * kept * kept * stack
-    if not work <= _MAX_RK4_WORK:
+    if params.quiet and not work <= _MAX_RK4_WORK:
         raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
                          f"kept entries and {stack} state(s) make {work:.3g}, above the cap of {_MAX_RK4_WORK:.3g}")
     return step
-
-
-def _rk4_step_matrix(lmat: np.ndarray, h: float) -> np.ndarray:
-    # For a constant linear generator the classic RK4 update collapses
-    # exactly to the degree-4 Taylor polynomial of exp(h L).
-    eye = np.eye(lmat.shape[0], dtype=complex)
-    hl = h * lmat
-    m = eye + hl
-    term = hl
-    for k in (2.0, 3.0, 4.0):
-        term = term @ hl / k
-        m = m + term
-    return m
 
 
 def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
@@ -428,11 +417,12 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
     for a stack the union of its members' boxes) are evolved; every other
     entry of each snapshot is exactly zero, and so is every entry outside a
-    member's own box. Quiet reservoirs step RK4 (``_rk4_kept``), whose bytes
-    the pinned oracle CSV hashes record; warm ones apply each coherence
-    sector's exact propagator once per grid time (``_exact_kept``). A stack
-    is evolved together: each RK4 step, or each propagator product, is one
-    matrix product over all its members.
+    member's own box. One kernel (``_evolve_kept``) evolves them: quiet
+    reservoirs step RK4 over the whole box, whose bytes the pinned oracle CSV
+    hashes record; warm ones apply each coherence sector's exact propagator
+    once per grid time. A stack is evolved together: each RK4 step, or each
+    propagator product, is one matrix product over all its members. The step
+    cap holds for every run, the work cap only for quiet ones.
 
     Parameters
     ----------
@@ -468,10 +458,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d))
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
     v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
-    if params.quiet:
-        kept = _rk4_kept(v, params, fock_dim, keep, grid, step)
-    else:
-        kept = _exact_kept(v, params, fock_dim, keep, grid)
+    kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
     # the diagonal entries i * (d + 1) are always kept
     drift = np.abs(kept[:, keep % (d + 1) == 0].sum(axis=1) - np.trace(rho, axis1=-2, axis2=-1))
     if not np.all(drift <= 1e-9):
@@ -484,79 +471,84 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     return out.reshape(*out.shape[:-1], d, d)
 
 
-def _rk4_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
-              grid: np.ndarray, step: float) -> np.ndarray:
-    """The kept entries ``v``, shape (K,) or (K, B), RK4-evolved to every grid time: (N, K) or (N, K, B)."""
-    lmat = _liouvillian(params, fock_dim, keep)
-    kept = np.empty((len(grid), *v.shape), dtype=complex)
-    prev = 0.0
-    step_cache: dict[float, np.ndarray] = {}
-    for i, target in enumerate(grid.tolist()):
-        span = target - prev
-        if span > 0:
-            n = max(1, math.ceil(span / step))
-            h = span / n
-            m = step_cache.get(h)
-            if m is None:
-                m = _rk4_step_matrix(lmat, h)
-                step_cache[h] = m
-            for _ in range(n):
-                v = np.dot(m, v)
-        kept[i] = v
-        prev = target
-    return kept
+def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
+                 grid: np.ndarray, step: float) -> np.ndarray:
+    """The kept entries ``v``, shape (K,) or (K, B), evolved to every grid time: (N, K) or (N, K, B).
 
-
-def _exact_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
-                grid: np.ndarray) -> np.ndarray:
-    """The kept entries ``v``, shape (K,) or (K, B), evolved exactly to every grid time: (N, K) or (N, K, B).
-
-    The generator is block-diagonal in the signed coherence orders
-    ``(m1 - n1, m2 - n2)``, so each sector is evolved alone by its own
-    propagator ``exp(span * L_s)``, formed once per distinct grid span and
-    applied once per grid time. A sector whose entries all start at zero
-    stays exactly zero and is skipped.
+    Each group of entries is evolved by its own block of the generator and one
+    propagator per distinct grid span: for a quiet run the whole box and the RK4
+    step ``span / count``, applied ``count = ceil(span / step)`` times; for a warm
+    run each signed coherence sector ``(m1 - n1, m2 - n2)``, which the generator
+    never mixes, and its exact ``exp(span * L)``, applied once. A group whose
+    entries all start at zero stays exactly zero and is skipped.
     """
+    if params.quiet:
+        groups = [np.arange(len(keep))]
+    else:
+        m1, m2, n1, n2 = np.unravel_index(keep, (fock_dim,) * 4)
+        orders = np.stack([m1 - n1, m2 - n2], axis=1)
+        groups = [np.flatnonzero((orders == order).all(axis=1)) for order in np.unique(orders, axis=0)]
+    # a grid that begins at t = 0 records the start itself there
+    start = int(len(grid) > 0 and grid[0] == 0.0)
+    spans, which = np.unique(np.diff(grid[start:], prepend=0.0), return_inverse=True)
+    spans = spans.tolist()
+    counts = [math.ceil(span / step) if params.quiet else 1 for span in spans]
+    # each span's products before the one that records, as ranges built once (empty for a warm run)
+    more = [range(n - 1) for n in counts]
     kept = np.zeros((len(grid), *v.shape), dtype=complex)
-    m1, m2, n1, n2 = np.unravel_index(keep, (fock_dim,) * 4)
-    orders = np.stack([m1 - n1, m2 - n2], axis=1)
-    spans = np.diff(grid, prepend=0.0)
-    distinct, which = np.unique(spans, return_inverse=True)
-    for order in np.unique(orders, axis=0):
-        idx = np.flatnonzero((orders == order).all(axis=1))
+    for idx in groups:
         u = v[idx]
         if not u.any():
             continue
-        props = list(_expm(np.multiply.outer(distinct, _liouvillian(params, fock_dim, keep[idx]))))
+        lmat = _liouvillian(params, fock_dim, keep[idx])
+        if params.quiet:
+            # one at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
+            props = [_taylor(span / n * lmat, 4) for span, n in zip(spans, counts)]
+        else:
+            # a sector is small, so its propagators are one stack
+            props = list(_expm(np.multiply.outer(spans, lmat)))
         snaps = np.empty((len(grid), *u.shape), dtype=complex)
-        for i, j in enumerate(which.tolist()):
+        snaps[:start] = u
+        for i, j in enumerate(which.tolist(), start):
+            for _ in more[j]:
+                u = np.dot(props[j], u)
             u = np.dot(props[j], u, out=snaps[i])
         kept[:, idx] = snaps
     return kept
 
 
+def _taylor(a: np.ndarray, q: int) -> np.ndarray:
+    """``I + a + a**2 / 2! + ... + a**q / q!``, q >= 1, for each matrix of a (..., k, k) stack.
+
+    At q = 4 and ``a = h L`` it is one classic RK4 step of the constant
+    linear generator ``L``, whose four stages collapse to this polynomial.
+    """
+    m, term = np.eye(a.shape[-1], dtype=complex) + a, a
+    for k in range(2, q + 1):
+        term = term @ a / k
+        m = m + term
+    return m
+
+
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of an (S, k, k) stack, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
+    """exp of each matrix of a (..., k, k) stack, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
 
     With s chosen so that every ``a / 2**s`` has a 1-norm below ``theta < 1``,
-    the Taylor series stops at the degree q where ``theta**(q + 1) / (q + 1)!``
-    falls below the unit roundoff, and each sum is squared s times. A zero
-    matrix gives the identity exactly.
+    the Taylor polynomial stops at the degree q where ``theta**(q + 1) / (q + 1)!``
+    falls below the unit roundoff, and is squared s times. A zero matrix gives
+    the identity exactly.
     """
     norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
     s = max(0, math.frexp(norm)[1])
-    a = a / 2.0 ** s
     theta = norm / 2.0 ** s
-    m = term = np.eye(a.shape[-1], dtype=complex)
     q, bound = 0, theta
     while bound > 2.0 ** -53:
         q += 1
-        term = term @ a / q
-        m = m + term
         bound *= theta / (q + 1)
+    m = _taylor(a / 2.0 ** s, max(q, 1))
     for _ in range(s):
         m = m @ m
-    return np.broadcast_to(m, a.shape)
+    return m
 
 
 # ---------------------------------------------------------------------------
@@ -685,10 +677,11 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     """Evolve an initial state on a uniform grid of n_points times in [0, t_max].
 
     Engines: "analytic" uses the damped propagator, "oracle" the
-    master-equation oracle (RK4 steps for quiet reservoirs, each coherence
-    sector's exact propagator for warm ones), "closed_form" the direct evolved
-    matrices. Thermal parameters require the oracle engine with fock_dim >= 4;
-    the resulting qubit states are projections and are marked approximate.
+    master-equation oracle (one kernel: RK4 steps for quiet reservoirs, each
+    coherence sector's exact propagator for warm ones; the work cap holds for
+    quiet runs only), "closed_form" the direct evolved matrices. Thermal
+    parameters require the oracle engine with fock_dim >= 4; the resulting
+    qubit states are projections and are marked approximate.
     The request is checked by ``validate_run`` before any work is done.
     """
     validate_run(initial, params, t_max, n_points, engine, fock_dim)

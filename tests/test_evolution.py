@@ -8,9 +8,9 @@ import pytest
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_RK4_STEPS, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits, _kept_indices,
-    _liouvillian, _rk4_kept, _rk4_step_matrix, closed_form_reason, closed_form_rho, integrate_master_grid,
-    propagate, rj_factor, trajectory, validate_run,
+    _MAX_RK4_STEPS, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits, _evolve_kept,
+    _kept_indices, _liouvillian, closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor,
+    trajectory, validate_run,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi,
@@ -200,7 +200,7 @@ class TestMasterEquation:
         assert np.allclose(grid[-1], single, atol=1e-14)
 
     def test_fourth_order_convergence(self):
-        # halving the step divides the error by about 2^4
+        # halving the step of a quiet run divides the error by about 2^4
         prm = CavityParams(gamma1=1.0, gamma2=1.0, chi11=2.0, chi22=2.0, chi12=5.0)
         rho0 = initial_density(BellLike()).matrix
         exact = propagate(rho0, prm, 0.2).matrix
@@ -208,7 +208,7 @@ class TestMasterEquation:
         errs = []
         for h in (0.002, 0.001):
             out = np.zeros(16, dtype=complex)
-            out[keep] = _rk4_kept(rho0.reshape(-1)[keep], prm, 2, keep, np.array([0.2]), h)[0]
+            out[keep] = _evolve_kept(rho0.reshape(-1)[keep], prm, 2, keep, np.array([0.2]), h)[0]
             errs.append(linalg.trace_distance(out.reshape(4, 4), exact))
         assert 14.0 < errs[0] / errs[1] < 18.0
 
@@ -297,6 +297,18 @@ def coherence_orders(fock_dim):
     return m1 - n1, m2 - n2
 
 
+def rk4_step_matrix(lmat, h):
+    """One classic RK4 step of the constant generator ``lmat``: the degree-4 Taylor polynomial of exp(h L)."""
+    eye = np.eye(lmat.shape[0], dtype=complex)
+    hl = h * lmat
+    m = eye + hl
+    term = hl
+    for k in (2.0, 3.0, 4.0):
+        term = term @ hl / k
+        m = m + term
+    return m
+
+
 def dense_rk4_grid(rho0, params, times, fock_dim):
     """The oracle's RK4 recurrence on the whole of vec(rho), with the default step."""
     lmat = _liouvillian(params, fock_dim, np.arange(fock_dim ** 4))
@@ -310,7 +322,7 @@ def dense_rk4_grid(rho0, params, times, fock_dim):
             n = max(1, math.ceil(span / step))
             h = span / n
             if h not in cache:
-                cache[h] = _rk4_step_matrix(lmat, h)
+                cache[h] = rk4_step_matrix(lmat, h)
             for _ in range(n):
                 v = cache[h] @ v
         out.append(v.reshape(d, d).copy())
@@ -457,7 +469,7 @@ def frozen_oracle_loop(rho0, params, times, fock_dim):
             h = span / n
             m = step_cache.get(h)
             if m is None:
-                m = _rk4_step_matrix(lmat, h)
+                m = rk4_step_matrix(lmat, h)
                 step_cache[h] = m
             for _ in range(n):
                 v = m @ v
@@ -591,8 +603,7 @@ class TestWarmOracle:
 
     def test_gibbs_limit_is_the_truncated_product_state(self):
         # detailed balance holds in the truncated space, so every start relaxes to the
-        # normalized product of p_n ~ (nbar / (1 + nbar))**n per mode; the populations of
-        # a Bell-like start keep the run under the work cap, which its coherences would pass
+        # normalized product of p_n ~ (nbar / (1 + nbar))**n per mode
         fd = 6
         warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
         rho0 = np.diag(np.diag(_embed_qubits(initial_density(BellLike()).matrix, fd)))
@@ -601,16 +612,21 @@ class TestWarmOracle:
         gibbs = np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))
         assert np.abs(got - gibbs).max() <= 1e-10
 
-    def test_only_quiet_runs_step_rk4(self, monkeypatch):
+    def test_quiet_runs_build_the_box_and_warm_runs_each_occupied_sector(self, monkeypatch):
         from kerrdeco import evolution
-        calls = []
-        for name in ("_rk4_kept", "_exact_kept"):
-            kernel = getattr(evolution, name)
-            monkeypatch.setattr(evolution, name, lambda *a, _k=kernel, _n=name: calls.append(_n) or _k(*a))
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
-        for params in (COLD, THERMAL, COLD):
-            integrate_master_grid(rho0, params, [0.1], fock_dim=4)
-        assert calls == ["_rk4_kept", "_exact_kept", "_rk4_kept"]
+        sizes, build = [], evolution._liouvillian
+        monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append(len(a[2])) or build(*a))
+        fd = 4
+        # a Bell-like start occupies all nine signed sectors of its box, Bell-phi three
+        for initial, sectors in ((BellLike(), [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]),
+                                 (BellPhi(+1), [(0, 0), (1, 1), (-1, -1)])):
+            rho0 = _embed_qubits(initial_density(initial).matrix, fd)
+            sizes.clear()
+            integrate_master_grid(rho0, COLD, [0.1], fock_dim=fd)
+            assert sizes == [100]
+            sizes.clear()
+            integrate_master_grid(rho0, THERMAL, [0.1], fock_dim=fd)
+            assert sorted(sizes) == sorted((fd - abs(a)) * (fd - abs(b)) for a, b in sectors)
 
 
 class TestClosedForms:
@@ -778,6 +794,21 @@ class TestTrajectory:
             _checked_step(QUIET, 4, 1.0, 100, 200)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
             integrate_master_grid(np.stack([big] * 200), QUIET, [0.5, 1.0], fock_dim=4)
+
+    def test_the_work_cap_holds_only_for_runs_that_step_rk4(self):
+        # an embedded Bell-like start at fock_dim 6 keeps K = 256 entries; to t = 30 a quiet run makes
+        # 5.18e10 RK4 work, while a warm one takes no RK4 steps and passes
+        warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
+        quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
+        with pytest.raises(ValueError, match=r"256 kept entries and 1 state\(s\) make 5.18e\+10, above the cap"):
+            validate_run(BellLike(), quiet, 30.0, 401, "oracle", 6)
+        validate_run(BellLike(), warm, 30.0, 401, "oracle", 6)
+        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 6)
+        got = integrate_master_grid(rho0, warm, np.linspace(0.0, 30.0, 401), fock_dim=6)
+        assert np.abs(np.trace(got, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
+        # and it relaxes to the truncated Gibbs state, coherences included
+        p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(6) for nbar in (warm.nbar1, warm.nbar2))
+        assert np.abs(got[-1] - np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))).max() <= 1e-10
 
     def test_the_step_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
         # the thermal workload at fock_dim 5, 401 points to t_max 1: about 20k steps
