@@ -11,14 +11,17 @@ on a truncated Fock space, the cross-checking oracle; it also covers thermal
 reservoirs. The generator conserves each mode's coherence order ``m_j - n_j``,
 so the oracle evolves only the entries within the orders the initial state
 occupies; every other entry stays exactly zero. One kernel evolves them in
-groups, by one propagator per group and distinct grid span. A quiet run is one
-group, the whole box, stepped by fixed-step RK4, because the pinned oracle CSV
-hashes hold its bytes until they are re-recorded; a warm run (``nbar > 0``) has
-one group per signed coherence sector and applies its exact ``exp(span * L)``,
-by Taylor scaling and squaring. The step is not an option: ``_default_step``
-derives it from the rates and ``fock_dim``. A run past ``_MAX_RK4_STEPS`` steps
-is rejected before it starts, and a quiet one past ``_MAX_RK4_WORK`` steps *
-K**2 * B for K evolved entries of B states.
+groups. A quiet run is one group, the whole box, stepped by fixed-step RK4 with
+one step per distinct grid span, because the pinned oracle CSV hashes hold its
+bytes until they are re-recorded. A warm run (``nbar > 0``) has one group per
+signed coherence sector and uses its exact propagator, by Taylor scaling and
+squaring: on the grid ``trajectory`` builds, one ``exp(h * L)`` per sector,
+whose powers reach every grid time by doubling, each snapshot within half an
+ulp of its time (the last within one ulp); on any other grid one
+``exp(span * L)`` per distinct span, applied once per time. The step is not an
+option: ``_default_step`` derives it from the rates and ``fock_dim``. A run past
+``_MAX_RK4_STEPS`` steps is rejected before it starts, and a quiet one past
+``_MAX_RK4_WORK`` steps * K**2 * B for K evolved entries of B states.
 It takes one initial matrix or a stack of them, evolved together, and returns
 an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B.
 
@@ -333,25 +336,35 @@ def _destroy(fock_dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1).astype(complex)
 
 
-def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray) -> np.ndarray:
-    """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``."""
+def _operators(params: CavityParams, fock_dim: int) -> tuple:
+    """The whole-space operators ``_liouvillian`` slices: the Hamiltonian, the identity and, per mode,
+    ``(a, a^dagger, a^dagger a, a a^dagger, gamma, nbar)``."""
     a = _destroy(fock_dim)
     eye1 = np.eye(fock_dim, dtype=complex)
-    a1 = np.kron(a, eye1)
-    a2 = np.kron(eye1, a)
-    num1 = a1.conj().T @ a1
-    num2 = a2.conj().T @ a2
+    modes = []
+    for aj, gamma, nbar in ((np.kron(a, eye1), params.gamma1, params.nbar1),
+                            (np.kron(eye1, a), params.gamma2, params.nbar2)):
+        adj = aj.conj().T
+        modes.append((aj, adj, adj @ aj, aj @ adj, gamma, nbar))
+    num1, num2 = modes[0][2], modes[1][2]
     h = params.chi11 * num1 @ num1 + params.chi22 * num2 @ num2 + 2.0 * params.chi12 * num1 @ num2
+    return h, np.eye(fock_dim * fock_dim, dtype=complex), modes
+
+
+def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray,
+                 operators: Optional[tuple] = None) -> np.ndarray:
+    """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``.
+
+    ``operators``, from ``_operators(params, fock_dim)``, is built here when not
+    given; a run that builds several blocks passes them in, formed once.
+    """
+    h, eye, modes = _operators(params, fock_dim) if operators is None else operators
     d = fock_dim * fock_dim
-    eye = np.eye(d, dtype=complex)
     # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization, and
     # np.kron(x, y)[np.ix_(keep, keep)] is x[rr] * y[cc], entry by entry the same product
     rr, cc = np.ix_(keep // d, keep // d), np.ix_(keep % d, keep % d)
     lmat = -1j * (h[rr] * eye[cc] - eye[rr] * h.T[cc])
-    for aj, gamma, nbar in ((a1, params.gamma1, params.nbar1), (a2, params.gamma2, params.nbar2)):
-        adj = aj.conj().T
-        num = adj @ aj
-        anti = aj @ adj
+    for aj, adj, num, anti, gamma, nbar in modes:
         down = 2.0 * (aj[rr] * adj.T[cc]) - num[rr] * eye[cc] - eye[rr] * num.T[cc]
         up = 2.0 * (adj[rr] * aj.T[cc]) - anti[rr] * eye[cc] - eye[rr] * anti.T[cc]
         lmat = lmat + (gamma / 2.0) * ((nbar + 1.0) * down + nbar * up)
@@ -419,10 +432,15 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     entry of each snapshot is exactly zero, and so is every entry outside a
     member's own box. One kernel (``_evolve_kept``) evolves them: quiet
     reservoirs step RK4 over the whole box, whose bytes the pinned oracle CSV
-    hashes record; warm ones apply each coherence sector's exact propagator
-    once per grid time. A stack is evolved together: each RK4 step, or each
-    propagator product, is one matrix product over all its members. The step
-    cap holds for every run, the work cap only for quiet ones.
+    hashes record. Warm ones use each coherence sector's exact propagator: on
+    a grid that is exactly ``np.linspace(0.0, times[-1], N)``, one
+    ``exp(h * L)``, ``h = times[-1] / (N - 1)``, whose powers reach every time
+    by doubling in ceil(log2 N) products, snapshot k taken at k * h (within
+    half an ulp of ``times[k]``, the last within one ulp); on any other grid
+    one ``exp(span * L)`` per distinct span, applied once per time. A stack is
+    evolved together: each RK4 step, or each propagator product, is one matrix
+    product over all its members. The step cap holds for every run, the work
+    cap only for quiet ones.
 
     Parameters
     ----------
@@ -475,12 +493,19 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
                  grid: np.ndarray, step: float) -> np.ndarray:
     """The kept entries ``v``, shape (K,) or (K, B), evolved to every grid time: (N, K) or (N, K, B).
 
-    Each group of entries is evolved by its own block of the generator and one
-    propagator per distinct grid span: for a quiet run the whole box and the RK4
-    step ``span / count``, applied ``count = ceil(span / step)`` times; for a warm
-    run each signed coherence sector ``(m1 - n1, m2 - n2)``, which the generator
-    never mixes, and its exact ``exp(span * L)``, applied once. A group whose
-    entries all start at zero stays exactly zero and is skipped.
+    Each group of entries is evolved by its own block of the generator, built
+    from whole-space operators formed once per call. For a quiet run the group
+    is the whole box, and each distinct grid span has one RK4 step
+    ``span / count``, applied ``count = ceil(span / step)`` times. For a warm run
+    each signed coherence sector ``(m1 - n1, m2 - n2)``, which the generator never
+    mixes, is a group. On the grid ``trajectory`` builds, exactly
+    ``np.linspace(0.0, grid[-1], N)``, a sector forms one exact propagator
+    ``P = exp(h * L)``, ``h = grid[-1] / (N - 1)``, and reaches every time by
+    doubling (``_powers``); snapshot k is taken at k * h, which rounds to
+    ``grid[k]`` for k < N - 1 (at most half an ulp of that time away) and lies
+    within one ulp of ``grid[-1]`` for the last. On any other grid it forms
+    ``exp(span * L)`` per distinct span and applies it once per time. A group
+    whose entries all start at zero stays exactly zero and is skipped.
     """
     if params.quiet:
         groups = [np.arange(len(keep))]
@@ -488,26 +513,32 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
         m1, m2, n1, n2 = np.unravel_index(keep, (fock_dim,) * 4)
         orders = np.stack([m1 - n1, m2 - n2], axis=1)
         groups = [np.flatnonzero((orders == order).all(axis=1)) for order in np.unique(orders, axis=0)]
+    n = len(grid)
+    doubling = not params.quiet and n > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], n))
     # a grid that begins at t = 0 records the start itself there
-    start = int(len(grid) > 0 and grid[0] == 0.0)
+    start = int(n > 0 and grid[0] == 0.0)
     spans, which = np.unique(np.diff(grid[start:], prepend=0.0), return_inverse=True)
     spans = spans.tolist()
     counts = [math.ceil(span / step) if params.quiet else 1 for span in spans]
     # each span's products before the one that records, as ranges built once (empty for a warm run)
-    more = [range(n - 1) for n in counts]
-    kept = np.zeros((len(grid), *v.shape), dtype=complex)
+    more = [range(count - 1) for count in counts]
+    operators = _operators(params, fock_dim)
+    kept = np.zeros((n, *v.shape), dtype=complex)
     for idx in groups:
         u = v[idx]
         if not u.any():
             continue
-        lmat = _liouvillian(params, fock_dim, keep[idx])
+        lmat = _liouvillian(params, fock_dim, keep[idx], operators)
+        if doubling:
+            kept[:, idx] = _powers(_expm(grid[-1] / (n - 1) * lmat), u, n)
+            continue
         if params.quiet:
             # one at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
-            props = [_taylor(span / n * lmat, 4) for span, n in zip(spans, counts)]
+            props = [_taylor(span / count * lmat, 4) for span, count in zip(spans, counts)]
         else:
             # a sector is small, so its propagators are one stack
             props = list(_expm(np.multiply.outer(spans, lmat)))
-        snaps = np.empty((len(grid), *u.shape), dtype=complex)
+        snaps = np.empty((n, *u.shape), dtype=complex)
         snaps[:start] = u
         for i, j in enumerate(which.tolist(), start):
             for _ in more[j]:
@@ -515,6 +546,28 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
             u = np.dot(props[j], u, out=snaps[i])
         kept[:, idx] = snaps
     return kept
+
+
+def _powers(prop: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
+    """``prop**k @ u`` for k = 0 .. n - 1, n >= 2: shape (n, K) for u (K,), (n, K, B) for u (K, B).
+
+    By doubling: with snapshots 0 .. m - 1 filled, one product of ``prop**m``
+    with all of them fills m .. 2m - 1, and ``prop**m`` is then squared. N
+    snapshots take ceil(log2 N) products and one squaring fewer.
+    """
+    rows = u.reshape(len(u), -1).T
+    b = len(rows)
+    # time-major rows, (n * B, K): row k * B + j is member j at snapshot k
+    snaps = np.empty((n * b, len(u)), dtype=complex)
+    snaps[:b] = rows
+    m = 1
+    while True:
+        k = min(m, n - m)
+        np.matmul(snaps[:k * b], prop.T, out=snaps[m * b:(m + k) * b])
+        m *= 2
+        if m >= n:
+            return snaps.reshape(n, b, -1).swapaxes(1, 2).reshape(n, *u.shape)
+        prop = prop @ prop
 
 
 def _taylor(a: np.ndarray, q: int) -> np.ndarray:

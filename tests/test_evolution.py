@@ -629,6 +629,91 @@ class TestWarmOracle:
             assert sorted(sizes) == sorted((fd - abs(a)) * (fd - abs(b)) for a, b in sectors)
 
 
+def spy(monkeypatch, name):
+    """Wrap ``evolution.<name>`` so that each call's positional arguments are recorded in the returned list."""
+    from kerrdeco import evolution
+    calls, real = [], getattr(evolution, name)
+    monkeypatch.setattr(evolution, name, lambda *a: calls.append(a) or real(*a))
+    return calls
+
+
+class TestWarmDoubling:
+    """On exactly ``np.linspace(0, T, N)`` a warm run reaches every time from one propagator per sector by doubling;
+    any other grid is applied one time at a time."""
+
+    @pytest.mark.parametrize("n", [401, 2 ** 8 + 1, 2])
+    def test_a_uniform_grid_is_the_dense_exponential(self, monkeypatch, n):
+        powers = spy(monkeypatch, "_powers")
+        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        times = np.linspace(0.0, 1.0, n)
+        got = integrate_master_grid(rho0, THERMAL, times, 4)
+        assert len(powers) == 9
+        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, 4)).max() <= 1e-12
+        assert np.array_equal(got[0], rho0)
+
+    def test_a_stack_on_a_uniform_grid_is_the_dense_exponential(self, monkeypatch, rng):
+        powers = spy(monkeypatch, "_powers")
+        stack = np.concatenate([mixed_box_stack(rng, 4), [_embed_qubits(initial_density(BellPhi(+1)).matrix, 4)]])
+        times = np.linspace(0.0, 0.8, 101)
+        got = integrate_master_grid(stack, THERMAL, times, 4)
+        assert powers and all(u.ndim == 2 and u.shape[1] == len(stack) for _, u, _ in powers)
+        assert got.shape == (len(stack), len(times), 16, 16)
+        assert np.abs(got - dense_exact_grid(stack, THERMAL, times, 4)).max() <= 1e-12
+
+    @pytest.mark.parametrize("times", [
+        np.linspace(0.1, 1.0, 10),  # does not start at 0
+        [0.0, 0.1, 0.25, 0.3, 0.7],  # uneven spans
+        np.r_[0.0, 0.1, np.nextafter(0.2, 1.0), 0.3],  # one ulp off the linspace grid
+        [0.0],
+        [0.4],
+    ], ids=["late_start", "uneven", "last_bits", "start_only", "one_point"])
+    def test_any_other_grid_is_applied_one_time_at_a_time(self, monkeypatch, times):
+        powers = spy(monkeypatch, "_powers")
+        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        got = integrate_master_grid(rho0, THERMAL, times, 4)
+        assert powers == []
+        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, 4)).max() <= 1e-12
+
+    def test_one_propagator_per_sector_and_the_operators_once(self, monkeypatch):
+        expm, destroy = spy(monkeypatch, "_expm"), spy(monkeypatch, "_destroy")
+        traj = trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=4)
+        assert len(traj.times) == 401
+        # a Bell-like start occupies nine sectors; each forms one (K, K) propagator, not one per distinct span
+        assert len(expm) == 9 and all(a.ndim == 2 for a, in expm)
+        assert len(destroy) == 1
+
+    def test_quiet_limit_holds_off_the_uniform_grid(self):
+        # TestWarmOracle holds it on the grid trajectory builds
+        times = np.linspace(0.0, 1.0, 41)[[0, 1, 5, 17, 40]]
+        warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=7.0, chi22=0.0, chi12=20.0, nbar1=1e-12, nbar2=1e-12)
+        got = integrate_master_grid(_embed_qubits(initial_density(BellLike()).matrix, 4), warm, times, 4)
+        block = got[:, [0, 1, 4, 5]][:, :, [0, 1, 4, 5]]
+        block /= np.trace(block, axis1=-2, axis2=-1)[:, None, None]
+        quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
+        assert np.abs(block - propagate(initial_density(BellLike()), quiet, times).matrix).max() <= 1e-8
+
+
+def extract_qubits(big, fock_dim):
+    """The renormalized qubit blocks of an (N, d, d) oracle result, frozen as the bit-for-bit reference for the
+    states an oracle ``trajectory`` returns, however it comes to form them."""
+    idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
+    rows, cols = np.ix_(idx, idx)
+    block = np.ascontiguousarray(big[:, rows, cols])
+    block = (block + block.conj().swapaxes(-1, -2)) / 2.0
+    return block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
+
+
+class TestOracleTrajectoryBytes:
+    @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4)], ids=["quiet2", "quiet4", "warm4"])
+    @pytest.mark.parametrize("initial", [BellLike(), Separable(1.0, 0.0, 1.0, 0.0)], ids=["bell_like", "ground"])
+    def test_trajectory_is_the_renormalized_qubit_block_bit_for_bit(self, params, fock_dim, initial):
+        # the ground state keeps only its populations, so the block's coherences lie outside its box
+        traj = trajectory(initial, params, 0.5, 21, engine="oracle", fock_dim=fock_dim)
+        big = integrate_master_grid(_embed_qubits(initial_density(initial).matrix, fock_dim), params, traj.times,
+                                    fock_dim)
+        assert traj.states.matrix.tobytes() == extract_qubits(big, fock_dim).tobytes()
+
+
 class TestClosedForms:
     def test_reason_accepts_supported_cases(self):
         assert closed_form_reason(BellPsi(+1), CavityParams(chi11=9.0)) is None

@@ -3,7 +3,8 @@
 The reference shares no code with kerrdeco's generator: each column of ``L``
 is the master equation applied to one basis matrix, at 40 digits, from the
 same float rates. Both oracle kernels are held to it at fock_dim 2, where a
-warm run is the truncated model that the reference also solves.
+warm run is the truncated model that the reference also solves, on an uneven
+grid and on the uniform one that ``trajectory`` builds.
 """
 
 import numpy as np
@@ -61,13 +62,15 @@ def reference_grid(rho0, params, times):
         return np.array([[complex(w[j]) for j in range(16)] for w in out]).reshape(len(times), 4, 4)
 
 
-@pytest.mark.parametrize("params, bound", [
+@pytest.mark.parametrize("params, times, at, bound", [
     # the RK4 steps of a quiet run: 3.1e-12 measured
-    (QUIET, 1e-11),
-    # the exact per-sector propagators of a warm run: 1.4e-15 measured
-    (WARM, 1e-14),
-], ids=["quiet", "warm"])
-def test_oracle_is_the_40_digit_exponential(params, bound):
+    (QUIET, TIMES, slice(None), 1e-11),
+    # the exact per-sector propagators of a warm run, one per time on an uneven grid: 1.4e-15 measured
+    (WARM, TIMES, slice(None), 1e-14),
+    # one propagator per sector and its powers by doubling, on the grid trajectory builds: 5.2e-15 measured
+    (WARM, np.linspace(0.0, 1.0, 401), [1, 2, 100, 257, 400], 1e-14),
+], ids=["quiet", "warm", "warm_uniform"])
+def test_oracle_is_the_40_digit_exponential(params, times, at, bound):
     rho0 = initial_density(BellLike()).matrix
-    got = integrate_master_grid(rho0, params, TIMES, fock_dim=2)
-    assert np.abs(got - reference_grid(rho0, params, TIMES)).max() <= bound
+    got = integrate_master_grid(rho0, params, times, fock_dim=2)[at]
+    assert np.abs(got - reference_grid(rho0, params, np.asarray(times)[at])).max() <= bound
