@@ -18,9 +18,12 @@ signed coherence sector and uses its exact propagator, by Taylor scaling and
 squaring: on the grid ``trajectory`` builds, one ``exp(h * L)`` per sector,
 whose powers reach every grid time by doubling, each snapshot within half an
 ulp of its time (the last within one ulp); on any other grid one
-``exp(span * L)`` per distinct span, applied once per time. The step is not an
-option: ``_default_step`` derives it from the rates and ``fock_dim``. A run past
-``_MAX_RK4_STEPS`` steps is rejected before it starts, and a quiet one past
+``exp(span * L)`` per distinct span, applied once per time. Each kernel has its
+own cap, checked by one gate (``_checked_step``) before anything is built. A warm
+run is rejected when ``t_end`` times ``_generator_bound``, a bound on the
+generator's 1-norm from the rates alone, exceeds ``_MAX_WARM_NORM``. A quiet run
+takes the RK4 step that ``_default_step`` derives from the rates and
+``fock_dim`` (not an option), and is rejected past ``_MAX_RK4_STEPS`` steps or
 ``_MAX_RK4_WORK`` steps * K**2 * B for K evolved entries of B states.
 It takes one initial matrix or a stack of them, evolved together, and returns
 an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B.
@@ -59,21 +62,10 @@ __all__ = [
 # which is exact to second order and avoids 0/0 at vanishing damping.
 _SERIES_SWITCH = 1e-8
 
-_STABILITY_LIMIT = 0.1
 _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
 # A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
 _MAX_FOCK_DIM = 16
-
-# The most RK4 steps an oracle run may take to its last time, and the most work,
-# steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
-# entries: 50x the largest run these caps were set for (thermal, fock_dim 5, t_max 1:
-# about 20k steps at K = 169, 5.8e8). Stronger rates, a longer run or a larger
-# fock_dim fail at the boundary instead of stepping for hours. The work cap holds only
-# for quiet runs, which step RK4; the step cap holds for every run, as for warm ones it
-# bounds rates times time and so the squarings of ``_expm``.
-_MAX_RK4_STEPS = 1_000_000
-_MAX_RK4_WORK = 29_000_000_000
 
 
 @dataclass(frozen=True)
@@ -351,15 +343,14 @@ def _operators(params: CavityParams, fock_dim: int) -> tuple:
     return h, np.eye(fock_dim * fock_dim, dtype=complex), modes
 
 
-def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray,
-                 operators: Optional[tuple] = None) -> np.ndarray:
+def _liouvillian(operators: tuple, keep: np.ndarray) -> np.ndarray:
     """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``.
 
-    ``operators``, from ``_operators(params, fock_dim)``, is built here when not
-    given; a run that builds several blocks passes them in, formed once.
+    ``operators`` are the whole-space operators from ``_operators(params, fock_dim)``,
+    formed once for every block a run builds.
     """
-    h, eye, modes = _operators(params, fock_dim) if operators is None else operators
-    d = fock_dim * fock_dim
+    h, eye, modes = operators
+    d = len(eye)
     # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization, and
     # np.kron(x, y)[np.ix_(keep, keep)] is x[rr] * y[cc], entry by entry the same product
     rr, cc = np.ix_(keep // d, keep // d), np.ix_(keep % d, keep % d)
@@ -369,6 +360,28 @@ def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray,
         up = 2.0 * (adj[rr] * aj.T[cc]) - anti[rr] * eye[cc] - eye[rr] * anti.T[cc]
         lmat = lmat + (gamma / 2.0) * ((nbar + 1.0) * down + nbar * up)
     return lmat
+
+
+def _check_fock_dim(fock_dim) -> None:
+    """The one ``fock_dim`` rule: a whole number from 2 to ``_MAX_FOCK_DIM``."""
+    _check_whole(fock_dim, "fock_dim", 2)
+    if fock_dim > _MAX_FOCK_DIM:
+        raise ValueError(f"fock_dim must be at most {_MAX_FOCK_DIM}, got {fock_dim}")
+
+
+# RK4, the quiet kernel's step, and its caps: they go once quiet runs take the warm
+# runs' exact propagators.
+
+_STABILITY_LIMIT = 0.1
+
+# The most RK4 steps a quiet run may take to its last time, and the most work,
+# steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
+# entries: 50x the largest run these caps were set for (the thermal workload at
+# fock_dim 5, t_max 1, when it still stepped RK4: about 20k steps at K = 169, 5.8e8).
+# Stronger rates, a longer run or a larger fock_dim fail at the boundary instead of
+# stepping for hours.
+_MAX_RK4_STEPS = 1_000_000
+_MAX_RK4_WORK = 29_000_000_000
 
 
 def _default_step(params: CavityParams, fock_dim: int) -> float:
@@ -384,15 +397,41 @@ def _default_step(params: CavityParams, fock_dim: int) -> float:
     return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
 
 
-def _check_fock_dim(fock_dim) -> None:
-    """The one ``fock_dim`` rule: a whole number from 2 to ``_MAX_FOCK_DIM``."""
-    _check_whole(fock_dim, "fock_dim", 2)
-    if fock_dim > _MAX_FOCK_DIM:
-        raise ValueError(f"fock_dim must be at most {_MAX_FOCK_DIM}, got {fock_dim}")
+# The most a warm run may ask of its exact propagators: t_end * _generator_bound. Its
+# trace drifts by up to 2.9e-16 times that (the worst of 3000 random runs at fock_dim
+# 2 to 6, and of 60 at 8, 12 and 16), so by 4.4e-10 at the cap, under half the 1e-9
+# drift check. A Kerr coupling of 2e4 still reaches t = 1 at fock_dim 4 (1.28e6); the
+# thermal workload asks about 2e3.
+_MAX_WARM_NORM = 1.5e6
 
 
-def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int) -> float:
-    """The RK4 step, after a ValueError if reaching ``t_end`` exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` if quiet."""
+def _generator_bound(params: CavityParams, fock_dim: int) -> float:
+    """An upper bound on the 1-norm of the whole-space generator, from the rates alone.
+
+    In any column the Hamiltonian adds at most 2 * fock_dim**2 * (|chi11| + |chi22| + 2 |chi12|)
+    and mode j's dissipator at most 2 * fock_dim * gamma_j * (1 + 2 nbar_j). Rates too large
+    for a float give inf or NaN, which no cap admits.
+    """
+    chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
+    damping = params.gamma1 * (1.0 + 2.0 * params.nbar1) + params.gamma2 * (1.0 + 2.0 * params.nbar2)
+    return 2.0 * fock_dim * (fock_dim * chi_sum + damping)
+
+
+def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int) -> Optional[float]:
+    """The one gate of an oracle run to ``t_end``: a ValueError past the cap of the kernel that runs it.
+
+    A warm run is held to ``t_end * _generator_bound(params, fock_dim) <= _MAX_WARM_NORM``
+    and gets no step. A quiet run gets the RK4 step, unless reaching ``t_end`` exceeds
+    ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
+    """
+    if not params.quiet:
+        norm = t_end * _generator_bound(params, fock_dim)
+        if not norm <= _MAX_WARM_NORM:
+            rates = ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
+            raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes t "
+                             f"times the generator's norm bound, {norm:.3g}, above the cap of {_MAX_WARM_NORM:.3g}, "
+                             f"at {rates}")
+        return None
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
@@ -401,7 +440,7 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
         raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
                          f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {rates}")
     work = steps * kept * kept * stack
-    if params.quiet and not work <= _MAX_RK4_WORK:
+    if not work <= _MAX_RK4_WORK:
         raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
                          f"kept entries and {stack} state(s) make {work:.3g}, above the cap of {_MAX_RK4_WORK:.3g}")
     return step
@@ -439,8 +478,10 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     half an ulp of ``times[k]``, the last within one ulp); on any other grid
     one ``exp(span * L)`` per distinct span, applied once per time. A stack is
     evolved together: each RK4 step, or each propagator product, is one matrix
-    product over all its members. The step cap holds for every run, the work
-    cap only for quiet ones.
+    product over all its members. Each kernel has its own cap, checked by
+    ``_checked_step`` before anything is built: the RK4 step and work caps for
+    quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the generator's norm
+    bound for warm ones.
 
     Parameters
     ----------
@@ -490,15 +531,15 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
 
 
 def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
-                 grid: np.ndarray, step: float) -> np.ndarray:
+                 grid: np.ndarray, step: Optional[float]) -> np.ndarray:
     """The kept entries ``v``, shape (K,) or (K, B), evolved to every grid time: (N, K) or (N, K, B).
 
     Each group of entries is evolved by its own block of the generator, built
     from whole-space operators formed once per call. For a quiet run the group
     is the whole box, and each distinct grid span has one RK4 step
-    ``span / count``, applied ``count = ceil(span / step)`` times. For a warm run
-    each signed coherence sector ``(m1 - n1, m2 - n2)``, which the generator never
-    mixes, is a group. On the grid ``trajectory`` builds, exactly
+    ``span / count``, applied ``count = ceil(span / step)`` times. A warm run
+    takes no ``step``: each signed coherence sector ``(m1 - n1, m2 - n2)``, which
+    the generator never mixes, is a group. On the grid ``trajectory`` builds, exactly
     ``np.linspace(0.0, grid[-1], N)``, a sector forms one exact propagator
     ``P = exp(h * L)``, ``h = grid[-1] / (N - 1)``, and reaches every time by
     doubling (``_powers``); snapshot k is taken at k * h, which rounds to
@@ -528,7 +569,7 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
         u = v[idx]
         if not u.any():
             continue
-        lmat = _liouvillian(params, fock_dim, keep[idx], operators)
+        lmat = _liouvillian(operators, keep[idx])
         if doubling:
             kept[:, idx] = _powers(_expm(grid[-1] / (n - 1) * lmat), u, n)
             continue
@@ -721,8 +762,9 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
     if engine == "oracle":
-        kept = _kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim)
-        _checked_step(params, fock_dim, t_max, len(kept), 1)
+        # only a quiet run's RK4 work depends on the start, through the entries it keeps
+        kept = len(_kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim)) if params.quiet else 0
+        _checked_step(params, fock_dim, t_max, kept, 1)
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,
@@ -731,8 +773,8 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
 
     Engines: "analytic" uses the damped propagator, "oracle" the
     master-equation oracle (one kernel: RK4 steps for quiet reservoirs, each
-    coherence sector's exact propagator for warm ones; the work cap holds for
-    quiet runs only), "closed_form" the direct evolved matrices. Thermal
+    coherence sector's exact propagator for warm ones, each kernel with its own
+    cap), "closed_form" the direct evolved matrices. Thermal
     parameters require the oracle engine with fock_dim >= 4; the resulting
     qubit states are projections and are marked approximate.
     The request is checked by ``validate_run`` before any work is done.

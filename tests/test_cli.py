@@ -107,6 +107,9 @@ BAD_REQUESTS = [
     (19, {"engine": "closed_form", "fock_dim": 1}, "fock_dim"),
     (20, {"n_points": 3.5}, "n_points"),
     (21, {"fock_dim": 2.5}, "fock_dim"),
+    # past the warm oracle's cap: its trace used to drift past the 1e-9 check inside the run
+    (22, {"params": {"nbar1": 1e8}, "engine": "oracle", "fock_dim": 4}, "nbar1"),
+    (23, {"params": {"nbar1": 1e300}, "engine": "oracle", "fock_dim": 4}, "nbar1"),
 ]
 
 
@@ -260,6 +263,16 @@ class TestSharedValidation:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "unknown scenario keys: ['step']" in captured.err
+
+    @pytest.mark.parametrize("nbar1", ["1e8", "1e300"])
+    def test_a_warm_run_past_its_cap_fails_simulate_naming_nbar1(self, tmp_path, capsys, nbar1):
+        path = write_scenario(tmp_path, {"initial": {"family": "bell_like"}, "params": {"nbar1": float(nbar1)},
+                                         "engine": "oracle", "fock_dim": 4})
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kerrdeco: rates too large for the oracle at fock_dim 4")
+        assert f"nbar1 = {float(nbar1):g}" in captured.err
 
     @pytest.mark.parametrize("params", ['"params": {"nbar1": 0.5}, ', ""])
     def test_huge_fock_dim_names_the_field(self, tmp_path, capsys, params):

@@ -1,16 +1,19 @@
 import cmath
 import dataclasses
 import math
+import time
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_RK4_STEPS, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits, _evolve_kept,
-    _kept_indices, _liouvillian, closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor,
-    trajectory, validate_run,
+    _MAX_RK4_STEPS, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits,
+    _evolve_kept, _generator_bound, _kept_indices, _liouvillian, _operators, closed_form_reason, closed_form_rho,
+    integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi,
@@ -311,7 +314,7 @@ def rk4_step_matrix(lmat, h):
 
 def dense_rk4_grid(rho0, params, times, fock_dim):
     """The oracle's RK4 recurrence on the whole of vec(rho), with the default step."""
-    lmat = _liouvillian(params, fock_dim, np.arange(fock_dim ** 4))
+    lmat = _liouvillian(_operators(params, fock_dim), np.arange(fock_dim ** 4))
     step = _default_step(params, fock_dim)
     d = fock_dim * fock_dim
     v = np.array(rho0, dtype=complex).reshape(-1)
@@ -378,7 +381,7 @@ class TestCoherenceOrders:
                                chi11=rng.uniform(-10.0, 10.0), chi22=rng.uniform(-10.0, 10.0),
                                chi12=rng.uniform(-30.0, 30.0),
                                nbar1=rng.uniform(0.05, 1.0), nbar2=rng.uniform(0.05, 1.0))
-            lmat = _liouvillian(prm, fock_dim, np.arange(fock_dim ** 4))
+            lmat = _liouvillian(_operators(prm, fock_dim), np.arange(fock_dim ** 4))
             d1, d2 = coherence_orders(fock_dim)
             same = (d1[:, None] == d1[None, :]) & (d2[:, None] == d2[None, :])
             assert np.all(lmat[~same] == 0)
@@ -390,7 +393,7 @@ class TestCoherenceOrders:
         box = _kept_indices(_embed_qubits(initial_density(BellLike()).matrix, fock_dim), fock_dim)
         subset = np.sort(rng.choice(fock_dim ** 4, size=fock_dim ** 3, replace=False))
         for keep in (box, subset, np.arange(fock_dim ** 4)):
-            got = _liouvillian(THERMAL, fock_dim, keep)
+            got = _liouvillian(_operators(THERMAL, fock_dim), keep)
             assert got.tobytes() == full[np.ix_(keep, keep)].tobytes()
 
     def test_thermal_bell_like_matches_the_dense_recurrence(self):
@@ -456,7 +459,7 @@ def frozen_oracle_loop(rho0, params, times, fock_dim):
     o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
     occupied = rho.reshape(o1.shape) != 0
     keep = np.flatnonzero((o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0)))
-    lmat = _liouvillian(params, fock_dim, keep)
+    lmat = _liouvillian(_operators(params, fock_dim), keep)
     step = _default_step(params, fock_dim)
     out = []
     prev = 0.0
@@ -615,7 +618,7 @@ class TestWarmOracle:
     def test_quiet_runs_build_the_box_and_warm_runs_each_occupied_sector(self, monkeypatch):
         from kerrdeco import evolution
         sizes, build = [], evolution._liouvillian
-        monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append(len(a[2])) or build(*a))
+        monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append(len(a[1])) or build(*a))
         fd = 4
         # a Bell-like start occupies all nine signed sectors of its box, Bell-phi three
         for initial, sectors in ((BellLike(), [(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)]),
@@ -691,6 +694,51 @@ class TestWarmDoubling:
         block /= np.trace(block, axis1=-2, axis2=-1)[:, None, None]
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
         assert np.abs(block - propagate(initial_density(BellLike()), quiet, times).matrix).max() <= 1e-8
+
+
+class TestGeneratorBound:
+    @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5, 6])
+    def test_it_is_at_least_the_whole_space_generators_1_norm(self, rng, fock_dim):
+        for _ in range(12 if fock_dim < 6 else 4):
+            # log-uniform rates, each zero one time in five, Kerr couplings of either sign
+            rates = 10.0 ** rng.uniform(-3.0, 3.0, 7) * (rng.random(7) < 0.8) * [1, 1, *rng.choice([-1, 1], 3), 1, 1]
+            prm = CavityParams(*rates)
+            lmat = _liouvillian(_operators(prm, fock_dim), np.arange(fock_dim ** 4))
+            assert np.abs(lmat).sum(axis=0).max() <= _generator_bound(prm, fock_dim)
+
+
+WARM_STARTS = [BellLike(), BellPhi(-1), WernerLike(0.6), PlusPlus(), Separable(0.6, 0.8, 1, 0)]
+RATE_NAMES = [f.name for f in dataclasses.fields(CavityParams)]
+
+
+class TestWarmRequests:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_warm_request_is_rejected_alike_naming_a_rate_or_returns_finite_states(self, seed):
+        rng = np.random.default_rng(seed)
+        # the largest rate's decimal exponent, up to 8 half the time and up to 300 otherwise, and each
+        # rate log-uniform up to twelve decades below it
+        top = rng.uniform(-3.0, 8.0 if rng.random() < 0.5 else 300.0)
+        rates = 10.0 ** (top - rng.uniform(0.0, 12.0, 7))
+        # gamma and chi may vanish and chi takes either sign; nbar never vanishes, so every request is warm
+        rates[:5] *= rng.random(5) < 0.8
+        rates[2:5] *= rng.choice([-1.0, 1.0], 3)
+        t_max, fock_dim = 10.0 ** rng.uniform(-3.0, 2.0), int(rng.integers(2, 7))
+        initial = WARM_STARTS[rng.integers(len(WARM_STARTS))]
+        params = CavityParams(*rates.tolist())
+        try:
+            validate_run(initial, params, t_max, 3, "oracle", fock_dim)
+        except ValueError as exc:
+            with pytest.raises(ValueError) as again:
+                trajectory(initial, params, t_max, 3, engine="oracle", fock_dim=fock_dim)
+            assert str(again.value) == str(exc)
+            named = [name for name in RATE_NAMES if f"{name} = " in str(exc)]
+            assert named == RATE_NAMES or (fock_dim < 4 and "fock_dim >= 4" in str(exc))
+            return
+        start = time.perf_counter()
+        traj = trajectory(initial, params, t_max, 3, engine="oracle", fock_dim=fock_dim)
+        assert time.perf_counter() - start < 2.0
+        assert np.isfinite(traj.states.matrix).all()
 
 
 def extract_qubits(big, fock_dim):
@@ -895,15 +943,55 @@ class TestTrajectory:
         p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(6) for nbar in (warm.nbar1, warm.nbar2))
         assert np.abs(got[-1] - np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))).max() <= 1e-10
 
-    def test_the_step_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
-        # the thermal workload at fock_dim 5, 401 points to t_max 1: about 20k steps
+    def test_each_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
+        # the thermal workload at fock_dim 5, 401 points to t_max 1: t times the generator's norm bound is 2160
         thermal = CavityParams(nbar1=0.5, nbar2=0.5)
-        assert 1e4 < 1.0 / _default_step(thermal, 5) < _MAX_RK4_STEPS / 10
+        assert 1e3 < _generator_bound(thermal, 5) < _MAX_WARM_NORM / 100
         validate_run(BellLike(), thermal, 1.0, 401, "oracle", 5)
-        t_cap = _MAX_RK4_STEPS * _default_step(QUIET, 2)
-        validate_run(BellLike(), QUIET, t_cap, 3, "oracle")
-        with pytest.raises(ValueError, match="above the cap"):
-            validate_run(BellLike(), QUIET, t_cap * (1 + 1e-9), 3, "oracle")
+        for params, fock_dim, t_cap in ((QUIET, 2, _MAX_RK4_STEPS * _default_step(QUIET, 2)),
+                                        (thermal, 5, _MAX_WARM_NORM / _generator_bound(thermal, 5))):
+            validate_run(BellLike(), params, t_cap, 3, "oracle", fock_dim)
+            with pytest.raises(ValueError, match="above the cap"):
+                validate_run(BellLike(), params, t_cap * (1 + 1e-9), 3, "oracle", fock_dim)
+
+    def test_a_warm_run_past_its_cap_fails_at_the_boundary_naming_every_rate(self):
+        # before its own cap, nbar1 = 1e8 passed the RK4 step cap and its trace then drifted by 6e-7
+        huge = CavityParams(nbar1=1e8)
+        message = (r"^rates too large for the oracle at fock_dim 4: reaching t = 1 takes t times the generator's norm "
+                   r"bound, 6.4e\+09, above the cap of 1.5e\+06, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, "
+                   r"chi12 = 20, nbar1 = 1e\+08, nbar2 = 0$")
+        with pytest.raises(ValueError, match=message):
+            trajectory(BellLike(), huge, 1.0, 401, engine="oracle", fock_dim=4)
+        with pytest.raises(ValueError, match=r"above the cap of 1.5e\+06"):
+            integrate_master_grid(_embed_qubits(initial_density(BellLike()).matrix, 4), huge, [0.5, 1.0], fock_dim=4)
+        # rates whose bound overflows a float, or makes 0 * inf, are rejected too
+        for params in (CavityParams(gamma1=1e300, nbar1=1e300), CavityParams(gamma1=0.0, nbar1=1e308)):
+            with pytest.raises(ValueError, match="above the cap"):
+                validate_run(BellLike(), params, 1.0, 3, "oracle", 4)
+
+    def test_a_strong_kerr_coupling_runs_warm_within_1e_8_of_the_quiet_limit(self):
+        # 1.6e7 RK4 steps would reach t = 1, above the RK4 step cap; a warm run takes none, and t times
+        # its generator's norm bound is 1.28e6, under the warm cap (quiet-limit gap 1.9e-12 measured)
+        traj = trajectory(BellLike(), CavityParams(chi12=2e4, nbar1=0.1), 1.0, 401, engine="oracle", fock_dim=4)
+        assert np.isfinite(traj.states.matrix).all()
+        warm = CavityParams(chi12=2e4, nbar1=1e-12, nbar2=1e-12)
+        traj = trajectory(BellLike(), warm, 1.0, 401, engine="oracle", fock_dim=4)
+        quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
+        exact = propagate(initial_density(BellLike()), quiet, traj.times)
+        assert np.abs(traj.states.matrix - exact.matrix).max() <= 1e-8
+        with pytest.raises(ValueError, match=r"1.6e\+07 RK4 steps"):
+            validate_run(BellLike(), quiet, 1.0, 401, "oracle", 4)
+
+    def test_warm_runs_never_take_the_rk4_step_and_validate_without_the_kept_box(self, monkeypatch):
+        steps, boxes = spy(monkeypatch, "_default_step"), spy(monkeypatch, "_kept_indices")
+        validate_run(BellLike(), THERMAL, 1.0, 401, "oracle", 4)
+        assert steps == [] and boxes == []
+        trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=4)
+        integrate_master_grid(_embed_qubits(initial_density(BellPhi(+1)).matrix, 4), THERMAL, [0.1, 0.5], 4)
+        # the kernel still keeps the box, once per run
+        assert steps == [] and len(boxes) == 2
+        validate_run(BellLike(), COLD, 1.0, 401, "oracle", 4)
+        assert len(steps) == 1 and len(boxes) == 3
 
     def test_rejects_bad_grid_arguments(self):
         with pytest.raises(ValueError, match="n_points"):
