@@ -26,7 +26,9 @@ takes the RK4 step that ``_default_step`` derives from the rates and
 ``fock_dim`` (not an option), and is rejected past ``_MAX_RK4_STEPS`` steps or
 ``_MAX_RK4_WORK`` steps * K**2 * B for K evolved entries of B states.
 It takes one initial matrix or a stack of them, evolved together, and returns
-an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B.
+an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B; with
+``qubits=True`` only each snapshot's 4x4 qubit block, gathered from the evolved
+entries, which is what ``trajectory`` asks for.
 
 Rates are in rad/us, times in us.
 """
@@ -92,6 +94,8 @@ class CavityParams:
                 raise ValueError(f"{f.name} must be finite, got {v}")
             if v < 0 and not f.name.startswith("chi"):
                 raise ValueError(f"{f.name} must be nonnegative, got {v}")
+            # a Python float, so the rate arithmetic of the caps overflows to inf, not to a numpy warning
+            object.__setattr__(self, f.name, float(v))
 
     @property
     def quiet(self) -> bool:
@@ -463,7 +467,7 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
-                          fock_dim: int = 2) -> np.ndarray:
+                          fock_dim: int = 2, *, qubits: bool = False) -> np.ndarray:
     """Evolve the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
     Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
@@ -495,13 +499,20 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         Times in us: 1-d, strictly increasing, finite and nonnegative.
     fock_dim : int
         Per-mode truncation, a whole number from 2 to 16; thermal runs need headroom above the qubit subspace.
+    qubits : bool, keyword-only
+        Return only each snapshot's qubit block, the entries between Fock states
+        0 and 1 of each mode, as it stands (not renormalized). It is gathered from
+        the evolved entries, so the (N, fock_dim**4) snapshots are never formed:
+        a warm Bell-like run of 401 times at fock_dim 16 peaks at about 64 MB
+        instead of 450 MB.
 
     Returns
     -------
     numpy.ndarray
         The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2)
-        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack. Trace
-        preservation within 1e-9 is enforced for every member and time.
+        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack; with
+        ``qubits``, (N, 4, 4) and (B, N, 4, 4). Trace preservation within 1e-9 is
+        enforced for every member and time, over every evolved diagonal entry.
     """
     _check_fock_dim(fock_dim)
     d = fock_dim * fock_dim
@@ -524,6 +535,12 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
         bad = np.argwhere(~(drift <= 1e-9))[0]
         who = "" if rho.ndim == 2 else f" for state {bad[1]}"
         raise RuntimeError(f"trace drifted by {drift[tuple(bad)]:.3e}{who} during integration")
+    if qubits:
+        # the block's row-major vec(rho) entries that were kept, and their places in the 4x4 block
+        rows, cols = _qubit_block(fock_dim)
+        block = (rows * d + cols).ravel()
+        inside = np.isin(block, keep)
+        kept, keep, d = kept[:, np.searchsorted(keep, block[inside])], np.flatnonzero(inside), 4
     # assembled only after the kernel has returned, so its matrices are freed first (lower peak memory)
     out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
     out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
@@ -573,18 +590,19 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
         if doubling:
             kept[:, idx] = _powers(_expm(grid[-1] / (n - 1) * lmat), u, n)
             continue
-        if params.quiet:
-            # one at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
-            props = [_taylor(span / count * lmat, 4) for span, count in zip(spans, counts)]
-        else:
-            # a sector is small, so its propagators are one stack
-            props = list(_expm(np.multiply.outer(spans, lmat)))
+        # one span at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
+        props = [_taylor(span / count * lmat, 4) if params.quiet else _expm(span * lmat)
+                 for span, count in zip(spans, counts)]
         snaps = np.empty((n, *u.shape), dtype=complex)
         snaps[:start] = u
+        dots = [prop.dot for prop in props]
+        # the products before the one that records alternate between two buffers
+        bufs = np.empty((2, *u.shape), dtype=complex)
         for i, j in enumerate(which.tolist(), start):
-            for _ in more[j]:
-                u = np.dot(props[j], u)
-            u = np.dot(props[j], u, out=snaps[i])
+            dot = dots[j]
+            for k in more[j]:
+                u = dot(u, out=bufs[k & 1])
+            u = dot(u, out=snaps[i])
         kept[:, idx] = snaps
     return kept
 
@@ -625,14 +643,17 @@ def _taylor(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of each matrix of a (..., k, k) stack, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
+    """exp of one (k, k) matrix, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
 
-    With s chosen so that every ``a / 2**s`` has a 1-norm below ``theta < 1``,
-    the Taylor polynomial stops at the degree q where ``theta**(q + 1) / (q + 1)!``
-    falls below the unit roundoff, and is squared s times. A zero matrix gives
-    the identity exactly.
+    With s chosen so that ``a / 2**s`` has a 1-norm below ``theta < 1``, the
+    Taylor polynomial stops at the degree q where ``theta**(q + 1) / (q + 1)!``
+    falls below the unit roundoff, and is squared s times. Each matrix takes
+    its own s, so a short span keeps its digits beside a long one. A zero
+    matrix gives the identity exactly; a non-finite 1-norm raises ValueError.
     """
-    norm = float(np.abs(a).sum(axis=-2).max(initial=0.0))
+    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
+    if not math.isfinite(norm):
+        raise ValueError(f"the matrix exponential needs a finite 1-norm, got {norm}")
     s = max(0, math.frexp(norm)[1])
     theta = norm / 2.0 ** s
     q, bound = 0, theta
@@ -787,8 +808,8 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     elif engine == "closed_form":
         states = closed_form_rho(initial, params, times)
     else:
-        raw = integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim)
-        states = _extract_qubits(raw, fock_dim)
+        states = _renormalized(integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim,
+                                                     qubits=True))
     return Trajectory(times, states, params, initial, engine)
 
 
@@ -798,11 +819,8 @@ def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
     return big
 
 
-def _extract_qubits(big: np.ndarray, fock_dim: int) -> np.ndarray:
-    """The (N, 4, 4) stack of the renormalized qubit blocks of an (N, d, d) stack of Fock-space matrices."""
-    rows, cols = _qubit_block(fock_dim)
-    # in C order, as np.trace's sum below depends on the memory layout
-    block = np.ascontiguousarray(big[:, rows, cols])
+def _renormalized(block: np.ndarray) -> np.ndarray:
+    """The hermitian parts of an (N, 4, 4) stack of qubit blocks, each divided by its trace."""
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
     # subspace; the conditional state is what the measures act on

@@ -2,6 +2,8 @@ import cmath
 import dataclasses
 import math
 import time
+import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -12,7 +14,7 @@ from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
     _MAX_RK4_STEPS, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits,
-    _evolve_kept, _generator_bound, _kept_indices, _liouvillian, _operators, closed_form_reason, closed_form_rho,
+    _evolve_kept, _expm, _generator_bound, _kept_indices, _liouvillian, _operators, closed_form_reason, closed_form_rho,
     integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
@@ -49,6 +51,20 @@ class TestCavityParams:
 
     def test_quiet_flag(self):
         assert not CavityParams(nbar1=0.1).quiet
+
+    def test_numpy_scalar_rates_are_stored_as_floats(self):
+        p = CavityParams(gamma1=np.float64(3.5), chi12=np.float32(20.0), nbar1=np.int64(0), nbar2=1)
+        assert all(type(getattr(p, f.name)) is float for f in dataclasses.fields(p))
+        assert p == CavityParams(gamma1=3.5, nbar2=1.0)
+
+    def test_huge_numpy_scalar_rates_are_rejected_by_name_without_a_warning(self):
+        huge = CavityParams(gamma1=np.float64(1e300), nbar1=np.float64(1e300))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"gamma1 = 1e\+300, .*nbar1 = 1e\+300"):
+                validate_run(BellLike(), huge, 1.0, 3, "oracle", 4)
+            with pytest.raises(ValueError, match=r"chi12 = 1e\+308"):
+                validate_run(BellLike(), CavityParams(chi12=np.float64(1e308)), 1.0, 3, "oracle", 4)
 
 
 class TestRjFactor:
@@ -696,6 +712,16 @@ class TestWarmDoubling:
         assert np.abs(block - propagate(initial_density(BellLike()), quiet, times).matrix).max() <= 1e-8
 
 
+class TestExpm:
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan, complex(1.0, math.inf), complex(math.nan, 0.0)])
+    def test_a_non_finite_matrix_raises_at_once(self, bad):
+        for a in (np.array([[bad]], dtype=complex), np.diag([1.0, bad, 2.0]).astype(complex)):
+            start = time.perf_counter()
+            with pytest.raises(ValueError, match="^the matrix exponential needs a finite 1-norm, got (inf|nan)$"):
+                _expm(a)
+            assert time.perf_counter() - start < 1.0
+
+
 class TestGeneratorBound:
     @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5, 6])
     def test_it_is_at_least_the_whole_space_generators_1_norm(self, rng, fock_dim):
@@ -760,6 +786,53 @@ class TestOracleTrajectoryBytes:
         big = integrate_master_grid(_embed_qubits(initial_density(initial).matrix, fock_dim), params, traj.times,
                                     fock_dim)
         assert traj.states.matrix.tobytes() == extract_qubits(big, fock_dim).tobytes()
+
+
+class TestQubitBlock:
+    """``integrate_master_grid(..., qubits=True)`` gathers each snapshot's qubit block from the evolved entries."""
+
+    @staticmethod
+    def full_block(big, fock_dim):
+        idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
+        return np.ascontiguousarray(big[..., idx, :][..., idx])
+
+    @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4), (THERMAL, 5)],
+                             ids=["quiet2", "quiet4", "warm4", "warm5"])
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 41), [0.05, 0.2, 0.25, 0.6]], ids=["uniform", "uneven"])
+    def test_the_block_is_the_full_calls_block_bit_for_bit(self, rng, params, fock_dim, times):
+        ground = _embed_qubits(initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix, fock_dim)
+        stack = np.concatenate([mixed_box_stack(rng, fock_dim), [ground]])
+        for rho0 in (_embed_qubits(initial_density(BellLike()).matrix, fock_dim), ground, stack):
+            got = integrate_master_grid(rho0, params, times, fock_dim, qubits=True)
+            assert got.shape == (*rho0.shape[:-2], len(times), 4, 4) and got.flags.c_contiguous
+            full = integrate_master_grid(rho0, params, times, fock_dim)
+            assert got.tobytes() == self.full_block(full, fock_dim).tobytes()
+        # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
+        block = integrate_master_grid(ground, params, times, fock_dim, qubits=True)
+        assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
+
+    def test_a_trajectory_makes_one_oracle_call_for_the_block(self, monkeypatch):
+        from kerrdeco import evolution
+        calls, real = [], evolution.integrate_master_grid
+        monkeypatch.setattr(evolution, "integrate_master_grid", lambda *a, **k: calls.append(k) or real(*a, **k))
+        for params, fock_dim in ((COLD, 2), (THERMAL, 4)):
+            calls.clear()
+            trajectory(BellLike(), params, 0.5, 21, engine="oracle", fock_dim=fock_dim)
+            assert calls == [{"qubits": True}]
+        trajectory(BellLike(), COLD, 0.5, 21, engine="analytic")
+        assert len(calls) == 1
+
+    def test_a_warm_trajectory_at_fock_dim_10_never_forms_the_full_snapshots(self):
+        # the (401, 10**4) snapshots alone take 61 MiB; the block and the evolved entries about 8.
+        # A first, small run keeps one-time allocations out of the count.
+        trajectory(BellLike(), THERMAL, 0.1, 3, engine="oracle", fock_dim=10)
+        tracemalloc.start()
+        try:
+            trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=10)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2 ** 20
 
 
 class TestClosedForms:
