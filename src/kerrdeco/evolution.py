@@ -145,6 +145,31 @@ def _checked_times(t) -> np.ndarray:
     return t
 
 
+def _rate_list(params: CavityParams) -> str:
+    """All seven rates, by name, for the message of a cap that the rates exceed."""
+    return ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
+
+
+# The analytic routes' cap on their rate sum R (|chi12| counted twice) times max(1, t). R t bounds
+# every phase and decay exponent they form. Near R t = 1e9 a general state's phases lose enough
+# digits that it fails the positivity check (-1.3e-8 at 1.1e9 for a random pure state, none of
+# 1500 scanned at 5.6e8 or below), and products of two exponents overflow past 1e154. The cap sits
+# 100x under the first. Taking max(1, t) bounds each rate too, so however short the run, no rate
+# product overflows.
+_MAX_ANALYTIC_SCALE = 1e7
+
+
+def _check_analytic_rates(params: CavityParams, t_end) -> None:
+    """The one rate rule of ``propagate`` and ``closed_form_rho`` for times up to ``t_end``: a ValueError
+    naming every rate past ``_MAX_ANALYTIC_SCALE``."""
+    t_end = float(t_end)
+    rates = params.gamma1 + params.gamma2 + abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
+    scale = rates * max(1.0, t_end)
+    if not scale <= _MAX_ANALYTIC_SCALE:
+        raise ValueError(f"rates too large for the analytic routes: reaching t = {t_end:g} takes their sum times "
+                         f"max(1, t), {scale:.3g}, above the cap of {_MAX_ANALYTIC_SCALE:.3g}, at {_rate_list(params)}")
+
+
 def _time_axis(t) -> np.ndarray:
     """One time or a 1-d array of times, as ``propagate`` and ``closed_form_rho`` take them."""
     t = np.asarray(t, dtype=float)
@@ -282,7 +307,8 @@ def propagate(rho0, params: CavityParams, t):
     """Evolve one two-qubit density matrix, or each of a stack of B, for time t or each of a 1-d array of times.
 
     Exact for zero reservoir occupation; raises for thermal parameters, for
-    which ``integrate_master_grid`` is the supported route. The result is a
+    which ``integrate_master_grid`` is the supported route, and for rates past
+    ``_check_analytic_rates``'s cap at the largest time. The result is a
     ``DensityMatrix2Q``, (N, 4, 4) for N times, with a leading B axis for a
     (B, 4, 4) ``rho0``, whose mode factors are formed once; each matrix equals,
     bit for bit, the one the scalar complex arithmetic gives for its state and time.
@@ -290,6 +316,7 @@ def propagate(rho0, params: CavityParams, t):
     if not params.quiet:
         raise ValueError(_NEEDS_QUIET)
     t = _time_axis(t)
+    _check_analytic_rates(params, t.max(initial=0.0))
     rho0 = _as_density(rho0).matrix
     if rho0.ndim > 3:
         raise ValueError(f"rho0 must be one 4x4 density matrix or a (B, 4, 4) stack, got shape {rho0.shape}")
@@ -431,10 +458,9 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
     if not params.quiet:
         norm = t_end * _generator_bound(params, fock_dim)
         if not norm <= _MAX_WARM_NORM:
-            rates = ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
             raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes t "
                              f"times the generator's norm bound, {norm:.3g}, above the cap of {_MAX_WARM_NORM:.3g}, "
-                             f"at {rates}")
+                             f"at {_rate_list(params)}")
         return None
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
@@ -689,13 +715,15 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t) -> DensityMa
 
     Supports the Bell pairs and their Werner mixtures for any couplings, and
     the Bell-like, |+,+> and Werner-like families when both self-Kerr
-    couplings vanish. Both damping rates must be equal and reservoirs quiet.
+    couplings vanish. Both damping rates must be equal, reservoirs quiet and
+    the rates under ``_check_analytic_rates``'s cap at the largest time.
     The result is a ``DensityMatrix2Q``, an (N, 4, 4) stack for N times.
     """
     reason = closed_form_reason(initial, params)
     if reason is not None:
         raise ValueError(reason)
     t = _time_axis(t)
+    _check_analytic_rates(params, t.max(initial=0.0))
     out = np.array([_closed_form_matrix(initial, params, s) for s in t.reshape(-1).tolist()])
     return DensityMatrix2Q(out[0] if t.ndim == 0 else out.reshape(-1, 4, 4))
 
@@ -786,6 +814,8 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
         # only a quiet run's RK4 work depends on the start, through the entries it keeps
         kept = len(_kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim)) if params.quiet else 0
         _checked_step(params, fock_dim, t_max, kept, 1)
+    else:
+        _check_analytic_rates(params, t_max)
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,

@@ -1,11 +1,11 @@
 import collections
 import dataclasses
-import hashlib
 import importlib.util
 import io
 import json
 import math
 import re
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -16,9 +16,11 @@ from hypothesis import strategies as st
 from kerrdeco import cli, measures, states, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_simulate, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
-from kerrdeco.states import (
-    _FAMILIES, BellPsi, PureState2Q, WernerLike, parse_initial, random_density_matrix, random_pure_state,
-)
+from kerrdeco.states import _FAMILIES, BellPsi, PureState2Q, WernerLike, parse_initial
+
+ROOT = Path(__file__).resolve().parents[1]
+sys.path.insert(0, str(ROOT / "benchmarks"))
+import workloads  # noqa: E402  (the benchmark's seeded jobs and output checks)
 
 BELL_DOC = {
     "initial": {"family": "bell_psi", "sign": "+"},
@@ -28,8 +30,7 @@ BELL_DOC = {
 }
 
 
-REFERENCE = Path(__file__).resolve().parents[1] / "benchmarks" / "reference.json"
-README = Path(__file__).resolve().parents[1] / "README.md"
+README = ROOT / "README.md"
 
 
 def write_scenario(tmp_path, doc, name="scen.json"):
@@ -47,41 +48,27 @@ def trajectory_args(doc):
                 fock_dim=doc.get("fock_dim", 2))
 
 
-def scenario_inputs(seed):
-    """What the benchmark's scenarios workload draws from an input seed.
-
-    Returns the initial state of each family, then the initial state and
-    the values of its p sweep.
-    """
-    rng = np.random.default_rng(seed)
-
-    def family_doc(family):
-        doc = {"family": family}
-        if family in ("bell_psi", "bell_phi", "werner_psi", "werner_phi"):
-            doc["sign"] = "+" if rng.random() < 0.5 else "-"
-        if family.startswith("werner"):
-            doc["p"] = round(float(rng.uniform(0.3, 1.0)), 3)
-        return doc
-
-    def pairs(entries):
-        return [[float(z.real), float(z.imag)] for z in entries]
-
-    initials = {family: family_doc(family)
-                for family in ("bell_psi", "bell_phi", "bell_like", "plus_plus",
-                               "werner_psi", "werner_phi", "werner_like")}
-    initials["custom_pure"] = {"family": "custom_pure",
-                               "amplitudes": pairs(random_pure_state(rng).amplitudes())}
-    initials["custom_mixed"] = {"family": "custom_mixed",
-                                "matrix": [pairs(row) for row in random_density_matrix(rng).matrix]}
-    werner = family_doc(("werner_psi", "werner_phi")[rng.integers(2)])
-    return initials, werner, [round(float(rng.uniform(0.3, 1.0)), 3) for _ in range(3)]
-
-
-SEED0_INITIALS, SEED0_SWEEP_INITIAL, SEED0_SWEEP_VALUES = scenario_inputs(0)
-# the runs of the seed-0 scenarios workload, named as in benchmarks/reference.json
-SEED0_RUNS = [f"{family}-{engine}" for family in SEED0_INITIALS
-              for engine in ("analytic", "oracle", "closed_form")
-              if not (engine == "closed_form" and family.startswith("custom"))] + ["sweep"]
+# the checks each verify level runs, each of which must pass: fast's 31, and full's 42 add five oracle
+# comparisons, four envelope checks and three revival comparisons
+VERIFY_FAST = [
+    *(f"oracle_equivalence/{family}" for family in ("bell_psi_plus", "bell_phi_plus", "bell_like", "plus_plus",
+                                                     "werner_psi_minus", "werner_phi_plus", "werner_like")),
+    *(f"closed_form/{family}" for family in ("bell_psi_minus", "bell_phi_plus", "bell_like", "plus_plus",
+                                              "werner_psi_plus", "werner_phi_minus", "werner_like")),
+    *(f"decay_curves/{family}" for family in (
+        "bell_psi", "bell_phi", "bell_like_uncoupled", "werner_psi", "werner_phi", "werner_like_lossless")),
+    "werner/initial_value",
+    "measures/negativity_below_concurrence", "measures/pure_state_coincidence", "measures/local_unitary_invariance",
+    "ordering/concurrence_chain", "ordering/negativity_chain", "ordering/measure_relativity",
+    "propagator/semigroup", "propagator/vacuum_limit", "propagator/lossless_purity",
+    "estimator/cross_coupling",
+]
+VERIFY_FULL = VERIFY_FAST + [
+    *(f"oracle_equivalence/{name}" for name in ("separable", "custom_pure", "custom_mixed", "parameter_sweep")),
+    "envelope/concurrence_peaks", "envelope/negativity_peaks", "envelope/simple_form_less_accurate",
+    "envelope/werner_concurrence_peaks",
+    *(f"ordering/revival_comparisons_p{p}" for p in ("0.6", "0.8", "1")),
+]
 
 
 # one bad field per request, and a word the error message must contain; each
@@ -110,6 +97,9 @@ BAD_REQUESTS = [
     # past the warm oracle's cap: its trace used to drift past the 1e-9 check inside the run
     (22, {"params": {"nbar1": 1e8}, "engine": "oracle", "fock_dim": 4}, "nbar1"),
     (23, {"params": {"nbar1": 1e300}, "engine": "oracle", "fock_dim": 4}, "nbar1"),
+    # past the analytic routes' cap: each overflowed inside the route, and failed naming no rate
+    (24, {"params": {"chi12": 1e308}}, "chi12"),
+    (25, {"params": {"chi12": -1e308}, "engine": "closed_form"}, "chi12"),
 ]
 
 
@@ -274,6 +264,16 @@ class TestSharedValidation:
         assert captured.err.startswith("kerrdeco: rates too large for the oracle at fock_dim 4")
         assert f"nbar1 = {float(nbar1):g}" in captured.err
 
+    @pytest.mark.parametrize("engine", ["analytic", "closed_form"])
+    def test_rates_past_the_analytic_cap_fail_simulate_naming_chi12(self, tmp_path, capsys, engine):
+        path = write_scenario(tmp_path, {"initial": {"family": "bell_psi"}, "params": {"chi12": 1e308},
+                                         "n_points": 5, "engine": engine})
+        assert main(["simulate", "--scenario", path]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("kerrdeco: rates too large for the analytic routes")
+        assert "chi12 = 1e+308" in captured.err
+
     @pytest.mark.parametrize("params", ['"params": {"nbar1": 0.5}, ', ""])
     def test_huge_fock_dim_names_the_field(self, tmp_path, capsys, params):
         path = tmp_path / "scen.json"
@@ -437,40 +437,6 @@ class TestFigure:
         arr = np.array(rows)
         # interpolated envelope stays at or above the oscillating curve
         assert np.all(arr[:, 6] >= arr[:, 4] - 5e-3)
-
-    @pytest.mark.parametrize("fig", ["fig1", "fig2", "fig3", "fig4"])
-    def test_bytes_match_the_benchmark_reference(self, tmp_path, fig):
-        reference = json.loads(REFERENCE.read_text())
-        # the benchmark draws three fig3 and then three fig4 weights from input seed 0
-        rng = np.random.default_rng(0)
-        drawn = [round(float(rng.uniform(0.4, 1.0)), 3) for _ in range(6)]
-        weights = {"fig3": drawn[:3], "fig4": drawn[3:]}.get(fig)
-        out = tmp_path / f"{fig}.csv"
-        argv = ["figure", fig, "--out", str(out)]
-        if weights:
-            argv += ["--p", ",".join(repr(p) for p in weights)]
-        # fig1/fig2 take no seed-drawn input, so every recorded seed holds the same hash
-        want = {reference[seed][f"figures/{fig}"] for seed in (["0"] if weights else reference)}
-        assert main(argv) == 0
-        assert {hashlib.sha256(out.read_bytes()).hexdigest()} == want
-
-    @pytest.mark.parametrize("run", SEED0_RUNS)
-    def test_scenario_bytes_match_the_benchmark_reference(self, tmp_path, run):
-        # every column set, and the oracle at fock_dim 2, as the benchmark's scenarios workload runs them
-        reference = json.loads(REFERENCE.read_text())
-        outputs = ["concurrence", "negativity", "eof", "log_negativity", "matrix_elements"]
-        if run == "sweep":
-            doc = {"initial": SEED0_SWEEP_INITIAL, "outputs": outputs}
-            argv = ["sweep", "--sweep", "p", "--values", ",".join(map(repr, SEED0_SWEEP_VALUES))]
-        else:
-            family, engine = run.split("-")
-            doc = {"initial": SEED0_INITIALS[family], "engine": engine, "outputs": outputs,
-                   **({"fock_dim": 2} if engine == "oracle" else {})}
-            argv = ["simulate"]
-        out = tmp_path / f"{run}.csv"
-        assert main(argv + ["--scenario", write_scenario(tmp_path, doc), "--out", str(out)]) == 0
-        want = reference["0"][f"scenarios/{run}"]
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == want
 
     @pytest.mark.parametrize("weights", [[0.5, 1.5], [0.5, math.nan], [0.5, -0.1]])
     def test_later_bad_weight_writes_nothing(self, weights):
@@ -696,12 +662,17 @@ class TestVerify:
 
     def test_full_passes_all_42_checks(self, oracle_calls):
         results = verify.run_checks("full")
-        assert len(results) == 42
+        assert sorted(r.name for r in results) == sorted(VERIFY_FULL)
         assert [r.name for r in results if not r.passed] == []
         # one call for every family per parameter set: the base set, then the 11
         # other points of the 12-point sweep, whose (gamma 4, chi 7/7/20) point
         # is the base set itself and reuses its gaps
         assert oracle_calls == [(10, 4, 4)] * 12
+
+    def test_fast_passes_all_31_checks(self):
+        results = verify.run_checks("fast")
+        assert sorted(r.name for r in results) == sorted(VERIFY_FAST)
+        assert [r.name for r in results if not r.passed] == []
 
     def test_the_propagator_receives_stacks_one_call_per_check(self):
         shapes = []
@@ -727,6 +698,36 @@ class TestVerify:
 
         results = verify.run_checks("fast", propagator=detuned)
         assert any(not r.passed for r in results)
+
+
+class TestBenchmarkReference:
+    """The benchmark's passes, checked as the benchmark checks them."""
+
+    @staticmethod
+    def failed_jobs(tmp_path, monkeypatch, workload, seed, tiny):
+        jobs = workloads.build(workload, seed, tmp_path, tiny)
+        raw = {}
+        for job in jobs:
+            with monkeypatch.context() as env:
+                for name, value in job.env.items():
+                    env.setenv(name, value)
+                assert main(job.argv) == 0, job.label
+            raw[job.label] = job.out.read_bytes()
+        problems = workloads.evaluate(workload, jobs, raw, workloads.load_reference(seed))
+        return {label: found for label, found in problems.items() if found}
+
+    @pytest.mark.parametrize("tiny", [False, True], ids=["full", "tiny"])
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_seed0_pass_matches_the_reference(self, tmp_path, monkeypatch, workload, tiny):
+        assert self.failed_jobs(tmp_path, monkeypatch, workload, 0, tiny) == {}
+
+    # the fixed figures (fig1, fig2) against every recorded seed's entry, and
+    # fig3/fig4 at each seed's drawn weights; the other workloads cost more and
+    # are left to the benchmark's own seeds
+    @pytest.mark.parametrize("seed", range(1, workloads.REFERENCE_SEEDS))
+    def test_figures_pass_matches_the_reference_at_every_recorded_seed(self, tmp_path, monkeypatch,
+                                                                        seed):
+        assert self.failed_jobs(tmp_path, monkeypatch, "figures", seed, False) == {}
 
 
 class TestOutputFile:

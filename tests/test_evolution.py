@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_RK4_STEPS, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step, _destroy, _embed_qubits,
-    _evolve_kept, _expm, _generator_bound, _kept_indices, _liouvillian, _operators, closed_form_reason, closed_form_rho,
-    integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
+    _MAX_ANALYTIC_SCALE, _MAX_RK4_STEPS, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step,
+    _destroy, _embed_qubits, _evolve_kept, _expm, _generator_bound, _kept_indices, _liouvillian, _operators,
+    closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
-    BellLike, BellPhi, BellPsi, CustomMixed, DensityMatrix2Q, PlusPlus, Separable, WernerLike, WernerPhi,
-    WernerPsi, bell_like, initial_density, random_density_matrix,
+    BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, PureState2Q, Separable, WernerLike,
+    WernerPhi, WernerPsi, bell_like, initial_density, random_density_matrix,
 )
 
 QUIET = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
@@ -733,6 +733,44 @@ class TestGeneratorBound:
             assert np.abs(lmat).sum(axis=0).max() <= _generator_bound(prm, fock_dim)
 
 
+def one_mode_block(fock_dim, order, gamma, nbar, chi_self, shift):
+    """One mode's generator on its entries |m><n| with m - n = order, ordered by m, from one-mode operators:
+    the phases chi_self (m**2 - n**2) + shift * n and the thermal amplitude-damping dissipator."""
+    a = np.diag(np.sqrt(np.arange(1.0, fock_dim)), 1)
+    eye = np.eye(fock_dim)
+    num, anti = a.T @ a, a @ a.T
+    # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization, and a is real
+    down = 2.0 * np.kron(a, a) - np.kron(num, eye) - np.kron(eye, num)
+    up = 2.0 * np.kron(a.T, a.T) - np.kron(anti, eye) - np.kron(eye, anti)
+    m, n = np.divmod(np.arange(fock_dim ** 2), fock_dim)
+    block = np.diag(-1j * (chi_self * (m * m - n * n) + shift * n)) + gamma / 2.0 * ((nbar + 1.0) * down + nbar * up)
+    idx = np.flatnonzero(m - n == order)
+    return block[np.ix_(idx, idx)]
+
+
+class TestSectorGenerator:
+    @pytest.mark.parametrize("fock_dim", range(2, 9))
+    def test_each_sector_block_is_the_kronecker_sum_of_its_one_mode_blocks(self, rng, fock_dim):
+        # in sector (o1, o2) the cross-Kerr phase m1 m2 - n1 n2 is o2 n1 + o1 n2 + o1 o2, linear in each mode's
+        # index, and each dissipator acts on one mode: L = A1 kron I + I kron A2 + c I, c = -2i chi12 o1 o2
+        m1, m2, n1, n2 = np.unravel_index(np.arange(fock_dim ** 4), (fock_dim,) * 4)
+        for _ in range(2):
+            # unequal damping, self-Kerr couplings of either sign and both reservoirs warm
+            prm = CavityParams(*rng.uniform([0.5, 0.5, -5.0, -5.0, -30.0, 0.05, 0.05],
+                                            [5.0, 5.0, 5.0, 5.0, 30.0, 1.0, 1.0]))
+            operators = _operators(prm, fock_dim)
+            for o1, o2 in np.ndindex(2 * fock_dim - 1, 2 * fock_dim - 1):
+                o1, o2 = o1 - fock_dim + 1, o2 - fock_dim + 1
+                got = _liouvillian(operators, np.flatnonzero((m1 - n1 == o1) & (m2 - n2 == o2)))
+                a1 = one_mode_block(fock_dim, o1, prm.gamma1, prm.nbar1, prm.chi11, 2.0 * prm.chi12 * o2)
+                a2 = one_mode_block(fock_dim, o2, prm.gamma2, prm.nbar2, prm.chi22, 2.0 * prm.chi12 * o1)
+                want = (np.kron(a1, np.eye(len(a2))) + np.kron(np.eye(len(a1)), a2)
+                        - 2j * prm.chi12 * o1 * o2 * np.eye(len(got)))
+                # roundoff on the scale of the generator's norm: at most 2.4e-16 of its bound measured, over 12
+                # seeds at each fock_dim
+                assert np.abs(got - want).max() <= 2e-15 * _generator_bound(prm, fock_dim)
+
+
 WARM_STARTS = [BellLike(), BellPhi(-1), WernerLike(0.6), PlusPlus(), Separable(0.6, 0.8, 1, 0)]
 RATE_NAMES = [f.name for f in dataclasses.fields(CavityParams)]
 
@@ -765,6 +803,73 @@ class TestWarmRequests:
         traj = trajectory(initial, params, t_max, 3, engine="oracle", fock_dim=fock_dim)
         assert time.perf_counter() - start < 2.0
         assert np.isfinite(traj.states.matrix).all()
+
+
+ANALYTIC_STARTS = WARM_STARTS + [BellPsi(-1), WernerPsi(0.7, +1), WernerPhi(0.4, -1),
+                                  CustomPure(PureState2Q(0.5, 0.5j, -0.5, 0.5)),
+                                  CustomMixed(random_density_matrix(np.random.default_rng(3)))]
+
+
+class TestAnalyticRequests:
+    @settings(max_examples=300, deadline=None, derandomize=True, database=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1))
+    def test_an_analytic_request_is_rejected_alike_naming_every_rate_or_returns_finite_states(self, seed):
+        rng = np.random.default_rng(seed)
+        # the largest rate's decimal exponent, up to 8 half the time and up to 308 otherwise, and each
+        # rate log-uniform up to twelve decades below it; gamma and chi may vanish, chi takes either sign
+        top = rng.uniform(-3.0, 8.0 if rng.random() < 0.5 else 308.0)
+        rates = 10.0 ** (top - rng.uniform(0.0, 12.0, 5)) * (rng.random(5) < 0.8) * [1, 1, *rng.choice([-1, 1], 3)]
+        t_max = 10.0 ** rng.uniform(-3.0, 2.0)
+        initial = ANALYTIC_STARTS[rng.integers(len(ANALYTIC_STARTS))]
+        unequal = CavityParams(*rates.tolist())
+        # the closed forms take equal damping
+        equal = dataclasses.replace(unequal, gamma2=unequal.gamma1)
+        routes = {"analytic": (unequal, lambda p: propagate(initial_density(initial), p, [0.0, t_max])),
+                  "closed_form": (equal, lambda p: closed_form_rho(initial, p, [0.0, t_max]))}
+        for engine, (params, route) in routes.items():
+            if engine == "closed_form" and closed_form_reason(initial, params) is not None:
+                continue
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                try:
+                    validate_run(initial, params, t_max, 5, engine)
+                except ValueError as exc:
+                    assert [name for name in RATE_NAMES if f"{name} = " in str(exc)] == RATE_NAMES
+                    for call in (lambda: trajectory(initial, params, t_max, 5, engine=engine), lambda: route(params)):
+                        with pytest.raises(ValueError) as again:
+                            call()
+                        assert str(again.value) == str(exc)
+                    continue
+                traj = trajectory(initial, params, t_max, 5, engine=engine)
+            assert np.isfinite(traj.states.matrix).all()
+
+    @pytest.mark.parametrize("params", [CavityParams(chi12=3e307), CavityParams(gamma1=1e308, gamma2=1e308),
+                                        CavityParams(chi11=1e308, chi22=-1e308)])
+    def test_rates_past_the_cap_are_named_without_a_warning(self, params):
+        # each one overflowed inside the routes: a RuntimeWarning, or a state with non-finite entries
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^rates too large for the analytic routes: .*, nbar2 = 0$"):
+                propagate(np.eye(4) / 4, params, [0.5])
+            with pytest.raises(ValueError, match=r"^rates too large for the analytic routes: .*, nbar2 = 0$"):
+                closed_form_rho(BellPhi(+1), params, [0.5])
+
+    def test_the_cap_sits_where_stated(self):
+        # the rate sum of QUIET is 4 + 4 + 2 * 20 = 48, so past t = 1 the cap falls on t = 1e7 / 48
+        t_cap = _MAX_ANALYTIC_SCALE / 48.0
+        message = (r"^rates too large for the analytic routes: reaching t = 208333 takes their sum times max\(1, t\), "
+                   r"1e\+07, above the cap of 1e\+07, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, chi12 = 20, "
+                   r"nbar1 = 0, nbar2 = 0$")
+        for engine in ("analytic", "closed_form"):
+            validate_run(BellLike(), QUIET, t_cap, 3, engine)
+            with pytest.raises(ValueError, match=message):
+                validate_run(BellLike(), QUIET, t_cap * (1 + 1e-9), 3, engine)
+        # below t = 1 the rates themselves are capped, however short the run
+        at_cap = CavityParams(gamma1=0.0, gamma2=0.0, chi12=_MAX_ANALYTIC_SCALE / 2)
+        assert np.isfinite(propagate(initial_density(BellLike()), at_cap, [0.0, 1e-9]).matrix).all()
+        with pytest.raises(ValueError, match="above the cap"):
+            propagate(initial_density(BellLike()), dataclasses.replace(at_cap, chi12=at_cap.chi12 * (1 + 1e-9)),
+                      1e-9)
 
 
 def extract_qubits(big, fock_dim):
@@ -978,8 +1083,12 @@ class TestTrajectory:
             trajectory(BellLike(), huge, 1.0, 3, engine="oracle")
         with pytest.raises(ValueError, match="above the cap of 1000000"):
             integrate_master_grid(initial_density(BellLike()).matrix, huge, [0.5, 1.0])
-        # the other engines take no RK4 steps
-        validate_run(BellLike(), huge, 1.0, 3, "analytic")
+        # the other engines take no RK4 steps: past the step cap but under their own rate cap, they run
+        strong = CavityParams(chi12=2e6)
+        with pytest.raises(ValueError, match="RK4 steps"):
+            validate_run(BellLike(), strong, 1.0, 3, "oracle")
+        for engine in ("analytic", "closed_form"):
+            validate_run(BellLike(), strong, 1.0, 3, engine)
 
     def test_an_oracle_run_past_the_work_cap_fails_at_the_boundary(self):
         # fock_dim 16 keeps K = 2116 entries of a Bell-like start: 9.2e5 steps pass the step cap,

@@ -7,7 +7,8 @@ warm run is the truncated model that the reference also solves, on an uneven
 grid and on the uniform one that ``trajectory`` builds, and a warm run at its
 kernel's cap. With quiet reservoirs a start in the qubit subspace never leaves
 it, so fock_dim 2 is exact there, and ``propagate`` and ``closed_form_rho`` are
-held to the same reference for every family they take.
+held to the same reference for every family they take. Concurrence and
+negativity are held to a 50-digit eigen-solve of the same float matrices.
 """
 
 import functools
@@ -15,12 +16,13 @@ import functools
 import numpy as np
 import pytest
 
+from kerrdeco import measures
 from kerrdeco.evolution import (
     _MAX_WARM_NORM, CavityParams, _generator_bound, closed_form_rho, integrate_master_grid, propagate,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi,
-    WernerPsi, initial_density, initial_label, random_density_matrix,
+    WernerPsi, initial_density, initial_label, random_density_matrix, random_pure_state,
 )
 
 mpmath = pytest.importorskip("mpmath")
@@ -126,3 +128,45 @@ def test_closed_form_is_the_40_digit_exponential(initial, params):
     # 3.3e-16 measured over every closed-form family
     got = closed_form_rho(initial, params, TIMES).matrix
     assert np.abs(got - reference_grid(initial_density(initial).matrix, params, TIMES)).max() <= 1e-15
+
+
+SIGMA_YY = np.kron([[0, -1j], [1j, 0]], [[0, -1j], [1j, 0]])
+
+
+def reference_measures(rho):
+    """Concurrence and negativity of one 4x4 float matrix, from a 50-digit eigen-solve."""
+    with mp.workdps(50):
+        m = mp.matrix([[mp.mpc(z.real, z.imag) for z in row] for row in rho.tolist()])
+        yy = mp.matrix(SIGMA_YY.tolist())
+        lam = sorted(mp.sqrt(max(mp.re(e), 0)) for e in mp.eig(m * (yy * m.conjugate() * yy), left=False, right=False))
+        # the partial transpose on the first qubit: rows (a, b) and columns (c, d) take entry ((c, b), (a, d))
+        pt = mp.matrix(4, 4)
+        for i, j in np.ndindex(4, 4):
+            pt[i, j] = m[2 * (j // 2) + i % 2, 2 * (i // 2) + j % 2]
+        mu = mp.eighe(pt, eigvals_only=True)
+        return float(max(2 * lam[-1] - sum(lam), 0)), float(-2 * sum(min(x, 0) for x in mu))
+
+
+def near_pure_corpus(seed, count=40, admixture=1e-9):
+    rng = np.random.default_rng(seed)
+    pure = [random_pure_state(rng).amplitudes() for _ in range(count)]
+    return np.array([(1.0 - admixture) * np.outer(a, a.conj()) + admixture * np.eye(4) / 4.0 for a in pure])
+
+
+FIG1_COUPLED = propagate(initial_density(BellLike()), CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0),
+                         np.linspace(0.0, 1.0, 401)[:40]).matrix
+
+
+@pytest.mark.parametrize("states, c_bound, n_bound", [
+    # fig1's coupled curve_c, its first 40 points: concurrence 6.9e-12 and negativity 7.8e-16 measured.
+    # ROADMAP item 1 (the Wootters lambdas as singular values) should tighten the concurrence bound to 1e-13
+    (FIG1_COUPLED, 1e-11, 5e-15),
+    # near-pure states, each with a 1e-9 admixture of I/4: concurrence 1.76e-9 and negativity 8.9e-16
+    # measured. The square roots of the spin-flip eigenvalues lose half the digits; item 1 should tighten
+    # the concurrence bound to 1e-13
+    (near_pure_corpus(1), 2e-9, 5e-15),
+], ids=["fig1_coupled", "near_pure"])
+def test_measures_are_the_50_digit_eigen_solve(states, c_bound, n_bound):
+    ref = np.array([reference_measures(rho) for rho in states])
+    assert np.abs(measures.concurrence(states) - ref[:, 0]).max() <= c_bound
+    assert np.abs(measures.negativity(states) - ref[:, 1]).max() <= n_bound
