@@ -1,34 +1,14 @@
 """Time evolution of two cavity qubits under damping and Kerr cross-coupling.
 
 Two independent routes to the same physics live here. ``propagate`` applies
-the exact amplitude-damping propagator, valid for quiet (zero-temperature)
-reservoirs, to one state or a stack of B at one time or an array of N times in
-one call: its terms are numpy arrays, each complex product spelled out as
-CPython forms it, so every matrix equals the scalar arithmetic bit for bit; it
-returns one ``DensityMatrix2Q``, (B, N, 4, 4) for B states at N times.
-``integrate_master_grid`` evolves the full master equation over a time grid
-on a truncated Fock space, the cross-checking oracle; it also covers thermal
-reservoirs. The generator conserves each mode's coherence order ``m_j - n_j``,
-so the oracle evolves only the entries within the orders the initial state
-occupies; every other entry stays exactly zero. One kernel evolves them in
-groups. A quiet run is one group, the whole box, stepped by fixed-step RK4 with
-one step per distinct grid span, because the pinned oracle CSV hashes hold its
-bytes until they are re-recorded. A warm run (``nbar > 0``) has one group per
-signed coherence sector and uses its exact propagator, by Taylor scaling and
-squaring: on the grid ``trajectory`` builds, one ``exp(h * L)`` per sector,
-whose powers reach every grid time by doubling, each snapshot within half an
-ulp of its time (the last within one ulp); on any other grid one
-``exp(span * L)`` per distinct span, applied once per time. Each kernel has its
-own cap, checked by one gate (``_checked_step``) before anything is built. A warm
-run is rejected when ``t_end`` times ``_generator_bound``, a bound on the
-generator's 1-norm from the rates alone, exceeds ``_MAX_WARM_NORM``. A quiet run
-takes the RK4 step that ``_default_step`` derives from the rates and
-``fock_dim`` (not an option), and is rejected past ``_MAX_RK4_STEPS`` steps or
-``_MAX_RK4_WORK`` steps * K**2 * B for K evolved entries of B states.
-It takes one initial matrix or a stack of them, evolved together, and returns
-an (N, d, d) array of snapshots, (B, N, d, d) for a stack of B; with
-``qubits=True`` only each snapshot's 4x4 qubit block, gathered from the evolved
-entries, which is what ``trajectory`` asks for.
+the exact amplitude-damping propagator of quiet (zero-temperature) reservoirs
+to one state or a stack of B at one time or N times, each matrix equal bit for
+bit to the scalar complex arithmetic. ``integrate_master_grid``, the
+cross-checking oracle, evolves the full master equation on a truncated Fock
+space over a time grid and also covers thermal reservoirs; its docstring
+gives its kernels and their caps. ``closed_form_rho`` gives the direct evolved
+matrices of the named families, and ``trajectory`` runs any of the three
+engines on a uniform grid.
 
 Rates are in rad/us, times in us.
 """
@@ -327,15 +307,8 @@ def propagate(rho0, params: CavityParams, t):
     r2 = rj_factor(2, *_ROWS2, params, col)[:, _ROW2]
     fr, fi = _cmul(r1.real, r1.imag, r2.real, r2.imag)
     del r1, r2
-    # r1 * r2 * src[...] per term as _cmul forms it, in preallocated (B, N, terms) buffers: a stack makes no more
-    # temporaries of that size than these three
-    shape = np.broadcast_shapes(fr.shape, src.shape)
-    tr, ti, scratch = np.empty(shape), np.empty(shape), np.empty(shape)
-    np.multiply(fr, src.real, out=tr)
-    tr -= np.multiply(fi, src.imag, out=scratch)
-    np.multiply(fr, src.imag, out=ti)
-    ti += np.multiply(fi, src.real, out=scratch)
-    del scratch
+    # r1 * r2 * src[...] per term, (B, N, terms) for a stack
+    tr, ti = _cmul(fr, fi, src.real, src.imag)
     # each entry's terms summed in slot order, starting from 0.0 + 0.0j
     re, im = 0.0 + tr[..., :16], 0.0 + ti[..., :16]
     for slot in (1, 2, 3):
@@ -465,10 +438,8 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
-        rates = ", ".join(f"{name} = {getattr(params, name):g}"
-                          for name in ("gamma1", "gamma2", "chi11", "chi22", "chi12"))
         raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
-                         f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {rates}")
+                         f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {_rate_list(params)}")
     work = steps * kept * kept * stack
     if not work <= _MAX_RK4_WORK:
         raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
@@ -604,8 +575,6 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
     spans, which = np.unique(np.diff(grid[start:], prepend=0.0), return_inverse=True)
     spans = spans.tolist()
     counts = [math.ceil(span / step) if params.quiet else 1 for span in spans]
-    # each span's products before the one that records, as ranges built once (empty for a warm run)
-    more = [range(count - 1) for count in counts]
     operators = _operators(params, fock_dim)
     kept = np.zeros((n, *v.shape), dtype=complex)
     for idx in groups:
@@ -619,17 +588,11 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
         # one span at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
         props = [_taylor(span / count * lmat, 4) if params.quiet else _expm(span * lmat)
                  for span, count in zip(spans, counts)]
-        snaps = np.empty((n, *u.shape), dtype=complex)
-        snaps[:start] = u
-        dots = [prop.dot for prop in props]
-        # the products before the one that records alternate between two buffers
-        bufs = np.empty((2, *u.shape), dtype=complex)
+        kept[:start, idx] = u
         for i, j in enumerate(which.tolist(), start):
-            dot = dots[j]
-            for k in more[j]:
-                u = dot(u, out=bufs[k & 1])
-            u = dot(u, out=snaps[i])
-        kept[:, idx] = snaps
+            for _ in range(counts[j]):
+                u = props[j].dot(u)
+            kept[i, idx] = u
     return kept
 
 

@@ -699,6 +699,16 @@ class TestVerify:
         results = verify.run_checks("fast", propagator=detuned)
         assert any(not r.passed for r in results)
 
+    # A self-Kerr rate off by as much still passes: only oracle_equivalence sees chi11 and chi22, and its
+    # limit stays at the RK4 oracle's 1e-8 until quiet runs take the exact kernel.
+    @pytest.mark.parametrize("rate", ["gamma1", "gamma2", "chi12"])
+    def test_battery_catches_a_rate_off_by_one_part_in_1e10(self, rate):
+        def scaled(rho0, params, t):
+            return propagate(rho0, dataclasses.replace(params, **{rate: getattr(params, rate) * (1 + 1e-10)}), t)
+
+        results = verify.run_checks("full", propagator=scaled)
+        assert any(not r.passed for r in results)
+
 
 class TestBenchmarkReference:
     """The benchmark's passes, checked as the benchmark checks them."""

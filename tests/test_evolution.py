@@ -1078,7 +1078,8 @@ class TestTrajectory:
     def test_an_oracle_run_past_the_step_cap_fails_at_the_boundary(self):
         huge = CavityParams(chi12=1e200)
         message = (r"^rates too large for the oracle at fock_dim 2: reaching t = 1 takes 4e\+202 RK4 steps, "
-                   r"above the cap of 1000000, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, chi12 = 1e\+200$")
+                   r"above the cap of 1000000, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, chi12 = 1e\+200, "
+                   r"nbar1 = 0, nbar2 = 0$")
         with pytest.raises(ValueError, match=message):
             trajectory(BellLike(), huge, 1.0, 3, engine="oracle")
         with pytest.raises(ValueError, match="above the cap of 1000000"):
