@@ -6,6 +6,8 @@ import json
 import math
 import re
 import sys
+import tracemalloc
+import types
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +102,8 @@ BAD_REQUESTS = [
     # past the analytic routes' cap: each overflowed inside the route, and failed naming no rate
     (24, {"params": {"chi12": 1e308}}, "chi12"),
     (25, {"params": {"chi12": -1e308}, "engine": "closed_form"}, "chi12"),
+    # past the grid cap: it used to die in numpy asking for 11.2 GiB
+    (26, {"n_points": 100_000_000}, "n_points"),
 ]
 
 
@@ -236,6 +240,7 @@ class TestSharedValidation:
         ('"initial": {"family": ["bell_psi"]}', "family"),
         ('"n_points": 3.9', "n_points"),
         ('"fock_dim": 2.5', "fock_dim"),
+        ('"n_points": 100000000', "n_points"),
     ])
     def test_non_finite_json_names_the_field(self, tmp_path, capsys, text, field):
         path = tmp_path / "scen.json"
@@ -862,6 +867,82 @@ class TestUsage:
     def test_error_messages_name_the_tool(self, capsys):
         main(["simulate", "--scenario", "/nonexistent/path.json"])
         assert capsys.readouterr().err.startswith("kerrdeco:")
+
+
+class TestWriteTable:
+    """``_write_table`` writes the bytes of ``np.savetxt`` with the CLI's settings."""
+
+    EDGES = [0.0, -0.0, 5e-324, -5e-324, 1e-300, 1e300, -1e300, 0.1 + 0.2, 1 - 1e-13, -0.5, -7.0, 3.0, 401.0]
+
+    @staticmethod
+    def both(table, header):
+        ours, theirs = io.StringIO(), io.StringIO()
+        cli._write_table(ours, header, table)
+        np.savetxt(theirs, table, fmt="%.12g", delimiter=",", newline="\r\n", header=",".join(header), comments="")
+        return ours.getvalue(), theirs.getvalue()
+
+    def test_edge_values(self):
+        table = np.array(self.EDGES).reshape(1, -1)
+        ours, theirs = self.both(np.concatenate([table, -table, table[:, ::-1]]),
+                                 [f"c{i}" for i in range(table.shape[1])])
+        assert ours == theirs
+        assert ",4.94065645841e-324," in ours and ",0.3," in ours and "0,-0," in ours
+
+    @pytest.mark.parametrize("shape", [(0, 5), (1, 5), (255, 3), (256, 3), (257, 3), (1203, 38)])
+    def test_shapes(self, shape):
+        rng = np.random.default_rng(sum(shape))
+        table = rng.standard_normal(shape) * 10.0 ** rng.integers(-20, 20, shape)
+        ours, theirs = self.both(table, [f"c{i}" for i in range(shape[1])])
+        assert ours == theirs
+        assert ours.count("\r\n") == shape[0] + 1
+
+    def test_one_write_per_block_of_256_rows(self):
+        writes = []
+        cli._write_table(types.SimpleNamespace(write=writes.append), ["a", "b"], np.ones((513, 2)))
+        assert [w.count("\r\n") for w in writes] == [1, 256, 256, 1]
+
+    def test_memory_stays_bounded_on_a_large_table(self):
+        table = np.random.default_rng(0).random((20000, 37))
+        tracemalloc.start()
+        try:
+            cli._write_table(types.SimpleNamespace(write=len), ["c"] * 37, table)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # about 0.5 MiB for a 256-row block; formatting the whole table at once peaked at 40 MiB
+        assert peak < 2 * 2 ** 20
+
+
+class TestCachedParser:
+    """The parser is built once per process and carries nothing from one call to the next."""
+
+    def test_one_parser_per_process(self, tmp_path, capsys):
+        assert main(["figure", "fig1", "--out", str(tmp_path / "f.csv")]) == 0
+        assert main(["transmogrify"]) == 1
+        assert main(["figure", "fig2", "--out", str(tmp_path / "f.csv")]) == 0
+        info = cli._build_parser.cache_info()
+        assert info.misses == 1 and info.hits >= 2
+        capsys.readouterr()
+
+    def test_a_later_call_keeps_no_earlier_option(self, tmp_path):
+        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+        assert main(["figure", "fig3", "--p", "0.7", "--out", str(a)]) == 0
+        assert main(["figure", "fig3", "--out", str(b)]) == 0
+        weights = lambda path: sorted({row.split(",")[0] for row in path.read_text().splitlines()[1:]})
+        assert weights(a) == ["0.7"]
+        assert weights(b) == ["0.4", "0.6", "0.8", "1"]
+        fresh = io.StringIO()
+        run_figure("fig3", None, fresh)
+        assert b.read_bytes() == fresh.getvalue().encode()
+
+    def test_a_usage_error_between_good_calls(self, tmp_path, capsys):
+        out1, out2 = tmp_path / "f1.csv", tmp_path / "f2.csv"
+        assert main(["figure", "fig2", "--out", str(out1)]) == 0
+        assert main(["figure", "fig2", "--bogus"]) == 1
+        assert main(["sweep", "--scenario", "x.json"]) == 1
+        assert "usage: kerrdeco" in capsys.readouterr().err
+        assert main(["figure", "fig2", "--out", str(out2)]) == 0
+        assert out1.read_bytes() == out2.read_bytes()
 
 
 class TestDocumentedSchema:

@@ -1184,6 +1184,12 @@ class TestTrajectory:
         with pytest.raises(ValueError, match="engine"):
             trajectory(BellPsi(+1), QUIET, 1.0, 5, engine="exact")
 
+    @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
+    def test_the_grid_cap_is_inclusive_for_every_engine(self, engine):
+        validate_run(BellPsi(+1), QUIET, 1.0, 100_000, engine)
+        with pytest.raises(ValueError, match="^n_points must be at most 100000, got 100001$"):
+            trajectory(BellPsi(+1), QUIET, 1.0, 100_001, engine)
+
     def test_trajectory_validation(self):
         with pytest.raises(ValueError, match="increasing"):
             Trajectory(np.array([0.0, 0.0]), [None, None], QUIET, BellPsi(+1), "analytic")
