@@ -1,9 +1,12 @@
 """Command line: simulate scenarios, reproduce figure data, sweep parameters, verify.
 
 Each CSV command computes its whole float table before it writes: so a run
-that fails leaves ``--out`` as it was. The header line comes first, then
-blocks of at most 256 rows, one write each, every value ``%.12g`` with CRLF
-line ends: the bytes ``np.savetxt`` would write, byte-for-byte reproducible.
+that fails leaves ``--out`` as it was. No table is longer than
+``evolution._MAX_POINTS`` rows, the grid cap of one run: a sweep's
+``--values`` or a figure's ``--p`` that asks for more is rejected before the
+first run. The header line comes first, then blocks of at most 256 rows, one
+write each, every value ``%.12g`` with CRLF line ends: the bytes
+``np.savetxt`` would write, byte-for-byte reproducible.
 Exit codes: 0 success, 1 usage or configuration error, 2 verification failure.
 """
 
@@ -22,7 +25,7 @@ from typing import Optional, Sequence, TextIO
 import numpy as np
 
 from . import analytics, measures, verify
-from .evolution import CavityParams, propagate, trajectory, validate_run
+from .evolution import _MAX_POINTS, CavityParams, propagate, trajectory, validate_run
 from .states import (
     BellLike, BellPhi, BellPsi, InitialState, WernerLike, WernerPhi, WernerPsi,
     _read, initial_densities, initial_label, parse_initial,
@@ -135,6 +138,14 @@ def _write_table(stream: TextIO, header: Sequence[str], table: np.ndarray) -> No
         stream.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
+def _check_rows(flag: str, count: int, points: int) -> None:
+    """The one row rule of a CSV command whose ``count`` entries of ``flag`` each make ``points`` rows."""
+    rows = count * points
+    if rows > _MAX_POINTS:
+        raise ValueError(f"{flag} gives {count} entries of {points} rows each, {rows} rows, "
+                         f"above the cap of {_MAX_POINTS}")
+
+
 def _output_header(wanted: Sequence[str]) -> list:
     head = []
     for name in wanted:
@@ -204,7 +215,8 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
     The curves that share parameters share one ``propagate`` call and one
     measure call: the coupled curve_c of every panel, then each panel's
     uncoupled curves a, b and d. ``p_values=None`` draws the default panels
-    0.4, 0.6, 0.8 and 1; an empty list raises ValueError.
+    0.4, 0.6, 0.8 and 1; an empty list, or more weights than ``_check_rows``
+    admits (249), raises ValueError.
     """
     if fig_id not in _FIGURES:
         raise ValueError(f"unknown figure {fig_id!r}, expected one of {_FIGURES}")
@@ -213,6 +225,8 @@ def run_figure(fig_id: str, p_values: Optional[Sequence[float]] = None,
         raise ValueError(f"{fig_id} does not take mixing weights (--p)")
     if p_values is not None and len(p_values) == 0:
         raise ValueError("--p names no mixing weight; leave it out for the default panels")
+    if p_values is not None:
+        _check_rows("--p", len(p_values), _FIG_POINTS)
     # the tags validate every weight before the first byte is written
     if werner:
         panels = [(p, WernerPsi(p, +1), WernerPhi(p, +1), WernerLike(p))
@@ -254,10 +268,12 @@ def run_sweep(base: Scenario, vary: str, values: Sequence[float], stream: TextIO
     """Rerun the base scenario once per value, writing long-format CSV.
 
     An empty value list yields just the header row. Every run is computed
-    before the first byte is written.
+    before the first byte is written, and ``_check_rows`` bounds the table
+    before the first run.
     """
     if vary not in _SWEEPABLE:
         raise ValueError(f"unknown sweep parameter {vary!r}, expected one of {_SWEEPABLE}")
+    _check_rows("--values", len(values), base.n_points)
     scenarios = []
     for i, value in enumerate(map(float, values), 1):
         try:

@@ -22,6 +22,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
+from .linalg import _cmul
 from .states import (
     DensityMatrix2Q, InitialState, _CORES, _as_density, _check_whole, _initial_matrix,
     bell_like, bell_phi, bell_psi, initial_density, initial_label,
@@ -46,7 +47,10 @@ _SERIES_SWITCH = 1e-8
 
 _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
-# A rho0 filling every coherence order gives the oracle a fock_dim**8 generator: 69 GB at 16.
+# The largest per-mode truncation. ``_checked_step`` bounds what an oracle run holds; this bounds
+# its time where truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401
+# times takes 0.7 s, a quiet one 5 s and 425 MB before its first RK4 step (its box keeps K = 2116
+# entries), and the truncation error is already about 2e-9.
 _MAX_FOCK_DIM = 16
 
 
@@ -167,17 +171,6 @@ def _time_grid(times) -> np.ndarray:
     if np.any(np.diff(t) <= 0):
         raise ValueError("times must be strictly increasing")
     return t
-
-
-def _cmul(ar, ai, br, bi):
-    """Real and imaginary parts of (ar + i ai)(br + i bi), formed as CPython forms a complex product.
-
-    Each part is two rounded products and one rounded sum, with no fused
-    multiply-add, so array results equal the scalar ``complex`` arithmetic
-    bit for bit. CPython promotes a real operand to (x, 0.0) first, so a real
-    factor is passed with a zero imaginary part.
-    """
-    return ar * br - ai * bi, ar * bi + ai * br
 
 
 def _complex(re, im) -> np.ndarray:
@@ -421,13 +414,32 @@ def _generator_bound(params: CavityParams, fock_dim: int) -> float:
     return 2.0 * fock_dim * (fock_dim * chi_sum + damping)
 
 
-def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int) -> Optional[float]:
-    """The one gate of an oracle run to ``t_end``: a ValueError past the cap of the kernel that runs it.
+# The most complex entries an oracle run may hold in its snapshots, and a quiet run in its RK4
+# generator. Measured with one BLAS thread, snapshots peak at 21-27 bytes per entry and the
+# generator at 95 (425 MB for K = 2116, a Bell-like start's box at fock_dim 16, the largest of any
+# two-qubit start), so a run at the cap peaks near 0.5 GB. Without it a Bell-like run at fock_dim
+# 16 with 1e5 points asked 3.4 GB, and a start filling every coherence order a 69 GB generator.
+_MAX_ORACLE_ENTRIES = 5_000_000
 
-    A warm run is held to ``t_end * _generator_bound(params, fock_dim) <= _MAX_WARM_NORM``
-    and gets no step. A quiet run gets the RK4 step, unless reaching ``t_end`` exceeds
-    ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
+
+def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int,
+                  points: int, width: int) -> Optional[float]:
+    """The one gate of an oracle run to ``t_end``: a ValueError past the memory cap or the cap of its kernel.
+
+    The run holds ``kept`` evolved and ``width`` returned entries of each of ``stack`` states at
+    ``points`` times; those snapshots, and a quiet run's ``kept**2`` generator, are held to
+    ``_MAX_ORACLE_ENTRIES``. A warm run is held to ``t_end * _generator_bound(params, fock_dim) <=
+    _MAX_WARM_NORM`` and gets no step. A quiet run gets the RK4 step, unless reaching ``t_end``
+    exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
     """
+    held = points * stack * (kept + width)
+    if not held <= _MAX_ORACLE_ENTRIES:
+        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {kept} kept and {width} "
+                         f"returned entries for {stack} state(s) hold {held:.3g}, above the cap of "
+                         f"{_MAX_ORACLE_ENTRIES:.3g}")
+    if params.quiet and not kept * kept <= _MAX_ORACLE_ENTRIES:
+        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: the RK4 generator of {kept} kept entries has "
+                         f"{kept * kept:.3g}, above the cap of {_MAX_ORACLE_ENTRIES:.3g}")
     if not params.quiet:
         norm = t_end * _generator_bound(params, fock_dim)
         if not norm <= _MAX_WARM_NORM:
@@ -463,11 +475,12 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
     return np.flatnonzero(box)
 
 
-def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
-                          fock_dim: int = 2, *, qubits: bool = False) -> np.ndarray:
+def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fock_dim: int = 2) -> np.ndarray:
     """Evolve the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
-    Only the entries in the coherence-order box of ``rho0`` (``_kept_indices``,
+    A two-qubit ``rho0`` is placed at Fock states 0 and 1 of each mode, and
+    each snapshot's qubit block is returned. Only the entries in the
+    coherence-order box of ``rho0`` (``_kept_indices``,
     for a stack the union of its members' boxes) are evolved; every other
     entry of each snapshot is exactly zero, and so is every entry outside a
     member's own box. One kernel (``_evolve_kept``) evolves them: quiet
@@ -479,50 +492,54 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float],
     half an ulp of ``times[k]``, the last within one ulp); on any other grid
     one ``exp(span * L)`` per distinct span, applied once per time. A stack is
     evolved together: each RK4 step, or each propagator product, is one matrix
-    product over all its members. Each kernel has its own cap, checked by
-    ``_checked_step`` before anything is built: the RK4 step and work caps for
-    quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the generator's norm
-    bound for warm ones.
+    product over all its members. ``_checked_step`` checks the run before
+    anything is built: the snapshots it holds, and a quiet run's generator,
+    against ``_MAX_ORACLE_ENTRIES``, then the cap of its kernel, the RK4 step
+    and work caps for quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the
+    generator's norm bound for warm ones.
 
     Parameters
     ----------
     rho0 : array_like
-        Density matrix on the two-mode Fock space, shape (fock_dim**2,)*2, or a
-        stack of B of them, shape (B, fock_dim**2, fock_dim**2), with finite
-        entries; at fock_dim = 2 the two-qubit computational basis.
+        A two-qubit density matrix, shape (4, 4), or one on the two-mode Fock
+        space, shape (fock_dim**2,)*2, or a stack of B of either, with finite
+        entries; at fock_dim = 2 the two readings are the same.
     params : CavityParams
         Damping, Kerr couplings and reservoir occupations.
     times : sequence of float
         Times in us: 1-d, strictly increasing, finite and nonnegative.
     fock_dim : int
         Per-mode truncation, a whole number from 2 to 16; thermal runs need headroom above the qubit subspace.
-    qubits : bool, keyword-only
-        Return only each snapshot's qubit block, the entries between Fock states
-        0 and 1 of each mode, as it stands (not renormalized). It is gathered from
-        the evolved entries, so the (N, fock_dim**4) snapshots are never formed:
-        a warm Bell-like run of 401 times at fock_dim 16 peaks at about 64 MB
-        instead of 450 MB.
 
     Returns
     -------
     numpy.ndarray
         The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2)
-        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack; with
-        ``qubits``, (N, 4, 4) and (B, N, 4, 4). Trace preservation within 1e-9 is
-        enforced for every member and time, over every evolved diagonal entry.
+        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack. For a
+        two-qubit start, each snapshot's qubit block as it stands (not
+        renormalized), (N, 4, 4) and (B, N, 4, 4): it is gathered from the
+        evolved entries, so the (N, fock_dim**4) snapshots are never formed, and
+        a warm Bell-like run of 401 times at fock_dim 16 peaks at about 64 MB
+        instead of 450 MB. Trace preservation within 1e-9 is enforced for every
+        member and time, over every evolved diagonal entry.
     """
     _check_fock_dim(fock_dim)
     d = fock_dim * fock_dim
-    rho = np.array(rho0, dtype=complex, copy=True)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] != (d, d):
-        raise ValueError(f"rho0 has shape {rho.shape}, expected {(d, d)} or (B, {d}, {d}) for fock_dim {fock_dim}")
+    rho = np.asarray(rho0, dtype=complex)
+    if rho.ndim not in (2, 3) or rho.shape[-2:] not in ((4, 4), (d, d)):
+        raise ValueError(f"rho0 has shape {rho.shape}, expected (4, 4) or {(d, d)}, or a stack (B, 4, 4) or "
+                         f"(B, {d}, {d}), for fock_dim {fock_dim}")
     finite = np.isfinite(rho).all(axis=(-2, -1))
     if not finite.all():
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
+    qubits = rho.shape[-2:] == (4, 4)
+    if qubits:
+        rho = _embed_qubits(rho, fock_dim)
     grid = _time_grid(times)
     keep = _kept_indices(rho, fock_dim)
-    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d))
+    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d),
+                         len(grid), 16 if qubits else d * d)
     # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
     v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
     kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
@@ -754,9 +771,9 @@ def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -
 
 _ENGINES = ("analytic", "oracle", "closed_form")
 
-# The most grid times a run may ask for. An analytic run with every output costs about
-# 1.6 KB per point: at the cap it peaked at 208 MB in 2.3 s (Python 3.11, one BLAS
-# thread), so 10x more would take about 2 GB. Past it a run failed with numpy's
+# The most grid times a run may ask for, and the most rows a CSV command writes. An analytic
+# run with every output costs about 1.6 KB per point: at the cap it peaked at 208 MB in 2.3 s
+# (Python 3.11, one BLAS thread), so 10x more would take about 2 GB. Past it a run failed with numpy's
 # allocation error (1e8 points asked 11.2 GiB) instead of a message naming the field.
 _MAX_POINTS = 100_000
 
@@ -782,9 +799,8 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
     if engine == "oracle":
-        # only a quiet run's RK4 work depends on the start, through the entries it keeps
-        kept = len(_kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim)) if params.quiet else 0
-        _checked_step(params, fock_dim, t_max, kept, 1)
+        kept = len(_kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim))
+        _checked_step(params, fock_dim, t_max, kept, 1, n_points, 16)
     else:
         _check_analytic_rates(params, t_max)
 
@@ -809,14 +825,14 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     elif engine == "closed_form":
         states = closed_form_rho(initial, params, times)
     else:
-        states = _renormalized(integrate_master_grid(_embed_qubits(rho0.matrix, fock_dim), params, times, fock_dim,
-                                                     qubits=True))
+        states = _renormalized(integrate_master_grid(rho0.matrix, params, times, fock_dim))
     return Trajectory(times, states, params, initial, engine)
 
 
 def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    big = np.zeros((fock_dim * fock_dim,) * 2, dtype=complex)
-    big[_qubit_block(fock_dim)] = rho
+    """A (4, 4) two-qubit matrix, or each of a (B, 4, 4) stack, at Fock states 0 and 1 of each mode."""
+    big = np.zeros((*rho.shape[:-2], fock_dim * fock_dim, fock_dim * fock_dim), dtype=complex)
+    big[(..., *_qubit_block(fock_dim))] = rho
     return big
 
 

@@ -31,6 +31,18 @@ _ZERO_FLOOR_ABS = 1e-14
 _ZERO_FLOOR_REL = 1e-12
 
 
+def _cmul(ar, ai, br, bi):
+    """Real and imaginary parts of (ar + i ai)(br + i bi), formed as CPython forms a complex product.
+
+    Each part is two rounded products and one rounded sum, with no fused
+    multiply-add, so array results equal the scalar ``complex`` arithmetic
+    bit for bit, where numpy's complex multiply may not. CPython promotes a
+    real operand to (x, 0.0) first, so a real factor is passed with a zero
+    imaginary part.
+    """
+    return ar * br - ai * bi, ar * bi + ai * br
+
+
 def _square(a) -> np.ndarray:
     """``a`` as a complex array of square matrices, not copied: no caller writes to it."""
     m = np.asarray(a, dtype=complex)

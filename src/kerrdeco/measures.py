@@ -116,9 +116,21 @@ def log_negativity(n):
     return _per_value(math.log2, 1.0 + _unit_values(n, "negativity"))
 
 
-def pure_concurrence(psi: PureState2Q) -> float:
-    """Concurrence of a pure state: 2 |c00 c11 - c01 c10|."""
-    return 2.0 * abs(psi.c00 * psi.c11 - psi.c01 * psi.c10)
+def pure_concurrence(psi):
+    """Concurrence of a pure state, 2 |c00 c11 - c01 c10|: a float for a ``PureState2Q``, or one value per
+    row of an (..., 4) stack of amplitudes c00, c01, c10, c11.
+
+    Every value equals, bit for bit, the scalar ``complex`` arithmetic on its four amplitudes.
+    """
+    c = psi.amplitudes() if isinstance(psi, PureState2Q) else np.asarray(psi, dtype=complex)
+    if c.shape[-1:] != (4,):
+        raise ValueError(f"amplitudes must be an (..., 4) array, got shape {c.shape}")
+    re, im = np.moveaxis(c.real, -1, 0), np.moveaxis(c.imag, -1, 0)
+    ar, ai = linalg._cmul(re[0], im[0], re[3], im[3])
+    br, bi = linalg._cmul(re[1], im[1], re[2], im[2])
+    # abs(complex) is hypot, which np.abs of a complex array is not
+    out = 2.0 * np.hypot(ar - br, ai - bi)
+    return float(out) if out.ndim == 0 else out
 
 
 def report(rho) -> EntanglementReport:

@@ -11,7 +11,7 @@ import cmath
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Union
+from typing import Optional, Union
 
 import numpy as np
 
@@ -435,13 +435,23 @@ def parse_initial(obj: dict) -> InitialState:
 
 
 # ---------------------------------------------------------------------------
-# Random states for property checks. Deterministic given the generator.
+# Random states for property checks. Deterministic given the generator. Each draw takes its
+# real parts and then its imaginary parts from the stream, so a stack of ``count`` draws is one
+# ``standard_normal`` call that equals ``count`` single draws bit for bit.
 
 
 def random_pure_state(rng: np.random.Generator) -> PureState2Q:
-    z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
-    z /= np.linalg.norm(z)
-    return PureState2Q(*z)
+    return PureState2Q(*_random_amplitudes(rng))
+
+
+def _random_amplitudes(rng: np.random.Generator, count: Optional[int] = None) -> np.ndarray:
+    """The draw of ``random_pure_state``: normalized amplitudes c00, c01, c10, c11, shape (4,), or (count, 4)."""
+    x = rng.standard_normal((*(() if count is None else (count,)), 2, 4))
+    z = x[..., 0, :] + 1j * x[..., 1, :]
+    re, im = z.real[..., np.newaxis, :], z.imag[..., np.newaxis, :]
+    # per row the two dot products that np.linalg.norm forms for one vector
+    norm = np.sqrt(re @ re.swapaxes(-1, -2) + im @ im.swapaxes(-1, -2))[..., 0]
+    return z / norm
 
 
 def random_density_matrix(rng: np.random.Generator) -> DensityMatrix2Q:
@@ -449,8 +459,10 @@ def random_density_matrix(rng: np.random.Generator) -> DensityMatrix2Q:
     return DensityMatrix2Q(_random_density(rng))
 
 
-def _random_density(rng: np.random.Generator) -> np.ndarray:
-    """The draw of ``random_density_matrix``, unvalidated, for filling a stack that is checked once."""
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    m = g @ g.conj().T
-    return m / np.trace(m).real
+def _random_density(rng: np.random.Generator, count: Optional[int] = None) -> np.ndarray:
+    """The draw of ``random_density_matrix``, unvalidated: one (4, 4) matrix, or a (count, 4, 4) stack to be
+    checked once."""
+    x = rng.standard_normal((*(() if count is None else (count,)), 2, 4, 4))
+    g = x[..., 0, :, :] + 1j * x[..., 1, :, :]
+    m = g @ g.conj().swapaxes(-1, -2)
+    return m / np.trace(m, axis1=-2, axis2=-1).real[..., np.newaxis, np.newaxis]

@@ -19,8 +19,8 @@ from . import analytics, linalg, measures
 from .evolution import CavityParams, closed_form_rho, integrate_master_grid, propagate
 from .states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, Separable,
-    WernerLike, WernerPhi, WernerPsi, _initial_matrix, _random_density, _read, initial_densities,
-    initial_label, random_density_matrix, random_pure_state,
+    WernerLike, WernerPhi, WernerPsi, _initial_matrix, _random_amplitudes, _random_density, _read,
+    initial_densities, initial_label, random_density_matrix, random_pure_state,
 )
 
 __all__ = ["CheckResult", "corpus_seed", "run_checks"]
@@ -148,22 +148,16 @@ def run_checks(level: str = "fast", propagator: Optional[Callable] = None) -> li
     worst = float(np.max(np.abs([measures.concurrence(werners) - start, measures.negativity(werners) - start])))
     within("werner/initial_value", worst, 1e-13, "max gap to (3p-1)/2 at t=0")
 
-    # Algebraic properties of the measures on seeded corpora, each drawn in a fixed order into one
-    # array filled in place (not a list of a thousand small arrays), then checked and measured at once.
+    # Algebraic properties of the measures on seeded corpora, each drawn in a fixed order as one
+    # stack, then checked and measured at once.
     n_corpus = 1000 if full else 200
-    corpus = np.empty((n_corpus, 4, 4), dtype=complex)
-    for k in range(n_corpus):
-        corpus[k] = _random_density(rng)
-    corpus = DensityMatrix2Q(corpus)
+    corpus = DensityMatrix2Q(_random_density(rng, n_corpus))
     worst = float(np.max(measures.negativity(corpus) - measures.concurrence(corpus)))
     within("measures/negativity_below_concurrence", worst, 1e-9, f"max N - C on {n_corpus} random states")
 
-    corpus, cp = np.empty((n_corpus, 4, 4), dtype=complex), np.empty(n_corpus)
-    for k in range(n_corpus):
-        psi = random_pure_state(rng)
-        amps = psi.amplitudes()
-        corpus[k], cp[k] = np.outer(amps, amps.conj()), measures.pure_concurrence(psi)
-    corpus = DensityMatrix2Q(corpus)
+    amps = _random_amplitudes(rng, n_corpus)
+    corpus = DensityMatrix2Q(amps[:, :, np.newaxis] * amps.conj()[:, np.newaxis, :])
+    cp = measures.pure_concurrence(amps)
     worst = float(np.max(np.abs([measures.concurrence(corpus) - cp, measures.negativity(corpus) - cp])))
     within("measures/pure_state_coincidence", worst, 1e-9,
            f"max |measure - 2|c00 c11 - c01 c10|| on {n_corpus} pure states")

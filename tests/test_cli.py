@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from kerrdeco import cli, measures, states, verify
 from kerrdeco.cli import Scenario, main, parse_scenario, run_figure, run_simulate, run_sweep
 from kerrdeco.evolution import CavityParams, propagate, trajectory
-from kerrdeco.states import _FAMILIES, BellPsi, PureState2Q, WernerLike, parse_initial
+from kerrdeco.states import _FAMILIES, BellPsi, WernerLike, parse_initial
 
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "benchmarks"))
@@ -104,7 +104,27 @@ BAD_REQUESTS = [
     (25, {"params": {"chi12": -1e308}, "engine": "closed_form"}, "chi12"),
     # past the grid cap: it used to die in numpy asking for 11.2 GiB
     (26, {"n_points": 100_000_000}, "n_points"),
+    # past the oracle's memory cap: 1e5 snapshots of K = 2116 kept entries asked 3.4 GB, warm or quiet
+    (27, {"params": {"nbar1": 0.1}, "engine": "oracle", "fock_dim": 16, "n_points": 100_000}, "fock_dim 16"),
+    (28, {"params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0}, "engine": "oracle", "fock_dim": 16,
+          "n_points": 100_000}, "fock_dim 16"),
 ]
+
+
+class _Reached(Exception):
+    """Raised in place of the first step that computes: the request passed every rule before it."""
+
+
+def stop_before_running(monkeypatch):
+    """Make every route's first computing step raise ``_Reached``: the oracle kernel, ``propagate`` and
+    ``closed_form_rho``."""
+    from kerrdeco import evolution
+
+    def reached(*args, **kwargs):
+        raise _Reached
+    for module, name in ((evolution, "_evolve_kept"), (evolution, "propagate"), (evolution, "closed_form_rho"),
+                         (cli, "propagate")):
+        monkeypatch.setattr(module, name, reached)
 
 
 class TestParseScenario:
@@ -760,6 +780,56 @@ class TestOutputFile:
         assert out.read_bytes() == b"t,c\r\n0,1\r\n"
 
 
+class TestRowCap:
+    """A sweep's ``--values`` and a figure's ``--p`` are held to the grid cap's rows before the first run."""
+
+    @pytest.mark.parametrize("count, admitted", [(249, True), (250, False)])
+    def test_figure_weights(self, tmp_path, capsys, monkeypatch, count, admitted):
+        stop_before_running(monkeypatch)
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"kept")
+        argv = ["figure", "fig3", "--p", ",".join(["0.5"] * count), "--out", str(out)]
+        if admitted:
+            # 249 weights of 401 rows: 99849
+            with pytest.raises(_Reached):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == ("kerrdeco: --p gives 250 entries of 401 rows each, 100250 rows, "
+                                               "above the cap of 100000\n")
+        assert out.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("count, admitted", [(100, True), (101, False)])
+    def test_sweep_values(self, tmp_path, capsys, monkeypatch, count, admitted):
+        stop_before_running(monkeypatch)
+        out = tmp_path / "kept.csv"
+        out.write_bytes(b"kept")
+        path = write_scenario(tmp_path, {"initial": {"family": "bell_like"}, "n_points": 1000})
+        argv = ["sweep", "--scenario", path, "--sweep", "gamma", "--values", ",".join(["1"] * count), "--out", str(out)]
+        if admitted:
+            # the cap is inclusive: 100 runs of 1000 points
+            with pytest.raises(_Reached):
+                main(argv)
+        else:
+            assert main(argv) == 1
+            assert capsys.readouterr().err == ("kerrdeco: --values gives 101 entries of 1000 rows each, 101000 rows, "
+                                               "above the cap of 100000\n")
+        assert out.read_bytes() == b"kept"
+
+    @pytest.mark.parametrize("workload", workloads.WORKLOADS)
+    def test_every_benchmark_job_at_every_input_seed_passes_every_rule(self, tmp_path, monkeypatch, workload):
+        # each job runs up to its first computing step, which stops it
+        stop_before_running(monkeypatch)
+        for seed in range(workloads.REFERENCE_SEEDS):
+            for job in workloads.build(workload, seed, tmp_path / str(seed)):
+                with monkeypatch.context() as env:
+                    for name, value in job.env.items():
+                        env.setenv(name, value)
+                    with pytest.raises(_Reached):
+                        main(job.argv)
+                assert not job.out.exists(), job.label
+
+
 class TestValidationCount:
     """Each state is checked once: the initial density, then each trajectory's stack."""
 
@@ -821,15 +891,13 @@ class TestValidationCount:
                 drawn.append(draw(*args))
                 return drawn[-1]
             return wrapper
-        for name in ("_random_density", "random_pure_state"):
+        for name in ("_random_density", "_random_amplitudes"):
             monkeypatch.setattr(verify, name, recording(getattr(verify, name)))
         verify.run_checks(level)
-        # the mixed and local-unitary corpora and the vacuum-limit state, then
-        # the pure corpus, drawn after the custom_pure family member
-        mixed = [x for x in drawn if not isinstance(x, PureState2Q)]
-        pure = [x for x in drawn if isinstance(x, PureState2Q)][1:]
-        assert (len(mixed), len(pure)) == (n_corpus + n_rotated + 1, n_corpus)
-        rhos = mixed + [np.outer(a, a.conj()) for a in (psi.amplitudes() for psi in pure)]
+        # the mixed corpus and the pure corpus's amplitudes, one stack each, then one state per
+        # local-unitary pair and the vacuum-limit state
+        assert [x.shape for x in drawn] == [(n_corpus, 4, 4), (n_corpus, 4)] + [(4, 4)] * (n_rotated + 1)
+        rhos = [*drawn[0], *(np.outer(a, a.conj()) for a in drawn[1]), *drawn[2:]]
         assert [seen[rho.tobytes()] for rho in rhos] == [1] * len(rhos)
 
 

@@ -13,13 +13,13 @@ from hypothesis import strategies as st
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_ANALYTIC_SCALE, _MAX_RK4_STEPS, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step,
+    _MAX_ANALYTIC_SCALE, _MAX_RK4_STEPS, _MAX_RK4_WORK, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step,
     _destroy, _embed_qubits, _evolve_kept, _expm, _generator_bound, _kept_indices, _liouvillian, _operators,
     closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, PureState2Q, Separable, WernerLike,
-    WernerPhi, WernerPsi, bell_like, initial_density, random_density_matrix,
+    WernerPhi, WernerPsi, bell_like, initial_densities, initial_density, random_density_matrix,
 )
 
 QUIET = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
@@ -499,10 +499,15 @@ def frozen_oracle_loop(rho0, params, times, fock_dim):
     return out
 
 
-def mixed_box_stack(rng, fock_dim):
-    """Separable |0>(0.6|0> + 0.8|1>), BellPsi and a random mixed state, embedded: three different boxes."""
+def mixed_qubit_stack(rng):
+    """Separable |0>(0.6|0> + 0.8|1>), BellPsi and a random mixed state: three different boxes."""
     initials = (Separable(1.0, 0.0, 0.6, 0.8), BellPsi(+1), CustomMixed(random_density_matrix(rng)))
-    return np.array([_embed_qubits(initial_density(i).matrix, fock_dim) for i in initials])
+    return initial_densities(initials).matrix
+
+
+def mixed_box_stack(rng, fock_dim):
+    """``mixed_qubit_stack``, embedded."""
+    return _embed_qubits(mixed_qubit_stack(rng), fock_dim)
 
 
 class TestStackedOracle:
@@ -570,10 +575,12 @@ class TestStackedOracle:
         with pytest.raises(ValueError, match=r"^rho0 has non-finite entries in state 2$"):
             integrate_master_grid(stack, QUIET, [0.1])
 
-    @pytest.mark.parametrize("shape", [(2, 4, 4), (1, 2, 16, 16), (16,), (3, 16, 15)])
+    @pytest.mark.parametrize("shape", [(1, 2, 16, 16), (16,), (3, 16, 15), (1, 2, 4, 4)])
     def test_a_wrong_shaped_stack_is_named(self, shape):
-        with pytest.raises(ValueError, match=rf"^rho0 has shape \({', '.join(map(str, shape))},?\), expected"
-                                             r" \(16, 16\) or \(B, 16, 16\) for fock_dim 4$"):
+        # a (4, 4) start, or a stack of them, is a two-qubit start at any fock_dim
+        with pytest.raises(ValueError, match=rf"^rho0 has shape \({', '.join(map(str, shape))},?\), expected \(4, 4\)"
+                                             r" or \(16, 16\), or a stack \(B, 4, 4\) or \(B, 16, 16\),"
+                                             r" for fock_dim 4$"):
             integrate_master_grid(np.zeros(shape), THERMAL, [0.1], fock_dim=4)
 
     def test_trace_drift_names_the_member(self):
@@ -646,6 +653,16 @@ class TestWarmOracle:
             sizes.clear()
             integrate_master_grid(rho0, THERMAL, [0.1], fock_dim=fd)
             assert sorted(sizes) == sorted((fd - abs(a)) * (fd - abs(b)) for a, b in sectors)
+
+
+def unreachable(monkeypatch):
+    """Make the oracle's builders and ``propagate`` fail if a call reaches them."""
+    from kerrdeco import evolution
+
+    def fail(*args, **kwargs):
+        raise AssertionError("reached past the gate")
+    for name in ("_liouvillian", "_evolve_kept", "_operators", "propagate"):
+        monkeypatch.setattr(evolution, name, fail)
 
 
 def spy(monkeypatch, name):
@@ -894,7 +911,8 @@ class TestOracleTrajectoryBytes:
 
 
 class TestQubitBlock:
-    """``integrate_master_grid(..., qubits=True)`` gathers each snapshot's qubit block from the evolved entries."""
+    """A two-qubit start is placed at Fock states 0 and 1, and each snapshot's qubit block is gathered from the
+    evolved entries."""
 
     @staticmethod
     def full_block(big, fock_dim):
@@ -904,26 +922,33 @@ class TestQubitBlock:
     @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4), (THERMAL, 5)],
                              ids=["quiet2", "quiet4", "warm4", "warm5"])
     @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 41), [0.05, 0.2, 0.25, 0.6]], ids=["uniform", "uneven"])
-    def test_the_block_is_the_full_calls_block_bit_for_bit(self, rng, params, fock_dim, times):
-        ground = _embed_qubits(initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix, fock_dim)
-        stack = np.concatenate([mixed_box_stack(rng, fock_dim), [ground]])
-        for rho0 in (_embed_qubits(initial_density(BellLike()).matrix, fock_dim), ground, stack):
-            got = integrate_master_grid(rho0, params, times, fock_dim, qubits=True)
+    def test_a_two_qubit_start_is_the_embedded_starts_block_bit_for_bit(self, rng, params, fock_dim, times):
+        ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
+        stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
+        for rho0 in (initial_density(BellLike()).matrix, ground, stack):
+            got = integrate_master_grid(rho0, params, times, fock_dim)
             assert got.shape == (*rho0.shape[:-2], len(times), 4, 4) and got.flags.c_contiguous
-            full = integrate_master_grid(rho0, params, times, fock_dim)
+            full = integrate_master_grid(_embed_qubits(rho0, fock_dim), params, times, fock_dim)
             assert got.tobytes() == self.full_block(full, fock_dim).tobytes()
         # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
-        block = integrate_master_grid(ground, params, times, fock_dim, qubits=True)
+        block = integrate_master_grid(ground, params, times, fock_dim)
         assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
+        if fock_dim == 2:
+            # the two readings of a (4, 4) start are one
+            assert np.array_equal(_embed_qubits(stack, 2), stack)
 
     def test_a_trajectory_makes_one_oracle_call_for_the_block(self, monkeypatch):
         from kerrdeco import evolution
         calls, real = [], evolution.integrate_master_grid
-        monkeypatch.setattr(evolution, "integrate_master_grid", lambda *a, **k: calls.append(k) or real(*a, **k))
+        monkeypatch.setattr(evolution, "integrate_master_grid", lambda *a, **k: calls.append((a, k)) or real(*a, **k))
+        start = initial_density(BellLike()).matrix
         for params, fock_dim in ((COLD, 2), (THERMAL, 4)):
             calls.clear()
             trajectory(BellLike(), params, 0.5, 21, engine="oracle", fock_dim=fock_dim)
-            assert calls == [{"qubits": True}]
+            # the two-qubit start itself, not embedded
+            [((rho0, _, times, fd), kwargs)] = calls
+            assert rho0.shape == (4, 4) and rho0.tobytes() == start.tobytes() and kwargs == {}
+            assert fd == fock_dim and len(times) == 21
         trajectory(BellLike(), COLD, 0.5, 21, engine="analytic")
         assert len(calls) == 1
 
@@ -1105,9 +1130,9 @@ class TestTrajectory:
         # fock_dim 4 keeps K = 100 entries of a Bell-like start; t = 1 takes 16250 steps, 1.6e8 per state
         big = _embed_qubits(initial_density(BellLike()).matrix, 4)
         assert len(_kept_indices(big, 4)) == 100
-        _checked_step(QUIET, 4, 1.0, 100, 150)
+        _checked_step(QUIET, 4, 1.0, 100, 150, 2, 256)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            _checked_step(QUIET, 4, 1.0, 100, 200)
+            _checked_step(QUIET, 4, 1.0, 100, 200, 2, 256)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
             integrate_master_grid(np.stack([big] * 200), QUIET, [0.5, 1.0], fock_dim=4)
 
@@ -1165,16 +1190,58 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"1.6e\+07 RK4 steps"):
             validate_run(BellLike(), quiet, 1.0, 401, "oracle", 4)
 
-    def test_warm_runs_never_take_the_rk4_step_and_validate_without_the_kept_box(self, monkeypatch):
+    def test_warm_runs_never_take_the_rk4_step_and_validate_with_the_kept_box(self, monkeypatch):
         steps, boxes = spy(monkeypatch, "_default_step"), spy(monkeypatch, "_kept_indices")
+        # the memory cap counts the kept entries of every run, warm ones too
         validate_run(BellLike(), THERMAL, 1.0, 401, "oracle", 4)
-        assert steps == [] and boxes == []
+        assert steps == [] and len(boxes) == 1
         trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=4)
-        integrate_master_grid(_embed_qubits(initial_density(BellPhi(+1)).matrix, 4), THERMAL, [0.1, 0.5], 4)
-        # the kernel still keeps the box, once per run
-        assert steps == [] and len(boxes) == 2
+        integrate_master_grid(initial_density(BellPhi(+1)).matrix, THERMAL, [0.1, 0.5], 4)
+        # the kernel keeps the box once per run, after validate_run's once per trajectory
+        assert steps == [] and len(boxes) == 4
         validate_run(BellLike(), COLD, 1.0, 401, "oracle", 4)
-        assert len(steps) == 1 and len(boxes) == 3
+        assert len(steps) == 1 and len(boxes) == 5
+
+    @pytest.mark.parametrize("params", [CavityParams(nbar1=0.1), CavityParams(gamma1=0.0, gamma2=0.0, chi12=0.0)],
+                             ids=["warm", "zero_rates"])
+    def test_a_run_whose_snapshots_pass_the_memory_cap_fails_before_anything_is_built(self, monkeypatch, params):
+        # 1e5 snapshots of the K = 2116 entries a Bell-like start keeps at fock_dim 16: 3.4 GB, and as much
+        # again for the warm run's doubling; both rates pass their kernel's own caps
+        unreachable(monkeypatch)
+        message = (r"^oracle run too large at fock_dim 16: 100000 times of 2116 kept and 16 returned entries for "
+                   r"1 state\(s\) hold 2.13e\+08, above the cap of 5e\+06$")
+        with pytest.raises(ValueError, match=message):
+            validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
+        with pytest.raises(ValueError, match=message):
+            trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
+        # a full start returns its whole snapshots: 3000 of 65536 entries are 3 GB, though it keeps only 256
+        ground = _embed_qubits(initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix, 16)
+        with pytest.raises(ValueError, match=r"3000 times of 256 kept and 65536 returned entries for 1 state\(s\)"):
+            integrate_master_grid(ground, params, np.linspace(0.0, 1.0, 3000), 16)
+
+    def test_a_quiet_start_filling_every_coherence_order_at_fock_dim_16_fails_before_anything_is_built(
+            self, monkeypatch):
+        # K = 65536 kept entries: its 5.1 RK4 steps pass both RK4 caps, but the generator would hold
+        # 4.3e9 entries, 69 GB
+        unreachable(monkeypatch)
+        steps = 5e-5 / _default_step(QUIET, 16)
+        assert 5 < steps and steps * 65536 ** 2 < _MAX_RK4_WORK
+        with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: the RK4 generator of 65536 kept "
+                                             r"entries has 4.29e\+09, above the cap of 5e\+06$"):
+            integrate_master_grid(np.full((256, 256), 1.0 / 256), QUIET, [0.0, 5e-5], 16)
+
+    def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
+        unreachable(monkeypatch)
+        # snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
+        _checked_step(THERMAL, 4, 0.1, 84, 1, 50_000, 16)
+        with pytest.raises(ValueError, match="hold 5e\\+06, above the cap"):
+            _checked_step(THERMAL, 4, 0.1, 84, 1, 50_001, 16)
+        # a quiet generator of 2236**2 = 4999696 entries passes, 2237**2 does not
+        _checked_step(QUIET, 4, 1e-6, 2236, 1, 2, 16)
+        with pytest.raises(ValueError, match="the RK4 generator of 2237 kept entries"):
+            _checked_step(QUIET, 4, 1e-6, 2237, 1, 2, 16)
+        # the largest box of any two-qubit start, Bell-like at fock_dim 16, stays under it
+        validate_run(BellLike(), QUIET, 1e-3, 401, "oracle", 16)
 
     def test_rejects_bad_grid_arguments(self):
         with pytest.raises(ValueError, match="n_points"):

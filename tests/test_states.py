@@ -370,3 +370,31 @@ class TestRandomStates:
         a = random_density_matrix(np.random.default_rng(3)).matrix
         b = random_density_matrix(np.random.default_rng(3)).matrix
         assert np.array_equal(a, b)
+
+    @pytest.mark.parametrize("count", [1, 7, 1000])
+    def test_a_stack_of_draws_is_the_single_draws_bit_for_bit(self, count):
+        # the single draws as they were written before draws came in stacks: the stream
+        # order that fixes verify's corpora and the benchmark's custom states
+        def frozen_density(rng):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            m = g @ g.conj().T
+            return m / np.trace(m).real
+
+        def frozen_amplitudes(rng):
+            z = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+            z /= np.linalg.norm(z)
+            return z
+
+        for draw, frozen, shape in ((states._random_density, frozen_density, (4, 4)),
+                                    (states._random_amplitudes, frozen_amplitudes, (4,))):
+            for seed in range(4):
+                one, many = np.random.default_rng(seed), np.random.default_rng(seed)
+                want = np.array([frozen(one) for _ in range(count)])
+                got = draw(many, count)
+                assert got.shape == (count, *shape) and got.tobytes() == want.tobytes()
+                # and the stream stands where the single draws leave it
+                assert one.random() == many.random()
+                rng = np.random.default_rng(seed)
+                assert draw(rng).tobytes() == want[0].tobytes()
+        rng = np.random.default_rng(0)
+        assert random_pure_state(rng).amplitudes().tobytes() == frozen_amplitudes(np.random.default_rng(0)).tobytes()
