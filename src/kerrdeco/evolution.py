@@ -253,10 +253,12 @@ def _pump(gamma: float, xi, m, n, p_j, t):
 # The terms of the damped sum for out[2 m1 + m2, 2 n1 + n2]: one per photon
 # number p1 (p2) restored in mode 1 (2), which exists only when m1 = n1 = 0
 # (m2 = n2 = 0), so the source indices stay inside the qubit subspace. Rows
-# (m1, n1, m2, n2, p) of the factors of each mode; per term its slot in its
-# entry's sum, its output entry, its two factor rows and its source entry,
-# ordered by slot and then by entry, so the first 16 terms are slot 0 of
-# every entry in order.
+# (m1, n1, m2, n2, p) of the factors of each mode, as two tables: the rows
+# with p = 0, then the pumped rest, so that only the pumped rows' call of
+# ``rj_factor`` takes ``_pump``. Per term its slot in its entry's sum, its
+# output entry, its two factor rows (counted across both tables) and its
+# source entry, ordered by slot and then by entry, so the first 16 terms are
+# slot 0 of every entry in order.
 def _term_table():
     rows = ({}, {})
     terms = []
@@ -266,11 +268,17 @@ def _term_table():
         for slot, (p1, p2) in enumerate((p1, p2) for p1 in ps1 for p2 in ps2):
             # a mode's factor sees the other mode only through its index
             # difference, so equal factors share one row
-            r1 = rows[0].setdefault((m1, n1, m2 - n2, p1), (len(rows[0]), (m1, n1, m2, n2, p1)))
-            r2 = rows[1].setdefault((m2, n2, m1 - n1, p2), (len(rows[1]), (m1, n1, m2, n2, p2)))
+            k1, k2 = (m1, n1, m2 - n2, p1), (m2, n2, m1 - n1, p2)
+            rows[0].setdefault(k1, (m1, n1, m2, n2, p1))
+            rows[1].setdefault(k2, (m1, n1, m2, n2, p2))
             src = 4 * (2 * (m1 + p1) + (m2 + p2)) + 2 * (n1 + p1) + (n2 + p2)
-            terms.append((slot, 4 * (2 * m1 + m2) + 2 * n1 + n2, r1[0], r2[0], src))
-    return (*(np.array([row for _, row in r.values()]).T for r in rows), np.array(sorted(terms)).T)
+            terms.append((slot, 4 * (2 * m1 + m2) + 2 * n1 + n2, k1, k2, src))
+    order = [sorted(r, key=lambda key: key[-1]) for r in rows]
+    at = [{key: i for i, key in enumerate(keys)} for keys in order]
+    tables = [tuple(np.array([r[key] for key in keys if key[-1] == p]).T for p in (0, 1))
+              for r, keys in zip(rows, order)]
+    terms = sorted((slot, entry, at[0][k1], at[1][k2], src) for slot, entry, k1, k2, src in terms)
+    return (*tables, np.array(terms).T)
 
 
 _ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
@@ -296,8 +304,8 @@ def propagate(rho0, params: CavityParams, t):
     # (B, 1, terms) for a stack, against the (N, terms) factors
     src = rho0.reshape(*rho0.shape[:-2], 1, 16)[..., _SRC]
     col = t.reshape(-1, 1)
-    r1 = rj_factor(1, *_ROWS1, params, col)[:, _ROW1]
-    r2 = rj_factor(2, *_ROWS2, params, col)[:, _ROW2]
+    r1 = np.hstack([rj_factor(1, *rows, params, col) for rows in _ROWS1])[:, _ROW1]
+    r2 = np.hstack([rj_factor(2, *rows, params, col) for rows in _ROWS2])[:, _ROW2]
     fr, fi = _cmul(r1.real, r1.imag, r2.real, r2.imag)
     del r1, r2
     # r1 * r2 * src[...] per term, (B, N, terms) for a stack
@@ -576,7 +584,9 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
     doubling (``_powers``); snapshot k is taken at k * h, which rounds to
     ``grid[k]`` for k < N - 1 (at most half an ulp of that time away) and lies
     within one ulp of ``grid[-1]`` for the last. On any other grid it forms
-    ``exp(span * L)`` per distinct span and applies it once per time. A group
+    ``exp(span * L)`` per distinct span and applies it once per time. Each
+    span's propagator is formed at its first use and freed after its last, so
+    on a grid whose spans never recur it holds one at a time. A group
     whose entries all start at zero stays exactly zero and is skipped.
     """
     if params.quiet:
@@ -592,6 +602,8 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
     spans, which = np.unique(np.diff(grid[start:], prepend=0.0), return_inverse=True)
     spans = spans.tolist()
     counts = [math.ceil(span / step) if params.quiet else 1 for span in spans]
+    # the grid index of each span's last use
+    last = dict(zip(which.tolist(), range(start, n)))
     operators = _operators(params, fock_dim)
     kept = np.zeros((n, *v.shape), dtype=complex)
     for idx in groups:
@@ -602,14 +614,18 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
         if doubling:
             kept[:, idx] = _powers(_expm(grid[-1] / (n - 1) * lmat), u, n)
             continue
-        # one span at a time, as a quiet box can be large: K = 2116 for a Bell-like start at fock_dim 16
-        props = [_taylor(span / count * lmat, 4) if params.quiet else _expm(span * lmat)
-                 for span, count in zip(spans, counts)]
+        # span j's propagator lives from its first use to its last, as a quiet box can be large:
+        # K = 2116 for a Bell-like start at fock_dim 16
+        props = {}
         kept[:start, idx] = u
         for i, j in enumerate(which.tolist(), start):
+            if j not in props:
+                props[j] = _taylor(spans[j] / counts[j] * lmat, 4) if params.quiet else _expm(spans[j] * lmat)
             for _ in range(counts[j]):
                 u = props[j].dot(u)
             kept[i, idx] = u
+            if i == last[j]:
+                del props[j]
     return kept
 
 

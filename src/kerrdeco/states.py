@@ -48,6 +48,9 @@ _PSD_TOL = -1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _UPPER = np.triu_indices(4)
+# states per Cholesky call of ``_check_density``: the shifted copy and the factor of one
+# block, 128 KiB each, are all the positivity check holds beside the stack
+_CHOLESKY_BLOCK = 512
 
 
 def _norm_sign(sign) -> int:
@@ -85,6 +88,12 @@ def _check_density(m: np.ndarray, stack: tuple) -> None:
     """Raise ValueError unless each 4x4 matrix of the (K, 4, 4) array ``m`` is a density matrix.
 
     Hermitian and of unit trace within 1e-12, no eigenvalue below ``_PSD_TOL``.
+    Positivity is first tried by a Cholesky factorization of ``m - _PSD_TOL * I``,
+    ``_CHOLESKY_BLOCK`` states at a time; if every block factors, every state
+    passes. Else ``eigvalsh`` decides, and names the first state below the bound.
+    Both read the lower triangle. A factorization can succeed on a matrix whose
+    least eigenvalue lies within roundoff (about 1e-15) below ``_PSD_TOL``, so
+    such a matrix may be accepted; every other verdict is ``eigvalsh``'s.
     The message is about the first bad state; for a stack of shape ``stack``
     (empty for one matrix) it starts with that state's index, a tuple if need be.
     """
@@ -93,10 +102,16 @@ def _check_density(m: np.ndarray, stack: tuple) -> None:
     herm_dev = np.abs(m[:, _UPPER[0], _UPPER[1]] - m[:, _UPPER[1], _UPPER[0]].conj()).max(axis=-1, initial=0.0)
     tr = np.trace(m, axis1=-2, axis2=-1)
     good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
-    # eigvalsh only sees the states before the first hermiticity or trace failure
+    # positivity is only checked on the states before the first hermiticity or trace failure
     first = len(m) if good.all() else int(np.argmin(good))
-    low = np.linalg.eigvalsh(m[:first]).min(axis=-1, initial=np.inf)
-    psd = low >= _PSD_TOL
+    psd = np.ones(first, dtype=bool)
+    shift = -_PSD_TOL * np.eye(4)
+    try:
+        for k in range(0, first, _CHOLESKY_BLOCK):
+            np.linalg.cholesky(m[k:k + _CHOLESKY_BLOCK] + shift)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(m[:first]).min(axis=-1, initial=np.inf)
+        psd = low >= _PSD_TOL
     if psd.all():
         if first == len(m):
             return

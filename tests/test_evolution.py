@@ -526,6 +526,27 @@ class TestStackedOracle:
             assert got.shape == (len(times), fock_dim ** 2, fock_dim ** 2)
             assert got.tobytes() == np.array(want).tobytes()
 
+    def test_an_uneven_grid_holds_a_few_span_propagators_and_is_the_frozen_loop(self):
+        # 300 distinct spans, each with its own (100, 100) RK4 step matrix of 156 KiB, 46 MiB for all of them
+        times = np.cumsum(np.arange(1, 301) * 1e-6)
+        assert len(np.unique(np.diff(times, prepend=0.0))) == 300
+        start = initial_density(BellLike()).matrix
+        rho0 = _embed_qubits(start, 4)
+        k = len(_kept_indices(rho0, 4))
+        integrate_master_grid(start, QUIET, times[:3], 4)
+        tracemalloc.start()
+        try:
+            got = integrate_master_grid(start, QUIET, times, 4)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert k == 100 and peak < 16 * k * k * 16
+        want = np.array(frozen_oracle_loop(rho0, QUIET, times.tolist(), 4))
+        assert integrate_master_grid(rho0, QUIET, times, 4).tobytes() == want.tobytes()
+        # |00>, |01>, |10>, |11> at fock_dim 4
+        qubits = [0, 1, 4, 5]
+        assert got.tobytes() == want[:, qubits][:, :, qubits].tobytes()
+
     def test_one_warm_state_is_the_frozen_loop_within_the_rk4_bound(self, rng):
         fd, times = 4, np.linspace(0.0, 0.3, 31)
         for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):

@@ -77,6 +77,8 @@ PARAMS = {
     "no_damping_no_coupling": (0.0, 0.0, 0.0, 0.0, 0.0),
     "unequal_rates_negative_self_kerr": (4.0, 2.5, -7.0, 5.0, 20.0),
     "lossless_coupled": (0.0, 0.0, 3.0, 0.0, -20.0),
+    # |x t| stays below the 1e-8 switch up to t = 7.5, so every pumped row takes the series branch
+    "weak_rates_series_branch": (1e-10, 2e-10, 0.0, 3e-11, -1e-10),
 }
 # 0, 1e-12 and 1e-9 take the series branch; the grid end takes the exact one
 TIMES = np.concatenate([[0.0, 1e-12, 1e-9, 2e-8], np.linspace(0.0, 1.0, 21)[1:], [7.5]])
@@ -134,3 +136,12 @@ def test_rj_factor_broadcasts_its_indices_against_time(name):
         one = rj_factor(j, 0, 0, 1, 0, 1, params, 0.3)
         assert type(one) is complex
         assert np.array(one).tobytes() == np.array(_ref_rj_factor(j, 0, 0, 1, 0, 1, prm, 0.3)).tobytes()
+
+
+def test_the_pump_only_sees_the_pumped_rows(monkeypatch):
+    # a photon returns only on the rows with p_j = 1; the other rows' factors skip the pump
+    from kerrdeco import evolution
+    seen, real = [], evolution._pump
+    monkeypatch.setattr(evolution, "_pump", lambda *args: seen.append(args[4]) or real(*args))
+    propagate(initial_density(BellLike()), CavityParams(), TIMES)
+    assert [p.tolist() for p in seen] == [[1, 1, 1], [1, 1, 1]]

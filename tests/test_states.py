@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from kerrdeco import states
+from kerrdeco import linalg, states
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q,
     PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi, WernerPsi,
@@ -144,6 +144,98 @@ class TestDensityStack:
     def test_a_custom_mixed_state_is_one_matrix(self):
         with pytest.raises(ValueError, match=r"custom_mixed needs one 4x4 density matrix, got shape \(5, 4, 4\)"):
             CustomMixed(DensityMatrix2Q(self._stack()))
+
+
+def _with_least_eigenvalues(rng, low):
+    """One unit-trace hermitian matrix U diag(l, a, b, c) U^dagger per least eigenvalue l, U Haar-random."""
+    rest = rng.dirichlet(np.ones(3), len(low)) * (1.0 - low)[:, np.newaxis]
+    out = []
+    for spectrum in np.column_stack([low, rest]):
+        u = linalg.haar_unitary(4, rng)
+        out.append((u * spectrum) @ u.conj().T)
+    return np.array(out)
+
+
+def _accepts(m) -> bool:
+    try:
+        DensityMatrix2Q(m)
+    except ValueError as exc:
+        assert "negative eigenvalue" in str(exc)
+        return False
+    return True
+
+
+class TestPositivityCheck:
+    """Positivity is checked by blocked Cholesky factorizations of m + 1e-10 I; eigvalsh decides when one fails."""
+
+    def test_verdicts_are_the_eigvalsh_rule_outside_the_roundoff_band(self):
+        rng = np.random.default_rng(2025)
+        # spread over [-2e-10, 1e-10], half of them within 2e-13 of the bound
+        low = np.concatenate([rng.uniform(-2e-10, 1e-10, 1000), -1e-10 + rng.uniform(-2e-13, 2e-13, 1000)])
+        corpus = _with_least_eigenvalues(rng, low)
+        least = np.linalg.eigvalsh(corpus).min(axis=-1)
+        rule = least >= -1e-10
+        got = np.array([_accepts(m) for m in corpus])
+        clear = np.abs(least + 1e-10) >= 1e-14
+        assert np.array_equal(got[clear], rule[clear])
+        assert 600 < rule[clear].sum() < 1400 and clear.sum() > 1900
+        # inside the band a factorization may accept a matrix just below the bound, never reject one above it
+        assert np.all(got | ~rule)
+        assert np.all(least[got & ~rule] >= -1e-10 - 1e-14)
+
+    def test_an_eigenvalue_of_exactly_the_bound_is_accepted(self):
+        DensityMatrix2Q(np.diag([-1e-10, 0.5 + 1e-10, 0.25, 0.25]))
+        with pytest.raises(ValueError, match="^density matrix has negative eigenvalue -1.010e-10$"):
+            DensityMatrix2Q(np.diag([-1.01e-10, 0.5 + 1.01e-10, 0.25, 0.25]))
+
+    def test_a_bad_state_past_a_block_boundary_is_named_as_before(self):
+        rng = np.random.default_rng(7)
+        raw = states._random_density(rng, 1000)
+        assert states._CHOLESKY_BLOCK < 700
+        raw[700] = _with_least_eigenvalues(rng, np.array([-3e-10]))[0]
+        raw[900, 0, 1] += 0.1
+        least = float(np.linalg.eigvalsh(raw[700]).min())
+        with pytest.raises(ValueError) as one:
+            DensityMatrix2Q(raw[700])
+        assert str(one.value) == f"density matrix has negative eigenvalue {least:.3e}"
+        with pytest.raises(ValueError) as many:
+            DensityMatrix2Q(raw)
+        assert str(many.value) == f"state 700: {one.value}"
+        with pytest.raises(ValueError, match=r"^state \(1, 200\): density matrix has negative eigenvalue"):
+            DensityMatrix2Q(raw.reshape(2, 500, 4, 4))
+
+    def test_a_large_stack_is_factored_in_blocks_without_eigvalsh(self, monkeypatch):
+        import tracemalloc
+
+        raw = states._random_density(np.random.default_rng(3), 20000)
+        real = np.linalg.cholesky
+        sizes, at_first = [], []
+
+        def blocked(a):
+            if not sizes:
+                # from the first factorization on, the peak counts what the positivity check holds
+                at_first.append(tracemalloc.get_traced_memory()[0])
+                tracemalloc.reset_peak()
+            sizes.append(len(a))
+            return real(a)
+
+        def unreachable(a):
+            raise AssertionError("a valid stack reached eigvalsh")
+
+        monkeypatch.setattr(np.linalg, "cholesky", blocked)
+        monkeypatch.setattr(np.linalg, "eigvalsh", unreachable)
+        tracemalloc.start()
+        try:
+            DensityMatrix2Q(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        block = states._CHOLESKY_BLOCK
+        assert sizes == [block] * (20000 // block) + [20000 % block]
+        # the stored copy (4.9 MiB) and a few blocks of 128 KiB; one factorization of the
+        # whole stack would add two more copies
+        assert at_first[0] > raw.nbytes
+        assert peak - raw.nbytes < 8 * block * raw[0].nbytes
 
 
 class TestConstructors:
