@@ -183,17 +183,19 @@ def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t):
     """Single-mode weight of one source term in the damped-evolution sum.
 
     For mode ``j`` this is the coefficient multiplying the initial matrix
-    element shifted upward by ``p_j`` photons in that mode. The decay
-    exponent couples to both modes' index differences through the Kerr
-    terms, so all four indices are required.
+    element shifted upward by ``p_j`` photons in that mode: 0 or 1, a Python or
+    numpy integer, for the whole call, as a qubit's mode returns at most one.
+    The decay exponent couples to both modes' index differences through the
+    Kerr terms, so all four indices are required.
 
-    The indices ``m1, n1, m2, n2, p_j`` and the time ``t`` broadcast against
-    each other as numpy arrays do; with all of them scalars the result is a
-    ``complex``, else a complex array of the broadcast shape. Every element
-    equals, bit for bit, the value the scalar ``complex``/``cmath``
-    arithmetic gives for its own arguments.
+    The indices ``m1, n1, m2, n2`` and the time ``t`` broadcast as numpy arrays
+    do; with all of them scalars the result is a ``complex``, else a complex
+    array of the broadcast shape. Every element equals, bit for bit, the value
+    the scalar ``complex``/``cmath`` arithmetic gives for its own arguments.
     """
-    m1, n1, m2, n2, p_j = np.broadcast_arrays(m1, n1, m2, n2, p_j)
+    if not isinstance(p_j, (int, np.integer)) or p_j not in (0, 1):
+        raise ValueError(f"p_j must be 0 or 1, got {p_j!r}")
+    m1, n1, m2, n2 = np.broadcast_arrays(m1, n1, m2, n2)
     d1, d2 = m1 - n1, m2 - n2
     if j == 1:
         gamma, chi_self, m, n = params.gamma1, params.chi11, m1, n1
@@ -210,73 +212,54 @@ def rj_factor(j: int, m1, n1, m2, n2, p_j, params: CavityParams, t):
     br, bi = _cmul(br - gamma, bi - 0.0, t / 2.0, 0.0)
     factor = np.exp(_complex(ar - br, ai - bi))
     del ar, ai, br, bi
-    pump_r, pump_i = _pump(gamma, xi, m, n, p_j, t) if p_j.any() else (1.0, 0.0)
+    pump_r, pump_i = _pump(gamma, xi, m, n, t) if p_j else (1.0, 0.0)
     out = _complex(*_cmul(pump_r, pump_i, factor.real, factor.imag))
     return complex(out) if t.ndim == 0 and m1.ndim == 0 else out
 
 
-def _pump(gamma: float, xi, m, n, p_j, t):
-    """Real and imaginary parts of ``rj_factor``'s pump, weight * pump_base ** p_j, or 1.0 where p_j = 0.
+def _pump(gamma: float, xi, m, n, t):
+    """Real and imaginary parts of ``rj_factor``'s pump for one returned photon, weight * pump_base.
 
-    Intermediates are released as soon as they are used, which keeps the
-    peak memory of a long time axis low.
+    Intermediates are released as soon as they are used, which keeps the peak memory of a long time axis low.
     """
-    # per index element: the quotient gamma / x as CPython forms it, and the weight
+    # per index element: the quotient gamma / x as CPython forms it
     q = np.array([gamma / complex(gamma, v) if gamma or v else 0j for v in xi.flat],
                  dtype=complex).reshape(xi.shape)
-    weight = np.array([math.sqrt(math.comb(a + p, p) * math.comb(b + p, p))
-                       for a, b, p in zip(m.flat, n.flat, p_j.flat)]).reshape(m.shape)
     xtr, xti = _cmul(gamma, xi, t, 0.0)
     series = np.hypot(xtr, xti) < _SERIES_SWITCH
     # above the switch, pump_base = gamma / x * (1.0 - exp(-xt))
     e = np.exp(_complex(-xtr, -xti))
     br, bi = _cmul(q.real, q.imag, 1.0 - e.real, 0.0 - e.imag)
     del e
-    # below it, gamma * t * (1.0 - xt / 2.0); CPython divides by (2.0, 0.0)
-    # with ratio 0.0 and denominator 2.0
+    # below it, gamma * t * (1.0 - xt / 2.0); CPython divides by (2.0, 0.0) with ratio 0.0 and denominator 2.0
     sr, si = _cmul(gamma * t, 0.0, 1.0 - (xtr + xti * 0.0) / 2.0, 0.0 - (xti - xtr * 0.0) / 2.0)
     del xtr, xti
     br, bi = np.where(series, sr, br), np.where(series, si, bi)
     del sr, si, series
-    # pump_base ** p_j by CPython's repeated squaring from (1.0, 0.0)
-    rr, ri = 1.0, 0.0
-    for k in range(int(p_j.max()).bit_length()):
-        if k:
-            br, bi = _cmul(br, bi, br, bi)
-        rr, ri = (np.where(p_j & (1 << k), u, v) for u, v in zip(_cmul(rr, ri, br, bi), (rr, ri)))
-    del br, bi
-    rr, ri = _cmul(weight, 0.0, rr, ri)
-    pumped = p_j != 0
-    return np.where(pumped, rr, 1.0), np.where(pumped, ri, 0.0)
+    # pump_base ** 1 as CPython forms it, (1.0, 0.0) * pump_base, so each signed zero is the scalar power's;
+    # the weight sqrt((m + 1)(n + 1)) rounds one exact integer once, as sqrt(comb(m + 1, 1) comb(n + 1, 1)) does
+    return _cmul(np.sqrt((m + 1) * (n + 1)), 0.0, *_cmul(1.0, 0.0, br, bi))
 
 
-# The terms of the damped sum for out[2 m1 + m2, 2 n1 + n2]: one per photon
-# number p1 (p2) restored in mode 1 (2), which exists only when m1 = n1 = 0
-# (m2 = n2 = 0), so the source indices stay inside the qubit subspace. Rows
-# (m1, n1, m2, n2, p) of the factors of each mode, as two tables: the rows
-# with p = 0, then the pumped rest, so that only the pumped rows' call of
-# ``rj_factor`` takes ``_pump``. Per term its slot in its entry's sum, its
-# output entry, its two factor rows (counted across both tables) and its
-# source entry, ordered by slot and then by entry, so the first 16 terms are
-# slot 0 of every entry in order.
+# The terms of the damped sum for out[2 m1 + m2, 2 n1 + n2]: one per photon number p1 (p2), 0 or 1,
+# returned to mode 1 (2), which exists only when m1 = n1 = 0 (m2 = n2 = 0), so the source indices
+# stay inside the qubit subspace. Rows (m1, n1, m2, n2) of the factors of each mode, as two tables,
+# for p = 0 and p = 1, so that only the second's call of ``rj_factor`` takes ``_pump``. Per term its
+# slot in its entry's sum, its output entry, its two factor rows (counted across both tables) and its
+# source entry, ordered by slot and then by entry, so the first 16 terms are slot 0 of every entry.
 def _term_table():
-    rows = ({}, {})
+    rows = (({}, {}), ({}, {}))  # per mode, per p: the factor rows by key
     terms = []
     for m1, m2, n1, n2 in np.ndindex(2, 2, 2, 2):
-        ps1 = (0, 1) if (m1 == 0 and n1 == 0) else (0,)
-        ps2 = (0, 1) if (m2 == 0 and n2 == 0) else (0,)
-        for slot, (p1, p2) in enumerate((p1, p2) for p1 in ps1 for p2 in ps2):
-            # a mode's factor sees the other mode only through its index
-            # difference, so equal factors share one row
-            k1, k2 = (m1, n1, m2 - n2, p1), (m2, n2, m1 - n1, p2)
-            rows[0].setdefault(k1, (m1, n1, m2, n2, p1))
-            rows[1].setdefault(k2, (m1, n1, m2, n2, p2))
+        for slot, (p1, p2) in enumerate(np.ndindex(2 - max(m1, n1), 2 - max(m2, n2))):
+            # a mode's factor sees the other mode only through its index difference: equal factors share one row
+            k1, k2 = (p1, m1, n1, m2 - n2), (p2, m2, n2, m1 - n1)
+            rows[0][p1].setdefault(k1, (m1, n1, m2, n2))
+            rows[1][p2].setdefault(k2, (m1, n1, m2, n2))
             src = 4 * (2 * (m1 + p1) + (m2 + p2)) + 2 * (n1 + p1) + (n2 + p2)
             terms.append((slot, 4 * (2 * m1 + m2) + 2 * n1 + n2, k1, k2, src))
-    order = [sorted(r, key=lambda key: key[-1]) for r in rows]
-    at = [{key: i for i, key in enumerate(keys)} for keys in order]
-    tables = [tuple(np.array([r[key] for key in keys if key[-1] == p]).T for p in (0, 1))
-              for r, keys in zip(rows, order)]
+    at = [{key: i for i, key in enumerate([*by_p[0], *by_p[1]])} for by_p in rows]
+    tables = [tuple(np.array(list(r.values())).T for r in by_p) for by_p in rows]
     terms = sorted((slot, entry, at[0][k1], at[1][k2], src) for slot, entry, k1, k2, src in terms)
     return (*tables, np.array(terms).T)
 
@@ -304,8 +287,8 @@ def propagate(rho0, params: CavityParams, t):
     # (B, 1, terms) for a stack, against the (N, terms) factors
     src = rho0.reshape(*rho0.shape[:-2], 1, 16)[..., _SRC]
     col = t.reshape(-1, 1)
-    r1 = np.hstack([rj_factor(1, *rows, params, col) for rows in _ROWS1])[:, _ROW1]
-    r2 = np.hstack([rj_factor(2, *rows, params, col) for rows in _ROWS2])[:, _ROW2]
+    r1 = np.hstack([rj_factor(1, *rows, p, params, col) for p, rows in enumerate(_ROWS1)])[:, _ROW1]
+    r2 = np.hstack([rj_factor(2, *rows, p, params, col) for p, rows in enumerate(_ROWS2)])[:, _ROW2]
     fr, fi = _cmul(r1.real, r1.imag, r2.real, r2.imag)
     del r1, r2
     # r1 * r2 * src[...] per term, (B, N, terms) for a stack

@@ -48,8 +48,8 @@ _PSD_TOL = -1e-10
 
 _SQRT_HALF = 1.0 / math.sqrt(2.0)
 _UPPER = np.triu_indices(4)
-# states per Cholesky call of ``_check_density``: the shifted copy and the factor of one
-# block, 128 KiB each, are all the positivity check holds beside the stack
+# states per block of ``_check_density``: the hermiticity gathers, the shifted copy and the
+# factor of one block, 80 to 128 KiB each, are all the check holds beside the stack
 _CHOLESKY_BLOCK = 512
 
 
@@ -87,47 +87,52 @@ class PureState2Q:
 def _check_density(m: np.ndarray, stack: tuple) -> None:
     """Raise ValueError unless each 4x4 matrix of the (K, 4, 4) array ``m`` is a density matrix.
 
-    Hermitian and of unit trace within 1e-12, no eigenvalue below ``_PSD_TOL``.
-    Positivity is first tried by a Cholesky factorization of ``m - _PSD_TOL * I``,
-    ``_CHOLESKY_BLOCK`` states at a time; if every block factors, every state
-    passes. Else ``eigvalsh`` decides, and names the first state below the bound.
+    Hermitian and of unit trace within 1e-12, no eigenvalue below ``_PSD_TOL``,
+    all three checked ``_CHOLESKY_BLOCK`` states at a time. Positivity is first
+    tried by a Cholesky factorization of ``m - _PSD_TOL * I``; if every block
+    factors, every state passes. Else ``eigvalsh`` decides for every state,
+    from the first block on, and names the first below the bound.
     Both read the lower triangle. A factorization can succeed on a matrix whose
     least eigenvalue lies within roundoff (about 1e-15) below ``_PSD_TOL``, so
     such a matrix may be accepted; every other verdict is ``eigvalsh``'s.
     The message is about the first bad state; for a stack of shape ``stack``
     (empty for one matrix) it starts with that state's index, a tuple if need be.
     """
-    # each comparison is written so that NaN fails it
-    # over the 10 pairs (i, j), i <= j: |m_ji - conj(m_ij)| equals |m_ij - conj(m_ji)|
-    herm_dev = np.abs(m[:, _UPPER[0], _UPPER[1]] - m[:, _UPPER[1], _UPPER[0]].conj()).max(axis=-1, initial=0.0)
-    tr = np.trace(m, axis1=-2, axis2=-1)
-    good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
-    # positivity is only checked on the states before the first hermiticity or trace failure
-    first = len(m) if good.all() else int(np.argmin(good))
-    psd = np.ones(first, dtype=bool)
     shift = -_PSD_TOL * np.eye(4)
-    try:
-        for k in range(0, first, _CHOLESKY_BLOCK):
-            np.linalg.cholesky(m[k:k + _CHOLESKY_BLOCK] + shift)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(m[:first]).min(axis=-1, initial=np.inf)
-        psd = low >= _PSD_TOL
-    if psd.all():
-        if first == len(m):
-            return
-        i = first
-        if not herm_dev[i] <= 1e-12:
-            if not np.all(np.isfinite(m[i])):
-                msg = "density matrix has non-finite entries"
-            else:
-                msg = f"density matrix is not hermitian (max deviation {float(herm_dev[i]):.3e})"
+    factor, k = True, 0
+    while k < len(m):
+        block = m[k:k + _CHOLESKY_BLOCK]
+        # each comparison is written so that NaN fails it
+        # over the 10 pairs (i, j), i <= j: |m_ji - conj(m_ij)| equals |m_ij - conj(m_ji)|
+        upper, lower = block[:, _UPPER[0], _UPPER[1]], block[:, _UPPER[1], _UPPER[0]]
+        herm_dev = np.abs(upper - lower.conj()).max(axis=-1, initial=0.0)
+        tr = np.trace(block, axis1=-2, axis2=-1)
+        good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
+        # positivity is only checked on the states before the first hermiticity or trace failure
+        i = len(block) if good.all() else int(np.argmin(good))
+        psd = np.ones(i, dtype=bool)
+        if factor and i:
+            try:  # the whole block: a failure anywhere in it hands positivity to eigvalsh
+                np.linalg.cholesky(block + shift)
+            except np.linalg.LinAlgError:
+                factor, k = False, 0  # eigvalsh then decides for every state, from the first block on
+                continue
+        elif not factor:
+            low = np.linalg.eigvalsh(block[:i]).min(axis=-1, initial=np.inf)
+            psd = low >= _PSD_TOL
+        if not psd.all():
+            i = int(np.argmin(psd))
+            msg = f"density matrix has negative eigenvalue {float(low[i]):.3e}"
+        elif i == len(block):
+            k += _CHOLESKY_BLOCK
+            continue
+        elif not herm_dev[i] <= 1e-12:
+            msg = ("density matrix has non-finite entries" if not np.all(np.isfinite(block[i]))
+                   else f"density matrix is not hermitian (max deviation {float(herm_dev[i]):.3e})")
         else:
             msg = f"density matrix trace is {complex(tr[i])!r}, expected 1"
-    else:
-        i = int(np.argmin(psd))
-        msg = f"density matrix has negative eigenvalue {float(low[i]):.3e}"
-    where = i if len(stack) <= 1 else tuple(int(k) for k in np.unravel_index(i, stack))
-    raise ValueError(f"state {where}: {msg}" if stack else msg)
+        where = k + i if len(stack) <= 1 else tuple(int(j) for j in np.unravel_index(k + i, stack))
+        raise ValueError(f"state {where}: {msg}" if stack else msg)
 
 
 @dataclass(frozen=True)

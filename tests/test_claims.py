@@ -1,0 +1,46 @@
+"""The paper's claims as properties over the rate space, on propagated states.
+
+Each is a derandomized hypothesis property: random damping rates and Kerr
+couplings, each initial family the claim covers, a grid of times.
+"""
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from kerrdeco.evolution import CavityParams, propagate
+from kerrdeco.measures import concurrence, negativity
+from kerrdeco.states import BellLike, BellPhi, BellPsi, WernerPhi, WernerPsi, initial_density
+
+TIMES = np.linspace(0.0, 1.0, 41)
+
+
+def _curves(initial, params):
+    states = propagate(initial_density(initial), params, TIMES)
+    return concurrence(states), negativity(states)
+
+
+class TestKerrIndependence:
+    """Bell and Werner states lose entanglement at a rate that no Kerr coupling changes."""
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gammas=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)).filter(lambda g: g[0] != g[1]),
+           chis=st.tuples(*[st.floats(-20.0, 20.0)] * 3),
+           signs=st.tuples(*[st.sampled_from([+1, -1])] * 4),
+           weights=st.tuples(st.floats(0.0, 1.0), st.floats(0.0, 1.0)))
+    def test_bell_and_werner_entanglement_does_not_depend_on_kerr(self, gammas, chis, signs, weights):
+        kerr, plain = CavityParams(*gammas, *chis), CavityParams(*gammas, 0.0, 0.0, 0.0)
+        for initial in (BellPsi(signs[0]), BellPhi(signs[1]), WernerPsi(weights[0], signs[2]),
+                        WernerPhi(weights[1], signs[3])):
+            (c_kerr, n_kerr), (c_plain, n_plain) = _curves(initial, kerr), _curves(initial, plain)
+            assert np.abs(n_kerr - n_plain).max() <= 1e-13, initial
+            # concurrence takes square roots of the spin-flip spectrum and loses half its digits
+            # (1.7e-11 the worst here, on Bell phi); ROADMAP item 1 tightens this bound to 1e-13
+            assert np.abs(c_kerr - c_plain).max() <= 1e-10, initial
+
+    def test_bell_like_entanglement_does_depend_on_kerr(self):
+        # so the property above is not vacuous: the same comparison moves a Bell-like state's
+        # concurrence by 0.84 at these rates
+        c_kerr, _ = _curves(BellLike(), CavityParams(0.2, 0.3, 0.0, 0.0, 5.0))
+        c_plain, _ = _curves(BellLike(), CavityParams(0.2, 0.3, 0.0, 0.0, 0.0))
+        assert np.abs(c_kerr - c_plain).max() > 0.5

@@ -122,26 +122,35 @@ def test_trajectory_matches_the_scalar_reference_bit_for_bit():
 
 @pytest.mark.parametrize("name", PARAMS)
 def test_rj_factor_broadcasts_its_indices_against_time(name):
+    # p_j is one value per call, so each of 0 and 1 takes every index row in a call of its own
     prm = PARAMS[name]
     params = CavityParams(*prm)
-    idx = np.array([(m1, n1, m2, n2, p) for m1, n1, m2, n2 in np.ndindex(2, 2, 2, 2)
-                    for p in (0, 1, 2)]).T
+    idx = np.array(list(np.ndindex(2, 2, 2, 2))).T
     col = TIMES.reshape(-1, 1)
     for j in (1, 2):
-        got = rj_factor(j, *idx, params, col)
-        assert got.shape == (len(TIMES), idx.shape[1])
-        ref = np.array([[_ref_rj_factor(j, *row, prm, float(t)) for row in idx.T.tolist()]
-                        for t in TIMES])
-        assert got.tobytes() == ref.tobytes()
+        for p in (0, 1):
+            got = rj_factor(j, *idx, p, params, col)
+            assert got.shape == (len(TIMES), idx.shape[1])
+            ref = np.array([[_ref_rj_factor(j, *row, p, prm, float(t)) for row in idx.T.tolist()]
+                            for t in TIMES])
+            assert got.tobytes() == ref.tobytes(), (j, p)
         one = rj_factor(j, 0, 0, 1, 0, 1, params, 0.3)
         assert type(one) is complex
         assert np.array(one).tobytes() == np.array(_ref_rj_factor(j, 0, 0, 1, 0, 1, prm, 0.3)).tobytes()
+        assert rj_factor(j, 0, 0, 1, 0, np.int64(1), params, 0.3) == one
+
+
+@pytest.mark.parametrize("p_j", [2, -1, 0.5, 1.0, np.array([0, 1]), None])
+def test_rj_factor_takes_p_j_0_or_1_only(p_j):
+    with pytest.raises(ValueError, match=r"^p_j must be 0 or 1, got "):
+        rj_factor(1, 0, 0, 0, 0, p_j, CavityParams(), 0.3)
 
 
 def test_the_pump_only_sees_the_pumped_rows(monkeypatch):
-    # a photon returns only on the rows with p_j = 1; the other rows' factors skip the pump
+    # a photon returns only on the rows with p_j = 1, one call per mode; the other rows' factors skip the pump
     from kerrdeco import evolution
     seen, real = [], evolution._pump
-    monkeypatch.setattr(evolution, "_pump", lambda *args: seen.append(args[4]) or real(*args))
+    monkeypatch.setattr(evolution, "_pump", lambda *args: seen.append(args[2:4]) or real(*args))
     propagate(initial_density(BellLike()), CavityParams(), TIMES)
-    assert [p.tolist() for p in seen] == [[1, 1, 1], [1, 1, 1]]
+    # (m, n) of the pumped mode: three rows each, all with m = n = 0
+    assert [(m.tolist(), n.tolist()) for m, n in seen] == [([0, 0, 0], [0, 0, 0])] * 2

@@ -237,6 +237,46 @@ class TestPositivityCheck:
         assert at_first[0] > raw.nbytes
         assert peak - raw.nbytes < 8 * block * raw[0].nbytes
 
+    @pytest.mark.parametrize("later", ["negative", "hermiticity"])
+    def test_once_a_block_fails_to_factor_eigvalsh_decides_from_the_first_block_on(self, monkeypatch, later):
+        rng = np.random.default_rng(7)
+        raw = states._random_density(rng, 1000)
+        raw[100], raw[601] = _with_least_eigenvalues(rng, np.array([-2e-10, -3e-10]))
+        if later == "hermiticity":
+            # the bad state ends the checked states, but the block factored holds state 601 too
+            raw[600, 0, 1] += 0.1
+        real, calls = np.linalg.cholesky, []
+
+        def first_block_factors(a):
+            # as a first block holding a state within roundoff below the bound may
+            calls.append(len(a))
+            return None if len(calls) == 1 else real(a)
+
+        monkeypatch.setattr(np.linalg, "cholesky", first_block_factors)
+        least = float(np.linalg.eigvalsh(raw[100]).min())
+        with pytest.raises(ValueError, match=rf"^state 100: density matrix has negative eigenvalue {least:.3e}$"):
+            DensityMatrix2Q(raw)
+        assert calls == [512, 488]
+        # when every block factors, that verdict stands
+        calls.clear()
+        DensityMatrix2Q(raw[:512])
+        assert calls == [512]
+
+    def test_validating_a_large_stack_holds_a_few_blocks_beside_the_stored_copy(self):
+        import tracemalloc
+
+        raw = states._random_density(np.random.default_rng(3), 20000)
+        tracemalloc.start()
+        try:
+            DensityMatrix2Q(raw)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # from the start of validation: the stored copy (4.9 MiB), then the hermiticity, trace and
+        # positivity checks of one block of 512 states at a time, 128 KiB each; the hermiticity
+        # gathers alone would hold 9 MiB over the whole stack at once
+        assert peak - raw.nbytes < 8 * states._CHOLESKY_BLOCK * raw[0].nbytes
+
 
 class TestConstructors:
     def test_bell_psi_amplitudes(self):
