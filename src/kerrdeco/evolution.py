@@ -1,14 +1,13 @@
 """Time evolution of two cavity qubits under damping and Kerr cross-coupling.
 
-Two independent routes to the same physics live here. ``propagate`` applies
-the exact amplitude-damping propagator of quiet (zero-temperature) reservoirs
-to one state or a stack of B at one time or N times, each matrix equal bit for
-bit to the scalar complex arithmetic. ``integrate_master_grid``, the
-cross-checking oracle, evolves the full master equation on a truncated Fock
-space over a time grid and also covers thermal reservoirs; its docstring
-gives its kernels and their caps. ``closed_form_rho`` gives the direct evolved
-matrices of the named families, and ``trajectory`` runs any of the three
-engines on a uniform grid.
+Two independent routes to the same physics live here. ``propagate`` applies the exact amplitude-damping propagator
+of quiet (zero-temperature) reservoirs to one state or a stack of B at one time or N times, each matrix equal bit for
+bit to the scalar complex arithmetic. ``integrate_master_grid``, the cross-checking oracle, evolves the full master
+equation on a truncated Fock space over a time grid and also covers thermal reservoirs; its docstring gives its
+kernels and their caps. It never calls ``rj_factor``, but its warm kernel factors each coherence sector per mode as
+the propagator does, so a test holds those factors to the oracle's whole-space generator. ``closed_form_rho`` gives
+the direct evolved matrices of the named families, and ``trajectory`` runs any of the three engines on a uniform
+grid.
 
 Rates are in rad/us, times in us.
 """
@@ -47,10 +46,9 @@ _SERIES_SWITCH = 1e-8
 
 _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
-# The largest per-mode truncation. ``_checked_step`` bounds what an oracle run holds; this bounds
-# its time where truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401
-# times takes 0.7 s, a quiet one 5 s and 425 MB before its first RK4 step (its box keeps K = 2116
-# entries), and the truncation error is already about 2e-9.
+# The largest per-mode truncation. ``_checked_step`` bounds what an oracle run holds; this bounds its time where
+# truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401 times takes 10 ms, a quiet one 5 s
+# and 425 MB before its first RK4 step (its box keeps K = 2116 entries), and the truncation error is about 2e-9.
 _MAX_FOCK_DIM = 16
 
 
@@ -236,9 +234,8 @@ def _pump(gamma: float, xi, m, n, t):
     del xtr, xti
     br, bi = np.where(series, sr, br), np.where(series, si, bi)
     del sr, si, series
-    # pump_base ** 1 as CPython forms it, (1.0, 0.0) * pump_base, so each signed zero is the scalar power's;
     # the weight sqrt((m + 1)(n + 1)) rounds one exact integer once, as sqrt(comb(m + 1, 1) comb(n + 1, 1)) does
-    return _cmul(np.sqrt((m + 1) * (n + 1)), 0.0, *_cmul(1.0, 0.0, br, bi))
+    return _cmul(np.sqrt((m + 1) * (n + 1)), 0.0, br, bi)
 
 
 # The terms of the damped sum for out[2 m1 + m2, 2 n1 + n2]: one per photon number p1 (p2), 0 or 1,
@@ -312,15 +309,10 @@ def propagate(rho0, params: CavityParams, t):
 # Master-equation oracle on a truncated Fock space.
 
 
-def _destroy(fock_dim: int) -> np.ndarray:
-    return np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1).astype(complex)
-
-
-def _operators(params: CavityParams, fock_dim: int) -> tuple:
-    """The whole-space operators ``_liouvillian`` slices: the Hamiltonian, the identity and, per mode,
-    ``(a, a^dagger, a^dagger a, a a^dagger, gamma, nbar)``."""
-    a = _destroy(fock_dim)
-    eye1 = np.eye(fock_dim, dtype=complex)
+def _liouvillian(params: CavityParams, fock_dim: int, keep: np.ndarray) -> np.ndarray:
+    """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``."""
+    a = np.diag(np.sqrt(np.arange(1, fock_dim, dtype=float)), 1).astype(complex)
+    eye1, eye = np.eye(fock_dim, dtype=complex), np.eye(fock_dim * fock_dim, dtype=complex)
     modes = []
     for aj, gamma, nbar in ((np.kron(a, eye1), params.gamma1, params.nbar1),
                             (np.kron(eye1, a), params.gamma2, params.nbar2)):
@@ -328,16 +320,6 @@ def _operators(params: CavityParams, fock_dim: int) -> tuple:
         modes.append((aj, adj, adj @ aj, aj @ adj, gamma, nbar))
     num1, num2 = modes[0][2], modes[1][2]
     h = params.chi11 * num1 @ num1 + params.chi22 * num2 @ num2 + 2.0 * params.chi12 * num1 @ num2
-    return h, np.eye(fock_dim * fock_dim, dtype=complex), modes
-
-
-def _liouvillian(operators: tuple, keep: np.ndarray) -> np.ndarray:
-    """Generator of the master equation on row-major vec(rho), its block on the entries ``keep``.
-
-    ``operators`` are the whole-space operators from ``_operators(params, fock_dim)``,
-    formed once for every block a run builds.
-    """
-    h, eye, modes = operators
     d = len(eye)
     # vec(A rho B) = (A kron B^T) vec(rho) for row-major vectorization, and
     # np.kron(x, y)[np.ix_(keep, keep)] is x[rr] * y[cc], entry by entry the same product
@@ -357,17 +339,14 @@ def _check_fock_dim(fock_dim) -> None:
         raise ValueError(f"fock_dim must be at most {_MAX_FOCK_DIM}, got {fock_dim}")
 
 
-# RK4, the quiet kernel's step, and its caps: they go once quiet runs take the warm
-# runs' exact propagators.
+# RK4, the quiet kernel's step, and its caps: they go once quiet runs take the warm runs' exact propagators.
 
 _STABILITY_LIMIT = 0.1
 
-# The most RK4 steps a quiet run may take to its last time, and the most work,
-# steps * K**2 * B, as each step multiplies a (K, K) matrix into B states of K kept
-# entries: 50x the largest run these caps were set for (the thermal workload at
-# fock_dim 5, t_max 1, when it still stepped RK4: about 20k steps at K = 169, 5.8e8).
-# Stronger rates, a longer run or a larger fock_dim fail at the boundary instead of
-# stepping for hours.
+# The most RK4 steps a quiet run may take to its last time, and the most work, steps * K**2 * B, as each step
+# multiplies a (K, K) matrix into B states of K kept entries: 50x the largest run these caps were set for (the thermal
+# workload at fock_dim 5, t_max 1, when it still stepped RK4: about 20k steps at K = 169, 5.8e8). Stronger rates, a
+# longer run or a larger fock_dim fail at the boundary instead of stepping for hours.
 _MAX_RK4_STEPS = 1_000_000
 _MAX_RK4_WORK = 29_000_000_000
 
@@ -385,10 +364,9 @@ def _default_step(params: CavityParams, fock_dim: int) -> float:
     return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
 
 
-# The most a warm run may ask of its exact propagators: t_end * _generator_bound. Its
-# trace drifts by up to 2.9e-16 times that (the worst of 3000 random runs at fock_dim
-# 2 to 6, and of 60 at 8, 12 and 16), so by 4.4e-10 at the cap, under half the 1e-9
-# drift check. A Kerr coupling of 2e4 still reaches t = 1 at fock_dim 4 (1.28e6); the
+# The most a warm run may ask of its exact propagators: t_end * _generator_bound. Its trace drifts by up to
+# 3.7e-16 times that (the worst of 2563 random runs at fock_dim 2 to 6, and of 97 at 8, 12 and 16), so by 5.6e-10 at
+# the cap, under the 1e-9 drift check. A Kerr coupling of 2e4 still reaches t = 1 at fock_dim 4 (1.28e6); the
 # thermal workload asks about 2e3.
 _MAX_WARM_NORM = 1.5e6
 
@@ -396,9 +374,9 @@ _MAX_WARM_NORM = 1.5e6
 def _generator_bound(params: CavityParams, fock_dim: int) -> float:
     """An upper bound on the 1-norm of the whole-space generator, from the rates alone.
 
-    In any column the Hamiltonian adds at most 2 * fock_dim**2 * (|chi11| + |chi22| + 2 |chi12|)
-    and mode j's dissipator at most 2 * fock_dim * gamma_j * (1 + 2 nbar_j). Rates too large
-    for a float give inf or NaN, which no cap admits.
+    In any column the Hamiltonian adds at most 2 * fock_dim**2 * (|chi11| + |chi22| + 2 |chi12|) and mode j's
+    dissipator at most 2 * fock_dim * gamma_j * (1 + 2 nbar_j). Rates too large for a float give inf or NaN, which no
+    cap admits.
     """
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
     damping = params.gamma1 * (1.0 + 2.0 * params.nbar1) + params.gamma2 * (1.0 + 2.0 * params.nbar2)
@@ -417,11 +395,10 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
                   points: int, width: int) -> Optional[float]:
     """The one gate of an oracle run to ``t_end``: a ValueError past the memory cap or the cap of its kernel.
 
-    The run holds ``kept`` evolved and ``width`` returned entries of each of ``stack`` states at
-    ``points`` times; those snapshots, and a quiet run's ``kept**2`` generator, are held to
-    ``_MAX_ORACLE_ENTRIES``. A warm run is held to ``t_end * _generator_bound(params, fock_dim) <=
-    _MAX_WARM_NORM`` and gets no step. A quiet run gets the RK4 step, unless reaching ``t_end``
-    exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
+    ``points`` snapshots of ``kept`` evolved and ``width`` returned entries of each of ``stack`` states, and a quiet
+    run's ``kept**2`` generator, are held to ``_MAX_ORACLE_ENTRIES``. A warm run is held to ``t_end *
+    _generator_bound(params, fock_dim) <= _MAX_WARM_NORM`` and gets no step. A quiet run gets the RK4 step, unless
+    reaching ``t_end`` exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
     """
     held = points * stack * (kept + width)
     if not held <= _MAX_ORACLE_ENTRIES:
@@ -451,12 +428,10 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
 
 
 def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    """Row-major vec(rho) indices that the master equation can make nonzero.
+    """Row-major vec(rho) indices that the master equation can make nonzero: those a quiet run evolves.
 
-    The generator conserves each mode's coherence order ``m_j - n_j``, so an
-    entry stays exactly zero if, in either mode, ``|m_j - n_j|`` exceeds the
-    largest order among the nonzero entries of ``rho``; for a stack, of any
-    of its matrices.
+    The generator conserves each mode's coherence order ``m_j - n_j``, so an entry stays exactly zero if, in either
+    mode, ``|m_j - n_j|`` exceeds the largest order among the nonzero entries of ``rho``; for a stack, of any member.
     """
     # rho[m1 * fock_dim + m2, n1 * fock_dim + n2] is rho.reshape(o1.shape)[m1, m2, n1, n2]
     m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
@@ -469,32 +444,22 @@ def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fock_dim: int = 2) -> np.ndarray:
     """Evolve the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
 
-    A two-qubit ``rho0`` is placed at Fock states 0 and 1 of each mode, and
-    each snapshot's qubit block is returned. Only the entries in the
-    coherence-order box of ``rho0`` (``_kept_indices``,
-    for a stack the union of its members' boxes) are evolved; every other
-    entry of each snapshot is exactly zero, and so is every entry outside a
-    member's own box. One kernel (``_evolve_kept``) evolves them: quiet
-    reservoirs step RK4 over the whole box, whose bytes the pinned oracle CSV
-    hashes record. Warm ones use each coherence sector's exact propagator: on
-    a grid that is exactly ``np.linspace(0.0, times[-1], N)``, one
-    ``exp(h * L)``, ``h = times[-1] / (N - 1)``, whose powers reach every time
-    by doubling in ceil(log2 N) products, snapshot k taken at k * h (within
-    half an ulp of ``times[k]``, the last within one ulp); on any other grid
-    one ``exp(span * L)`` per distinct span, applied once per time. A stack is
-    evolved together: each RK4 step, or each propagator product, is one matrix
-    product over all its members. ``_checked_step`` checks the run before
-    anything is built: the snapshots it holds, and a quiet run's generator,
-    against ``_MAX_ORACLE_ENTRIES``, then the cap of its kernel, the RK4 step
-    and work caps for quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the
+    A two-qubit ``rho0`` is placed at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned.
+    Every entry outside the coherence-order box of ``rho0`` (``_kept_indices``, for a stack the union of its members'
+    boxes) stays exactly zero, and so does every entry outside a member's own box. Quiet reservoirs step RK4 over the
+    whole box (``_evolve_kept``), whose bytes the pinned oracle CSV hashes record. Warm ones evolve each occupied
+    coherence sector by its exact one-mode propagators, forming only the rows returned (``_evolve_sectors``); on a
+    grid that is exactly ``np.linspace(0.0, times[-1], N)`` snapshot k is taken within 1.4 ulps of ``times[k]`` (1.6
+    for the last, over 3000 random grids). A stack is evolved together. ``_checked_step`` checks the run before
+    anything is built: the snapshots it holds, and a quiet run's generator, against ``_MAX_ORACLE_ENTRIES``, then the
+    cap of its kernel, the RK4 step and work caps for quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the
     generator's norm bound for warm ones.
 
     Parameters
     ----------
     rho0 : array_like
-        A two-qubit density matrix, shape (4, 4), or one on the two-mode Fock
-        space, shape (fock_dim**2,)*2, or a stack of B of either, with finite
-        entries; at fock_dim = 2 the two readings are the same.
+        A two-qubit density matrix, shape (4, 4), or one on the two-mode Fock space, shape (fock_dim**2,)*2, or a
+        stack of B of either, with finite entries; at fock_dim = 2 the two readings are the same.
     params : CavityParams
         Damping, Kerr couplings and reservoir occupations.
     times : sequence of float
@@ -505,14 +470,10 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     Returns
     -------
     numpy.ndarray
-        The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2)
-        for one matrix and (B, N, fock_dim**2, fock_dim**2) for a stack. For a
-        two-qubit start, each snapshot's qubit block as it stands (not
-        renormalized), (N, 4, 4) and (B, N, 4, 4): it is gathered from the
-        evolved entries, so the (N, fock_dim**4) snapshots are never formed, and
-        a warm Bell-like run of 401 times at fock_dim 16 peaks at about 64 MB
-        instead of 450 MB. Trace preservation within 1e-9 is enforced for every
-        member and time, over every evolved diagonal entry.
+        The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2) for one matrix and
+        (B, N, fock_dim**2, fock_dim**2) for a stack. For a two-qubit start, each snapshot's qubit block as it stands
+        (not renormalized), (N, 4, 4) and (B, N, 4, 4): the (N, fock_dim**4) snapshots are never formed. Trace
+        preservation within 1e-9 is enforced for every member and time, over every diagonal entry.
     """
     _check_fock_dim(fock_dim)
     d = fock_dim * fock_dim
@@ -531,114 +492,156 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     keep = _kept_indices(rho, fock_dim)
     step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d),
                          len(grid), 16 if qubits else d * d)
-    # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
-    v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
-    kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
-    # the diagonal entries i * (d + 1) are always kept
-    drift = np.abs(kept[:, keep % (d + 1) == 0].sum(axis=1) - np.trace(rho, axis1=-2, axis2=-1))
+    if step is None:
+        out, trace = _evolve_sectors(rho, params, fock_dim, grid, qubits)
+    else:
+        # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
+        v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
+        kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
+        # the diagonal entries i * (d + 1) are always kept
+        trace = np.moveaxis(kept[:, keep % (d + 1) == 0].sum(axis=1), 0, -1)
+        if qubits:
+            # the block's row-major vec(rho) entries that were kept, and their places in the 4x4 block
+            block = np.ravel_multi_index(_qubit_block(fock_dim), (d, d)).ravel()
+            inside = np.isin(block, keep)
+            kept, keep, d = kept[:, np.searchsorted(keep, block[inside])], np.flatnonzero(inside), 4
+        out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
+        out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
+        out = out.reshape(*out.shape[:-1], d, d)
+    drift = np.abs(trace - np.trace(rho, axis1=-2, axis2=-1)[..., None])
     if not np.all(drift <= 1e-9):
         bad = np.argwhere(~(drift <= 1e-9))[0]
-        who = "" if rho.ndim == 2 else f" for state {bad[1]}"
+        who = "" if rho.ndim == 2 else f" for state {bad[0]}"
         raise RuntimeError(f"trace drifted by {drift[tuple(bad)]:.3e}{who} during integration")
-    if qubits:
-        # the block's row-major vec(rho) entries that were kept, and their places in the 4x4 block
-        rows, cols = _qubit_block(fock_dim)
-        block = (rows * d + cols).ravel()
-        inside = np.isin(block, keep)
-        kept, keep, d = kept[:, np.searchsorted(keep, block[inside])], np.flatnonzero(inside), 4
-    # assembled only after the kernel has returned, so its matrices are freed first (lower peak memory)
-    out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
-    out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
-    return out.reshape(*out.shape[:-1], d, d)
+    return out
 
 
 def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
-                 grid: np.ndarray, step: Optional[float]) -> np.ndarray:
-    """The kept entries ``v``, shape (K,) or (K, B), evolved to every grid time: (N, K) or (N, K, B).
+                 grid: np.ndarray, step: float) -> np.ndarray:
+    """The kept entries ``v``, (K,) or (K, B), of a quiet run stepped by RK4 to every grid time: (N, K) or (N, K, B).
 
-    Each group of entries is evolved by its own block of the generator, built
-    from whole-space operators formed once per call. For a quiet run the group
-    is the whole box, and each distinct grid span has one RK4 step
-    ``span / count``, applied ``count = ceil(span / step)`` times. A warm run
-    takes no ``step``: each signed coherence sector ``(m1 - n1, m2 - n2)``, which
-    the generator never mixes, is a group. On the grid ``trajectory`` builds, exactly
-    ``np.linspace(0.0, grid[-1], N)``, a sector forms one exact propagator
-    ``P = exp(h * L)``, ``h = grid[-1] / (N - 1)``, and reaches every time by
-    doubling (``_powers``); snapshot k is taken at k * h, which rounds to
-    ``grid[k]`` for k < N - 1 (at most half an ulp of that time away) and lies
-    within one ulp of ``grid[-1]`` for the last. On any other grid it forms
-    ``exp(span * L)`` per distinct span and applies it once per time. Each
-    span's propagator is formed at its first use and freed after its last, so
-    on a grid whose spans never recur it holds one at a time. A group
-    whose entries all start at zero stays exactly zero and is skipped.
+    Each distinct grid span has one RK4 step ``span / count``, applied ``count = ceil(span / step)`` times; its step
+    matrix is formed at its first use and freed after its last.
     """
-    if params.quiet:
-        groups = [np.arange(len(keep))]
-    else:
-        m1, m2, n1, n2 = np.unravel_index(keep, (fock_dim,) * 4)
-        orders = np.stack([m1 - n1, m2 - n2], axis=1)
-        groups = [np.flatnonzero((orders == order).all(axis=1)) for order in np.unique(orders, axis=0)]
     n = len(grid)
-    doubling = not params.quiet and n > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], n))
     # a grid that begins at t = 0 records the start itself there
     start = int(n > 0 and grid[0] == 0.0)
     spans, which = np.unique(np.diff(grid[start:], prepend=0.0), return_inverse=True)
-    spans = spans.tolist()
-    counts = [math.ceil(span / step) if params.quiet else 1 for span in spans]
+    counts = [math.ceil(span / step) for span in spans.tolist()]
     # the grid index of each span's last use
     last = dict(zip(which.tolist(), range(start, n)))
-    operators = _operators(params, fock_dim)
+    lmat = _liouvillian(params, fock_dim, keep)
     kept = np.zeros((n, *v.shape), dtype=complex)
-    for idx in groups:
-        u = v[idx]
-        if not u.any():
-            continue
-        lmat = _liouvillian(operators, keep[idx])
-        if doubling:
-            kept[:, idx] = _powers(_expm(grid[-1] / (n - 1) * lmat), u, n)
-            continue
-        # span j's propagator lives from its first use to its last, as a quiet box can be large:
-        # K = 2116 for a Bell-like start at fock_dim 16
-        props = {}
-        kept[:start, idx] = u
-        for i, j in enumerate(which.tolist(), start):
-            if j not in props:
-                props[j] = _taylor(spans[j] / counts[j] * lmat, 4) if params.quiet else _expm(spans[j] * lmat)
-            for _ in range(counts[j]):
-                u = props[j].dot(u)
-            kept[i, idx] = u
-            if i == last[j]:
-                del props[j]
+    kept[:start] = v
+    # a quiet box can be large, K = 2116 for a Bell-like start at fock_dim 16
+    props = {}
+    for i, j in enumerate(which.tolist(), start):
+        if j not in props:
+            props[j] = _taylor(spans[j] / counts[j] * lmat, 4)
+        for _ in range(counts[j]):
+            v = props[j].dot(v)
+        kept[i] = v
+        if i == last[j]:
+            del props[j]
     return kept
 
 
-def _powers(prop: np.ndarray, u: np.ndarray, n: int) -> np.ndarray:
-    """``prop**k @ u`` for k = 0 .. n - 1, n >= 2: shape (n, K) for u (K,), (n, K, B) for u (K, B).
+def _sector_blocks(params: CavityParams, fock_dim: int, orders: np.ndarray) -> np.ndarray:
+    """The one-mode generators ``(A1, A2)`` of each signed sector ``(o1, o2)`` of ``orders`` (S, 2): (S, 2, d, d).
 
-    By doubling: with snapshots 0 .. m - 1 filled, one product of ``prop**m``
-    with all of them fills m .. 2m - 1, and ``prop**m`` is then squared. N
-    snapshots take ceil(log2 N) products and one squaring fewer.
+    Mode j's entries |m_j><n_j|, m_j - n_j = o_j, are indexed by k = min(m_j, n_j) < d - |o_j|, padded to d with zero
+    rows and columns. As m1 m2 - n1 n2 = o2 m1 + o1 n2, the generator is a Kronecker sum, X -> A1 X + X A2^T, and
+    exp(t L) X = exp(t A1) X exp(t A2)^T (Van Loan, J. Comput. Appl. Math. 123:85, 2000). A_j holds mode j's self-Kerr
+    phase, its damping and 2 chi12 o2 m1 (2 chi12 o2 n1 and the sum's constant -2i chi12 o1 o2) or 2 chi12 o1 n2.
     """
-    rows = u.reshape(len(u), -1).T
-    b = len(rows)
-    # time-major rows, (n * B, K): row k * B + j is member j at snapshot k
-    snaps = np.empty((n * b, len(u)), dtype=complex)
-    snaps[:b] = rows
-    m = 1
-    while True:
-        k = min(m, n - m)
-        np.matmul(snaps[:k * b], prop.T, out=snaps[m * b:(m + k) * b])
-        m *= 2
-        if m >= n:
-            return snaps.reshape(n, b, -1).swapaxes(1, 2).reshape(n, *u.shape)
-        prop = prop @ prop
+    d, k, own = fock_dim, np.arange(fock_dim), orders[..., None]
+    gamma, nbar, chi = np.array([[params.gamma1, params.gamma2], [params.nbar1, params.nbar2],
+                                 [params.chi11, params.chi22]])[..., None]
+    m, n = k + np.maximum(own, 0), k + np.maximum(-own, 0)
+    valid = k < d - np.abs(own)
+    # a a^dagger is diag(1, .., d - 1, 0) in the truncation
+    anti = np.where(m < d - 1, m + 1, 0) + np.where(n < d - 1, n + 1, 0)
+    phase = chi * (m * m - n * n) + 2.0 * params.chi12 * orders[:, ::-1, None] * np.stack([m[:, 0], n[:, 1]], axis=1)
+    out = np.zeros((len(orders), 2, d, d), dtype=complex)
+    out[..., k, k] = (-1j * phase - gamma / 2.0 * ((nbar + 1.0) * (m + n) + nbar * anti)) * valid
+    # the jumps down from |m+1><n+1| into |m><n|, and up from |m><n| into |m+1><n+1|
+    jump = np.sqrt((m + 1) * (n + 1))[..., :-1] * valid[..., 1:]
+    out[..., k[:-1], k[1:]] = gamma * (nbar + 1.0) * jump
+    out[..., k[1:], k[:-1]] = gamma * nbar * jump
+    return out
+
+
+def _evolve_sectors(rho: np.ndarray, params: CavityParams, fock_dim: int, grid: np.ndarray, qubits: bool) -> tuple:
+    """A warm run of ``rho``, (d², d²) or (B, d², d²): its returned entries at every time, and its trace.
+
+    Each occupied signed sector X evolves as ``(L1 exp(t A1)) X (L2 exp(t A2))^T`` (``_sector_blocks``), L_j the rows
+    returned, levels 0 and 1 for a two-qubit start and all otherwise, and a row of ones that sums the trace. An exactly
+    hermitian start evolves the sectors with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates them for the rest. Returns
+    (N, D, D) or (B, N, D, D), D = 4 for a two-qubit start and d² otherwise, and the trace, (N,) or (B, N).
+    """
+    d, n, levels = fock_dim, len(grid), 2 if qubits else fock_dim
+    r4 = rho.reshape(-1, d, d, d, d)
+    # the occupied sectors, and (0, 0), whose row of ones sums the trace
+    m1, m2, n1, n2 = np.nonzero((r4 != 0).any(axis=0))
+    orders = np.unique(np.stack([np.r_[0, m1 - n1], np.r_[0, m2 - n2]], axis=-1), axis=0)
+    hermitian = np.array_equal(rho, rho.conj().swapaxes(-1, -2))
+    if hermitian:
+        orders = orders[(orders[:, 0] > 0) | (orders[:, 0] == 0) & (orders[:, 1] >= 0)]
+    a = _sector_blocks(params, d, orders)
+    rows, r = np.vstack([np.eye(levels, d), np.ones(d)]), levels + 1
+    # on a uniform grid every sector at once, as the stacks hold about sqrt(N) matrices per mode
+    if n > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], n)):
+        powers = zip(*_mode_powers(a, rows, grid, True))
+    else:
+        powers = (_mode_powers(block, rows, grid, False) for block in a)
+    out = np.zeros((len(r4), n, *(levels,) * 4), dtype=complex)
+    for (o1, o2), (giant, baby) in zip(orders.tolist(), powers):
+        x = np.zeros((len(r4), d, d), dtype=complex)
+        x[:, :d - abs(o1), :d - abs(o2)] = r4.diagonal(-o1, 1, 3).diagonal(-o2, 1, 2)
+        # snapshot q b + i is (L1 G1^q) (E1^i X E2^iT) (L2 G2^q)^T, the first two factors in one product
+        q, b = giant.shape[-3], baby.shape[-3]
+        w = baby[0] @ x[:, None] @ baby[1].swapaxes(-1, -2)
+        y = giant[0].reshape(-1, d) @ w.transpose(0, 2, 1, 3).reshape(len(x), d, b * d)
+        y = y.reshape(len(x), q, r * b, d) @ giant[1].swapaxes(-1, -2)
+        y = y.reshape(len(x), q, r, b, r).swapaxes(2, 3).reshape(len(x), q * b, r, r)[:, :n]
+        if o1 == o2 == 0:
+            trace = y[..., -1, -1]
+        k1, k2 = (np.arange(max(levels - abs(o), 0)) for o in (o1, o2))
+        out[:, :, (k1 + max(o1, 0))[:, None], k2 + max(o2, 0), (k1 + max(-o1, 0))[:, None], k2 + max(-o2, 0)] = \
+            y[:, :, k1[:, None], k2]
+    out = out.reshape(*rho.shape[:-2], n, levels ** 2, levels ** 2)
+    if hermitian:
+        # the evolved sectors fill the lower triangle and the diagonal
+        i, j = np.triu_indices(levels ** 2, 1)
+        out[..., i, j] = out[..., j, i].conj()
+    return out, trace.reshape(*rho.shape[:-2], n)
+
+
+def _mode_powers(a: np.ndarray, rows: np.ndarray, grid: np.ndarray, uniform: bool) -> tuple:
+    """``(giant, baby)``, (..., Q, r, d) and (..., b, d, d): ``rows @ exp(t_k a) = giant[q] @ baby[i]``, k = q b + i.
+
+    On a ``uniform`` grid, b = ceil(sqrt(N)) powers of ``exp(h a)``, ``h = grid[-1] / (N - 1)``, and ceil(N / b) of
+    ``exp(b h a)``, formed directly: time k is taken at q (b h) + i h. Otherwise ``rows @ exp(t_k a)`` per time, b = 1.
+    """
+    n, eye = len(grid), np.broadcast_to(np.eye(a.shape[-1]), a.shape)
+    if not uniform:
+        return rows @ _expm(grid[:, None, None] * a[..., None, :, :]), eye[..., None, :, :]
+    h = grid[-1] / (n - 1)
+    b = math.isqrt(n - 1) + 1
+    e, g = _expm(np.stack([h * a, (b * h) * a]))
+    baby, giant = [eye], [np.broadcast_to(rows, (*a.shape[:-2], *rows.shape))]
+    while len(baby) < b:
+        baby.append(baby[-1] @ e)
+    while len(giant) < -(-n // b):
+        giant.append(giant[-1] @ g)
+    return np.stack(giant, axis=-3), np.stack(baby, axis=-3)
 
 
 def _taylor(a: np.ndarray, q: int) -> np.ndarray:
     """``I + a + a**2 / 2! + ... + a**q / q!``, q >= 1, for each matrix of a (..., k, k) stack.
 
-    At q = 4 and ``a = h L`` it is one classic RK4 step of the constant
-    linear generator ``L``, whose four stages collapse to this polynomial.
+    At q = 4 and ``a = h L`` it is one classic RK4 step of the constant linear generator ``L``, whose four stages
+    collapse to this polynomial; ``_expm`` takes it at its own degree.
     """
     m, term = np.eye(a.shape[-1], dtype=complex) + a, a
     for k in range(2, q + 1):
@@ -648,26 +651,25 @@ def _taylor(a: np.ndarray, q: int) -> np.ndarray:
 
 
 def _expm(a: np.ndarray) -> np.ndarray:
-    """exp of one (k, k) matrix, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 45:3, 2003).
+    """exp of each matrix of a (..., k, k) stack, by Taylor scaling and squaring (Moler & Van Loan, SIAM Rev. 2003).
 
-    With s chosen so that ``a / 2**s`` has a 1-norm below ``theta < 1``, the
-    Taylor polynomial stops at the degree q where ``theta**(q + 1) / (q + 1)!``
-    falls below the unit roundoff, and is squared s times. Each matrix takes
-    its own s, so a short span keeps its digits beside a long one. A zero
-    matrix gives the identity exactly; a non-finite 1-norm raises ValueError.
+    With s chosen per matrix so that ``a / 2**s`` has a 1-norm below ``theta < 1``, the Taylor polynomial stops at
+    the degree q where the stack's largest ``theta**(q + 1) / (q + 1)!`` falls below the unit roundoff, and each
+    matrix is squared its own s times, so a short span keeps its digits beside a long one. A zero matrix gives the
+    identity exactly; a non-finite 1-norm raises ValueError.
     """
-    norm = float(np.abs(a).sum(axis=0).max(initial=0.0))
-    if not math.isfinite(norm):
-        raise ValueError(f"the matrix exponential needs a finite 1-norm, got {norm}")
-    s = max(0, math.frexp(norm)[1])
-    theta = norm / 2.0 ** s
+    norm = np.abs(a).sum(axis=-2).max(axis=-1, initial=0.0)
+    if not np.isfinite(norm).all():
+        raise ValueError(f"the matrix exponential needs a finite 1-norm, got {norm[~np.isfinite(norm)].flat[0]}")
+    s = np.maximum(0, np.frexp(norm)[1])
+    theta = float((norm / 2.0 ** s).max(initial=0.0))
     q, bound = 0, theta
     while bound > 2.0 ** -53:
         q += 1
         bound *= theta / (q + 1)
-    m = _taylor(a / 2.0 ** s, max(q, 1))
-    for _ in range(s):
-        m = m @ m
+    m = _taylor(a / 2.0 ** s[..., None, None], max(q, 1))
+    for i in range(int(s.max(initial=0))):
+        m[s > i] = m[s > i] @ m[s > i]
     return m
 
 
@@ -808,13 +810,11 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
                n_points: int, engine: str = "analytic", fock_dim: int = 2) -> Trajectory:
     """Evolve an initial state on a uniform grid of n_points times in [0, t_max].
 
-    Engines: "analytic" uses the damped propagator, "oracle" the
-    master-equation oracle (one kernel: RK4 steps for quiet reservoirs, each
-    coherence sector's exact propagator for warm ones, each kernel with its own
-    cap), "closed_form" the direct evolved matrices. Thermal
-    parameters require the oracle engine with fock_dim >= 4; the resulting
-    qubit states are projections and are marked approximate.
-    The request is checked by ``validate_run`` before any work is done.
+    Engines: "analytic" uses the damped propagator, "oracle" the master-equation oracle (RK4 steps for quiet
+    reservoirs, each coherence sector's exact one-mode propagators for warm ones, each with its own cap),
+    "closed_form" the direct evolved matrices. Thermal parameters require the oracle engine with fock_dim >= 4; the
+    resulting qubit states are projections and are marked approximate. The request is checked by ``validate_run``
+    before any work is done.
     """
     validate_run(initial, params, t_max, n_points, engine, fock_dim)
     times = np.linspace(0.0, t_max, n_points)

@@ -116,14 +116,14 @@ class _Reached(Exception):
 
 
 def stop_before_running(monkeypatch):
-    """Make every route's first computing step raise ``_Reached``: the oracle kernel, ``propagate`` and
+    """Make every route's first computing step raise ``_Reached``: both oracle kernels, ``propagate`` and
     ``closed_form_rho``."""
     from kerrdeco import evolution
 
     def reached(*args, **kwargs):
         raise _Reached
-    for module, name in ((evolution, "_evolve_kept"), (evolution, "propagate"), (evolution, "closed_form_rho"),
-                         (cli, "propagate")):
+    for module, name in ((evolution, "_evolve_kept"), (evolution, "_evolve_sectors"), (evolution, "propagate"),
+                         (evolution, "closed_form_rho"), (cli, "propagate")):
         monkeypatch.setattr(module, name, reached)
 
 

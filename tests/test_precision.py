@@ -96,16 +96,17 @@ def reference_grid(rho0, params, times):
 @pytest.mark.parametrize("params, times, at, bound", [
     # the RK4 steps of a quiet run: 3.1e-12 measured
     (QUIET, TIMES, slice(None), 1e-11),
-    # the exact per-sector propagators of a warm run, one per time on an uneven grid: 5.6e-16 measured
+    # the exact one-mode propagators of a warm run's sectors, formed per time on an uneven grid: 1.2e-15 measured
     (WARM, TIMES, slice(None), 1e-14),
-    # one propagator per sector and its powers by doubling, on the grid trajectory builds: 5.2e-15 measured
+    # baby-step and giant-step powers of each mode's two exponentials, on the grid trajectory builds: 6.7e-16
+    # measured (1.5e-14 when the powers went by repeated squaring)
     (WARM, np.linspace(0.0, 1.0, 401), [1, 2, 100, 257, 400], 1e-14),
     # a warm run at its kernel's cap, t times the generator's norm bound 1.5e6: the error grows with that
-    # product, 3.3e-12 measured on the uneven grid and 3.1e-12 on the uniform one
+    # product, 6.9e-12 measured on the uneven grid and 5.2e-12 on the uniform one
     (WARM, [*TIMES, T_CAP], slice(None), 5e-11),
     (WARM, np.linspace(0.0, T_CAP, 401), [1, 400], 5e-11),
-    # each span's exponential takes its own scaling, so t = 1e-3 keeps its digits beside a span of 3841:
-    # 5.6e-17 measured, against 3.5e-12 when the longest span set the scaling of every one
+    # each time's exponential takes its own scaling, so t = 1e-3 keeps its digits beside t = 3842:
+    # 2.8e-17 measured, against 3.5e-12 when the longest span set the scaling of every one
     (WARM, [*TIMES, 3842.0], [0], 1e-14),
 ], ids=["quiet", "warm", "warm_uniform", "warm_at_cap", "warm_uniform_at_cap", "warm_short_beside_long"])
 def test_oracle_is_the_40_digit_exponential(params, times, at, bound):
