@@ -2,12 +2,12 @@
 
 Two independent routes to the same physics live here. ``propagate`` applies the exact amplitude-damping propagator
 of quiet (zero-temperature) reservoirs to one state or a stack of B at one time or N times, each matrix equal bit for
-bit to the scalar complex arithmetic. ``integrate_master_grid``, the cross-checking oracle, evolves the full master
-equation on a truncated Fock space over a time grid and also covers thermal reservoirs; its docstring gives its
-kernels and their caps. It never calls ``rj_factor``, but its warm kernel factors each coherence sector per mode as
-the propagator does, so a test holds those factors to the oracle's whole-space generator. ``closed_form_rho`` gives
-the direct evolved matrices of the named families, and ``trajectory`` runs any of the three engines on a uniform
-grid.
+bit to the scalar complex arithmetic. ``integrate_master_grid``, the cross-checking oracle, evolves a two-qubit start
+by the full master equation on a truncated Fock space over a time grid and also covers thermal reservoirs; its
+docstring gives its kernels and their caps. It never calls ``rj_factor``, but its warm kernel factors each coherence
+sector per mode as the propagator does, so a test holds those factors to the oracle's whole-space generator.
+``closed_form_rho`` gives the direct evolved matrices of the named families, and ``trajectory`` runs any of the three
+engines on a uniform grid.
 
 Rates are in rad/us, times in us.
 """
@@ -383,31 +383,42 @@ def _generator_bound(params: CavityParams, fock_dim: int) -> float:
     return 2.0 * fock_dim * (fock_dim * chi_sum + damping)
 
 
-# The most complex entries an oracle run may hold in its snapshots, and a quiet run in its RK4
-# generator. Measured with one BLAS thread, snapshots peak at 21-27 bytes per entry and the
-# generator at 95 (425 MB for K = 2116, a Bell-like start's box at fock_dim 16, the largest of any
-# two-qubit start), so a run at the cap peaks near 0.5 GB. Without it a Bell-like run at fock_dim
-# 16 with 1e5 points asked 3.4 GB, and a start filling every coherence order a 69 GB generator.
+# The most complex entries an oracle run may hold at once, as ``_checked_step`` counts them. Measured with one BLAS
+# thread: a quiet run's snapshots peak at 21-27 bytes per entry, and its RK4 generator over the box at 95 (425 MB for
+# K = 2116, a Bell-like start's box at fock_dim 16, the largest of any two-qubit start, so K**2 = 4.48e6 stays under
+# the cap). A warm run peaks at 31 bytes per counted entry on a uniform grid (143 MiB for a Bell-like start at fock_dim
+# 16 with 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off it (401 MiB for 9765 times at fock_dim 16). So a run at
+# the cap peaks near 0.5 GB. Without it a quiet Bell-like run at fock_dim 16 with 1e5 points asked 3.4 GB.
 _MAX_ORACLE_ENTRIES = 5_000_000
 
 
-def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, stack: int,
-                  points: int, width: int) -> Optional[float]:
-    """The one gate of an oracle run to ``t_end``: a ValueError past the memory cap or the cap of its kernel.
+def _uniform(grid: np.ndarray) -> bool:
+    """Whether ``grid`` is exactly ``np.linspace(0.0, grid[-1], N)``, N > 1: the grid whose powers a warm run stacks."""
+    return len(grid) > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], len(grid)))
 
-    ``points`` snapshots of ``kept`` evolved and ``width`` returned entries of each of ``stack`` states, and a quiet
-    run's ``kept**2`` generator, are held to ``_MAX_ORACLE_ENTRIES``. A warm run is held to ``t_end *
+
+def _checked_step(params: CavityParams, fock_dim: int, grid: np.ndarray, stack: int, kept: int) -> Optional[float]:
+    """The one gate of an oracle run of ``stack`` states on ``grid``: a ValueError past the memory cap or the cap of
+    its kernel.
+
+    What a run holds is held to ``_MAX_ORACLE_ENTRIES``. A quiet run holds, per time and state, the snapshots of its
+    ``kept`` box entries (``_kept_indices``) and of the 16 returned ones. A warm run builds no box and ignores
+    ``kept``: per time it holds the larger of its 16 returned entries and its largest per-sector product, 3 rows
+    (levels 0 and 1, and the trace) of ``fock_dim`` entries, for each state, and off a uniform grid each time's two
+    one-mode exponentials, ``2 fock_dim**2`` entries for all states. A warm run is then held to ``t_end *
     _generator_bound(params, fock_dim) <= _MAX_WARM_NORM`` and gets no step. A quiet run gets the RK4 step, unless
     reaching ``t_end`` exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
     """
-    held = points * stack * (kept + width)
+    points, t_end = len(grid), grid[-1] if len(grid) else 0.0
+    if params.quiet:
+        held, what = points * stack * (kept + 16), f"{kept} kept and 16 returned entries"
+    else:
+        # ``_evolve_sectors``'s product, and off a uniform grid the stack that ``_mode_powers`` exponentiates
+        held = points * max(stack * max(16, 3 * fock_dim), 0 if _uniform(grid) else 2 * fock_dim ** 2)
+        what = "the warm kernel's largest array"
     if not held <= _MAX_ORACLE_ENTRIES:
-        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {kept} kept and {width} "
-                         f"returned entries for {stack} state(s) hold {held:.3g}, above the cap of "
-                         f"{_MAX_ORACLE_ENTRIES:.3g}")
-    if params.quiet and not kept * kept <= _MAX_ORACLE_ENTRIES:
-        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: the RK4 generator of {kept} kept entries has "
-                         f"{kept * kept:.3g}, above the cap of {_MAX_ORACLE_ENTRIES:.3g}")
+        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {what} for {stack} state(s) "
+                         f"hold {held:.3g}, above the cap of {_MAX_ORACLE_ENTRIES:.3g}")
     if not params.quiet:
         norm = t_end * _generator_bound(params, fock_dim)
         if not norm <= _MAX_WARM_NORM:
@@ -428,38 +439,37 @@ def _checked_step(params: CavityParams, fock_dim: int, t_end: float, kept: int, 
 
 
 def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    """Row-major vec(rho) indices that the master equation can make nonzero: those a quiet run evolves.
+    """Row-major vec indices on the two-mode Fock space that the master equation can make nonzero from the two-qubit
+    ``rho``, (4, 4) or (B, 4, 4): those a quiet run evolves.
 
     The generator conserves each mode's coherence order ``m_j - n_j``, so an entry stays exactly zero if, in either
     mode, ``|m_j - n_j|`` exceeds the largest order among the nonzero entries of ``rho``; for a stack, of any member.
     """
-    # rho[m1 * fock_dim + m2, n1 * fock_dim + n2] is rho.reshape(o1.shape)[m1, m2, n1, n2]
+    # an entry at Fock levels (m1, m2), (n1, n2) has row-major index (m1 fock_dim + m2) fock_dim**2 + n1 fock_dim + n2
     m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
     o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
-    occupied = (rho.reshape(-1, *o1.shape) != 0).any(axis=0)
-    box = (o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0))
+    occupied = (rho.reshape(-1, 2, 2, 2, 2) != 0).any(axis=0)
+    box = (o1 <= o1[:2, :2, :2, :2][occupied].max(initial=0)) & (o2 <= o2[:2, :2, :2, :2][occupied].max(initial=0))
     return np.flatnonzero(box)
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fock_dim: int = 2) -> np.ndarray:
-    """Evolve the full master equation from rho0, or from each matrix of a stack, recording at every time of a grid.
+    """Evolve the full master equation from a two-qubit rho0, or each of a stack, recording at every time of a grid.
 
-    A two-qubit ``rho0`` is placed at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned.
-    Every entry outside the coherence-order box of ``rho0`` (``_kept_indices``, for a stack the union of its members'
-    boxes) stays exactly zero, and so does every entry outside a member's own box. Quiet reservoirs step RK4 over the
-    whole box (``_evolve_kept``), whose bytes the pinned oracle CSV hashes record. Warm ones evolve each occupied
-    coherence sector by its exact one-mode propagators, forming only the rows returned (``_evolve_sectors``); on a
-    grid that is exactly ``np.linspace(0.0, times[-1], N)`` snapshot k is taken within 1.4 ulps of ``times[k]`` (1.6
-    for the last, over 3000 random grids). A stack is evolved together. ``_checked_step`` checks the run before
-    anything is built: the snapshots it holds, and a quiet run's generator, against ``_MAX_ORACLE_ENTRIES``, then the
-    cap of its kernel, the RK4 step and work caps for quiet runs, ``_MAX_WARM_NORM`` on ``t_end`` times the
-    generator's norm bound for warm ones.
+    The start is placed at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned. Quiet
+    reservoirs step RK4 over the start's coherence-order box (``_kept_indices``, for a stack the union of its members'
+    boxes; every entry outside a member's own box stays exactly zero), whose bytes the pinned oracle CSV hashes record
+    (``_evolve_kept``). Warm ones evolve each occupied coherence sector, read from the 4x4 start, by its exact one-mode
+    propagators, forming only the rows returned (``_evolve_sectors``); on a grid that is exactly ``np.linspace(0.0,
+    times[-1], N)`` snapshot k is taken within 1.4 ulps of ``times[k]`` (1.6 for the last, over 3000 random grids). A
+    stack is evolved together. ``_checked_step`` checks the run before anything is built: what it holds against
+    ``_MAX_ORACLE_ENTRIES``, then the cap of its kernel, the RK4 step and work caps for quiet runs, ``_MAX_WARM_NORM``
+    on ``t_end`` times the generator's norm bound for warm ones.
 
     Parameters
     ----------
     rho0 : array_like
-        A two-qubit density matrix, shape (4, 4), or one on the two-mode Fock space, shape (fock_dim**2,)*2, or a
-        stack of B of either, with finite entries; at fock_dim = 2 the two readings are the same.
+        A two-qubit density matrix, shape (4, 4), or a stack of B, shape (B, 4, 4), with finite entries.
     params : CavityParams
         Damping, Kerr couplings and reservoir occupations.
     times : sequence of float
@@ -470,44 +480,42 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     Returns
     -------
     numpy.ndarray
-        The evolved matrix at each of the N times, shape (N, fock_dim**2, fock_dim**2) for one matrix and
-        (B, N, fock_dim**2, fock_dim**2) for a stack. For a two-qubit start, each snapshot's qubit block as it stands
-        (not renormalized), (N, 4, 4) and (B, N, 4, 4): the (N, fock_dim**4) snapshots are never formed. Trace
-        preservation within 1e-9 is enforced for every member and time, over every diagonal entry.
+        Each snapshot's qubit block as it stands (not renormalized) at each of the N times, shape (N, 4, 4) for one
+        matrix and (B, N, 4, 4) for a stack; the (N, fock_dim**4) snapshots are never formed. Trace preservation
+        within 1e-9 is enforced for every member and time, over every diagonal entry.
     """
     _check_fock_dim(fock_dim)
-    d = fock_dim * fock_dim
     rho = np.asarray(rho0, dtype=complex)
-    if rho.ndim not in (2, 3) or rho.shape[-2:] not in ((4, 4), (d, d)):
-        raise ValueError(f"rho0 has shape {rho.shape}, expected (4, 4) or {(d, d)}, or a stack (B, 4, 4) or "
-                         f"(B, {d}, {d}), for fock_dim {fock_dim}")
+    if rho.ndim not in (2, 3) or rho.shape[-2:] != (4, 4):
+        raise ValueError(f"rho0 has shape {rho.shape}, expected a two-qubit start, (4, 4), or a stack of them, "
+                         f"(B, 4, 4)")
     finite = np.isfinite(rho).all(axis=(-2, -1))
     if not finite.all():
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
-    qubits = rho.shape[-2:] == (4, 4)
-    if qubits:
-        rho = _embed_qubits(rho, fock_dim)
     grid = _time_grid(times)
-    keep = _kept_indices(rho, fock_dim)
-    step = _checked_step(params, fock_dim, grid[-1] if len(grid) else 0.0, len(keep), rho.size // (d * d),
-                         len(grid), 16 if qubits else d * d)
-    if step is None:
-        out, trace = _evolve_sectors(rho, params, fock_dim, grid, qubits)
+    stack = len(rho.reshape(-1, 16))
+    if not params.quiet:
+        _checked_step(params, fock_dim, grid, stack, 0)
+        out, trace = _evolve_sectors(rho, params, fock_dim, grid)
     else:
-        # one state is a (K,) vector, a stack a (K, B) block, of its kept entries
-        v = np.moveaxis(rho.reshape(*rho.shape[:-2], d * d)[..., keep], -1, 0)
+        d = fock_dim * fock_dim
+        keep = _kept_indices(rho, fock_dim)
+        step = _checked_step(params, fock_dim, grid, stack, len(keep))
+        # the start's entries on the two-mode space, Fock levels 0 and 1 of each mode, that are kept, and their places
+        # among the kept entries: one state is a (K,) vector of them, a stack a (K, B) block
+        qubits = np.array([0, 1, fock_dim, fock_dim + 1])
+        block = (d * qubits[:, None] + qubits).ravel()
+        inside = np.isin(block, keep)
+        at = np.searchsorted(keep, block[inside])
+        v = np.zeros((len(keep), *rho.shape[:-2]), dtype=complex)
+        v[at] = np.moveaxis(rho.reshape(*rho.shape[:-2], 16)[..., inside], -1, 0)
         kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
         # the diagonal entries i * (d + 1) are always kept
         trace = np.moveaxis(kept[:, keep % (d + 1) == 0].sum(axis=1), 0, -1)
-        if qubits:
-            # the block's row-major vec(rho) entries that were kept, and their places in the 4x4 block
-            block = np.ravel_multi_index(_qubit_block(fock_dim), (d, d)).ravel()
-            inside = np.isin(block, keep)
-            kept, keep, d = kept[:, np.searchsorted(keep, block[inside])], np.flatnonzero(inside), 4
-        out = np.zeros((*rho.shape[:-2], len(grid), d * d), dtype=complex)
-        out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
-        out = out.reshape(*out.shape[:-1], d, d)
+        out = np.zeros((*rho.shape[:-2], len(grid), 16), dtype=complex)
+        out[..., inside] = np.moveaxis(kept[:, at], (0, 1), (-2, -1))
+        out = out.reshape(*out.shape[:-1], 4, 4)
     drift = np.abs(trace - np.trace(rho, axis1=-2, axis2=-1)[..., None])
     if not np.all(drift <= 1e-9):
         bad = np.argwhere(~(drift <= 1e-9))[0]
@@ -571,16 +579,17 @@ def _sector_blocks(params: CavityParams, fock_dim: int, orders: np.ndarray) -> n
     return out
 
 
-def _evolve_sectors(rho: np.ndarray, params: CavityParams, fock_dim: int, grid: np.ndarray, qubits: bool) -> tuple:
-    """A warm run of ``rho``, (d², d²) or (B, d², d²): its returned entries at every time, and its trace.
+def _evolve_sectors(rho: np.ndarray, params: CavityParams, fock_dim: int, grid: np.ndarray) -> tuple:
+    """A warm run of the two-qubit ``rho``, (4, 4) or (B, 4, 4): its qubit block at every time, and its trace.
 
-    Each occupied signed sector X evolves as ``(L1 exp(t A1)) X (L2 exp(t A2))^T`` (``_sector_blocks``), L_j the rows
-    returned, levels 0 and 1 for a two-qubit start and all otherwise, and a row of ones that sums the trace. An exactly
-    hermitian start evolves the sectors with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates them for the rest. Returns
-    (N, D, D) or (B, N, D, D), D = 4 for a two-qubit start and d² otherwise, and the trace, (N,) or (B, N).
+    Each occupied signed sector (o1, o2) is read from ``rho`` as the corner of a (fock_dim, fock_dim) matrix X,
+    X[k1, k2] the entry whose mode j has levels k_j + max(o_j, 0) and k_j + max(-o_j, 0), and evolves as
+    ``(L1 exp(t A1)) X (L2 exp(t A2))^T`` (``_sector_blocks``), L_j levels 0 and 1 and a row of ones that sums the
+    trace. An exactly hermitian start evolves the sectors with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates them for
+    the rest. Returns (N, 4, 4) or (B, N, 4, 4), and the trace, (N,) or (B, N).
     """
-    d, n, levels = fock_dim, len(grid), 2 if qubits else fock_dim
-    r4 = rho.reshape(-1, d, d, d, d)
+    d, n = fock_dim, len(grid)
+    r4 = rho.reshape(-1, 2, 2, 2, 2)
     # the occupied sectors, and (0, 0), whose row of ones sums the trace
     m1, m2, n1, n2 = np.nonzero((r4 != 0).any(axis=0))
     orders = np.unique(np.stack([np.r_[0, m1 - n1], np.r_[0, m2 - n2]], axis=-1), axis=0)
@@ -588,31 +597,31 @@ def _evolve_sectors(rho: np.ndarray, params: CavityParams, fock_dim: int, grid: 
     if hermitian:
         orders = orders[(orders[:, 0] > 0) | (orders[:, 0] == 0) & (orders[:, 1] >= 0)]
     a = _sector_blocks(params, d, orders)
-    rows, r = np.vstack([np.eye(levels, d), np.ones(d)]), levels + 1
+    rows = np.vstack([np.eye(2, d), np.ones(d)])
     # on a uniform grid every sector at once, as the stacks hold about sqrt(N) matrices per mode
-    if n > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], n)):
+    if _uniform(grid):
         powers = zip(*_mode_powers(a, rows, grid, True))
     else:
         powers = (_mode_powers(block, rows, grid, False) for block in a)
-    out = np.zeros((len(r4), n, *(levels,) * 4), dtype=complex)
+    out = np.zeros((len(r4), n, 2, 2, 2, 2), dtype=complex)
     for (o1, o2), (giant, baby) in zip(orders.tolist(), powers):
         x = np.zeros((len(r4), d, d), dtype=complex)
-        x[:, :d - abs(o1), :d - abs(o2)] = r4.diagonal(-o1, 1, 3).diagonal(-o2, 1, 2)
+        x[:, :2 - abs(o1), :2 - abs(o2)] = r4.diagonal(-o1, 1, 3).diagonal(-o2, 1, 2)
         # snapshot q b + i is (L1 G1^q) (E1^i X E2^iT) (L2 G2^q)^T, the first two factors in one product
         q, b = giant.shape[-3], baby.shape[-3]
         w = baby[0] @ x[:, None] @ baby[1].swapaxes(-1, -2)
         y = giant[0].reshape(-1, d) @ w.transpose(0, 2, 1, 3).reshape(len(x), d, b * d)
-        y = y.reshape(len(x), q, r * b, d) @ giant[1].swapaxes(-1, -2)
-        y = y.reshape(len(x), q, r, b, r).swapaxes(2, 3).reshape(len(x), q * b, r, r)[:, :n]
+        y = y.reshape(len(x), q, 3 * b, d) @ giant[1].swapaxes(-1, -2)
+        y = y.reshape(len(x), q, 3, b, 3).swapaxes(2, 3).reshape(len(x), q * b, 3, 3)[:, :n]
         if o1 == o2 == 0:
             trace = y[..., -1, -1]
-        k1, k2 = (np.arange(max(levels - abs(o), 0)) for o in (o1, o2))
+        k1, k2 = (np.arange(2 - abs(o)) for o in (o1, o2))
         out[:, :, (k1 + max(o1, 0))[:, None], k2 + max(o2, 0), (k1 + max(-o1, 0))[:, None], k2 + max(-o2, 0)] = \
             y[:, :, k1[:, None], k2]
-    out = out.reshape(*rho.shape[:-2], n, levels ** 2, levels ** 2)
+    out = out.reshape(*rho.shape[:-2], n, 4, 4)
     if hermitian:
         # the evolved sectors fill the lower triangle and the diagonal
-        i, j = np.triu_indices(levels ** 2, 1)
+        i, j = np.triu_indices(4, 1)
         out[..., i, j] = out[..., j, i].conj()
     return out, trace.reshape(*rho.shape[:-2], n)
 
@@ -800,8 +809,9 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
     if engine == "oracle":
-        kept = len(_kept_indices(_embed_qubits(_initial_matrix(initial), fock_dim), fock_dim))
-        _checked_step(params, fock_dim, t_max, kept, 1, n_points, 16)
+        # a warm run builds no box
+        kept = len(_kept_indices(_initial_matrix(initial), fock_dim)) if params.quiet else 0
+        _checked_step(params, fock_dim, np.linspace(0.0, t_max, n_points), 1, kept)
     else:
         _check_analytic_rates(params, t_max)
 
@@ -828,22 +838,9 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
     return Trajectory(times, states, params, initial, engine)
 
 
-def _embed_qubits(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    """A (4, 4) two-qubit matrix, or each of a (B, 4, 4) stack, at Fock states 0 and 1 of each mode."""
-    big = np.zeros((*rho.shape[:-2], fock_dim * fock_dim, fock_dim * fock_dim), dtype=complex)
-    big[(..., *_qubit_block(fock_dim))] = rho
-    return big
-
-
 def _renormalized(block: np.ndarray) -> np.ndarray:
     """The hermitian parts of an (N, 4, 4) stack of qubit blocks, each divided by its trace."""
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     # for truncated thermal runs some population leaks above the qubit
     # subspace; the conditional state is what the measures act on
     return block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-
-
-def _qubit_block(fock_dim: int) -> tuple:
-    """The ``np.ix_`` index of the qubit subspace, Fock states 0 and 1 of each mode."""
-    idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
-    return np.ix_(idx, idx)

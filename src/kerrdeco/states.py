@@ -402,8 +402,10 @@ def _read(value, name: str, kind: type = float):
 
 
 def _check_whole(value, name: str, least: int) -> None:
-    """Raise ValueError naming ``name`` unless ``value`` is an integer (``operator.index`` takes it) >= ``least``."""
+    """Raise ValueError naming ``name`` unless ``value`` is a non-bool integer (``operator.index``) >= ``least``."""
     try:
+        if isinstance(value, bool):
+            raise TypeError
         operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be a whole number, got {value!r}") from None

@@ -393,6 +393,9 @@ class TestRevivalTimes:
     def test_rejects_a_fractional_count(self):
         with pytest.raises(ValueError, match="count must be a whole number, got 2.5"):
             revival_times(20.0, 2.5)
+        # True == 1, which would otherwise give one revival
+        with pytest.raises(ValueError, match="^count must be a whole number, got True$"):
+            revival_times(1.0, True)
 
 
 class TestOrderingReport:
@@ -481,7 +484,8 @@ class TestCrossCoupling:
         with pytest.raises(ValueError, match="n_at"):
             EitParams(1.0, 1.0, 10.0, 5.0, 0)
 
-    @pytest.mark.parametrize("n_at", [100.5, 100.0, "100"])
+    # True == 1, which would otherwise build a one-atom medium
+    @pytest.mark.parametrize("n_at", [100.5, 100.0, "100", True])
     def test_a_fractional_atom_count_is_rejected(self, n_at):
         with pytest.raises(ValueError, match=rf"^n_at must be a whole number, got {n_at!r}$"):
             EitParams(1.0, 1.0, 10.0, 5.0, n_at)

@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_ANALYTIC_SCALE, _MAX_RK4_STEPS, _MAX_RK4_WORK, _MAX_WARM_NORM, CavityParams, Trajectory, _checked_step, _default_step,
-    _embed_qubits, _evolve_kept, _expm, _generator_bound, _kept_indices, _liouvillian,
-    _sector_blocks,
+    _MAX_ANALYTIC_SCALE, _MAX_FOCK_DIM, _MAX_ORACLE_ENTRIES, _MAX_RK4_STEPS, _MAX_WARM_NORM,
+    CavityParams, Trajectory, _checked_step, _default_step, _evolve_kept, _expm, _generator_bound, _kept_indices,
+    _liouvillian, _sector_blocks,
     closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
@@ -296,25 +296,46 @@ class TestMasterEquation:
             validate_run(BellLike(), QUIET, 1.0, 3, "oracle", fock_dim)
 
     def test_thermal_steady_state_is_truncated_geometric(self):
-        # detailed balance fixes p(n+1)/p(n) = nbar/(nbar+1) even when truncated
+        # detailed balance fixes p(n+1)/p(n) = nbar/(nbar+1) even when truncated: the qubit block holds
+        # p(m1) p(m2) for levels 0 and 1
         nbar = 0.4
         fd = 4
         prm = CavityParams(gamma1=6.0, gamma2=6.0, chi12=0.0, nbar1=nbar, nbar2=nbar)
-        d = fd * fd
-        rho0 = np.zeros((d, d), dtype=complex)
+        rho0 = np.zeros((4, 4), dtype=complex)
         rho0[0, 0] = 1.0
         out = integrate_master_grid(rho0, prm, [8.0], fock_dim=fd)[0]
-        mode1 = np.diag(out).real.reshape(fd, fd).sum(axis=1)
         ratio = nbar / (nbar + 1.0)
         want = ratio ** np.arange(fd)
         want /= want.sum()
-        assert np.allclose(mode1, want, atol=1e-6)
+        assert np.allclose(np.diag(out).real, np.kron(want[:2], want[:2]), atol=1e-6)
 
 
 def coherence_orders(fock_dim):
     """(m1 - n1, m2 - n2) of every row-major vec(rho) index, as two flat arrays."""
     m1, m2, n1, n2 = np.indices((fock_dim,) * 4).reshape(4, -1)
     return m1 - n1, m2 - n2
+
+
+# (m1 - n1, m2 - n2) of every entry of a two-qubit matrix, as two (4, 4) arrays
+BLOCK_ORDERS = tuple(np.subtract.outer(m, m) for m in np.divmod(np.arange(4), 2))
+
+
+def qubit_rows(fock_dim):
+    """The row-major indices of the qubit subspace, Fock states 0 and 1 of each mode, on the two-mode space."""
+    return [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
+
+
+def embed_qubits(rho, fock_dim):
+    """A two-qubit matrix, or each of a stack, at Fock states 0 and 1 of each mode: the start the references take."""
+    big = np.zeros((*np.shape(rho)[:-2], fock_dim ** 2, fock_dim ** 2), dtype=complex)
+    big[(..., *np.ix_(qubit_rows(fock_dim), qubit_rows(fock_dim)))] = rho
+    return big
+
+
+def qubit_block(big, fock_dim):
+    """The qubit block of each (fock_dim**2, fock_dim**2) matrix of ``big``."""
+    idx = qubit_rows(fock_dim)
+    return np.ascontiguousarray(np.asarray(big)[..., idx, :][..., idx])
 
 
 def rk4_step_matrix(lmat, h):
@@ -407,7 +428,7 @@ class TestCoherenceOrders:
     @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5])
     def test_generator_built_on_the_kept_entries_is_the_sliced_kron_build(self, rng, fock_dim):
         full = kron_liouvillian(THERMAL, fock_dim)
-        box = _kept_indices(_embed_qubits(initial_density(BellLike()).matrix, fock_dim), fock_dim)
+        box = _kept_indices(initial_density(BellLike()).matrix, fock_dim)
         subset = np.sort(rng.choice(fock_dim ** 4, size=fock_dim ** 3, replace=False))
         for keep in (box, subset, np.arange(fock_dim ** 4)):
             got = _liouvillian(THERMAL, fock_dim, keep)
@@ -415,41 +436,22 @@ class TestCoherenceOrders:
 
     def test_thermal_bell_like_matches_the_dense_recurrence(self):
         fd = 4
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, fd)
+        rho0 = initial_density(BellLike()).matrix
         times = list(np.linspace(0.0, 0.3, 7))
         got = integrate_master_grid(rho0, THERMAL, times, fd)
-        want = dense_rk4_grid(rho0, THERMAL, times, fd)
-        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
-
-    def test_order_two_coherence_is_kept(self):
-        fd = 4
-        # (|0,0> + i|2,1>) / sqrt(2)
-        psi = np.zeros(fd * fd, dtype=complex)
-        psi[0], psi[2 * fd + 1] = 1.0 / math.sqrt(2.0), 1.0j / math.sqrt(2.0)
-        rho0 = np.outer(psi, psi.conj())
-        times = [0.05, 0.1]
-        got = integrate_master_grid(rho0, THERMAL, times, fd)
-        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, fd)).max() < 1e-12
-        assert max(np.abs(g - w).max() for g, w in zip(got, dense_rk4_grid(rho0, THERMAL, times, fd))) < RK4_BOUND
-        # the coherence |2,1><0,0| has orders (2, 1) and survives damping
-        assert abs(got[-1][2 * fd + 1, 0]) > 1e-2
-        d1, d2 = coherence_orders(fd)
-        outside = ((np.abs(d1) > 2) | (np.abs(d2) > 1)).reshape(fd * fd, fd * fd)
-        assert np.all(got[-1][outside] == 0)
+        want = qubit_block(dense_rk4_grid(embed_qubits(rho0, fd), THERMAL, times, fd), fd)
+        assert np.abs(got - want).max() < 1e-12
 
     def test_population_only_start_stays_diagonal(self):
         fd = 4
-        rho0 = np.diag(np.linspace(1.0, 0.1, fd * fd)).astype(complex)
+        rho0 = np.diag(np.linspace(1.0, 0.1, 4)).astype(complex)
         rho0 /= np.trace(rho0)
         times = [0.1, 0.2]
         got = integrate_master_grid(rho0, THERMAL, times, fd)
-        want = dense_rk4_grid(rho0, THERMAL, times, fd)
-        assert max(np.abs(g - w).max() for g, w in zip(got, want)) < 1e-12
+        want = qubit_block(dense_rk4_grid(embed_qubits(rho0, fd), THERMAL, times, fd), fd)
+        assert np.abs(got - want).max() < 1e-12
         # damping and pumping move population between Fock levels and create no coherence
-        d1, d2 = coherence_orders(fd)
-        off = ((d1 != 0) | (d2 != 0)).reshape(fd * fd, fd * fd)
-        assert np.all(got[-1][off] == 0)
-        assert np.trace(got[-1]).real == pytest.approx(1.0, abs=1e-10)
+        assert np.all(got[:, ~np.eye(4, dtype=bool)] == 0)
 
     def test_qubit_space_with_both_coherences_is_bit_identical(self, rng):
         # at fock_dim 2 the box is the whole space, so a quiet run does the dense arithmetic
@@ -506,11 +508,6 @@ def mixed_qubit_stack(rng):
     return initial_densities(initials).matrix
 
 
-def mixed_box_stack(rng, fock_dim):
-    """``mixed_qubit_stack``, embedded."""
-    return _embed_qubits(mixed_qubit_stack(rng), fock_dim)
-
-
 class TestStackedOracle:
     """One oracle call evolves a stack of initial states; one state keeps the matrix-vector loop."""
 
@@ -519,21 +516,21 @@ class TestStackedOracle:
         (COLD, 4, np.linspace(0.0, 0.3, 31)),
     ])
     def test_one_state_is_the_frozen_loop_bit_for_bit(self, rng, params, fock_dim, times):
-        # quiet runs step RK4; warm ones are held to the loop by the next test
+        # quiet runs step RK4; warm ones are held to the loop by the next test. The loop runs on the embedded start
         for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
-            rho0 = _embed_qubits(initial_density(initial).matrix, fock_dim)
+            rho0 = initial_density(initial).matrix
             got = integrate_master_grid(rho0, params, times, fock_dim)
-            want = frozen_oracle_loop(rho0, params, times.tolist(), fock_dim)
-            assert got.shape == (len(times), fock_dim ** 2, fock_dim ** 2)
-            assert got.tobytes() == np.array(want).tobytes()
+            want = frozen_oracle_loop(embed_qubits(rho0, fock_dim), params, times.tolist(), fock_dim)
+            assert got.shape == (len(times), 4, 4) and got.flags.c_contiguous
+            assert got.tobytes() == qubit_block(want, fock_dim).tobytes()
 
     def test_an_uneven_grid_holds_a_few_span_propagators_and_is_the_frozen_loop(self):
         # 300 distinct spans, each with its own (100, 100) RK4 step matrix of 156 KiB, 46 MiB for all of them
         times = np.cumsum(np.arange(1, 301) * 1e-6)
         assert len(np.unique(np.diff(times, prepend=0.0))) == 300
         start = initial_density(BellLike()).matrix
-        rho0 = _embed_qubits(start, 4)
-        k = len(_kept_indices(rho0, 4))
+        rho0 = embed_qubits(start, 4)
+        k = len(_kept_indices(start, 4))
         integrate_master_grid(start, QUIET, times[:3], 4)
         tracemalloc.start()
         try:
@@ -542,19 +539,16 @@ class TestStackedOracle:
         finally:
             tracemalloc.stop()
         assert k == 100 and peak < 16 * k * k * 16
-        want = np.array(frozen_oracle_loop(rho0, QUIET, times.tolist(), 4))
-        assert integrate_master_grid(rho0, QUIET, times, 4).tobytes() == want.tobytes()
-        # |00>, |01>, |10>, |11> at fock_dim 4
-        qubits = [0, 1, 4, 5]
-        assert got.tobytes() == want[:, qubits][:, :, qubits].tobytes()
+        want = frozen_oracle_loop(rho0, QUIET, times.tolist(), 4)
+        assert got.tobytes() == qubit_block(want, 4).tobytes()
 
     def test_one_warm_state_is_the_frozen_loop_within_the_rk4_bound(self, rng):
         fd, times = 4, np.linspace(0.0, 0.3, 31)
         for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
-            rho0 = _embed_qubits(initial_density(initial).matrix, fd)
+            rho0 = initial_density(initial).matrix
             got = integrate_master_grid(rho0, THERMAL, times, fd)
-            want = np.array(frozen_oracle_loop(rho0, THERMAL, times.tolist(), fd))
-            assert got.shape == (len(times), fd ** 2, fd ** 2)
+            want = qubit_block(frozen_oracle_loop(embed_qubits(rho0, fd), THERMAL, times.tolist(), fd), fd)
+            assert got.shape == (len(times), 4, 4)
             assert np.abs(got - want).max() < RK4_BOUND
             # entries outside the box stay exactly zero on both routes
             assert np.array_equal(got == 0, want == 0)
@@ -569,27 +563,31 @@ class TestStackedOracle:
         # fock_dim 2, and within one unit roundoff per RK4 step over the 5295
         # steps of the thermal run (6e-14 measured)
         tol = 1e-14 if fock_dim == 2 else math.ceil(times[-1] / _default_step(params, fock_dim)) * np.finfo(float).eps
-        stack = mixed_box_stack(rng, fock_dim)
+        stack = mixed_qubit_stack(rng)
         if fock_dim == 2:
             stack = np.concatenate([stack, [initial_density(f).matrix for f in (BellLike(), WernerPhi(0.4))]])
         got = integrate_master_grid(stack, params, times, fock_dim)
-        assert got.shape == (len(stack), len(times), fock_dim ** 2, fock_dim ** 2)
+        assert got.shape == (len(stack), len(times), 4, 4) and got.flags.c_contiguous
         for member, rho0 in zip(got, stack):
             assert np.max(np.abs(member - integrate_master_grid(rho0, params, times, fock_dim))) <= tol
 
     def test_a_mixed_box_stack_keeps_each_members_box(self, rng):
         fd = 4
-        stack = mixed_box_stack(rng, fd)
-        got = integrate_master_grid(stack, THERMAL, [0.05, 0.2], fd)
-        sizes = []
-        for member, rho0 in zip(got, stack):
-            outside = np.ones(fd ** 4, dtype=bool)
-            outside[_kept_indices(rho0, fd)] = False
-            sizes.append(int(outside.sum()))
-            assert np.all(member.reshape(2, -1)[:, outside] == 0)
-        # the separable member's box is the smallest, so its zeros are not the union's
-        assert sizes[0] > sizes[1] == sizes[2] > 0
-        assert len(_kept_indices(stack, fd)) == fd ** 4 - sizes[1]
+        ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
+        stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
+        # a quiet stack steps the union of its members' boxes, the mixed member's
+        boxes = [len(_kept_indices(rho0, fd)) for rho0 in (stack, *stack)]
+        assert boxes[0] == boxes[3] > boxes[1]
+        o1, o2 = np.abs(BLOCK_ORDERS)
+        for params in (COLD, THERMAL):
+            got = integrate_master_grid(stack, params, [0.05, 0.2], fd)
+            sizes = []
+            for member, rho0 in zip(got, stack):
+                outside = (o1 > o1[rho0 != 0].max()) | (o2 > o2[rho0 != 0].max())
+                sizes.append(int(outside.sum()))
+                assert np.all(member[:, outside] == 0)
+            # the separable member's box lacks mode 1's coherences, the ground state's every coherence
+            assert sizes == [8, 0, 0, 12]
 
     def test_a_non_finite_member_is_named(self):
         stack = np.array([initial_density(f).matrix for f in (BellPsi(+1), BellLike(), PlusPlus())])
@@ -597,12 +595,12 @@ class TestStackedOracle:
         with pytest.raises(ValueError, match=r"^rho0 has non-finite entries in state 2$"):
             integrate_master_grid(stack, QUIET, [0.1])
 
-    @pytest.mark.parametrize("shape", [(1, 2, 16, 16), (16,), (3, 16, 15), (1, 2, 4, 4)])
+    @pytest.mark.parametrize("shape", [(1, 2, 16, 16), (16,), (3, 16, 15), (1, 2, 4, 4), (16, 16), (2, 16, 16)])
     def test_a_wrong_shaped_stack_is_named(self, shape):
-        # a (4, 4) start, or a stack of them, is a two-qubit start at any fock_dim
-        with pytest.raises(ValueError, match=rf"^rho0 has shape \({', '.join(map(str, shape))},?\), expected \(4, 4\)"
-                                             r" or \(16, 16\), or a stack \(B, 4, 4\) or \(B, 16, 16\),"
-                                             r" for fock_dim 4$"):
+        # a (4, 4) start, or a stack of them, is a two-qubit start at any fock_dim; a start on the two-mode Fock
+        # space is not taken
+        with pytest.raises(ValueError, match=rf"^rho0 has shape \({', '.join(map(str, shape))},?\), expected a "
+                                             r"two-qubit start, \(4, 4\), or a stack of them, \(B, 4, 4\)$"):
             integrate_master_grid(np.zeros(shape), THERMAL, [0.1], fock_dim=4)
 
     def test_trace_drift_names_the_member(self):
@@ -621,24 +619,24 @@ class TestWarmOracle:
     @pytest.mark.parametrize("fock_dim", [3, 4])
     @pytest.mark.parametrize("initial", [BellLike(), BellPhi(-1)], ids=["bell_like", "bell_phi"])
     def test_one_state_is_the_dense_exponential(self, initial, fock_dim):
-        rho0 = _embed_qubits(initial_density(initial).matrix, fock_dim)
+        rho0 = initial_density(initial).matrix
         got = integrate_master_grid(rho0, THERMAL, self.TIMES, fock_dim)
-        assert np.abs(got - dense_exact_grid(rho0, THERMAL, self.TIMES, fock_dim)).max() <= 1e-12
+        want = qubit_block(dense_exact_grid(embed_qubits(rho0, fock_dim), THERMAL, self.TIMES, fock_dim), fock_dim)
+        assert np.abs(got - want).max() <= 1e-12
         # t = 0 is the start itself, and a sector that starts empty stays exactly zero:
-        # Bell-phi fills only the orders (0, 0), (1, 1) and (-1, -1) of its box
+        # Bell-phi fills only the orders (0, 0), (1, 1) and (-1, -1) of the block, Bell-like all nine
         assert np.array_equal(got[0], rho0)
-        d1, d2 = (o.reshape(fock_dim ** 2, fock_dim ** 2) for o in coherence_orders(fock_dim))
-        empty = (d1 != d2) if isinstance(initial, BellPhi) else (np.abs(d1) > 1) | (np.abs(d2) > 1)
+        empty = (BLOCK_ORDERS[0] != BLOCK_ORDERS[1]) & isinstance(initial, BellPhi)
         assert np.all(got[:, empty] == 0)
         assert np.any(got[-1][~empty] != 0)
 
     @pytest.mark.parametrize("fock_dim", [3, 4])
     def test_a_stack_is_the_dense_exponential_of_each_member(self, rng, fock_dim):
-        stack = np.concatenate([mixed_box_stack(rng, fock_dim),
-                                [_embed_qubits(initial_density(BellPhi(+1)).matrix, fock_dim)]])
+        stack = np.concatenate([mixed_qubit_stack(rng), [initial_density(BellPhi(+1)).matrix]])
         got = integrate_master_grid(stack, THERMAL, self.TIMES, fock_dim)
-        assert got.shape == (len(stack), len(self.TIMES), fock_dim ** 2, fock_dim ** 2)
-        assert np.abs(got - dense_exact_grid(stack, THERMAL, self.TIMES, fock_dim)).max() <= 1e-12
+        assert got.shape == (len(stack), len(self.TIMES), 4, 4)
+        want = qubit_block(dense_exact_grid(embed_qubits(stack, fock_dim), THERMAL, self.TIMES, fock_dim), fock_dim)
+        assert np.abs(got - want).max() <= 1e-12
 
     def test_quiet_limit_is_the_analytic_propagator(self):
         # nbar = 1e-12 takes the exponential path; the qubit block must then be the quiet state
@@ -654,37 +652,40 @@ class TestWarmOracle:
         # normalized product of p_n ~ (nbar / (1 + nbar))**n per mode
         fd = 6
         warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
-        rho0 = np.diag(np.diag(_embed_qubits(initial_density(BellLike()).matrix, fd)))
+        rho0 = np.diag(np.diag(initial_density(BellLike()).matrix))
         got = integrate_master_grid(rho0, warm, [30.0], fock_dim=fd)[0]
         p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(fd) for nbar in (warm.nbar1, warm.nbar2))
-        gibbs = np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))
+        # the Gibbs state's qubit block
+        gibbs = np.diag(np.kron(p1[:2] / p1.sum(), p2[:2] / p2.sum()))
         assert np.abs(got - gibbs).max() <= 1e-10
 
     def test_quiet_runs_build_the_box_and_warm_runs_evolve_each_occupied_sector_per_mode(self, monkeypatch):
         from kerrdeco import evolution
         sizes, build = [], evolution._liouvillian
         monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append(len(a[2])) or build(*a))
-        blocks = spy(monkeypatch, "_sector_blocks")
+        blocks, boxes = spy(monkeypatch, "_sector_blocks"), spy(monkeypatch, "_kept_indices")
         fd = 4
-        # a Bell-like start occupies all nine signed sectors of its box, Bell-phi three; a hermitian start evolves
-        # those with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates the rest
+        # a Bell-like start occupies all nine signed sectors of the block, Bell-phi three; a hermitian start evolves
+        # those with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates the rest. Each is read from the 4x4 start: a warm
+        # run keeps no box
         for initial, sectors in ((BellLike(), [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
                                  (BellPhi(+1), [(0, 0), (1, 1)])):
-            rho0 = _embed_qubits(initial_density(initial).matrix, fd)
-            sizes.clear()
+            rho0 = initial_density(initial).matrix
+            sizes.clear(), boxes.clear()
             integrate_master_grid(rho0, COLD, [0.1], fock_dim=fd)
-            assert sizes == [100]
-            sizes.clear(), blocks.clear()
+            assert sizes == [100] and len(boxes) == 1
+            sizes.clear(), blocks.clear(), boxes.clear()
             integrate_master_grid(rho0, THERMAL, [0.1], fock_dim=fd)
             [(_, _, orders)] = blocks
-            assert sizes == [] and list(map(tuple, orders.tolist())) == sectors
+            assert sizes == boxes == [] and list(map(tuple, orders.tolist())) == sectors
         # a start that is not exactly hermitian evolves every occupied sector
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, fd)
-        rho0[0, 5] *= 1j
+        rho0 = np.array(initial_density(BellLike()).matrix)
+        rho0[0, 3] *= 1j
         blocks.clear()
         got = integrate_master_grid(rho0, THERMAL, self.TIMES, fock_dim=fd)
         assert len(blocks[0][2]) == 9
-        assert np.abs(got - dense_exact_grid(rho0, THERMAL, self.TIMES, fd)).max() <= 1e-12
+        want = qubit_block(dense_exact_grid(embed_qubits(rho0, fd), THERMAL, self.TIMES, fd), fd)
+        assert np.abs(got - want).max() <= 1e-12
 
 
 def unreachable(monkeypatch):
@@ -712,23 +713,23 @@ class TestWarmGrids:
     @pytest.mark.parametrize("n", [401, 2 ** 8 + 1, 2])
     def test_a_uniform_grid_is_the_dense_exponential(self, monkeypatch, n):
         powers = spy(monkeypatch, "_mode_powers")
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        rho0 = initial_density(BellLike()).matrix
         times = np.linspace(0.0, 1.0, n)
         got = integrate_master_grid(rho0, THERMAL, times, 4)
         # one call for the five evolved sectors of the hermitian start, both modes each
         [(a, _, _, uniform)] = powers
         assert uniform and a.shape == (5, 2, 4, 4)
-        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, 4)).max() <= 1e-12
+        assert np.abs(got - qubit_block(dense_exact_grid(embed_qubits(rho0, 4), THERMAL, times, 4), 4)).max() <= 1e-12
         assert np.array_equal(got[0], rho0)
 
     def test_a_stack_on_a_uniform_grid_is_the_dense_exponential(self, monkeypatch, rng):
         powers = spy(monkeypatch, "_mode_powers")
-        stack = np.concatenate([mixed_box_stack(rng, 4), [_embed_qubits(initial_density(BellPhi(+1)).matrix, 4)]])
+        stack = np.concatenate([mixed_qubit_stack(rng), [initial_density(BellPhi(+1)).matrix]])
         times = np.linspace(0.0, 0.8, 101)
         got = integrate_master_grid(stack, THERMAL, times, 4)
         assert len(powers) == 1 and powers[0][3]
-        assert got.shape == (len(stack), len(times), 16, 16)
-        assert np.abs(got - dense_exact_grid(stack, THERMAL, times, 4)).max() <= 1e-12
+        assert got.shape == (len(stack), len(times), 4, 4)
+        assert np.abs(got - qubit_block(dense_exact_grid(embed_qubits(stack, 4), THERMAL, times, 4), 4)).max() <= 1e-12
 
     @pytest.mark.parametrize("times", [
         np.linspace(0.1, 1.0, 10),  # does not start at 0
@@ -739,12 +740,12 @@ class TestWarmGrids:
     ], ids=["late_start", "uneven", "last_bits", "start_only", "one_point"])
     def test_any_other_grid_is_applied_one_time_at_a_time(self, monkeypatch, times):
         powers, expm = spy(monkeypatch, "_mode_powers"), spy(monkeypatch, "_expm")
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 4)
+        rho0 = initial_density(BellLike()).matrix
         got = integrate_master_grid(rho0, THERMAL, times, 4)
         # one sector at a time, each an exponential of both modes at every time
         assert len(powers) == 5 and not any(uniform for *_, uniform in powers)
         assert [a.shape for a, in expm] == [(2, len(times), 4, 4)] * 5
-        assert np.abs(got - dense_exact_grid(rho0, THERMAL, times, 4)).max() <= 1e-12
+        assert np.abs(got - qubit_block(dense_exact_grid(embed_qubits(rho0, 4), THERMAL, times, 4), 4)).max() <= 1e-12
 
     def test_a_uniform_grid_takes_one_stacked_exponential_and_never_the_two_mode_generator(self, monkeypatch):
         expm, generators = spy(monkeypatch, "_expm"), spy(monkeypatch, "_liouvillian")
@@ -755,7 +756,7 @@ class TestWarmGrids:
         assert generators == []
 
     def test_an_empty_grid_gives_no_snapshots(self):
-        for rho0 in (initial_density(BellLike()).matrix, np.stack([np.eye(16, dtype=complex) / 16] * 2)):
+        for rho0 in (initial_density(BellLike()).matrix, np.stack([np.eye(4, dtype=complex) / 4] * 2)):
             for params in (COLD, THERMAL):
                 got = integrate_master_grid(rho0, params, [], 4)
                 assert got.shape == (*rho0.shape[:-2], 0, *rho0.shape[-2:])
@@ -792,8 +793,7 @@ class TestWarmGrids:
         # TestWarmOracle holds it on the grid trajectory builds
         times = np.linspace(0.0, 1.0, 41)[[0, 1, 5, 17, 40]]
         warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=7.0, chi22=0.0, chi12=20.0, nbar1=1e-12, nbar2=1e-12)
-        got = integrate_master_grid(_embed_qubits(initial_density(BellLike()).matrix, 4), warm, times, 4)
-        block = got[:, [0, 1, 4, 5]][:, :, [0, 1, 4, 5]]
+        block = integrate_master_grid(initial_density(BellLike()).matrix, warm, times, 4)
         block /= np.trace(block, axis1=-2, axis2=-1)[:, None, None]
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
         assert np.abs(block - propagate(initial_density(BellLike()), quiet, times).matrix).max() <= 1e-8
@@ -984,63 +984,33 @@ class TestAnalyticRequests:
                       1e-9)
 
 
-def extract_qubits(big, fock_dim):
-    """The renormalized qubit blocks of an (N, d, d) oracle result, frozen as the bit-for-bit reference for the
-    states an oracle ``trajectory`` returns, however it comes to form them."""
-    idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
-    rows, cols = np.ix_(idx, idx)
-    block = np.ascontiguousarray(big[:, rows, cols])
+def renormalized(block):
+    """The hermitian parts of an (N, 4, 4) stack of qubit blocks, each divided by its trace, frozen as the bit-for-bit
+    reference for the states an oracle ``trajectory`` returns."""
     block = (block + block.conj().swapaxes(-1, -2)) / 2.0
     return block / np.trace(block, axis1=-2, axis2=-1).real[:, np.newaxis, np.newaxis]
-
-
-# How far a warm run's qubit block may sit from the same block of the embedded start's run: the two evolve the same
-# one-mode rows by matrix products of different shapes, 5.7e-17 measured over 30 seeds at fock_dim 4, 5 and 8. A quiet
-# run evolves the same entries either way, bit for bit.
-WARM_BLOCK_BOUND = np.finfo(float).eps
-
-
-def same_block(got, want, params):
-    return got.tobytes() == want.tobytes() if params.quiet else np.abs(got - want).max() <= WARM_BLOCK_BOUND
 
 
 class TestOracleTrajectoryBytes:
     @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4)], ids=["quiet2", "quiet4", "warm4"])
     @pytest.mark.parametrize("initial", [BellLike(), Separable(1.0, 0.0, 1.0, 0.0)], ids=["bell_like", "ground"])
     def test_trajectory_is_the_renormalized_qubit_block_bit_for_bit(self, params, fock_dim, initial):
-        # the ground state keeps only its populations, so the block's coherences lie outside its box
         traj = trajectory(initial, params, 0.5, 21, engine="oracle", fock_dim=fock_dim)
-        big = integrate_master_grid(_embed_qubits(initial_density(initial).matrix, fock_dim), params, traj.times,
-                                    fock_dim)
-        assert same_block(traj.states.matrix, extract_qubits(big, fock_dim), params)
+        rho0 = initial_density(initial).matrix
+        block = integrate_master_grid(rho0, params, traj.times, fock_dim)
+        assert traj.states.matrix.tobytes() == renormalized(block).tobytes()
+        if isinstance(initial, Separable):
+            # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
+            assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
+        if params.quiet:
+            # a quiet block is the frozen RK4 loop's, run on the embedded start
+            want = frozen_oracle_loop(embed_qubits(rho0, fock_dim), params, traj.times.tolist(), fock_dim)
+            assert block.tobytes() == qubit_block(want, fock_dim).tobytes()
 
 
 class TestQubitBlock:
     """A two-qubit start is placed at Fock states 0 and 1, and each snapshot's qubit block is gathered from the
     evolved entries of a quiet run, or evolved alone, one-mode rows 0 and 1, by a warm one."""
-
-    @staticmethod
-    def full_block(big, fock_dim):
-        idx = [m1 * fock_dim + m2 for m1 in (0, 1) for m2 in (0, 1)]
-        return np.ascontiguousarray(big[..., idx, :][..., idx])
-
-    @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4), (THERMAL, 5)],
-                             ids=["quiet2", "quiet4", "warm4", "warm5"])
-    @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 41), [0.05, 0.2, 0.25, 0.6]], ids=["uniform", "uneven"])
-    def test_a_two_qubit_start_is_the_embedded_starts_block_bit_for_bit(self, rng, params, fock_dim, times):
-        ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
-        stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
-        for rho0 in (initial_density(BellLike()).matrix, ground, stack):
-            got = integrate_master_grid(rho0, params, times, fock_dim)
-            assert got.shape == (*rho0.shape[:-2], len(times), 4, 4) and got.flags.c_contiguous
-            full = integrate_master_grid(_embed_qubits(rho0, fock_dim), params, times, fock_dim)
-            assert same_block(got, self.full_block(full, fock_dim), params)
-        # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
-        block = integrate_master_grid(ground, params, times, fock_dim)
-        assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
-        if fock_dim == 2:
-            # the two readings of a (4, 4) start are one
-            assert np.array_equal(_embed_qubits(stack, 2), stack)
 
     def test_a_trajectory_makes_one_oracle_call_for_the_block(self, monkeypatch):
         from kerrdeco import evolution
@@ -1068,6 +1038,20 @@ class TestQubitBlock:
         finally:
             tracemalloc.stop()
         assert peak < 16 * 2 ** 20
+
+    def test_a_warm_run_at_fock_dim_16_holds_about_what_its_gate_counts(self):
+        # 20000 times of 3 * 16 entries per sector product count 9.6e5: 32.9 MiB measured, 36 bytes per counted
+        # entry, near the 31 that the memory cap is sized by at 1e5 times.
+        # A first, small run keeps one-time allocations out of the count.
+        rho0, warm = initial_density(BellLike()).matrix, CavityParams(nbar1=0.1)
+        integrate_master_grid(rho0, warm, np.linspace(0.0, 0.1, 3), 16)
+        tracemalloc.start()
+        try:
+            got = integrate_master_grid(rho0, warm, np.linspace(0.0, 1.0, 20_000), 16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2 ** 20 and got.shape == (20_000, 4, 4)
 
 
 class TestClosedForms:
@@ -1233,13 +1217,14 @@ class TestTrajectory:
 
     def test_the_work_cap_counts_every_state_of_a_stack(self):
         # fock_dim 4 keeps K = 100 entries of a Bell-like start; t = 1 takes 16250 steps, 1.6e8 per state
-        big = _embed_qubits(initial_density(BellLike()).matrix, 4)
-        assert len(_kept_indices(big, 4)) == 100
-        _checked_step(QUIET, 4, 1.0, 100, 150, 2, 256)
+        start = initial_density(BellLike()).matrix
+        assert len(_kept_indices(start, 4)) == 100
+        grid = np.array([0.5, 1.0])
+        _checked_step(QUIET, 4, grid, 150, 100)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            _checked_step(QUIET, 4, 1.0, 100, 200, 2, 256)
+            _checked_step(QUIET, 4, grid, 200, 100)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            integrate_master_grid(np.stack([big] * 200), QUIET, [0.5, 1.0], fock_dim=4)
+            integrate_master_grid(np.stack([start] * 200), QUIET, grid, fock_dim=4)
 
     def test_the_work_cap_holds_only_for_runs_that_step_rk4(self):
         # an embedded Bell-like start at fock_dim 6 keeps K = 256 entries; to t = 30 a quiet run makes
@@ -1249,12 +1234,10 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"256 kept entries and 1 state\(s\) make 5.18e\+10, above the cap"):
             validate_run(BellLike(), quiet, 30.0, 401, "oracle", 6)
         validate_run(BellLike(), warm, 30.0, 401, "oracle", 6)
-        rho0 = _embed_qubits(initial_density(BellLike()).matrix, 6)
-        got = integrate_master_grid(rho0, warm, np.linspace(0.0, 30.0, 401), fock_dim=6)
-        assert np.abs(np.trace(got, axis1=-2, axis2=-1) - 1.0).max() <= 1e-12
-        # and it relaxes to the truncated Gibbs state, coherences included
+        got = integrate_master_grid(initial_density(BellLike()).matrix, warm, np.linspace(0.0, 30.0, 401), fock_dim=6)
+        # and it relaxes to the truncated Gibbs state's qubit block, coherences included
         p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(6) for nbar in (warm.nbar1, warm.nbar2))
-        assert np.abs(got[-1] - np.diag(np.kron(p1 / p1.sum(), p2 / p2.sum()))).max() <= 1e-10
+        assert np.abs(got[-1] - np.diag(np.kron(p1[:2] / p1.sum(), p2[:2] / p2.sum()))).max() <= 1e-10
 
     def test_each_cap_admits_the_largest_shipped_run_and_sits_where_stated(self):
         # the thermal workload at fock_dim 5, 401 points to t_max 1: t times the generator's norm bound is 2160
@@ -1276,7 +1259,7 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=message):
             trajectory(BellLike(), huge, 1.0, 401, engine="oracle", fock_dim=4)
         with pytest.raises(ValueError, match=r"above the cap of 1.5e\+06"):
-            integrate_master_grid(_embed_qubits(initial_density(BellLike()).matrix, 4), huge, [0.5, 1.0], fock_dim=4)
+            integrate_master_grid(initial_density(BellLike()).matrix, huge, [0.5, 1.0], fock_dim=4)
         # rates whose bound overflows a float, or makes 0 * inf, are rejected too
         for params in (CavityParams(gamma1=1e300, nbar1=1e300), CavityParams(gamma1=0.0, nbar1=1e308)):
             with pytest.raises(ValueError, match="above the cap"):
@@ -1295,58 +1278,67 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"1.6e\+07 RK4 steps"):
             validate_run(BellLike(), quiet, 1.0, 401, "oracle", 4)
 
-    def test_warm_runs_never_take_the_rk4_step_and_validate_with_the_kept_box(self, monkeypatch):
+    def test_warm_runs_never_take_the_rk4_step_nor_build_the_box(self, monkeypatch):
         steps, boxes = spy(monkeypatch, "_default_step"), spy(monkeypatch, "_kept_indices")
-        # the memory cap counts the kept entries of every run, warm ones too
+        # the memory cap counts what a warm run's sectors hold, so neither its gate nor its kernel builds the box
         validate_run(BellLike(), THERMAL, 1.0, 401, "oracle", 4)
-        assert steps == [] and len(boxes) == 1
         trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=4)
         integrate_master_grid(initial_density(BellPhi(+1)).matrix, THERMAL, [0.1, 0.5], 4)
-        # the kernel keeps the box once per run, after validate_run's once per trajectory
-        assert steps == [] and len(boxes) == 4
+        assert steps == boxes == []
+        # a quiet run's gate counts its box: validate_run builds it, and the kernel again
         validate_run(BellLike(), COLD, 1.0, 401, "oracle", 4)
-        assert len(steps) == 1 and len(boxes) == 5
+        assert len(steps) == len(boxes) == 1
+        trajectory(BellLike(), COLD, 0.1, 5, engine="oracle", fock_dim=4)
+        assert len(steps) == len(boxes) == 3
 
     @pytest.mark.parametrize("params", [CavityParams(nbar1=0.1), CavityParams(gamma1=0.0, gamma2=0.0, chi12=0.0)],
                              ids=["warm", "zero_rates"])
     def test_a_run_whose_snapshots_pass_the_memory_cap_fails_before_anything_is_built(self, monkeypatch, params):
-        # 1e5 snapshots of the K = 2116 entries a Bell-like start keeps at fock_dim 16: 3.4 GB, and as much
-        # again for the warm run's doubling; both rates pass their kernel's own caps
+        # 1e5 times at fock_dim 16. A quiet run's snapshots of the K = 2116 entries a Bell-like start keeps would take
+        # 3.4 GB. A warm run builds no box: it holds 16 returned entries and a per-sector product of 3 * 16 per time,
+        # 4.8e6 in all, so it passes the gate (0.38 s and 143 MiB measured) and reaches its kernel
         unreachable(monkeypatch)
+        if not params.quiet:
+            validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
+            with pytest.raises(AssertionError, match="^reached past the gate$"):
+                trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
+            return
         message = (r"^oracle run too large at fock_dim 16: 100000 times of 2116 kept and 16 returned entries for "
                    r"1 state\(s\) hold 2.13e\+08, above the cap of 5e\+06$")
         with pytest.raises(ValueError, match=message):
             validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
         with pytest.raises(ValueError, match=message):
             trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
-        # a full start returns its whole snapshots: 3000 of 65536 entries are 3 GB, though it keeps only 256
-        ground = _embed_qubits(initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix, 16)
-        with pytest.raises(ValueError, match=r"3000 times of 256 kept and 65536 returned entries for 1 state\(s\)"):
-            integrate_master_grid(ground, params, np.linspace(0.0, 1.0, 3000), 16)
-
-    def test_a_quiet_start_filling_every_coherence_order_at_fock_dim_16_fails_before_anything_is_built(
-            self, monkeypatch):
-        # K = 65536 kept entries: its 5.1 RK4 steps pass both RK4 caps, but the generator would hold
-        # 4.3e9 entries, 69 GB
-        unreachable(monkeypatch)
-        steps = 5e-5 / _default_step(QUIET, 16)
-        assert 5 < steps and steps * 65536 ** 2 < _MAX_RK4_WORK
-        with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: the RK4 generator of 65536 kept "
-                                             r"entries has 4.29e\+09, above the cap of 5e\+06$"):
-            integrate_master_grid(np.full((256, 256), 1.0 / 256), QUIET, [0.0, 5e-5], 16)
 
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
-        # snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
-        _checked_step(THERMAL, 4, 0.1, 84, 1, 50_000, 16)
+        # quiet snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
+        _checked_step(QUIET, 4, np.linspace(0.0, 1e-6, 50_000), 1, 84)
         with pytest.raises(ValueError, match="hold 5e\\+06, above the cap"):
-            _checked_step(THERMAL, 4, 0.1, 84, 1, 50_001, 16)
-        # a quiet generator of 2236**2 = 4999696 entries passes, 2237**2 does not
-        _checked_step(QUIET, 4, 1e-6, 2236, 1, 2, 16)
-        with pytest.raises(ValueError, match="the RK4 generator of 2237 kept entries"):
-            _checked_step(QUIET, 4, 1e-6, 2237, 1, 2, 16)
+            _checked_step(QUIET, 4, np.linspace(0.0, 1e-6, 50_001), 1, 84)
+        # a warm run's per-sector product on a uniform grid, 3 * 16 entries per time: 104166 times make 4999968
+        _checked_step(THERMAL, 16, np.linspace(0.0, 0.01, 104_166), 1, 0)
+        with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 104167 times of the warm kernel's "
+                                             r"largest array for 1 state\(s\) hold 5e\+06, above the cap of 5e\+06$"):
+            _checked_step(THERMAL, 16, np.linspace(0.0, 0.01, 104_167), 1, 0)
+        # and off it each time's two (16, 16) one-mode exponentials, 512 entries: 9765 times make 4999680
+        uneven = np.cumsum(np.linspace(1.0, 2.0, 9766)) * 1e-6
+        _checked_step(THERMAL, 16, uneven[:-1], 1, 0)
+        with pytest.raises(ValueError, match="9766 times of the warm kernel's largest array"):
+            _checked_step(THERMAL, 16, uneven, 1, 0)
+        # a stack counts each of its states in the product: at fock_dim 4 its 16 returned entries per time
+        _checked_step(THERMAL, 4, np.linspace(0.0, 0.01, 3125), 100, 0)
+        with pytest.raises(ValueError, match="3126 times of the warm kernel's largest array for 100 state"):
+            _checked_step(THERMAL, 4, np.linspace(0.0, 0.01, 3126), 100, 0)
         # the largest box of any two-qubit start, Bell-like at fock_dim 16, stays under it
         validate_run(BellLike(), QUIET, 1e-3, 401, "oracle", 16)
+
+    def test_no_two_qubit_box_has_an_rk4_generator_past_the_memory_cap(self):
+        # a quiet run multiplies its K kept entries by a (K, K) generator, which the gate does not count: the largest
+        # box of any two-qubit start, every coherence order of the block at the largest fock_dim, keeps K = 2116,
+        # and K**2 = 4.48e6. Raising the fock_dim cap to 17 would make it 5.76e6, and fail here
+        k = len(_kept_indices(np.ones((4, 4)), _MAX_FOCK_DIM))
+        assert k * k <= _MAX_ORACLE_ENTRIES
 
     def test_rejects_bad_grid_arguments(self):
         with pytest.raises(ValueError, match="n_points"):
