@@ -74,8 +74,7 @@ VERIFY_FULL = VERIFY_FAST + [
 
 
 # one bad field per request, and a word the error message must contain; each
-# case keeps its number as its id (6 to 9 were the cases of the removed step key, 27 a warm run at fock_dim
-# 16 with 1e5 points, which the oracle's memory cap now admits)
+# case keeps its number as its id (6 to 9 were the cases of the removed step key)
 BAD_REQUESTS = [
     (0, {"engine": "exact"}, "unknown engine"),
     (1, {"t_max": 0.0}, "t_max"),
@@ -105,6 +104,10 @@ BAD_REQUESTS = [
     (25, {"params": {"chi12": -1e308}, "engine": "closed_form"}, "chi12"),
     # past the grid cap: it used to die in numpy asking for 11.2 GiB
     (26, {"n_points": 100_000_000}, "n_points"),
+    # one time past the oracle's memory cap: 2346 snapshots of K = 2116 kept and 16 returned entries hold 5001672.
+    # A warm run at fock_dim 16 holds 3 * 16 entries per time, and the grid cap admits no more than 1e5 times
+    (27, {"params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0}, "engine": "oracle", "fock_dim": 16,
+          "n_points": 2346}, "fock_dim 16"),
     # past the oracle's memory cap: 1e5 snapshots of K = 2116 kept entries asked 3.4 GB
     (28, {"params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0}, "engine": "oracle", "fock_dim": 16,
           "n_points": 100_000}, "fock_dim 16"),

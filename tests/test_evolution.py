@@ -376,7 +376,7 @@ THERMAL = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0
 # THERMAL's rates with quiet reservoirs: the runs that step RK4
 COLD = dataclasses.replace(THERMAL, nbar1=0.0, nbar2=0.0)
 # how far a warm run, evolved exactly, may sit from the RK4 recurrence at the
-# default step: RK4's own truncation error, measured at 8.0e-12 on the
+# default step: RK4's own truncation error, measured at 3.0e-13 on the
 # order-two coherence below; RK4 itself meets it at 0
 RK4_BOUND = 1e-10
 
@@ -441,6 +441,20 @@ class TestCoherenceOrders:
         got = integrate_master_grid(rho0, THERMAL, times, fd)
         want = qubit_block(dense_rk4_grid(embed_qubits(rho0, fd), THERMAL, times, fd), fd)
         assert np.abs(got - want).max() < 1e-12
+
+    def test_order_two_coherence_is_kept(self):
+        fd = 4
+        # (|0,0> + i|1,1>) / sqrt(2): its coherence |1,1><0,0| has orders (1, 1), two in all
+        psi = np.array([1.0, 0.0, 0.0, 1.0j]) / math.sqrt(2.0)
+        rho0 = np.outer(psi, psi.conj())
+        times = [0.05, 0.1]
+        got = integrate_master_grid(rho0, THERMAL, times, fd)
+        big = embed_qubits(rho0, fd)
+        assert np.abs(got - qubit_block(dense_exact_grid(big, THERMAL, times, fd), fd)).max() < 1e-12
+        assert np.abs(got - qubit_block(dense_rk4_grid(big, THERMAL, times, fd), fd)).max() < RK4_BOUND
+        # the coherence survives damping, and the block's orders the start leaves empty stay exact zeros
+        assert abs(got[-1][3, 0]) > 1e-2
+        assert np.all(got[:, BLOCK_ORDERS[0] != BLOCK_ORDERS[1]] == 0)
 
     def test_population_only_start_stays_diagonal(self):
         fd = 4
@@ -1012,6 +1026,34 @@ class TestQubitBlock:
     """A two-qubit start is placed at Fock states 0 and 1, and each snapshot's qubit block is gathered from the
     evolved entries of a quiet run, or evolved alone, one-mode rows 0 and 1, by a warm one."""
 
+    @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4), (THERMAL, 5)],
+                             ids=["quiet2", "quiet4", "warm4", "warm5"])
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 41), [0.05, 0.2, 0.25, 0.6]], ids=["uniform", "uneven"])
+    def test_a_two_qubit_start_is_the_embedded_starts_block(self, rng, params, fock_dim, times):
+        # the references evolve the start placed at Fock states 0 and 1 on the whole space: a quiet state is the
+        # frozen RK4 loop bit for bit, and a quiet stack within one unit roundoff per RK4 step of it, as in
+        # test_each_member_matches_its_own_call; a warm run is the dense exponential within 1e-12
+        ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
+        stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
+        tol = math.ceil(times[-1] / _default_step(COLD, fock_dim)) * np.finfo(float).eps
+        for rho0 in (initial_density(BellLike()).matrix, ground, stack):
+            got = integrate_master_grid(rho0, params, times, fock_dim)
+            assert got.shape == (*rho0.shape[:-2], len(times), 4, 4) and got.flags.c_contiguous
+            big = embed_qubits(rho0, fock_dim)
+            if not params.quiet:
+                want = qubit_block(dense_exact_grid(big, params, times, fock_dim), fock_dim)
+                assert np.abs(got - want).max() <= 1e-12
+                continue
+            for member, start in zip(got.reshape(-1, len(times), 4, 4), big.reshape(-1, *big.shape[-2:])):
+                want = qubit_block(frozen_oracle_loop(start, params, list(times), fock_dim), fock_dim)
+                if rho0.ndim == 2:
+                    assert member.tobytes() == want.tobytes()
+                else:
+                    assert np.abs(member - want).max() <= tol
+        # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
+        block = integrate_master_grid(ground, params, times, fock_dim)
+        assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
+
     def test_a_trajectory_makes_one_oracle_call_for_the_block(self, monkeypatch):
         from kerrdeco import evolution
         calls, real = [], evolution.integrate_master_grid
@@ -1309,6 +1351,19 @@ class TestTrajectory:
             validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
         with pytest.raises(ValueError, match=message):
             trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
+
+    def test_a_quiet_start_filling_every_coherence_order_at_fock_dim_16_fails_before_anything_is_built(
+            self, monkeypatch):
+        # every coherence order of the block keeps K = 2116 entries, the largest box of any two-qubit start: 2345
+        # times of 2116 kept and 16 returned entries hold 4999540 and reach the kernel, 2346 times 5001672
+        unreachable(monkeypatch)
+        start = np.full((4, 4), 1.0 / 4)
+        with pytest.raises(AssertionError, match="^reached past the gate$"):
+            integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2345), 16)
+        with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 2346 times of 2116 kept and 16 "
+                                             r"returned entries for 1 state\(s\) hold 5e\+06, above the cap of "
+                                             r"5e\+06$"):
+            integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2346), 16)
 
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
