@@ -46,7 +46,7 @@ _SERIES_SWITCH = 1e-8
 
 _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
-# The largest per-mode truncation. ``_checked_step`` bounds what an oracle run holds; this bounds its time where
+# The largest per-mode truncation. The oracle's gates bound what a run holds; this bounds its time where
 # truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401 times takes 10 ms, a quiet one 5 s
 # and 425 MB before its first RK4 step (its box keeps K = 2116 entries), and the truncation error is about 2e-9.
 _MAX_FOCK_DIM = 16
@@ -132,12 +132,11 @@ def _rate_list(params: CavityParams) -> str:
     return ", ".join(f"{f.name} = {getattr(params, f.name):g}" for f in fields(params))
 
 
-# The analytic routes' cap on their rate sum R (|chi12| counted twice) times max(1, t). R t bounds
-# every phase and decay exponent they form. Near R t = 1e9 a general state's phases lose enough
-# digits that it fails the positivity check (-1.3e-8 at 1.1e9 for a random pure state, none of
-# 1500 scanned at 5.6e8 or below), and products of two exponents overflow past 1e154. The cap sits
-# 100x under the first. Taking max(1, t) bounds each rate too, so however short the run, no rate
-# product overflows.
+# The analytic routes' cap on their rate sum R (|chi12| counted twice) times max(1, t). R t bounds every phase and
+# decay exponent they form. Near R t = 1e9 a general state's phases lose enough digits that it fails the positivity
+# check (-1.3e-8 at 1.1e9 for a random pure state, none of 1500 scanned at 5.6e8 or below), and products of two
+# exponents overflow past 1e154. The cap sits 100x under the first. Taking max(1, t) bounds each rate too, so however
+# short the run, no rate product overflows.
 _MAX_ANALYTIC_SCALE = 1e7
 
 
@@ -267,12 +266,10 @@ _ROWS1, _ROWS2, (_SLOT, _ENTRY, _ROW1, _ROW2, _SRC) = _term_table()
 def propagate(rho0, params: CavityParams, t):
     """Evolve one two-qubit density matrix, or each of a stack of B, for time t or each of a 1-d array of times.
 
-    Exact for zero reservoir occupation; raises for thermal parameters, for
-    which ``integrate_master_grid`` is the supported route, and for rates past
-    ``_check_analytic_rates``'s cap at the largest time. The result is a
-    ``DensityMatrix2Q``, (N, 4, 4) for N times, with a leading B axis for a
-    (B, 4, 4) ``rho0``, whose mode factors are formed once; each matrix equals,
-    bit for bit, the one the scalar complex arithmetic gives for its state and time.
+    Exact for zero reservoir occupation; raises for thermal parameters, for which ``integrate_master_grid`` is the
+    supported route, and for rates past ``_check_analytic_rates``'s cap at the largest time. The result is a
+    ``DensityMatrix2Q``, (N, 4, 4) for N times, with a leading B axis for a (B, 4, 4) ``rho0``, whose mode factors are
+    formed once; each matrix equals, bit for bit, the one the scalar complex arithmetic gives for its state and time.
     """
     if not params.quiet:
         raise ValueError(_NEEDS_QUIET)
@@ -354,8 +351,8 @@ _MAX_RK4_WORK = 29_000_000_000
 def _default_step(params: CavityParams, fock_dim: int) -> float:
     """The RK4 step: phase truncation error well under 1e-8 per run, and stable.
 
-    The step times the stability scale, the fastest damping plus
-    2 * (strongest Kerr coupling) * fock_dim**2, stays below ``_STABILITY_LIMIT``.
+    The step times the stability scale, the fastest damping plus 2 * (strongest Kerr coupling) * fock_dim**2, stays
+    below ``_STABILITY_LIMIT``.
     """
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
     accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 2.0 * chi_sum * fock_dim + 1.0)
@@ -383,12 +380,12 @@ def _generator_bound(params: CavityParams, fock_dim: int) -> float:
     return 2.0 * fock_dim * (fock_dim * chi_sum + damping)
 
 
-# The most complex entries an oracle run may hold at once, as ``_checked_step`` counts them. Measured with one BLAS
-# thread: a quiet run's snapshots peak at 21-27 bytes per entry, and its RK4 generator over the box at 95 (425 MB for
-# K = 2116, a Bell-like start's box at fock_dim 16, the largest of any two-qubit start, so K**2 = 4.48e6 stays under
-# the cap). A warm run peaks at 31 bytes per counted entry on a uniform grid (143 MiB for a Bell-like start at fock_dim
-# 16 with 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off it (401 MiB for 9765 times at fock_dim 16). So a run at
-# the cap peaks near 0.5 GB. Without it a quiet Bell-like run at fock_dim 16 with 1e5 points asked 3.4 GB.
+# The most complex entries an oracle run may hold at once, as its gates count them. Measured with one BLAS thread: a
+# quiet run's snapshots peak at 21-27 bytes per entry, and its RK4 generator over the box at 95 (425 MB for K = 2116,
+# a Bell-like start's box at fock_dim 16, the largest of any two-qubit start, so K**2 = 4.48e6 stays under the cap). A
+# warm run peaks at 31 bytes per counted entry on a uniform grid (143 MiB for a Bell-like start at fock_dim 16 with
+# 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off it (401 MiB for 9765 times at fock_dim 16). So a run at the cap
+# peaks near 0.5 GB; without it a quiet Bell-like run at fock_dim 16 with 1e5 points asked 3.4 GB.
 _MAX_ORACLE_ENTRIES = 5_000_000
 
 
@@ -397,35 +394,38 @@ def _uniform(grid: np.ndarray) -> bool:
     return len(grid) > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], len(grid)))
 
 
-def _checked_step(params: CavityParams, fock_dim: int, grid: np.ndarray, stack: int, kept: int) -> Optional[float]:
-    """The one gate of an oracle run of ``stack`` states on ``grid``: a ValueError past the memory cap or the cap of
-    its kernel.
-
-    What a run holds is held to ``_MAX_ORACLE_ENTRIES``. A quiet run holds, per time and state, the snapshots of its
-    ``kept`` box entries (``_kept_indices``) and of the 16 returned ones. A warm run builds no box and ignores
-    ``kept``: per time it holds the larger of its 16 returned entries and its largest per-sector product, 3 rows
-    (levels 0 and 1, and the trace) of ``fock_dim`` entries, for each state, and off a uniform grid each time's two
-    one-mode exponentials, ``2 fock_dim**2`` entries for all states. A warm run is then held to ``t_end *
-    _generator_bound(params, fock_dim) <= _MAX_WARM_NORM`` and gets no step. A quiet run gets the RK4 step, unless
-    reaching ``t_end`` exceeds ``_MAX_RK4_STEPS``, or ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
-    """
-    points, t_end = len(grid), grid[-1] if len(grid) else 0.0
-    if params.quiet:
-        held, what = points * stack * (kept + 16), f"{kept} kept and 16 returned entries"
-    else:
-        # ``_evolve_sectors``'s product, and off a uniform grid the stack that ``_mode_powers`` exponentiates
-        held = points * max(stack * max(16, 3 * fock_dim), 0 if _uniform(grid) else 2 * fock_dim ** 2)
-        what = "the warm kernel's largest array"
+def _check_held(fock_dim: int, points: int, what: str, stack: int, held: int) -> None:
+    """A ValueError if an oracle run holds more than ``_MAX_ORACLE_ENTRIES`` complex entries at once."""
     if not held <= _MAX_ORACLE_ENTRIES:
         raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {what} for {stack} state(s) "
                          f"hold {held:.3g}, above the cap of {_MAX_ORACLE_ENTRIES:.3g}")
-    if not params.quiet:
-        norm = t_end * _generator_bound(params, fock_dim)
-        if not norm <= _MAX_WARM_NORM:
-            raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes t "
-                             f"times the generator's norm bound, {norm:.3g}, above the cap of {_MAX_WARM_NORM:.3g}, "
-                             f"at {_rate_list(params)}")
-        return None
+
+
+def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int, stack: int, uniform: bool) -> None:
+    """The gate of a warm oracle run: a ValueError past the memory cap or ``_MAX_WARM_NORM``.
+
+    A warm run of ``stack`` states on ``points`` times builds no box. Per time it holds the larger of its 16 returned
+    entries and its largest per-sector product, 3 rows of ``fock_dim`` (levels 0 and 1, and the trace), per state, and
+    off a ``uniform`` grid each time's two one-mode exponentials, ``2 fock_dim**2`` entries for all states. That is
+    held to ``_MAX_ORACLE_ENTRIES``, and reaching ``t_end`` to ``_MAX_WARM_NORM``.
+    """
+    held = points * max(stack * max(16, 3 * fock_dim), 0 if uniform else 2 * fock_dim ** 2)
+    _check_held(fock_dim, points, "the warm kernel's largest array", stack, held)
+    norm = t_end * _generator_bound(params, fock_dim)
+    if not norm <= _MAX_WARM_NORM:
+        raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes t "
+                         f"times the generator's norm bound, {norm:.3g}, above the cap of {_MAX_WARM_NORM:.3g}, "
+                         f"at {_rate_list(params)}")
+
+
+def _checked_step(params: CavityParams, fock_dim: int, t_end: float, points: int, stack: int, kept: int) -> float:
+    """The RK4 step of a quiet oracle run: a ValueError past the memory cap or the RK4 caps.
+
+    Per time, each of ``stack`` states holds the snapshots of its ``kept`` box entries (``_kept_indices``) and of the
+    16 returned ones, held to ``_MAX_ORACLE_ENTRIES`` over ``points`` times. Reaching ``t_end`` is held to
+    ``_MAX_RK4_STEPS`` steps, and to ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
+    """
+    _check_held(fock_dim, points, f"{kept} kept and 16 returned entries", stack, points * stack * (kept + 16))
     step = _default_step(params, fock_dim)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
@@ -462,9 +462,8 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     (``_evolve_kept``). Warm ones evolve each occupied coherence sector, read from the 4x4 start, by its exact one-mode
     propagators, forming only the rows returned (``_evolve_sectors``); on a grid that is exactly ``np.linspace(0.0,
     times[-1], N)`` snapshot k is taken within 1.4 ulps of ``times[k]`` (1.6 for the last, over 3000 random grids). A
-    stack is evolved together. ``_checked_step`` checks the run before anything is built: what it holds against
-    ``_MAX_ORACLE_ENTRIES``, then the cap of its kernel, the RK4 step and work caps for quiet runs, ``_MAX_WARM_NORM``
-    on ``t_end`` times the generator's norm bound for warm ones.
+    stack is evolved together. Before anything is built, ``_checked_step`` gates a quiet run and ``_checked_warm`` a
+    warm one: what it holds against ``_MAX_ORACLE_ENTRIES``, then the RK4 step and work caps or ``_MAX_WARM_NORM``.
 
     Parameters
     ----------
@@ -494,14 +493,14 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
         where = "" if rho.ndim == 2 else f" in state {int(np.argmin(finite))}"
         raise ValueError(f"rho0 has non-finite entries{where}")
     grid = _time_grid(times)
-    stack = len(rho.reshape(-1, 16))
+    stack, points, t_end = len(rho.reshape(-1, 16)), len(grid), grid[-1] if len(grid) else 0.0
     if not params.quiet:
-        _checked_step(params, fock_dim, grid, stack, 0)
+        _checked_warm(params, fock_dim, t_end, points, stack, _uniform(grid))
         out, trace = _evolve_sectors(rho, params, fock_dim, grid)
     else:
         d = fock_dim * fock_dim
         keep = _kept_indices(rho, fock_dim)
-        step = _checked_step(params, fock_dim, grid, stack, len(keep))
+        step = _checked_step(params, fock_dim, t_end, points, stack, len(keep))
         # the start's entries on the two-mode space, Fock levels 0 and 1 of each mode, that are kept, and their places
         # among the kept entries: one state is a (K,) vector of them, a stack a (K, B) block
         qubits = np.array([0, 1, fock_dim, fock_dim + 1])
@@ -808,12 +807,13 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
             raise ValueError(_NEEDS_QUIET)
     elif not params.quiet and fock_dim < 4:
         raise ValueError("thermal reservoirs need fock_dim >= 4 under the oracle engine")
-    if engine == "oracle":
-        # a warm run builds no box
-        kept = len(_kept_indices(_initial_matrix(initial), fock_dim)) if params.quiet else 0
-        _checked_step(params, fock_dim, np.linspace(0.0, t_max, n_points), 1, kept)
-    else:
+    if engine != "oracle":
         _check_analytic_rates(params, t_max)
+    elif params.quiet:
+        _checked_step(params, fock_dim, t_max, n_points, 1, len(_kept_indices(_initial_matrix(initial), fock_dim)))
+    else:
+        # on trajectory's grid, np.linspace(0.0, t_max, n_points), which is uniform
+        _checked_warm(params, fock_dim, t_max, n_points, 1, True)
 
 
 def trajectory(initial: InitialState, params: CavityParams, t_max: float,

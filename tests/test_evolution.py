@@ -14,8 +14,8 @@ from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
     _MAX_ANALYTIC_SCALE, _MAX_FOCK_DIM, _MAX_ORACLE_ENTRIES, _MAX_RK4_STEPS, _MAX_WARM_NORM,
-    CavityParams, Trajectory, _checked_step, _default_step, _evolve_kept, _expm, _generator_bound, _kept_indices,
-    _liouvillian, _sector_blocks,
+    CavityParams, Trajectory, _checked_step, _checked_warm, _default_step, _evolve_kept, _evolve_sectors, _expm,
+    _generator_bound, _kept_indices, _liouvillian, _sector_blocks,
     closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
@@ -466,6 +466,8 @@ class TestCoherenceOrders:
         assert np.abs(got - want).max() < 1e-12
         # damping and pumping move population between Fock levels and create no coherence
         assert np.all(got[:, ~np.eye(4, dtype=bool)] == 0)
+        # and keep the whole truncated space's trace, which the warm kernel sums beside the block
+        assert np.abs(_evolve_sectors(rho0, THERMAL, fd, np.array(times))[1] - 1.0).max() <= 1e-10
 
     def test_qubit_space_with_both_coherences_is_bit_identical(self, rng):
         # at fock_dim 2 the box is the whole space, so a quiet run does the dense arithmetic
@@ -1261,12 +1263,11 @@ class TestTrajectory:
         # fock_dim 4 keeps K = 100 entries of a Bell-like start; t = 1 takes 16250 steps, 1.6e8 per state
         start = initial_density(BellLike()).matrix
         assert len(_kept_indices(start, 4)) == 100
-        grid = np.array([0.5, 1.0])
-        _checked_step(QUIET, 4, grid, 150, 100)
+        _checked_step(QUIET, 4, 1.0, 2, 150, 100)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            _checked_step(QUIET, 4, grid, 200, 100)
+            _checked_step(QUIET, 4, 1.0, 2, 200, 100)
         with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            integrate_master_grid(np.stack([start] * 200), QUIET, grid, fock_dim=4)
+            integrate_master_grid(np.stack([start] * 200), QUIET, [0.5, 1.0], fock_dim=4)
 
     def test_the_work_cap_holds_only_for_runs_that_step_rk4(self):
         # an embedded Bell-like start at fock_dim 6 keeps K = 256 entries; to t = 30 a quiet run makes
@@ -1276,7 +1277,11 @@ class TestTrajectory:
         with pytest.raises(ValueError, match=r"256 kept entries and 1 state\(s\) make 5.18e\+10, above the cap"):
             validate_run(BellLike(), quiet, 30.0, 401, "oracle", 6)
         validate_run(BellLike(), warm, 30.0, 401, "oracle", 6)
-        got = integrate_master_grid(initial_density(BellLike()).matrix, warm, np.linspace(0.0, 30.0, 401), fock_dim=6)
+        rho0, grid = initial_density(BellLike()).matrix, np.linspace(0.0, 30.0, 401)
+        got, trace = _evolve_sectors(rho0, warm, 6, grid)
+        assert np.array_equal(got, integrate_master_grid(rho0, warm, grid, fock_dim=6))
+        # the whole truncated space keeps its trace at every time, though the block returned does not
+        assert np.abs(trace - 1.0).max() <= 1e-12
         # and it relaxes to the truncated Gibbs state's qubit block, coherences included
         p1, p2 = ((nbar / (1.0 + nbar)) ** np.arange(6) for nbar in (warm.nbar1, warm.nbar2))
         assert np.abs(got[-1] - np.diag(np.kron(p1[:2] / p1.sum(), p2[:2] / p2.sum()))).max() <= 1e-10
@@ -1368,23 +1373,28 @@ class TestTrajectory:
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
         # quiet snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
-        _checked_step(QUIET, 4, np.linspace(0.0, 1e-6, 50_000), 1, 84)
+        _checked_step(QUIET, 4, 1e-6, 50_000, 1, 84)
         with pytest.raises(ValueError, match="hold 5e\\+06, above the cap"):
-            _checked_step(QUIET, 4, np.linspace(0.0, 1e-6, 50_001), 1, 84)
+            _checked_step(QUIET, 4, 1e-6, 50_001, 1, 84)
         # a warm run's per-sector product on a uniform grid, 3 * 16 entries per time: 104166 times make 4999968
-        _checked_step(THERMAL, 16, np.linspace(0.0, 0.01, 104_166), 1, 0)
+        _checked_warm(THERMAL, 16, 0.01, 104_166, 1, True)
         with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 104167 times of the warm kernel's "
                                              r"largest array for 1 state\(s\) hold 5e\+06, above the cap of 5e\+06$"):
-            _checked_step(THERMAL, 16, np.linspace(0.0, 0.01, 104_167), 1, 0)
+            _checked_warm(THERMAL, 16, 0.01, 104_167, 1, True)
         # and off it each time's two (16, 16) one-mode exponentials, 512 entries: 9765 times make 4999680
         uneven = np.cumsum(np.linspace(1.0, 2.0, 9766)) * 1e-6
-        _checked_step(THERMAL, 16, uneven[:-1], 1, 0)
+        _checked_warm(THERMAL, 16, uneven[-2], 9765, 1, False)
         with pytest.raises(ValueError, match="9766 times of the warm kernel's largest array"):
-            _checked_step(THERMAL, 16, uneven, 1, 0)
+            _checked_warm(THERMAL, 16, uneven[-1], 9766, 1, False)
+        # which is the gate an uneven grid meets: it is no np.linspace grid
+        with pytest.raises(AssertionError, match="^reached past the gate$"):
+            integrate_master_grid(np.eye(4) / 4, THERMAL, uneven[:-1], 16)
+        with pytest.raises(ValueError, match="9766 times of the warm kernel's largest array"):
+            integrate_master_grid(np.eye(4) / 4, THERMAL, uneven, 16)
         # a stack counts each of its states in the product: at fock_dim 4 its 16 returned entries per time
-        _checked_step(THERMAL, 4, np.linspace(0.0, 0.01, 3125), 100, 0)
+        _checked_warm(THERMAL, 4, 0.01, 3125, 100, True)
         with pytest.raises(ValueError, match="3126 times of the warm kernel's largest array for 100 state"):
-            _checked_step(THERMAL, 4, np.linspace(0.0, 0.01, 3126), 100, 0)
+            _checked_warm(THERMAL, 4, 0.01, 3126, 100, True)
         # the largest box of any two-qubit start, Bell-like at fock_dim 16, stays under it
         validate_run(BellLike(), QUIET, 1e-3, 401, "oracle", 16)
 
