@@ -17,7 +17,7 @@ import numpy as np
 
 from . import measures
 from .evolution import CavityParams, _checked_times, _time_grid, propagate
-from .states import PureState2Q, WernerLike, _check_weight, _check_whole, initial_density
+from .states import PureState2Q, WernerLike, _check_finite, _check_weight, _check_whole, initial_density
 
 __all__ = [
     "CurvePoint",
@@ -55,13 +55,17 @@ def _survival(gamma: float, t):
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
     t = _checked_times(t)
-    return t, np.exp(-gamma * t)
+    with np.errstate(over="ignore"):  # -gamma t past the float range is -inf: the decayed limit g = 0
+        return t, np.exp(-gamma * t)
 
 
-def _check_chi12(chi12: float) -> None:
-    """The one chi12 rule of the functions here: any sign, but NaN and +-inf fail, named."""
-    if not math.isfinite(chi12):
-        raise ValueError(f"chi12 must be finite, got {chi12}")
+def _phase_times(chi12: float, t, scale: float):
+    """``t`` by ``_checked_times``; a ValueError naming ``chi12`` and ``t`` unless ``scale * chi12 * t`` is finite."""
+    _check_finite(chi12, "chi12")
+    t = _checked_times(t)
+    if t.size and not math.isfinite(scale * chi12 * float(t.max())):
+        raise ValueError(f"the Kerr phase of chi12 = {chi12!r} at t = {float(t.max())!r} passes the float range")
+    return t
 
 
 def _unwrap(t: np.ndarray, *vals):
@@ -90,8 +94,7 @@ def unitary_pure_entanglement(psi0: PureState2Q, chi12: float, t) -> float:
     amplitudes d1..d4 this reduces to 4 |d1 d2 d3 d4 sin(chi12 t)|, and for
     the Bell-like state to |cos(chi12 t)|.
     """
-    _check_chi12(chi12)
-    t = _checked_times(t)
+    t = _phase_times(chi12, t, 2.0)
     val = 2.0 * np.abs(np.exp(-2j * chi12 * t) * psi0.c00 * psi0.c11 - psi0.c01 * psi0.c10)
     return _unwrap(t, val)
 
@@ -185,8 +188,7 @@ def werner_like_lossless_curve(p: float, chi12: float, t):
     Starts at (3p - 1)/2 and oscillates with the Kerr phase.
     """
     _check_weight(p)
-    _check_chi12(chi12)
-    t = _checked_times(t)
+    t = _phase_times(chi12, t, 1.0)
     val = 0.5 * np.maximum(0.0, p * (2.0 * np.abs(np.cos(chi12 * t)) + 1.0) - 1.0)
     return _unwrap(t, val)
 
@@ -298,7 +300,7 @@ def check_ordering_inequalities(gamma: float, chi12: float, t_grid,
     near each revival must not fall below the uncoupled curve at that revival.
     A finite chi12 <= 0 skips them; a NaN or infinite chi12 raises ValueError.
     """
-    _check_chi12(chi12)
+    _check_finite(chi12, "chi12")
     slack = _ORDERING_SLACK
     ts = np.atleast_1d(np.asarray(t_grid, dtype=float))
     c_psi, n_psi = bell_psi_curves(gamma, ts)
@@ -355,14 +357,12 @@ class EitParams:
     n_at: int
 
     def __post_init__(self):
-        # each comparison is written so that NaN fails it
-        for name in ("g13", "g24"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
-        if not 0 < self.omega_c < math.inf:
-            raise ValueError(f"omega_c must be positive and finite, got {self.omega_c}")
-        if not (self.delta_omega2 != 0 and math.isfinite(self.delta_omega2)):
-            raise ValueError(f"delta_omega2 must be nonzero and finite, got {self.delta_omega2}")
+        for name in ("g13", "g24", "omega_c", "delta_omega2"):
+            _check_finite(getattr(self, name), name)
+        if not self.omega_c > 0:
+            raise ValueError(f"omega_c must be positive, got {self.omega_c}")
+        if self.delta_omega2 == 0:
+            raise ValueError(f"delta_omega2 must be nonzero, got {self.delta_omega2}")
         _check_whole(self.n_at, "n_at", 1)
 
 

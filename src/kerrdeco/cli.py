@@ -51,7 +51,7 @@ class Scenario:
     """One simulation request: initial state, cavity parameters, grid, engine, outputs.
 
     Everything except ``outputs`` is checked by ``evolution.validate_run``,
-    the same rules ``trajectory`` applies.
+    the same rules ``trajectory`` applies, so every request admitted runs.
     """
 
     initial: InitialState
@@ -147,13 +147,7 @@ def _check_rows(flag: str, count: int, points: int) -> None:
 
 
 def _output_header(wanted: Sequence[str]) -> list:
-    head = []
-    for name in wanted:
-        if name == "matrix_elements":
-            head.extend(_MATRIX_COLUMNS)
-        else:
-            head.append(name)
-    return head
+    return [col for name in wanted for col in (_MATRIX_COLUMNS if name == "matrix_elements" else (name,))]
 
 
 def _table(scenario: Scenario) -> np.ndarray:
@@ -319,11 +313,7 @@ class _Parser(argparse.ArgumentParser):
     # verification failures, so remap usage errors to 1
     def error(self, message):
         self.print_usage(sys.stderr)
-        raise _UsageError(message)
-
-
-class _UsageError(ValueError):
-    pass
+        raise ValueError(message)
 
 
 @functools.cache
@@ -338,8 +328,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sim.add_argument("--out", metavar="FILE", help="output CSV path (default: stdout)")
 
     fig = sub.add_parser("figure", help="emit the data behind one bundled figure")
-    fig.add_argument("figure_id", nargs="?", choices=_FIGURES, help="figure name")
-    fig.add_argument("--figure", dest="figure_flag", choices=_FIGURES, help="figure name (flag form)")
+    fig.add_argument("figure_id", choices=_FIGURES, help="figure name")
     fig.add_argument("--p", metavar="LIST", help="comma-separated mixing weights for fig3/fig4")
     fig.add_argument("--out", metavar="FILE", help="output CSV path (default: stdout)")
 
@@ -351,9 +340,7 @@ def _build_parser() -> argparse.ArgumentParser:
     swp.add_argument("--out", metavar="FILE", help="output CSV path (default: stdout)")
 
     ver = sub.add_parser("verify", help="run the self-check battery")
-    ver.add_argument("level", nargs="?", choices=("fast", "full"), help="check depth")
-    ver.add_argument("--verify", dest="level_flag", choices=("fast", "full"),
-                     help="check depth (flag form)")
+    ver.add_argument("level", nargs="?", default="fast", choices=("fast", "full"), help="check depth (default: fast)")
     ver.add_argument("--json", action="store_true", help="emit a JSON verdict")
     ver.add_argument("--out", metavar="FILE", help="output path (default: stdout)")
     return parser
@@ -387,13 +374,6 @@ def _open_out(path: Optional[str]):
         yield types.SimpleNamespace(write=write)
 
 
-def _one_form(flag: str, positional: Optional[str], flagged: Optional[str]) -> Optional[str]:
-    """The value given positionally or as ``--flag``; both forms with different values are a usage error."""
-    if positional and flagged and positional != flagged:
-        raise ValueError(f"conflicting values {positional!r} and --{flag} {flagged!r}")
-    return flagged or positional
-
-
 def _dispatch(args) -> int:
     if args.command == "simulate":
         scenario = load_scenario(args.scenario)
@@ -401,12 +381,9 @@ def _dispatch(args) -> int:
             run_simulate(scenario, stream)
         return 0
     if args.command == "figure":
-        fig_id = _one_form("figure", args.figure_id, args.figure_flag)
-        if fig_id is None:
-            raise ValueError("figure needs an id: positional or --figure")
         p_values = None if args.p is None else _parse_values(args.p)
         with _open_out(args.out) as stream:
-            run_figure(fig_id, p_values, stream)
+            run_figure(args.figure_id, p_values, stream)
         return 0
     if args.command == "sweep":
         scenario = load_scenario(args.scenario)
@@ -415,9 +392,8 @@ def _dispatch(args) -> int:
             run_sweep(scenario, args.sweep, values, stream)
         return 0
     if args.command == "verify":
-        level = _one_form("verify", args.level, args.level_flag) or "fast"
         with _open_out(args.out) as stream:
-            return run_verify(level, args.json, stream)
+            return run_verify(args.level, args.json, stream)
     raise ValueError(f"unknown command {args.command!r}")
 
 

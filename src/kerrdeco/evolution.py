@@ -23,7 +23,7 @@ import numpy as np
 
 from .linalg import _cmul
 from .states import (
-    DensityMatrix2Q, InitialState, _CORES, _as_density, _check_whole, _initial_matrix,
+    DensityMatrix2Q, InitialState, _CORES, _as_density, _check_finite, _check_whole, _initial_matrix,
     bell_like, bell_phi, bell_psi, initial_density, initial_label,
 )
 from .states import BellLike  # noqa: F401  benchmarks/test_benchmark.py reaches the tag as evolution.BellLike
@@ -72,8 +72,7 @@ class CavityParams:
     def __post_init__(self):
         for f in fields(self):
             v = getattr(self, f.name)
-            if not math.isfinite(v):
-                raise ValueError(f"{f.name} must be finite, got {v}")
+            _check_finite(v, f.name)
             if v < 0 and not f.name.startswith("chi"):
                 raise ValueError(f"{f.name} must be nonnegative, got {v}")
             # a Python float, so the rate arithmetic of the caps overflows to inf, not to a numpy warning
@@ -398,7 +397,7 @@ def _check_held(fock_dim: int, points: int, what: str, stack: int, held: int) ->
     """A ValueError if an oracle run holds more than ``_MAX_ORACLE_ENTRIES`` complex entries at once."""
     if not held <= _MAX_ORACLE_ENTRIES:
         raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {what} for {stack} state(s) "
-                         f"hold {held:.3g}, above the cap of {_MAX_ORACLE_ENTRIES:.3g}")
+                         f"hold {held}, above the cap of {_MAX_ORACLE_ENTRIES}")
 
 
 def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int, stack: int, uniform: bool) -> None:
@@ -786,14 +785,19 @@ _ENGINES = ("analytic", "oracle", "closed_form")
 # allocation error (1e8 points asked 11.2 GiB) instead of a message naming the field.
 _MAX_POINTS = 100_000
 
+# trajectory's grid rule as a floor on t_max: from the least normal float up, np.linspace(0.0, t_max, n) is strictly
+# increasing for every n admitted; a subnormal t_max repeats times (5e-324 at 401 points, 11 * 5e-324 at 8)
+_T_MAX_FLOOR = float(np.finfo(float).tiny)
+
 
 def validate_run(initial: InitialState, params: CavityParams, t_max: float,
                  n_points: int, engine: str = "analytic", fock_dim: int = 2) -> None:
-    """Raise ValueError, naming the field, unless ``trajectory`` accepts this request."""
+    """Raise ValueError, naming the field, unless ``trajectory`` accepts this request; ``t_max`` >= ``_T_MAX_FLOOR``."""
     if engine not in _ENGINES:
         raise ValueError(f"unknown engine {engine!r}, expected one of {_ENGINES}")
-    if not 0 < t_max < math.inf:
-        raise ValueError(f"t_max must be positive and finite, got {t_max}")
+    _check_finite(t_max, "t_max")
+    if not t_max >= _T_MAX_FLOOR:
+        raise ValueError(f"t_max must be at least {_T_MAX_FLOOR!r}, the least normal float, got {t_max}")
     _check_whole(n_points, "n_points", 2)
     if n_points > _MAX_POINTS:
         raise ValueError(f"n_points must be at most {_MAX_POINTS}, got {n_points}")

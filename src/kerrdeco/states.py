@@ -61,9 +61,23 @@ def _norm_sign(sign) -> int:
     raise ValueError(f"sign must be '+' or '-', got {sign!r}")
 
 
+def _check_norm(amplitudes, what: str) -> None:
+    """The one norm rule: a ValueError starting with ``what`` unless the squared moduli sum to 1 within ``NORM_TOL``.
+    Each is ``abs(c) * abs(c)``, inf past the float range, so the sum is a plain float; NaN fails the comparison."""
+    norm = 0.0
+    for c in amplitudes:
+        try:
+            m = abs(complex(c))
+        except OverflowError:  # a modulus, or an int, past the float range
+            m = math.inf
+        norm += m * m
+    if not abs(norm - 1.0) <= NORM_TOL:
+        raise ValueError(f"{what} not normalized: |c|^2 sums to {norm!r}")
+
+
 @dataclass(frozen=True)
 class PureState2Q:
-    """Normalized pure state with amplitudes c00, c01, c10, c11."""
+    """Normalized pure state with finite amplitudes c00, c01, c10, c11; the norm rule is ``_check_norm``."""
 
     c00: complex
     c01: complex
@@ -76,9 +90,7 @@ class PureState2Q:
             if not cmath.isfinite(c):
                 raise ValueError(f"amplitude {name} must be finite, got {c}")
             object.__setattr__(self, name, c)
-        norm = sum(abs(c) ** 2 for c in self.amplitudes())
-        if abs(norm - 1.0) > NORM_TOL:
-            raise ValueError(f"amplitudes are not normalized (|c|^2 sums to {norm!r})")
+        _check_norm((self.c00, self.c01, self.c10, self.c11), "amplitudes (c00, c01, c10, c11) are")
 
     def amplitudes(self) -> np.ndarray:
         return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
@@ -207,17 +219,16 @@ class PlusPlus:
 
 @dataclass(frozen=True)
 class Separable:
+    """Product state (d1|0> + d2|1>) x (d3|0> + d4|1>); each factor must be normalized on its own (``_check_norm``)."""
+
     d1: complex
     d2: complex
     d3: complex
     d4: complex
 
     def __post_init__(self):
-        for pair, names in (((self.d1, self.d2), "d1, d2"), ((self.d3, self.d4), "d3, d4")):
-            norm = abs(pair[0]) ** 2 + abs(pair[1]) ** 2
-            # written so that NaN fails it
-            if not abs(norm - 1.0) <= NORM_TOL:
-                raise ValueError(f"factor ({names}) is not normalized: |d|^2 sums to {norm!r}")
+        _check_norm((self.d1, self.d2), "factor (d1, d2) is")
+        _check_norm((self.d3, self.d4), "factor (d3, d4) is")
 
 
 @dataclass(frozen=True)
@@ -295,12 +306,9 @@ def bell_like() -> PureState2Q:
 
 
 def separable(d1, d2, d3, d4) -> PureState2Q:
-    """Product state (d1|0> + d2|1>) x (d3|0> + d4|1>).
-
-    Each factor must be normalized on its own.
-    """
+    """Product state (d1|0> + d2|1>) x (d3|0> + d4|1>); ``Separable`` checks each factor."""
     d1, d2, d3, d4 = complex(d1), complex(d2), complex(d3), complex(d4)
-    Separable(d1, d2, d3, d4)  # the tag checks each factor
+    Separable(d1, d2, d3, d4)
     return PureState2Q(d1 * d3, d1 * d4, d2 * d3, d2 * d4)
 
 
@@ -399,6 +407,17 @@ def _read(value, name: str, kind: type = float):
         what = {float: "a number", int: "a whole number",
                 complex: "a complex number, written as a number or [re, im]"}[kind]
         raise ValueError(f"{name} must be {what}, got {value!r}") from None
+
+
+def _check_finite(value, name: str) -> None:
+    """The one rule of a real number field: a ValueError naming ``name`` unless ``value`` is finite, also for an int
+    past the float range, on which ``math.isfinite`` raises OverflowError."""
+    try:
+        finite = math.isfinite(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be finite, got an int past the float range") from None
+    if not finite:
+        raise ValueError(f"{name} must be finite, got {value}")
 
 
 def _check_whole(value, name: str, least: int) -> None:

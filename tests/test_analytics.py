@@ -1,5 +1,7 @@
+import dataclasses
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -78,6 +80,12 @@ class TestBellCurves:
             bell_psi_curves(GAMMA, t)
         with pytest.raises(ValueError, match="must be finite and nonnegative, got nan"):
             concurrence_envelope(GAMMA, t)
+
+    def test_gamma_t_past_the_float_range_is_the_decayed_limit(self):
+        # -gamma * t overflows to -inf, whose exponential is g = 0; pyproject makes numpy's overflow warning an error
+        assert bell_psi_curves(1e308, 1e10) == (0.0, 0.0)
+        c, n = bell_psi_curves(1e308, np.array([0.0, 1e10]))
+        assert c.tolist() == n.tolist() == [1.0, 0.0]
 
     @pytest.mark.parametrize("t", [math.inf, [0.1, math.inf], -math.inf])
     def test_rejects_infinite_times(self, t):
@@ -214,6 +222,15 @@ class TestLosslessFormulas:
             werner_like_lossless_curve(0.5, 20.0, t)
         with pytest.raises(ValueError, match="must be finite and nonnegative, got"):
             unitary_pure_entanglement(bell_like(), 20.0, t)
+
+    @pytest.mark.parametrize("chi12, t", [(1e308, 1e10), (-1e308, [0.0, 1e10])])
+    def test_a_phase_past_the_float_range_is_named(self, chi12, t):
+        # the phase chi12 * t is inf, whose cosine is NaN after a numpy warning, which pyproject makes an error
+        want = re.escape(f"the Kerr phase of chi12 = {chi12!r} at t = 10000000000.0 passes the float range")
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            unitary_pure_entanglement(bell_like(), chi12, t)
+        with pytest.raises(ValueError, match=f"^{want}$"):
+            werner_like_lossless_curve(0.5, chi12, t)
 
     @pytest.mark.parametrize("chi12", [math.nan, math.inf, -math.inf])
     def test_a_non_finite_coupling_is_named(self, chi12):
@@ -500,3 +517,12 @@ class TestCrossCoupling:
         est = CrossCouplingEstimate(0.3, 1.0, False)
         with pytest.raises(AttributeError):
             est.chi12 = 0.4
+
+
+# an int past the float range made math.isfinite raise OverflowError, naming no field
+@pytest.mark.parametrize("cls, field", [(CavityParams, f.name) for f in dataclasses.fields(CavityParams)]
+                         + [(EitParams, name) for name in ("g13", "g24", "omega_c", "delta_omega2")])
+def test_an_int_past_the_float_range_is_named(cls, field):
+    good = {} if cls is CavityParams else dict(g13=1.0, g24=1.0, omega_c=10.0, delta_omega2=5.0, n_at=100)
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got an int past the float range$"):
+        cls(**{**good, field: 10 ** 400})

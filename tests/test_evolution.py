@@ -3,6 +3,7 @@ import dataclasses
 import math
 import time
 import tracemalloc
+import unittest.mock
 import warnings
 
 import numpy as np
@@ -1351,7 +1352,7 @@ class TestTrajectory:
                 trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
             return
         message = (r"^oracle run too large at fock_dim 16: 100000 times of 2116 kept and 16 returned entries for "
-                   r"1 state\(s\) hold 2.13e\+08, above the cap of 5e\+06$")
+                   r"1 state\(s\) hold 213200000, above the cap of 5000000$")
         with pytest.raises(ValueError, match=message):
             validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
         with pytest.raises(ValueError, match=message):
@@ -1366,20 +1367,20 @@ class TestTrajectory:
         with pytest.raises(AssertionError, match="^reached past the gate$"):
             integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2345), 16)
         with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 2346 times of 2116 kept and 16 "
-                                             r"returned entries for 1 state\(s\) hold 5e\+06, above the cap of "
-                                             r"5e\+06$"):
+                                             r"returned entries for 1 state\(s\) hold 5001672, above the cap of "
+                                             r"5000000$"):
             integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2346), 16)
 
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
         # quiet snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
         _checked_step(QUIET, 4, 1e-6, 50_000, 1, 84)
-        with pytest.raises(ValueError, match="hold 5e\\+06, above the cap"):
+        with pytest.raises(ValueError, match="hold 5000100, above the cap of 5000000$"):
             _checked_step(QUIET, 4, 1e-6, 50_001, 1, 84)
         # a warm run's per-sector product on a uniform grid, 3 * 16 entries per time: 104166 times make 4999968
         _checked_warm(THERMAL, 16, 0.01, 104_166, 1, True)
         with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 104167 times of the warm kernel's "
-                                             r"largest array for 1 state\(s\) hold 5e\+06, above the cap of 5e\+06$"):
+                                             r"largest array for 1 state\(s\) hold 5000016, above the cap of 5000000$"):
             _checked_warm(THERMAL, 16, 0.01, 104_167, 1, True)
         # and off it each time's two (16, 16) one-mode exponentials, 512 entries: 9765 times make 4999680
         uneven = np.cumsum(np.linspace(1.0, 2.0, 9766)) * 1e-6
@@ -1412,6 +1413,31 @@ class TestTrajectory:
             trajectory(BellPsi(+1), QUIET, 0.0, 5)
         with pytest.raises(ValueError, match="engine"):
             trajectory(BellPsi(+1), QUIET, 1.0, 5, engine="exact")
+
+    def test_t_max_below_the_least_normal_float_is_named(self):
+        # np.linspace(0.0, 5e-324, 401) repeats times, which trajectory's grid check refused naming no field
+        tiny = float(np.finfo(float).tiny)
+        with pytest.raises(ValueError, match=rf"^t_max must be at least {tiny!r}, the least normal float, got 5e-324$"):
+            validate_run(BellPsi(), CavityParams(), 5e-324, 401, "closed_form")
+        validate_run(BellPsi(), CavityParams(), tiny, 401, "closed_form")
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(t_max=st.floats(min_value=5e-324, max_value=1e3), n_points=st.integers(min_value=2, max_value=100_000))
+    def test_every_admitted_request_gets_a_strictly_increasing_grid(self, t_max, n_points):
+        from kerrdeco import evolution
+        if t_max < np.finfo(float).tiny:
+            with pytest.raises(ValueError, match="^t_max must be at least"):
+                validate_run(BellPsi(), QUIET, t_max, n_points)
+            return
+        validate_run(BellPsi(), QUIET, t_max, n_points)
+
+        def start_at_every_time(rho0, params, t):
+            # the grid is what is checked here, not the propagator
+            return np.broadcast_to(rho0.matrix, (len(t), 4, 4))
+        with unittest.mock.patch.object(evolution, "propagate", start_at_every_time):
+            traj = trajectory(BellPsi(), QUIET, t_max, n_points)
+        assert len(traj.times) == n_points and traj.times[-1] == t_max
+        assert np.all(np.diff(traj.times) > 0)
 
     @pytest.mark.parametrize("engine", ["analytic", "oracle", "closed_form"])
     def test_the_grid_cap_is_inclusive_for_every_engine(self, engine):

@@ -25,6 +25,14 @@ class TestPureState:
         with pytest.raises(ValueError, match="not normalized"):
             PureState2Q(1.0, 1.0, 0.0, 0.0)
 
+    # |c|^2 past the float range sums to inf, a plain float, with no OverflowError or numpy warning
+    @pytest.mark.parametrize("amps, total", [((1.0, 1.0, 0.0, 0.0), "2.0"), ((complex(1e308, 1e308), 0, 0, 1), "inf"),
+                                             ((complex(1.7e308, 1.7e308), 0, 0, 1), "inf")])
+    def test_the_norm_sum_is_reported_as_a_plain_float(self, amps, total):
+        want = rf"^amplitudes \(c00, c01, c10, c11\) are not normalized: \|c\|\^2 sums to {total}$"
+        with pytest.raises(ValueError, match=want):
+            PureState2Q(*amps)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(0.0, math.nan)])
     def test_rejects_non_finite_amplitude_by_name(self, bad):
         with pytest.raises(ValueError, match="c10 must be finite"):
@@ -338,6 +346,8 @@ class TestTags:
         ((1.0, 1.0, 1.0, 0.0), "d1, d2"),
         ((0.6, 0.8, complex(float("nan"), 0.0), 0.0), "d3, d4"),
         ((0.6, 0.8, 1.0, 1.0), "d3, d4"),
+        ((1e200, 0.0, 1.0, 0.0), "d1, d2"),
+        ((0.6, 0.8, 10 ** 400, 0), "d3, d4"),
     ])
     def test_separable_tag_checks_each_factor(self, d, names):
         with pytest.raises(ValueError, match=f"factor \\({names}\\) is not normalized"):
