@@ -54,6 +54,7 @@ class CurvePoint(NamedTuple):
 def _survival(gamma: float, t):
     if not 0 <= gamma < math.inf:
         raise ValueError(f"gamma must be finite and nonnegative, got {gamma}")
+    _check_finite(gamma, "gamma")  # an int past the float range passes the comparison
     t = _checked_times(t)
     with np.errstate(over="ignore"):  # -gamma t past the float range is -inf: the decayed limit g = 0
         return t, np.exp(-gamma * t)
@@ -245,6 +246,7 @@ def revival_times(chi12: float, count: int) -> np.ndarray:
     """The first ``count`` revival times n*pi/chi12 of the coupled oscillation."""
     if not 0 < chi12 < math.inf:
         raise ValueError(f"chi12 must be positive and finite, got {chi12}")
+    _check_finite(chi12, "chi12")  # an int past the float range passes the comparison
     _check_whole(count, "count", 1)
     return np.arange(1, count + 1) * math.pi / chi12
 
@@ -364,6 +366,7 @@ class EitParams:
         if self.delta_omega2 == 0:
             raise ValueError(f"delta_omega2 must be nonzero, got {self.delta_omega2}")
         _check_whole(self.n_at, "n_at", 1)
+        _check_finite(self.n_at, "n_at")
 
 
 @dataclass(frozen=True)

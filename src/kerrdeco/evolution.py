@@ -3,9 +3,10 @@
 Two independent routes to the same physics live here. ``propagate`` applies the exact amplitude-damping propagator
 of quiet (zero-temperature) reservoirs to one state or a stack of B at one time or N times, each matrix equal bit for
 bit to the scalar complex arithmetic. ``integrate_master_grid``, the cross-checking oracle, evolves a two-qubit start
-by the full master equation on a truncated Fock space over a time grid and also covers thermal reservoirs; its
-docstring gives its kernels and their caps. It never calls ``rj_factor``, but its warm kernel factors each coherence
-sector per mode as the propagator does, so a test holds those factors to the oracle's whole-space generator.
+by the full master equation over a time grid: with quiet reservoirs on the 16 qubit entries, which it never leaves,
+and with thermal ones on a truncated Fock space; its docstring gives its kernels and their caps. It never calls
+``rj_factor``, but its warm kernel factors each coherence sector per mode as the propagator does, so a test holds
+those factors to the oracle's whole-space generator.
 ``closed_form_rho`` gives the direct evolved matrices of the named families, and ``trajectory`` runs any of the three
 engines on a uniform grid.
 
@@ -46,9 +47,9 @@ _SERIES_SWITCH = 1e-8
 
 _NEEDS_QUIET = "analytic propagation requires quiet reservoirs (nbar = 0); thermal runs need the oracle engine"
 
-# The largest per-mode truncation. The oracle's gates bound what a run holds; this bounds its time where
-# truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401 times takes 10 ms, a quiet one 5 s
-# and 425 MB before its first RK4 step (its box keeps K = 2116 entries), and the truncation error is about 2e-9.
+# The largest per-mode truncation. The oracle's gates bound what a run holds; this bounds a warm run's time where
+# truncation no longer pays: at 16 (one BLAS thread) a warm Bell-like run of 401 times takes 10 ms, and the truncation
+# error is about 2e-9. A quiet run never leaves the qubit levels, so it is the same at every fock_dim.
 _MAX_FOCK_DIM = 16
 
 
@@ -342,21 +343,21 @@ _STABILITY_LIMIT = 0.1
 # The most RK4 steps a quiet run may take to its last time, and the most work, steps * K**2 * B, as each step
 # multiplies a (K, K) matrix into B states of K kept entries: 50x the largest run these caps were set for (the thermal
 # workload at fock_dim 5, t_max 1, when it still stepped RK4: about 20k steps at K = 169, 5.8e8). Stronger rates, a
-# longer run or a larger fock_dim fail at the boundary instead of stepping for hours.
+# longer run or a larger stack fail at the boundary instead of stepping for hours.
 _MAX_RK4_STEPS = 1_000_000
 _MAX_RK4_WORK = 29_000_000_000
 
 
-def _default_step(params: CavityParams, fock_dim: int) -> float:
-    """The RK4 step: phase truncation error well under 1e-8 per run, and stable.
+def _default_step(params: CavityParams) -> float:
+    """The RK4 step of a quiet run, from the rates alone: phase truncation error well under 1e-8 per run, and stable.
 
-    The step times the stability scale, the fastest damping plus 2 * (strongest Kerr coupling) * fock_dim**2, stays
-    below ``_STABILITY_LIMIT``.
+    The step times the stability scale at the qubit levels, the fastest damping plus 8 * (strongest Kerr coupling),
+    stays below ``_STABILITY_LIMIT``.
     """
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
-    accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 2.0 * chi_sum * fock_dim + 1.0)
+    accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 4.0 * chi_sum + 1.0)
     chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
-    scale = max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
+    scale = max(params.gamma1, params.gamma2) + 8.0 * chi_max
     return min(accuracy, _STABILITY_LIMIT / (scale + 1.0))
 
 
@@ -380,11 +381,10 @@ def _generator_bound(params: CavityParams, fock_dim: int) -> float:
 
 
 # The most complex entries an oracle run may hold at once, as its gates count them. Measured with one BLAS thread: a
-# quiet run's snapshots peak at 21-27 bytes per entry, and its RK4 generator over the box at 95 (425 MB for K = 2116,
-# a Bell-like start's box at fock_dim 16, the largest of any two-qubit start, so K**2 = 4.48e6 stays under the cap). A
-# warm run peaks at 31 bytes per counted entry on a uniform grid (143 MiB for a Bell-like start at fock_dim 16 with
-# 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off it (401 MiB for 9765 times at fock_dim 16). So a run at the cap
-# peaks near 0.5 GB; without it a quiet Bell-like run at fock_dim 16 with 1e5 points asked 3.4 GB.
+# quiet run's snapshots peak at 17.5 bytes per entry (1e5 times of a Bell-like start's 16 kept and 16 returned), and
+# its RK4 generator over the box, at most 16 x 16, is not counted. A warm run peaks at 31 bytes per counted entry on a
+# uniform grid (143 MiB for a Bell-like start at fock_dim 16 with 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off
+# it (401 MiB for 9765 times at fock_dim 16). So a run at the cap peaks near 0.5 GB.
 _MAX_ORACLE_ENTRIES = 5_000_000
 
 
@@ -393,10 +393,10 @@ def _uniform(grid: np.ndarray) -> bool:
     return len(grid) > 1 and np.array_equal(grid, np.linspace(0.0, grid[-1], len(grid)))
 
 
-def _check_held(fock_dim: int, points: int, what: str, stack: int, held: int) -> None:
+def _check_held(where: str, points: int, what: str, stack: int, held: int) -> None:
     """A ValueError if an oracle run holds more than ``_MAX_ORACLE_ENTRIES`` complex entries at once."""
     if not held <= _MAX_ORACLE_ENTRIES:
-        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {points} times of {what} for {stack} state(s) "
+        raise ValueError(f"oracle run too large {where}: {points} times of {what} for {stack} state(s) "
                          f"hold {held}, above the cap of {_MAX_ORACLE_ENTRIES}")
 
 
@@ -409,7 +409,7 @@ def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int
     held to ``_MAX_ORACLE_ENTRIES``, and reaching ``t_end`` to ``_MAX_WARM_NORM``.
     """
     held = points * max(stack * max(16, 3 * fock_dim), 0 if uniform else 2 * fock_dim ** 2)
-    _check_held(fock_dim, points, "the warm kernel's largest array", stack, held)
+    _check_held(f"at fock_dim {fock_dim}", points, "the warm kernel's largest array", stack, held)
     norm = t_end * _generator_bound(params, fock_dim)
     if not norm <= _MAX_WARM_NORM:
         raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes t "
@@ -417,52 +417,55 @@ def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int
                          f"at {_rate_list(params)}")
 
 
-def _checked_step(params: CavityParams, fock_dim: int, t_end: float, points: int, stack: int, kept: int) -> float:
+def _checked_step(params: CavityParams, t_end: float, points: int, stack: int, kept: int) -> float:
     """The RK4 step of a quiet oracle run: a ValueError past the memory cap or the RK4 caps.
 
     Per time, each of ``stack`` states holds the snapshots of its ``kept`` box entries (``_kept_indices``) and of the
     16 returned ones, held to ``_MAX_ORACLE_ENTRIES`` over ``points`` times. Reaching ``t_end`` is held to
     ``_MAX_RK4_STEPS`` steps, and to ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
     """
-    _check_held(fock_dim, points, f"{kept} kept and 16 returned entries", stack, points * stack * (kept + 16))
-    step = _default_step(params, fock_dim)
+    _check_held("for quiet reservoirs", points, f"{kept} kept and 16 returned entries", stack,
+                points * stack * (kept + 16))
+    step = _default_step(params)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
-        raise ValueError(f"rates too large for the oracle at fock_dim {fock_dim}: reaching t = {t_end:g} takes "
+        raise ValueError(f"rates too large for the oracle with quiet reservoirs: reaching t = {t_end:g} takes "
                          f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {_rate_list(params)}")
     work = steps * kept * kept * stack
     if not work <= _MAX_RK4_WORK:
-        raise ValueError(f"oracle run too large at fock_dim {fock_dim}: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
+        raise ValueError(f"oracle run too large for quiet reservoirs: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
                          f"kept entries and {stack} state(s) make {work:.3g}, above the cap of {_MAX_RK4_WORK:.3g}")
     return step
 
 
-def _kept_indices(rho: np.ndarray, fock_dim: int) -> np.ndarray:
-    """Row-major vec indices on the two-mode Fock space that the master equation can make nonzero from the two-qubit
-    ``rho``, (4, 4) or (B, 4, 4): those a quiet run evolves.
+def _kept_indices(rho: np.ndarray) -> np.ndarray:
+    """Flat indices among the 16 entries of the two-qubit ``rho``, (4, 4) or (B, 4, 4), that the master equation can
+    make nonzero: those a quiet run evolves.
 
     The generator conserves each mode's coherence order ``m_j - n_j``, so an entry stays exactly zero if, in either
     mode, ``|m_j - n_j|`` exceeds the largest order among the nonzero entries of ``rho``; for a stack, of any member.
     """
-    # an entry at Fock levels (m1, m2), (n1, n2) has row-major index (m1 fock_dim + m2) fock_dim**2 + n1 fock_dim + n2
-    m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
+    # the entry at qubit levels (m1, m2), (n1, n2) has flat index 8 m1 + 4 m2 + 2 n1 + n2
+    m1, m2, n1, n2 = np.indices((2, 2, 2, 2))
     o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
     occupied = (rho.reshape(-1, 2, 2, 2, 2) != 0).any(axis=0)
-    box = (o1 <= o1[:2, :2, :2, :2][occupied].max(initial=0)) & (o2 <= o2[:2, :2, :2, :2][occupied].max(initial=0))
+    box = (o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0))
     return np.flatnonzero(box)
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fock_dim: int = 2) -> np.ndarray:
     """Evolve the full master equation from a two-qubit rho0, or each of a stack, recording at every time of a grid.
 
-    The start is placed at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned. Quiet
-    reservoirs step RK4 over the start's coherence-order box (``_kept_indices``, for a stack the union of its members'
-    boxes; every entry outside a member's own box stays exactly zero), whose bytes the pinned oracle CSV hashes record
-    (``_evolve_kept``). Warm ones evolve each occupied coherence sector, read from the 4x4 start, by its exact one-mode
-    propagators, forming only the rows returned (``_evolve_sectors``); on a grid that is exactly ``np.linspace(0.0,
-    times[-1], N)`` snapshot k is taken within 1.4 ulps of ``times[k]`` (1.6 for the last, over 3000 random grids). A
-    stack is evolved together. Before anything is built, ``_checked_step`` gates a quiet run and ``_checked_warm`` a
-    warm one: what it holds against ``_MAX_ORACLE_ENTRIES``, then the RK4 step and work caps or ``_MAX_WARM_NORM``.
+    The start sits at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned. With quiet
+    reservoirs a photon only decays, so no level above 1 is reached and a run is the ``fock_dim``-2 run at every
+    ``fock_dim``: it steps RK4, with a step from the rates alone, over the start's coherence-order box among the 16
+    qubit entries (``_kept_indices``, for a stack the union of its members' boxes; every entry outside a member's own
+    box stays exactly zero), whose bytes the pinned oracle CSV hashes record (``_evolve_kept``). Warm ones evolve each
+    occupied coherence sector, read from the 4x4 start, by its exact one-mode propagators, forming only the rows
+    returned (``_evolve_sectors``); on a grid that is exactly ``np.linspace(0.0, times[-1], N)`` snapshot k is taken
+    within 1.4 ulps of ``times[k]`` (1.6 for the last, over 3000 random grids). A stack is evolved together. Before
+    anything is built, ``_checked_step`` gates a quiet run and ``_checked_warm`` a warm one: what it holds against
+    ``_MAX_ORACLE_ENTRIES``, then the RK4 step and work caps or ``_MAX_WARM_NORM``.
 
     Parameters
     ----------
@@ -473,7 +476,8 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     times : sequence of float
         Times in us: 1-d, strictly increasing, finite and nonnegative.
     fock_dim : int
-        Per-mode truncation, a whole number from 2 to 16; thermal runs need headroom above the qubit subspace.
+        Per-mode truncation of a warm run, a whole number from 2 to 16; thermal runs need headroom above the qubit
+        subspace. A quiet run is checked for it and does not use it.
 
     Returns
     -------
@@ -497,22 +501,16 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
         _checked_warm(params, fock_dim, t_end, points, stack, _uniform(grid))
         out, trace = _evolve_sectors(rho, params, fock_dim, grid)
     else:
-        d = fock_dim * fock_dim
-        keep = _kept_indices(rho, fock_dim)
-        step = _checked_step(params, fock_dim, t_end, points, stack, len(keep))
-        # the start's entries on the two-mode space, Fock levels 0 and 1 of each mode, that are kept, and their places
-        # among the kept entries: one state is a (K,) vector of them, a stack a (K, B) block
-        qubits = np.array([0, 1, fock_dim, fock_dim + 1])
-        block = (d * qubits[:, None] + qubits).ravel()
-        inside = np.isin(block, keep)
-        at = np.searchsorted(keep, block[inside])
-        v = np.zeros((len(keep), *rho.shape[:-2]), dtype=complex)
-        v[at] = np.moveaxis(rho.reshape(*rho.shape[:-2], 16)[..., inside], -1, 0)
-        kept = _evolve_kept(v, params, fock_dim, keep, grid, step)
-        # the diagonal entries i * (d + 1) are always kept
-        trace = np.moveaxis(kept[:, keep % (d + 1) == 0].sum(axis=1), 0, -1)
+        # a quiet start never leaves the qubit levels, so at every fock_dim the run is the fock_dim-2 run: one state
+        # is a (K,) vector of its kept entries, a stack a C-ordered (K, B) block, the layout the pinned bytes used
+        keep = _kept_indices(rho)
+        step = _checked_step(params, t_end, points, stack, len(keep))
+        kept = _evolve_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], 16)[..., keep], -1, 0).copy(), params, keep,
+                            grid, step)
+        # the diagonal entries, 5 i, are always kept
+        trace = np.moveaxis(kept[:, keep % 5 == 0].sum(axis=1), 0, -1)
         out = np.zeros((*rho.shape[:-2], len(grid), 16), dtype=complex)
-        out[..., inside] = np.moveaxis(kept[:, at], (0, 1), (-2, -1))
+        out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
         out = out.reshape(*out.shape[:-1], 4, 4)
     drift = np.abs(trace - np.trace(rho, axis1=-2, axis2=-1)[..., None])
     if not np.all(drift <= 1e-9):
@@ -522,8 +520,7 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     return out
 
 
-def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.ndarray,
-                 grid: np.ndarray, step: float) -> np.ndarray:
+def _evolve_kept(v: np.ndarray, params: CavityParams, keep: np.ndarray, grid: np.ndarray, step: float) -> np.ndarray:
     """The kept entries ``v``, (K,) or (K, B), of a quiet run stepped by RK4 to every grid time: (N, K) or (N, K, B).
 
     Each distinct grid span has one RK4 step ``span / count``, applied ``count = ceil(span / step)`` times; its step
@@ -536,10 +533,9 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, fock_dim: int, keep: np.nd
     counts = [math.ceil(span / step) for span in spans.tolist()]
     # the grid index of each span's last use
     last = dict(zip(which.tolist(), range(start, n)))
-    lmat = _liouvillian(params, fock_dim, keep)
+    lmat = _liouvillian(params, 2, keep)
     kept = np.zeros((n, *v.shape), dtype=complex)
     kept[:start] = v
-    # a quiet box can be large, K = 2116 for a Bell-like start at fock_dim 16
     props = {}
     for i, j in enumerate(which.tolist(), start):
         if j not in props:
@@ -814,7 +810,7 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     if engine != "oracle":
         _check_analytic_rates(params, t_max)
     elif params.quiet:
-        _checked_step(params, fock_dim, t_max, n_points, 1, len(_kept_indices(_initial_matrix(initial), fock_dim)))
+        _checked_step(params, t_max, n_points, 1, len(_kept_indices(_initial_matrix(initial))))
     else:
         # on trajectory's grid, np.linspace(0.0, t_max, n_points), which is uniform
         _checked_warm(params, fock_dim, t_max, n_points, 1, True)
@@ -824,11 +820,11 @@ def trajectory(initial: InitialState, params: CavityParams, t_max: float,
                n_points: int, engine: str = "analytic", fock_dim: int = 2) -> Trajectory:
     """Evolve an initial state on a uniform grid of n_points times in [0, t_max].
 
-    Engines: "analytic" uses the damped propagator, "oracle" the master-equation oracle (RK4 steps for quiet
-    reservoirs, each coherence sector's exact one-mode propagators for warm ones, each with its own cap),
-    "closed_form" the direct evolved matrices. Thermal parameters require the oracle engine with fock_dim >= 4; the
-    resulting qubit states are projections and are marked approximate. The request is checked by ``validate_run``
-    before any work is done.
+    Engines: "analytic" uses the damped propagator, "oracle" the master-equation oracle (RK4 steps on the qubit levels
+    for quiet reservoirs at any ``fock_dim``, each coherence sector's exact one-mode propagators for warm ones, each
+    with its own cap), "closed_form" the direct evolved matrices. Thermal parameters require the oracle engine with
+    fock_dim >= 4; the resulting qubit states are projections and are marked approximate. The request is checked by
+    ``validate_run`` before any work is done.
     """
     validate_run(initial, params, t_max, n_points, engine, fock_dim)
     times = np.linspace(0.0, t_max, n_points)

@@ -86,10 +86,8 @@ class PureState2Q:
 
     def __post_init__(self):
         for name in ("c00", "c01", "c10", "c11"):
-            c = complex(getattr(self, name))
-            if not cmath.isfinite(c):
-                raise ValueError(f"amplitude {name} must be finite, got {c}")
-            object.__setattr__(self, name, c)
+            _check_finite(getattr(self, name), f"amplitude {name}", cmath.isfinite)
+            object.__setattr__(self, name, complex(getattr(self, name)))
         _check_norm((self.c00, self.c01, self.c10, self.c11), "amplitudes (c00, c01, c10, c11) are")
 
     def amplitudes(self) -> np.ndarray:
@@ -409,11 +407,11 @@ def _read(value, name: str, kind: type = float):
         raise ValueError(f"{name} must be {what}, got {value!r}") from None
 
 
-def _check_finite(value, name: str) -> None:
-    """The one rule of a real number field: a ValueError naming ``name`` unless ``value`` is finite, also for an int
-    past the float range, on which ``math.isfinite`` raises OverflowError."""
+def _check_finite(value, name: str, isfinite=math.isfinite) -> None:
+    """The one rule of a number field: a ValueError naming ``name`` unless ``value`` is finite, also for an int past the
+    float range, on which ``isfinite`` raises OverflowError. A complex field passes ``cmath.isfinite``."""
     try:
-        finite = math.isfinite(value)
+        finite = isfinite(value)
     except OverflowError:
         raise ValueError(f"{name} must be finite, got an int past the float range") from None
     if not finite:

@@ -17,7 +17,7 @@ from kerrdeco.analytics import (
 )
 from kerrdeco.evolution import CavityParams, propagate
 from kerrdeco.states import (
-    BellLike, WernerLike, bell_like, bell_psi, initial_density,
+    BellLike, PureState2Q, WernerLike, bell_like, bell_psi, initial_density,
     random_pure_state, separable, to_density,
 )
 
@@ -526,3 +526,15 @@ def test_an_int_past_the_float_range_is_named(cls, field):
     good = {} if cls is CavityParams else dict(g13=1.0, g24=1.0, omega_c=10.0, delta_omega2=5.0, n_at=100)
     with pytest.raises(ValueError, match=rf"^{field} must be finite, got an int past the float range$"):
         cls(**{**good, field: 10 ** 400})
+
+
+# each of these escaped as OverflowError, int too large to convert to float, where no check named the field
+@pytest.mark.parametrize("call, field", [
+    (lambda: PureState2Q(10 ** 400, 0, 0, 0), "amplitude c00"),
+    (lambda: revival_times(10 ** 400, 3), "chi12"),
+    (lambda: bell_psi_curves(10 ** 400, 1.0), "gamma"),
+    (lambda: EitParams(1, 1, 10, 5, 10 ** 400), "n_at"),
+], ids=["PureState2Q", "revival_times", "bell_psi_curves", "EitParams"])
+def test_an_int_past_the_float_range_is_named_by_every_api_call(call, field):
+    with pytest.raises(ValueError, match=rf"^{field} must be finite, got an int past the float range$"):
+        call()

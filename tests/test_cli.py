@@ -74,7 +74,8 @@ VERIFY_FULL = VERIFY_FAST + [
 
 
 # one bad field per request, and a word the error message must contain; each
-# case keeps its number as its id (6 to 9 were the cases of the removed step key)
+# case keeps its number as its id (6 to 9 were the cases of the removed step key; 27 and 28, quiet oracle runs at
+# fock_dim 16, are admitted since quiet runs keep to the qubit levels)
 BAD_REQUESTS = [
     (0, {"engine": "exact"}, "unknown engine"),
     (1, {"t_max": 0.0}, "t_max"),
@@ -104,13 +105,6 @@ BAD_REQUESTS = [
     (25, {"params": {"chi12": -1e308}, "engine": "closed_form"}, "chi12"),
     # past the grid cap: it used to die in numpy asking for 11.2 GiB
     (26, {"n_points": 100_000_000}, "n_points"),
-    # one time past the oracle's memory cap: 2346 snapshots of K = 2116 kept and 16 returned entries hold 5001672.
-    # A warm run at fock_dim 16 holds 3 * 16 entries per time, and the grid cap admits no more than 1e5 times
-    (27, {"params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0}, "engine": "oracle", "fock_dim": 16,
-          "n_points": 2346}, "fock_dim 16"),
-    # past the oracle's memory cap: 1e5 snapshots of K = 2116 kept entries asked 3.4 GB
-    (28, {"params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0}, "engine": "oracle", "fock_dim": 16,
-          "n_points": 100_000}, "fock_dim 16"),
     # a subnormal t_max: np.linspace(0.0, 5e-324, 401) repeats times, and trajectory failed naming no field
     (29, {"t_max": 5e-324}, "t_max"),
 ]
@@ -243,6 +237,17 @@ class TestSharedValidation:
         with pytest.raises(ValueError) as via_trajectory:
             trajectory(**trajectory_args(doc))
         assert str(via_scenario.value) == str(via_trajectory.value)
+
+    @pytest.mark.parametrize("n_points", [2346, 100_000])
+    def test_a_quiet_oracle_run_at_fock_dim_16_reaches_its_kernel(self, monkeypatch, n_points):
+        # a quiet run holds the 16 kept and 16 returned entries of its start per time at every fock_dim: 3.2e6 at
+        # the grid cap, under the memory cap
+        stop_before_running(monkeypatch)
+        doc = {"initial": {"family": "bell_like"}, "params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0},
+               "engine": "oracle", "fock_dim": 16, "n_points": n_points}
+        parse_scenario(doc)
+        with pytest.raises(_Reached):
+            trajectory(**trajectory_args(doc))
 
     @pytest.mark.parametrize("text, field", [
         ('"t_max": NaN', "t_max"),

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from kerrdeco import linalg
 from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werner_like_lossless_curve
 from kerrdeco.evolution import (
-    _MAX_ANALYTIC_SCALE, _MAX_FOCK_DIM, _MAX_ORACLE_ENTRIES, _MAX_RK4_STEPS, _MAX_WARM_NORM,
+    _MAX_ANALYTIC_SCALE, _MAX_FOCK_DIM, _MAX_RK4_STEPS, _MAX_WARM_NORM,
     CavityParams, Trajectory, _checked_step, _checked_warm, _default_step, _evolve_kept, _evolve_sectors, _expm,
     _generator_bound, _kept_indices, _liouvillian, _sector_blocks,
     closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
@@ -225,11 +225,11 @@ class TestMasterEquation:
         prm = CavityParams(gamma1=1.0, gamma2=1.0, chi11=2.0, chi22=2.0, chi12=5.0)
         rho0 = initial_density(BellLike()).matrix
         exact = propagate(rho0, prm, 0.2).matrix
-        keep = _kept_indices(rho0, 2)
+        keep = _kept_indices(rho0)
         errs = []
         for h in (0.002, 0.001):
             out = np.zeros(16, dtype=complex)
-            out[keep] = _evolve_kept(rho0.reshape(-1)[keep], prm, 2, keep, np.array([0.2]), h)[0]
+            out[keep] = _evolve_kept(rho0.reshape(-1)[keep], prm, keep, np.array([0.2]), h)[0]
             errs.append(linalg.trace_distance(out.reshape(4, 4), exact))
         assert 14.0 < errs[0] / errs[1] < 18.0
 
@@ -239,12 +239,13 @@ class TestMasterEquation:
         assert np.trace(out).real == pytest.approx(1.0, abs=1e-10)
 
     def test_default_step_respects_stability_guard(self):
+        # a quiet run stays on the qubit levels, where the stability scale is the fastest damping plus 8 chi_max
         for prm in (QUIET, CavityParams(gamma1=30.0, chi11=50.0, chi22=50.0, chi12=50.0)):
-            for fd in (2, 3, 4, 6):
-                h = _default_step(prm, fd)
-                gmax = max(prm.gamma1, prm.gamma2)
-                chi_max = max(abs(prm.chi11), abs(prm.chi22), abs(prm.chi12))
-                assert (gmax + 2.0 * chi_max * fd ** 2) * h <= 0.1
+            h = _default_step(prm)
+            gmax = max(prm.gamma1, prm.gamma2)
+            chi_max = max(abs(prm.chi11), abs(prm.chi22), abs(prm.chi12))
+            assert (gmax + 8.0 * chi_max) * h <= 0.1
+            assert h == rk4_step(prm, 2)
 
     def test_rates_whose_step_underflows_are_rejected(self):
         rho0 = initial_density(BellPsi(+1)).matrix
@@ -351,10 +352,20 @@ def rk4_step_matrix(lmat, h):
     return m
 
 
+def rk4_step(params, fock_dim):
+    """An RK4 step stable on the whole space truncated at ``fock_dim``: its stability scale is the fastest damping plus
+    2 * (strongest Kerr coupling) * fock_dim**2. At fock_dim 2 it is ``_default_step``, bit for bit."""
+    chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
+    accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 2.0 * chi_sum * fock_dim + 1.0)
+    chi_max = max(abs(params.chi11), abs(params.chi22), abs(params.chi12))
+    scale = max(params.gamma1, params.gamma2) + 2.0 * chi_max * fock_dim ** 2
+    return min(accuracy, 0.1 / (scale + 1.0))
+
+
 def dense_rk4_grid(rho0, params, times, fock_dim):
-    """The oracle's RK4 recurrence on the whole of vec(rho), with the default step."""
+    """The RK4 recurrence on the whole of vec(rho), with ``rk4_step``."""
     lmat = _liouvillian(params, fock_dim, np.arange(fock_dim ** 4))
-    step = _default_step(params, fock_dim)
+    step = rk4_step(params, fock_dim)
     d = fock_dim * fock_dim
     v = np.array(rho0, dtype=complex).reshape(-1)
     out, prev, cache = [], 0.0, {}
@@ -429,7 +440,10 @@ class TestCoherenceOrders:
     @pytest.mark.parametrize("fock_dim", [2, 3, 4, 5])
     def test_generator_built_on_the_kept_entries_is_the_sliced_kron_build(self, rng, fock_dim):
         full = kron_liouvillian(THERMAL, fock_dim)
-        box = _kept_indices(initial_density(BellLike()).matrix, fock_dim)
+        start = initial_density(BellLike()).matrix
+        box = fock_box(embed_qubits(start, fock_dim), fock_dim)
+        if fock_dim == 2:
+            assert box.tobytes() == _kept_indices(start).tobytes()
         subset = np.sort(rng.choice(fock_dim ** 4, size=fock_dim ** 3, replace=False))
         for keep in (box, subset, np.arange(fock_dim ** 4)):
             got = _liouvillian(THERMAL, fock_dim, keep)
@@ -487,16 +501,23 @@ class TestCoherenceOrders:
         assert max(np.abs(g - w).max() for g, w in zip(got, dense_rk4_grid(rho0, THERMAL, times, 2))) < RK4_BOUND
 
 
-def frozen_oracle_loop(rho0, params, times, fock_dim):
-    """The single-state oracle as one matrix-vector step loop, frozen as the bit-for-bit reference."""
-    d = fock_dim * fock_dim
-    rho = np.array(rho0, dtype=complex, copy=True)
+def fock_box(big, fock_dim):
+    """The row-major vec indices of the coherence-order box of ``big``, a matrix on the two-mode space truncated at
+    ``fock_dim``: the entries whose order, in each mode, is at most the largest among the nonzero entries."""
     m1, m2, n1, n2 = np.indices((fock_dim,) * 4)
     o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
-    occupied = rho.reshape(o1.shape) != 0
-    keep = np.flatnonzero((o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0)))
+    occupied = np.asarray(big).reshape(o1.shape) != 0
+    return np.flatnonzero((o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0)))
+
+
+def frozen_oracle_loop(rho0, params, times, fock_dim):
+    """One state's RK4 oracle on the whole space truncated at ``fock_dim`` as one matrix-vector step loop, with
+    ``rk4_step``: at fock_dim 2 it is frozen as the bit-for-bit reference of a quiet run."""
+    d = fock_dim * fock_dim
+    rho = np.array(rho0, dtype=complex, copy=True)
+    keep = fock_box(rho, fock_dim)
     lmat = _liouvillian(params, fock_dim, keep)
-    step = _default_step(params, fock_dim)
+    step = rk4_step(params, fock_dim)
     out = []
     prev = 0.0
     v = rho.reshape(-1)[keep]
@@ -533,21 +554,32 @@ class TestStackedOracle:
         (COLD, 4, np.linspace(0.0, 0.3, 31)),
     ])
     def test_one_state_is_the_frozen_loop_bit_for_bit(self, rng, params, fock_dim, times):
-        # quiet runs step RK4; warm ones are held to the loop by the next test. The loop runs on the embedded start
+        # quiet runs step RK4; warm ones are held to the loop by the next test. At every fock_dim a quiet run is the
+        # fock_dim-2 run, which the loop freezes
         for initial in (BellLike(), Separable(1.0, 0.0, 0.6, 0.8), CustomMixed(random_density_matrix(rng))):
             rho0 = initial_density(initial).matrix
             got = integrate_master_grid(rho0, params, times, fock_dim)
-            want = frozen_oracle_loop(embed_qubits(rho0, fock_dim), params, times.tolist(), fock_dim)
+            want = frozen_oracle_loop(rho0, params, times.tolist(), 2)
             assert got.shape == (len(times), 4, 4) and got.flags.c_contiguous
-            assert got.tobytes() == qubit_block(want, fock_dim).tobytes()
+            assert got.tobytes() == qubit_block(want, 2).tobytes()
+
+    @pytest.mark.parametrize("times", [np.linspace(0.0, 0.3, 31), np.cumsum(np.arange(1, 31) * 1e-3)],
+                             ids=["uniform", "uneven"])
+    def test_a_quiet_run_is_the_fock_dim_2_run_bit_for_bit_at_every_fock_dim(self, rng, times):
+        # a quiet start never leaves the qubit levels: a photon only decays, so no level above 1 is ever reached
+        stack = np.concatenate([mixed_qubit_stack(rng), [initial_density(BellLike()).matrix]])
+        for rho0 in (*stack, stack):
+            want = integrate_master_grid(rho0, COLD, times, 2).tobytes()
+            for fock_dim in range(3, _MAX_FOCK_DIM + 1):
+                assert integrate_master_grid(rho0, COLD, times, fock_dim).tobytes() == want
 
     def test_an_uneven_grid_holds_a_few_span_propagators_and_is_the_frozen_loop(self):
-        # 300 distinct spans, each with its own (100, 100) RK4 step matrix of 156 KiB, 46 MiB for all of them
-        times = np.cumsum(np.arange(1, 301) * 1e-6)
-        assert len(np.unique(np.diff(times, prepend=0.0))) == 300
+        # 3000 distinct spans, each with its own (16, 16) RK4 step matrix of 4 KiB, 12 MiB for all of them; the run's
+        # snapshots take 1.5 MiB (1.6 MiB peak measured)
+        times = np.cumsum(np.arange(1, 3001) * 1e-7)
+        assert len(np.unique(np.diff(times, prepend=0.0))) == 3000
         start = initial_density(BellLike()).matrix
-        rho0 = embed_qubits(start, 4)
-        k = len(_kept_indices(start, 4))
+        k = len(_kept_indices(start))
         integrate_master_grid(start, QUIET, times[:3], 4)
         tracemalloc.start()
         try:
@@ -555,9 +587,9 @@ class TestStackedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert k == 100 and peak < 16 * k * k * 16
-        want = frozen_oracle_loop(rho0, QUIET, times.tolist(), 4)
-        assert got.tobytes() == qubit_block(want, 4).tobytes()
+        assert k == 16 and peak < 4 * 2 ** 20
+        want = frozen_oracle_loop(start, QUIET, times.tolist(), 2)
+        assert got.tobytes() == qubit_block(want, 2).tobytes()
 
     def test_one_warm_state_is_the_frozen_loop_within_the_rk4_bound(self, rng):
         fd, times = 4, np.linspace(0.0, 0.3, 31)
@@ -575,25 +607,23 @@ class TestStackedOracle:
         (THERMAL, 4, np.linspace(0.0, 0.3, 7)),
     ])
     def test_each_member_matches_its_own_call(self, rng, params, fock_dim, times):
-        # a stack steps by matrix-matrix products, one state by matrix-vector
-        # ones, so their roundoff differs: within 1e-14 over the verify grid at
-        # fock_dim 2, and within one unit roundoff per RK4 step over the 5295
-        # steps of the thermal run (6e-14 measured)
-        tol = 1e-14 if fock_dim == 2 else math.ceil(times[-1] / _default_step(params, fock_dim)) * np.finfo(float).eps
+        # a quiet stack steps by matrix-matrix products, one state by matrix-vector ones, so their roundoff differs:
+        # within 1e-14 over the verify grid. A warm stack takes each member's sector products apart, equal to its own
+        # call's (0 measured over 30 random stacks)
         stack = mixed_qubit_stack(rng)
         if fock_dim == 2:
             stack = np.concatenate([stack, [initial_density(f).matrix for f in (BellLike(), WernerPhi(0.4))]])
         got = integrate_master_grid(stack, params, times, fock_dim)
         assert got.shape == (len(stack), len(times), 4, 4) and got.flags.c_contiguous
         for member, rho0 in zip(got, stack):
-            assert np.max(np.abs(member - integrate_master_grid(rho0, params, times, fock_dim))) <= tol
+            assert np.max(np.abs(member - integrate_master_grid(rho0, params, times, fock_dim))) <= 1e-14
 
     def test_a_mixed_box_stack_keeps_each_members_box(self, rng):
         fd = 4
         ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
         stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
         # a quiet stack steps the union of its members' boxes, the mixed member's
-        boxes = [len(_kept_indices(rho0, fd)) for rho0 in (stack, *stack)]
+        boxes = [len(_kept_indices(rho0)) for rho0 in (stack, *stack)]
         assert boxes[0] == boxes[3] > boxes[1]
         o1, o2 = np.abs(BLOCK_ORDERS)
         for params in (COLD, THERMAL):
@@ -690,7 +720,7 @@ class TestWarmOracle:
             rho0 = initial_density(initial).matrix
             sizes.clear(), boxes.clear()
             integrate_master_grid(rho0, COLD, [0.1], fock_dim=fd)
-            assert sizes == [100] and len(boxes) == 1
+            assert sizes == [16] and len(boxes) == 1
             sizes.clear(), blocks.clear(), boxes.clear()
             integrate_master_grid(rho0, THERMAL, [0.1], fock_dim=fd)
             [(_, _, orders)] = blocks
@@ -1020,39 +1050,37 @@ class TestOracleTrajectoryBytes:
             # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
             assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
         if params.quiet:
-            # a quiet block is the frozen RK4 loop's, run on the embedded start
-            want = frozen_oracle_loop(embed_qubits(rho0, fock_dim), params, traj.times.tolist(), fock_dim)
-            assert block.tobytes() == qubit_block(want, fock_dim).tobytes()
+            # a quiet block is the frozen RK4 loop's at fock_dim 2, at every fock_dim
+            want = frozen_oracle_loop(rho0, params, traj.times.tolist(), 2)
+            assert block.tobytes() == qubit_block(want, 2).tobytes()
 
 
 class TestQubitBlock:
-    """A two-qubit start is placed at Fock states 0 and 1, and each snapshot's qubit block is gathered from the
-    evolved entries of a quiet run, or evolved alone, one-mode rows 0 and 1, by a warm one."""
+    """A two-qubit start is evolved on its 16 entries by a quiet run, which never leaves the qubit levels, and its
+    qubit block alone, one-mode rows 0 and 1, by a warm one."""
 
     @pytest.mark.parametrize("params, fock_dim", [(COLD, 2), (COLD, 4), (THERMAL, 4), (THERMAL, 5)],
                              ids=["quiet2", "quiet4", "warm4", "warm5"])
     @pytest.mark.parametrize("times", [np.linspace(0.0, 0.5, 41), [0.05, 0.2, 0.25, 0.6]], ids=["uniform", "uneven"])
     def test_a_two_qubit_start_is_the_embedded_starts_block(self, rng, params, fock_dim, times):
-        # the references evolve the start placed at Fock states 0 and 1 on the whole space: a quiet state is the
-        # frozen RK4 loop bit for bit, and a quiet stack within one unit roundoff per RK4 step of it, as in
-        # test_each_member_matches_its_own_call; a warm run is the dense exponential within 1e-12
+        # a warm run is the dense exponential of the start placed at Fock states 0 and 1 on the whole space, within
+        # 1e-12. A quiet state is the frozen RK4 loop at fock_dim 2 bit for bit, and a quiet stack within 1e-13 of it
+        # (8.3e-15 measured over 30 random stacks), as in test_each_member_matches_its_own_call
         ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
         stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
-        tol = math.ceil(times[-1] / _default_step(COLD, fock_dim)) * np.finfo(float).eps
         for rho0 in (initial_density(BellLike()).matrix, ground, stack):
             got = integrate_master_grid(rho0, params, times, fock_dim)
             assert got.shape == (*rho0.shape[:-2], len(times), 4, 4) and got.flags.c_contiguous
-            big = embed_qubits(rho0, fock_dim)
             if not params.quiet:
-                want = qubit_block(dense_exact_grid(big, params, times, fock_dim), fock_dim)
+                want = qubit_block(dense_exact_grid(embed_qubits(rho0, fock_dim), params, times, fock_dim), fock_dim)
                 assert np.abs(got - want).max() <= 1e-12
                 continue
-            for member, start in zip(got.reshape(-1, len(times), 4, 4), big.reshape(-1, *big.shape[-2:])):
-                want = qubit_block(frozen_oracle_loop(start, params, list(times), fock_dim), fock_dim)
+            for member, start in zip(got.reshape(-1, len(times), 4, 4), rho0.reshape(-1, 4, 4)):
+                want = qubit_block(frozen_oracle_loop(start, params, list(times), 2), 2)
                 if rho0.ndim == 2:
                     assert member.tobytes() == want.tobytes()
                 else:
-                    assert np.abs(member - want).max() <= tol
+                    assert np.abs(member - want).max() <= 1e-13
         # the ground state keeps only its populations: the block's coherences lie outside its box, exact zeros
         block = integrate_master_grid(ground, params, times, fock_dim)
         assert np.all(block[:, ~np.eye(4, dtype=bool)] == 0)
@@ -1236,7 +1264,7 @@ class TestTrajectory:
 
     def test_an_oracle_run_past_the_step_cap_fails_at_the_boundary(self):
         huge = CavityParams(chi12=1e200)
-        message = (r"^rates too large for the oracle at fock_dim 2: reaching t = 1 takes 4e\+202 RK4 steps, "
+        message = (r"^rates too large for the oracle with quiet reservoirs: reaching t = 1 takes 4e\+202 RK4 steps, "
                    r"above the cap of 1000000, at gamma1 = 4, gamma2 = 4, chi11 = 0, chi22 = 0, chi12 = 1e\+200, "
                    r"nbar1 = 0, nbar2 = 0$")
         with pytest.raises(ValueError, match=message):
@@ -1250,33 +1278,41 @@ class TestTrajectory:
         for engine in ("analytic", "closed_form"):
             validate_run(BellLike(), strong, 1.0, 3, engine)
 
-    def test_an_oracle_run_past_the_work_cap_fails_at_the_boundary(self):
-        # fock_dim 16 keeps K = 2116 entries of a Bell-like start: 9.2e5 steps pass the step cap,
-        # but each is a 2116 x 2116 product, hours of stepping
-        message = (r"^oracle run too large at fock_dim 16: 9.22e\+05 RK4 steps to t = 9, 2116 kept entries "
-                   r"and 1 state\(s\) make 4.13e\+12, above the cap of 2.9e\+10$")
+    def test_an_oracle_run_past_the_work_cap_fails_at_the_boundary(self, monkeypatch):
+        # a Bell-like start keeps all K = 16 entries: 74250 steps to t = 9 make 1.9e7 per state, so a stack of 1600
+        # passes the step cap, but not the work cap
+        unreachable(monkeypatch)
+        message = (r"^oracle run too large for quiet reservoirs: 7.42e\+04 RK4 steps to t = 9, 16 kept entries "
+                   r"and 1600 state\(s\) make 3.04e\+10, above the cap of 2.9e\+10$")
         with pytest.raises(ValueError, match=message):
-            validate_run(BellLike(), CavityParams(), 9.0, 401, "oracle", 16)
-        with pytest.raises(ValueError, match="2116 kept entries and 1 state"):
-            trajectory(BellLike(), CavityParams(), 1.0, 401, engine="oracle", fock_dim=16)
+            _checked_step(CavityParams(), 9.0, 2, 1600, 16)
+        stack = np.stack([initial_density(BellLike()).matrix] * 1600)
+        with pytest.raises(ValueError, match=message):
+            integrate_master_grid(stack, CavityParams(), [0.5, 9.0], 16)
+        validate_run(BellLike(), CavityParams(), 9.0, 401, "oracle", 16)
+
+    def test_a_quiet_trajectory_at_fock_dim_16_is_the_fock_dim_2_trajectory(self):
+        # a quiet run keeps to the qubit levels, so it takes the fock_dim-2 step on the same 16 entries
+        want = trajectory(BellLike(), CavityParams(), 1.0, 401, engine="oracle", fock_dim=2)
+        got = trajectory(BellLike(), CavityParams(), 1.0, 401, engine="oracle", fock_dim=16)
+        assert got.states.matrix.tobytes() == want.states.matrix.tobytes()
 
     def test_the_work_cap_counts_every_state_of_a_stack(self):
-        # fock_dim 4 keeps K = 100 entries of a Bell-like start; t = 1 takes 16250 steps, 1.6e8 per state
+        # a Bell-like start keeps K = 16 entries; t = 1 takes 8250 steps, 2.1e6 per state, so 13731 states fit
         start = initial_density(BellLike()).matrix
-        assert len(_kept_indices(start, 4)) == 100
-        _checked_step(QUIET, 4, 1.0, 2, 150, 100)
-        with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            _checked_step(QUIET, 4, 1.0, 2, 200, 100)
-        with pytest.raises(ValueError, match="100 kept entries and 200 state"):
-            integrate_master_grid(np.stack([start] * 200), QUIET, [0.5, 1.0], fock_dim=4)
+        assert len(_kept_indices(start)) == 16
+        _checked_step(QUIET, 1.0, 2, 13_731, 16)
+        with pytest.raises(ValueError, match="16 kept entries and 13732 state"):
+            _checked_step(QUIET, 1.0, 2, 13_732, 16)
 
     def test_the_work_cap_holds_only_for_runs_that_step_rk4(self):
-        # an embedded Bell-like start at fock_dim 6 keeps K = 256 entries; to t = 30 a quiet run makes
-        # 5.18e10 RK4 work, while a warm one takes no RK4 steps and passes
+        # a stack of 500 Bell-like starts keeps K = 16 entries each; to t = 30 a quiet run makes 3.44e10 RK4 work,
+        # while a warm one takes no RK4 steps and passes
         warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
-        with pytest.raises(ValueError, match=r"256 kept entries and 1 state\(s\) make 5.18e\+10, above the cap"):
-            validate_run(BellLike(), quiet, 30.0, 401, "oracle", 6)
+        with pytest.raises(ValueError, match=r"16 kept entries and 500 state\(s\) make 3.44e\+10, above the cap"):
+            _checked_step(quiet, 30.0, 2, 500, 16)
+        _checked_warm(warm, 6, 30.0, 2, 500, True)
         validate_run(BellLike(), warm, 30.0, 401, "oracle", 6)
         rho0, grid = initial_density(BellLike()).matrix, np.linspace(0.0, 30.0, 401)
         got, trace = _evolve_sectors(rho0, warm, 6, grid)
@@ -1292,7 +1328,7 @@ class TestTrajectory:
         thermal = CavityParams(nbar1=0.5, nbar2=0.5)
         assert 1e3 < _generator_bound(thermal, 5) < _MAX_WARM_NORM / 100
         validate_run(BellLike(), thermal, 1.0, 401, "oracle", 5)
-        for params, fock_dim, t_cap in ((QUIET, 2, _MAX_RK4_STEPS * _default_step(QUIET, 2)),
+        for params, fock_dim, t_cap in ((QUIET, 2, _MAX_RK4_STEPS * _default_step(QUIET)),
                                         (thermal, 5, _MAX_WARM_NORM / _generator_bound(thermal, 5))):
             validate_run(BellLike(), params, t_cap, 3, "oracle", fock_dim)
             with pytest.raises(ValueError, match="above the cap"):
@@ -1314,7 +1350,7 @@ class TestTrajectory:
                 validate_run(BellLike(), params, 1.0, 3, "oracle", 4)
 
     def test_a_strong_kerr_coupling_runs_warm_within_1e_8_of_the_quiet_limit(self):
-        # 1.6e7 RK4 steps would reach t = 1, above the RK4 step cap; a warm run takes none, and t times
+        # 8e6 RK4 steps would reach t = 1, above the RK4 step cap; a warm run takes none, and t times
         # its generator's norm bound is 1.28e6, under the warm cap (quiet-limit gap 1.9e-12 measured)
         traj = trajectory(BellLike(), CavityParams(chi12=2e4, nbar1=0.1), 1.0, 401, engine="oracle", fock_dim=4)
         assert np.isfinite(traj.states.matrix).all()
@@ -1323,7 +1359,7 @@ class TestTrajectory:
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
         exact = propagate(initial_density(BellLike()), quiet, traj.times)
         assert np.abs(traj.states.matrix - exact.matrix).max() <= 1e-8
-        with pytest.raises(ValueError, match=r"1.6e\+07 RK4 steps"):
+        with pytest.raises(ValueError, match=r"8e\+06 RK4 steps"):
             validate_run(BellLike(), quiet, 1.0, 401, "oracle", 4)
 
     def test_warm_runs_never_take_the_rk4_step_nor_build_the_box(self, monkeypatch):
@@ -1342,41 +1378,27 @@ class TestTrajectory:
     @pytest.mark.parametrize("params", [CavityParams(nbar1=0.1), CavityParams(gamma1=0.0, gamma2=0.0, chi12=0.0)],
                              ids=["warm", "zero_rates"])
     def test_a_run_whose_snapshots_pass_the_memory_cap_fails_before_anything_is_built(self, monkeypatch, params):
-        # 1e5 times at fock_dim 16. A quiet run's snapshots of the K = 2116 entries a Bell-like start keeps would take
-        # 3.4 GB. A warm run builds no box: it holds 16 returned entries and a per-sector product of 3 * 16 per time,
-        # 4.8e6 in all, so it passes the gate (0.38 s and 143 MiB measured) and reaches its kernel
+        # 1e5 times at fock_dim 16. A warm run holds 16 returned entries and a per-sector product of 3 * 16 per time,
+        # 4.8e6 in all (0.38 s and 143 MiB measured); a quiet one the 16 kept and 16 returned entries of a Bell-like
+        # start, 3.2e6. One state passes the gate and reaches the kernel; a stack of 2 fails the gate
         unreachable(monkeypatch)
-        if not params.quiet:
-            validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
-            with pytest.raises(AssertionError, match="^reached past the gate$"):
-                trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
-            return
-        message = (r"^oracle run too large at fock_dim 16: 100000 times of 2116 kept and 16 returned entries for "
-                   r"1 state\(s\) hold 213200000, above the cap of 5000000$")
-        with pytest.raises(ValueError, match=message):
-            validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
-        with pytest.raises(ValueError, match=message):
-            trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
-
-    def test_a_quiet_start_filling_every_coherence_order_at_fock_dim_16_fails_before_anything_is_built(
-            self, monkeypatch):
-        # every coherence order of the block keeps K = 2116 entries, the largest box of any two-qubit start: 2345
-        # times of 2116 kept and 16 returned entries hold 4999540 and reach the kernel, 2346 times 5001672
-        unreachable(monkeypatch)
-        start = np.full((4, 4), 1.0 / 4)
+        validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
         with pytest.raises(AssertionError, match="^reached past the gate$"):
-            integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2345), 16)
-        with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 2346 times of 2116 kept and 16 "
-                                             r"returned entries for 1 state\(s\) hold 5001672, above the cap of "
-                                             r"5000000$"):
-            integrate_master_grid(start, QUIET, np.linspace(0.0, 5e-5, 2346), 16)
+            trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
+        stack, grid = np.stack([initial_density(BellLike()).matrix] * 2), np.linspace(0.0, 1.0, 100_000)
+        what = "the warm kernel's largest array" if not params.quiet else "16 kept and 16 returned entries"
+        where = "at fock_dim 16" if not params.quiet else "for quiet reservoirs"
+        held = 9_600_000 if not params.quiet else 6_400_000
+        with pytest.raises(ValueError, match=rf"^oracle run too large {where}: 100000 times of {what} for 2 "
+                                             rf"state\(s\) hold {held}, above the cap of 5000000$"):
+            integrate_master_grid(stack, params, grid, 16)
 
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
-        # quiet snapshots: 50000 times of 84 kept and 16 returned entries make 5e6
-        _checked_step(QUIET, 4, 1e-6, 50_000, 1, 84)
-        with pytest.raises(ValueError, match="hold 5000100, above the cap of 5000000$"):
-            _checked_step(QUIET, 4, 1e-6, 50_001, 1, 84)
+        # quiet snapshots: 156250 times of 16 kept and 16 returned entries make 5e6
+        _checked_step(QUIET, 1e-6, 156_250, 1, 16)
+        with pytest.raises(ValueError, match="hold 5000032, above the cap of 5000000$"):
+            _checked_step(QUIET, 1e-6, 156_251, 1, 16)
         # a warm run's per-sector product on a uniform grid, 3 * 16 entries per time: 104166 times make 4999968
         _checked_warm(THERMAL, 16, 0.01, 104_166, 1, True)
         with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 104167 times of the warm kernel's "
@@ -1396,15 +1418,8 @@ class TestTrajectory:
         _checked_warm(THERMAL, 4, 0.01, 3125, 100, True)
         with pytest.raises(ValueError, match="3126 times of the warm kernel's largest array for 100 state"):
             _checked_warm(THERMAL, 4, 0.01, 3126, 100, True)
-        # the largest box of any two-qubit start, Bell-like at fock_dim 16, stays under it
-        validate_run(BellLike(), QUIET, 1e-3, 401, "oracle", 16)
-
-    def test_no_two_qubit_box_has_an_rk4_generator_past_the_memory_cap(self):
-        # a quiet run multiplies its K kept entries by a (K, K) generator, which the gate does not count: the largest
-        # box of any two-qubit start, every coherence order of the block at the largest fock_dim, keeps K = 2116,
-        # and K**2 = 4.48e6. Raising the fock_dim cap to 17 would make it 5.76e6, and fail here
-        k = len(_kept_indices(np.ones((4, 4)), _MAX_FOCK_DIM))
-        assert k * k <= _MAX_ORACLE_ENTRIES
+        # the largest box of any two-qubit start, all 16 entries, stays under it at the most points a run may ask for
+        validate_run(BellLike(), QUIET, 1e-3, 100_000, "oracle", _MAX_FOCK_DIM)
 
     def test_rejects_bad_grid_arguments(self):
         with pytest.raises(ValueError, match="n_points"):
