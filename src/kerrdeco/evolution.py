@@ -3,8 +3,8 @@
 Two independent routes to the same physics live here. ``propagate`` applies the exact amplitude-damping propagator
 of quiet (zero-temperature) reservoirs to one state or a stack of B at one time or N times, each matrix equal bit for
 bit to the scalar complex arithmetic. ``integrate_master_grid``, the cross-checking oracle, evolves a two-qubit start
-by the full master equation over a time grid: with quiet reservoirs on the 16 qubit entries, which it never leaves,
-and with thermal ones on a truncated Fock space; its docstring gives its kernels and their caps. It never calls
+by the full master equation over a time grid: with quiet reservoirs by RK4 on all 16 qubit entries, which it never
+leaves, and with thermal ones on a truncated Fock space; its docstring gives its kernels and their caps. It never calls
 ``rj_factor``, but its warm kernel factors each coherence sector per mode as the propagator does, so a test holds
 those factors to the oracle's whole-space generator.
 ``closed_form_rho`` gives the direct evolved matrices of the named families, and ``trajectory`` runs any of the three
@@ -24,8 +24,8 @@ import numpy as np
 
 from .linalg import _cmul
 from .states import (
-    DensityMatrix2Q, InitialState, _CORES, _as_density, _check_finite, _check_whole, _initial_matrix,
-    bell_like, bell_phi, bell_psi, initial_density, initial_label,
+    DensityMatrix2Q, InitialState, _CORES, _as_density, _check_finite, _check_whole, bell_like, bell_phi, bell_psi,
+    initial_density, initial_label,
 )
 from .states import BellLike  # noqa: F401  benchmarks/test_benchmark.py reaches the tag as evolution.BellLike
 
@@ -340,10 +340,10 @@ def _check_fock_dim(fock_dim) -> None:
 
 _STABILITY_LIMIT = 0.1
 
-# The most RK4 steps a quiet run may take to its last time, and the most work, steps * K**2 * B, as each step
-# multiplies a (K, K) matrix into B states of K kept entries: 50x the largest run these caps were set for (the thermal
-# workload at fock_dim 5, t_max 1, when it still stepped RK4: about 20k steps at K = 169, 5.8e8). Stronger rates, a
-# longer run or a larger stack fail at the boundary instead of stepping for hours.
+# The most RK4 steps a quiet run may take to its last time, and the most work, steps * 256 * B, as each step
+# multiplies the (16, 16) step matrix into B states of 16 entries. One state reaches at most 2.56e8 under the step
+# cap, so the work cap binds only stacks: at the default rates, 13731 states to t = 1. Stronger rates, a longer run or
+# a larger stack fail at the boundary instead of stepping for hours.
 _MAX_RK4_STEPS = 1_000_000
 _MAX_RK4_WORK = 29_000_000_000
 
@@ -381,10 +381,11 @@ def _generator_bound(params: CavityParams, fock_dim: int) -> float:
 
 
 # The most complex entries an oracle run may hold at once, as its gates count them. Measured with one BLAS thread: a
-# quiet run's snapshots peak at 17.5 bytes per entry (1e5 times of a Bell-like start's 16 kept and 16 returned), and
-# its RK4 generator over the box, at most 16 x 16, is not counted. A warm run peaks at 31 bytes per counted entry on a
-# uniform grid (143 MiB for a Bell-like start at fock_dim 16 with 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off
-# it (401 MiB for 9765 times at fock_dim 16). So a run at the cap peaks near 0.5 GB.
+# quiet run's snapshots peak at 16.1 bytes per entry for a stack (5e4 times of 2 states' 16 stepped and 16 returned
+# entries) and 9.5 for one state, whose returned entries are its stepped ones reshaped, and its (16, 16) RK4 generator
+# is not counted. A warm run peaks at 31 bytes per counted entry on a uniform grid (143 MiB for a Bell-like start at
+# fock_dim 16 with 1e5 points, 4.8e6 counted, in 0.38 s) and at 84 off it (401 MiB for 9765 times at fock_dim 16). So
+# a run at the cap peaks near 0.5 GB.
 _MAX_ORACLE_ENTRIES = 5_000_000
 
 
@@ -403,7 +404,7 @@ def _check_held(where: str, points: int, what: str, stack: int, held: int) -> No
 def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int, stack: int, uniform: bool) -> None:
     """The gate of a warm oracle run: a ValueError past the memory cap or ``_MAX_WARM_NORM``.
 
-    A warm run of ``stack`` states on ``points`` times builds no box. Per time it holds the larger of its 16 returned
+    A warm run of ``stack`` states on ``points`` times takes no RK4 step. Per time it holds the larger of its 16 returned
     entries and its largest per-sector product, 3 rows of ``fock_dim`` (levels 0 and 1, and the trace), per state, and
     off a ``uniform`` grid each time's two one-mode exponentials, ``2 fock_dim**2`` entries for all states. That is
     held to ``_MAX_ORACLE_ENTRIES``, and reaching ``t_end`` to ``_MAX_WARM_NORM``.
@@ -417,40 +418,25 @@ def _checked_warm(params: CavityParams, fock_dim: int, t_end: float, points: int
                          f"at {_rate_list(params)}")
 
 
-def _checked_step(params: CavityParams, t_end: float, points: int, stack: int, kept: int) -> float:
+def _checked_step(params: CavityParams, t_end: float, points: int, stack: int) -> float:
     """The RK4 step of a quiet oracle run: a ValueError past the memory cap or the RK4 caps.
 
-    Per time, each of ``stack`` states holds the snapshots of its ``kept`` box entries (``_kept_indices``) and of the
-    16 returned ones, held to ``_MAX_ORACLE_ENTRIES`` over ``points`` times. Reaching ``t_end`` is held to
-    ``_MAX_RK4_STEPS`` steps, and to ``_MAX_RK4_WORK`` for its ``kept`` entries and ``stack`` states.
+    Per time, each of ``stack`` states holds the snapshots of its 16 stepped and 16 returned entries, held to
+    ``_MAX_ORACLE_ENTRIES`` over ``points`` times. Reaching ``t_end`` is held to ``_MAX_RK4_STEPS`` steps, and to
+    ``_MAX_RK4_WORK`` for ``stack`` states. The step and work counts print in full, so a refused run never reads as at
+    its cap.
     """
-    _check_held("for quiet reservoirs", points, f"{kept} kept and 16 returned entries", stack,
-                points * stack * (kept + 16))
+    _check_held("for quiet reservoirs", points, "16 stepped and 16 returned entries", stack, points * stack * 32)
     step = _default_step(params)
     steps = t_end / step if step > 0 else math.inf
     if not steps <= _MAX_RK4_STEPS:
         raise ValueError(f"rates too large for the oracle with quiet reservoirs: reaching t = {t_end:g} takes "
-                         f"{steps:.3g} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {_rate_list(params)}")
-    work = steps * kept * kept * stack
+                         f"{steps} RK4 steps, above the cap of {_MAX_RK4_STEPS}, at {_rate_list(params)}")
+    work = steps * 256 * stack
     if not work <= _MAX_RK4_WORK:
-        raise ValueError(f"oracle run too large for quiet reservoirs: {steps:.3g} RK4 steps to t = {t_end:g}, {kept} "
-                         f"kept entries and {stack} state(s) make {work:.3g}, above the cap of {_MAX_RK4_WORK:.3g}")
+        raise ValueError(f"oracle run too large for quiet reservoirs: {steps} RK4 steps to t = {t_end:g} of 16 "
+                         f"entries for {stack} state(s) make {work}, above the cap of {_MAX_RK4_WORK}")
     return step
-
-
-def _kept_indices(rho: np.ndarray) -> np.ndarray:
-    """Flat indices among the 16 entries of the two-qubit ``rho``, (4, 4) or (B, 4, 4), that the master equation can
-    make nonzero: those a quiet run evolves.
-
-    The generator conserves each mode's coherence order ``m_j - n_j``, so an entry stays exactly zero if, in either
-    mode, ``|m_j - n_j|`` exceeds the largest order among the nonzero entries of ``rho``; for a stack, of any member.
-    """
-    # the entry at qubit levels (m1, m2), (n1, n2) has flat index 8 m1 + 4 m2 + 2 n1 + n2
-    m1, m2, n1, n2 = np.indices((2, 2, 2, 2))
-    o1, o2 = np.abs(m1 - n1), np.abs(m2 - n2)
-    occupied = (rho.reshape(-1, 2, 2, 2, 2) != 0).any(axis=0)
-    box = (o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0))
-    return np.flatnonzero(box)
 
 
 def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fock_dim: int = 2) -> np.ndarray:
@@ -458,9 +444,9 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
 
     The start sits at Fock states 0 and 1 of each mode, and each snapshot's qubit block is returned. With quiet
     reservoirs a photon only decays, so no level above 1 is reached and a run is the ``fock_dim``-2 run at every
-    ``fock_dim``: it steps RK4, with a step from the rates alone, over the start's coherence-order box among the 16
-    qubit entries (``_kept_indices``, for a stack the union of its members' boxes; every entry outside a member's own
-    box stays exactly zero), whose bytes the pinned oracle CSV hashes record (``_evolve_kept``). Warm ones evolve each
+    ``fock_dim``: it steps RK4, with a step from the rates alone, over all 16 qubit entries (a stack as one (16, B)
+    block), whose bytes the pinned oracle CSV hashes record (``_evolve_kept``); the generator conserves each mode's
+    coherence order, so an entry whose order the start leaves empty stays exactly zero. Warm ones evolve each
     occupied coherence sector, read from the 4x4 start, by its exact one-mode propagators, forming only the rows
     returned (``_evolve_sectors``); on a grid that is exactly ``np.linspace(0.0, times[-1], N)`` snapshot k is taken
     within 1.4 ulps of ``times[k]`` (1.6 for the last, over 3000 random grids). A stack is evolved together. Before
@@ -502,16 +488,12 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
         out, trace = _evolve_sectors(rho, params, fock_dim, grid)
     else:
         # a quiet start never leaves the qubit levels, so at every fock_dim the run is the fock_dim-2 run: one state
-        # is a (K,) vector of its kept entries, a stack a C-ordered (K, B) block, the layout the pinned bytes used
-        keep = _kept_indices(rho)
-        step = _checked_step(params, t_end, points, stack, len(keep))
-        kept = _evolve_kept(np.moveaxis(rho.reshape(*rho.shape[:-2], 16)[..., keep], -1, 0).copy(), params, keep,
-                            grid, step)
-        # the diagonal entries, 5 i, are always kept
-        trace = np.moveaxis(kept[:, keep % 5 == 0].sum(axis=1), 0, -1)
-        out = np.zeros((*rho.shape[:-2], len(grid), 16), dtype=complex)
-        out[..., keep] = np.moveaxis(kept, (0, 1), (-2, -1))
+        # is a (16,) vector, a stack a C-ordered (16, B) block, the layout the pinned bytes used
+        step = _checked_step(params, t_end, points, stack)
+        v = np.ascontiguousarray(np.moveaxis(rho.reshape(*rho.shape[:-2], 16), -1, 0))
+        out = np.ascontiguousarray(np.moveaxis(_evolve_kept(v, params, grid, step), (0, 1), (-2, -1)))
         out = out.reshape(*out.shape[:-1], 4, 4)
+        trace = np.trace(out, axis1=-2, axis2=-1)
     drift = np.abs(trace - np.trace(rho, axis1=-2, axis2=-1)[..., None])
     if not np.all(drift <= 1e-9):
         bad = np.argwhere(~(drift <= 1e-9))[0]
@@ -520,8 +502,9 @@ def integrate_master_grid(rho0, params: CavityParams, times: Sequence[float], fo
     return out
 
 
-def _evolve_kept(v: np.ndarray, params: CavityParams, keep: np.ndarray, grid: np.ndarray, step: float) -> np.ndarray:
-    """The kept entries ``v``, (K,) or (K, B), of a quiet run stepped by RK4 to every grid time: (N, K) or (N, K, B).
+def _evolve_kept(v: np.ndarray, params: CavityParams, grid: np.ndarray, step: float) -> np.ndarray:
+    """The 16 qubit entries ``v``, (16,) or (16, B), of a quiet run stepped by RK4 to every grid time: (N, 16) or
+    (N, 16, B).
 
     Each distinct grid span has one RK4 step ``span / count``, applied ``count = ceil(span / step)`` times; its step
     matrix is formed at its first use and freed after its last.
@@ -533,7 +516,7 @@ def _evolve_kept(v: np.ndarray, params: CavityParams, keep: np.ndarray, grid: np
     counts = [math.ceil(span / step) for span in spans.tolist()]
     # the grid index of each span's last use
     last = dict(zip(which.tolist(), range(start, n)))
-    lmat = _liouvillian(params, 2, keep)
+    lmat = _liouvillian(params, 2, np.arange(16))
     kept = np.zeros((n, *v.shape), dtype=complex)
     kept[:start] = v
     props = {}
@@ -810,7 +793,7 @@ def validate_run(initial: InitialState, params: CavityParams, t_max: float,
     if engine != "oracle":
         _check_analytic_rates(params, t_max)
     elif params.quiet:
-        _checked_step(params, t_max, n_points, 1, len(_kept_indices(_initial_matrix(initial))))
+        _checked_step(params, t_max, n_points, 1)
     else:
         # on trajectory's grid, np.linspace(0.0, t_max, n_points), which is uniform
         _checked_warm(params, fock_dim, t_max, n_points, 1, True)

@@ -240,7 +240,7 @@ class TestSharedValidation:
 
     @pytest.mark.parametrize("n_points", [2346, 100_000])
     def test_a_quiet_oracle_run_at_fock_dim_16_reaches_its_kernel(self, monkeypatch, n_points):
-        # a quiet run holds the 16 kept and 16 returned entries of its start per time at every fock_dim: 3.2e6 at
+        # a quiet run holds its 16 stepped and 16 returned entries per time at every fock_dim: 3.2e6 at
         # the grid cap, under the memory cap
         stop_before_running(monkeypatch)
         doc = {"initial": {"family": "bell_like"}, "params": {"gamma1": 0.0, "gamma2": 0.0, "chi12": 0.0},

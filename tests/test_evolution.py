@@ -16,7 +16,7 @@ from kerrdeco.analytics import bell_psi_curves, unitary_pure_entanglement, werne
 from kerrdeco.evolution import (
     _MAX_ANALYTIC_SCALE, _MAX_FOCK_DIM, _MAX_RK4_STEPS, _MAX_WARM_NORM,
     CavityParams, Trajectory, _checked_step, _checked_warm, _default_step, _evolve_kept, _evolve_sectors, _expm,
-    _generator_bound, _kept_indices, _liouvillian, _sector_blocks,
+    _generator_bound, _liouvillian, _sector_blocks,
     closed_form_reason, closed_form_rho, integrate_master_grid, propagate, rj_factor, trajectory, validate_run,
 )
 from kerrdeco.states import (
@@ -225,11 +225,9 @@ class TestMasterEquation:
         prm = CavityParams(gamma1=1.0, gamma2=1.0, chi11=2.0, chi22=2.0, chi12=5.0)
         rho0 = initial_density(BellLike()).matrix
         exact = propagate(rho0, prm, 0.2).matrix
-        keep = _kept_indices(rho0)
         errs = []
         for h in (0.002, 0.001):
-            out = np.zeros(16, dtype=complex)
-            out[keep] = _evolve_kept(rho0.reshape(-1)[keep], prm, keep, np.array([0.2]), h)[0]
+            out = _evolve_kept(rho0.reshape(-1), prm, np.array([0.2]), h)[0]
             errs.append(linalg.trace_distance(out.reshape(4, 4), exact))
         assert 14.0 < errs[0] / errs[1] < 18.0
 
@@ -443,7 +441,8 @@ class TestCoherenceOrders:
         start = initial_density(BellLike()).matrix
         box = fock_box(embed_qubits(start, fock_dim), fock_dim)
         if fock_dim == 2:
-            assert box.tobytes() == _kept_indices(start).tobytes()
+            # a Bell-like start fills every order: its box is the 16 entries a quiet run steps
+            assert box.tobytes() == np.arange(16).tobytes()
         subset = np.sort(rng.choice(fock_dim ** 4, size=fock_dim ** 3, replace=False))
         for keep in (box, subset, np.arange(fock_dim ** 4)):
             got = _liouvillian(THERMAL, fock_dim, keep)
@@ -510,12 +509,14 @@ def fock_box(big, fock_dim):
     return np.flatnonzero((o1 <= o1[occupied].max(initial=0)) & (o2 <= o2[occupied].max(initial=0)))
 
 
-def frozen_oracle_loop(rho0, params, times, fock_dim):
-    """One state's RK4 oracle on the whole space truncated at ``fock_dim`` as one matrix-vector step loop, with
-    ``rk4_step``: at fock_dim 2 it is frozen as the bit-for-bit reference of a quiet run."""
+def frozen_oracle_loop(rho0, params, times, fock_dim, keep=None):
+    """One state's RK4 oracle on the space truncated at ``fock_dim`` as one matrix-vector step loop, with ``rk4_step``,
+    over the vec entries ``keep``: by default all 16 at fock_dim 2, where it is frozen as the bit-for-bit reference of
+    a quiet run, and the start's ``fock_box`` above it."""
     d = fock_dim * fock_dim
     rho = np.array(rho0, dtype=complex, copy=True)
-    keep = fock_box(rho, fock_dim)
+    if keep is None:
+        keep = np.arange(16) if fock_dim == 2 else fock_box(rho, fock_dim)
     lmat = _liouvillian(params, fock_dim, keep)
     step = rk4_step(params, fock_dim)
     out = []
@@ -579,7 +580,6 @@ class TestStackedOracle:
         times = np.cumsum(np.arange(1, 3001) * 1e-7)
         assert len(np.unique(np.diff(times, prepend=0.0))) == 3000
         start = initial_density(BellLike()).matrix
-        k = len(_kept_indices(start))
         integrate_master_grid(start, QUIET, times[:3], 4)
         tracemalloc.start()
         try:
@@ -587,7 +587,7 @@ class TestStackedOracle:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert k == 16 and peak < 4 * 2 ** 20
+        assert peak < 4 * 2 ** 20
         want = frozen_oracle_loop(start, QUIET, times.tolist(), 2)
         assert got.tobytes() == qubit_block(want, 2).tobytes()
 
@@ -619,12 +619,11 @@ class TestStackedOracle:
             assert np.max(np.abs(member - integrate_master_grid(rho0, params, times, fock_dim))) <= 1e-14
 
     def test_a_mixed_box_stack_keeps_each_members_box(self, rng):
+        # a quiet stack steps all 16 entries of every member, and a warm one the sectors any member occupies; either
+        # way each member's entries outside its own orders stay exactly zero
         fd = 4
         ground = initial_density(Separable(1.0, 0.0, 1.0, 0.0)).matrix
         stack = np.concatenate([mixed_qubit_stack(rng), [ground]])
-        # a quiet stack steps the union of its members' boxes, the mixed member's
-        boxes = [len(_kept_indices(rho0)) for rho0 in (stack, *stack)]
-        assert boxes[0] == boxes[3] > boxes[1]
         o1, o2 = np.abs(BLOCK_ORDERS)
         for params in (COLD, THERMAL):
             got = integrate_master_grid(stack, params, [0.05, 0.2], fd)
@@ -656,6 +655,36 @@ class TestStackedOracle:
             integrate_master_grid(np.array([rho0, 1e8 * rho0]), QUIET, [0.1, 0.5])
         with pytest.raises(RuntimeError, match=r"^trace drifted by \S+ during integration$"):
             integrate_master_grid(1e8 * rho0, QUIET, [0.1, 0.5])
+
+
+class TestSparseStarts:
+    """A quiet run steps all 16 qubit entries, also of a start that leaves some coherence orders empty."""
+
+    TIMES = np.linspace(0.0, 1.0, 41)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gammas=st.tuples(st.floats(0.0, 10.0), st.floats(0.0, 10.0)).filter(lambda g: g[0] != g[1]),
+           chis=st.tuples(*[st.floats(-20.0, 20.0)] * 3), seed=st.integers(0, 2 ** 32 - 1),
+           rank=st.integers(1, 4), orders=st.sampled_from([(0, 0), (0, 1), (1, 0)]),
+           fock_dim=st.integers(2, _MAX_FOCK_DIM))
+    def test_a_sparse_start_keeps_its_empty_orders_at_zero_and_is_the_box_loop(self, gammas, chis, seed, rank,
+                                                                                orders, fock_dim):
+        params, rng = CavityParams(*gammas, *chis), np.random.default_rng(seed)
+        # a random state of the given rank with mode j's coherences of order above orders[j] zeroed, a dephasing
+        # of that mode, so still a state: population-only starts and products with a zero amplitude among them
+        g = rng.standard_normal((4, rank)) + 1j * rng.standard_normal((4, rank))
+        empty = (np.abs(BLOCK_ORDERS[0]) > orders[0]) | (np.abs(BLOCK_ORDERS[1]) > orders[1])
+        rho0 = np.where(empty, 0.0, g @ g.conj().T)
+        rho0 /= np.trace(rho0).real
+        got = integrate_master_grid(rho0, params, self.TIMES, fock_dim)
+        assert np.all(got[:, empty] == 0)
+        # the 16-entry oracle and the analytic propagator share no code, and meet verify's oracle bound. RK4's step is
+        # longest at vanishing Kerr couplings: 1.3e-9 the worst of 600 such draws, 7.0e-9 on a scan of full starts at
+        # gamma 8 and 8.5 (the same with the old coherence box)
+        assert linalg.trace_distance(got, propagate(rho0, params, self.TIMES).matrix).max() <= 1e-8
+        # stepping the start's box alone, as a matrix-vector loop, differs only in roundoff
+        box = frozen_oracle_loop(rho0, params, self.TIMES.tolist(), 2, fock_box(rho0, 2))
+        assert np.abs(got - np.array(box)).max() <= 1e-13
 
 
 class TestWarmOracle:
@@ -706,25 +735,26 @@ class TestWarmOracle:
         gibbs = np.diag(np.kron(p1[:2] / p1.sum(), p2[:2] / p2.sum()))
         assert np.abs(got - gibbs).max() <= 1e-10
 
-    def test_quiet_runs_build_the_box_and_warm_runs_evolve_each_occupied_sector_per_mode(self, monkeypatch):
+    def test_quiet_runs_build_the_16_entry_generator_and_warm_runs_evolve_each_occupied_sector_per_mode(
+            self, monkeypatch):
         from kerrdeco import evolution
         sizes, build = [], evolution._liouvillian
-        monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append(len(a[2])) or build(*a))
-        blocks, boxes = spy(monkeypatch, "_sector_blocks"), spy(monkeypatch, "_kept_indices")
+        monkeypatch.setattr(evolution, "_liouvillian", lambda *a: sizes.append((a[1], a[2].tolist())) or build(*a))
+        blocks = spy(monkeypatch, "_sector_blocks")
         fd = 4
         # a Bell-like start occupies all nine signed sectors of the block, Bell-phi three; a hermitian start evolves
-        # those with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates the rest. Each is read from the 4x4 start: a warm
-        # run keeps no box
+        # those with o1 > 0, or o1 = 0 and o2 >= 0, and conjugates the rest. Each is read from the 4x4 start. A quiet
+        # run, of a sparse start too, builds the generator on the 16 qubit entries at fock_dim 2
         for initial, sectors in ((BellLike(), [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]),
-                                 (BellPhi(+1), [(0, 0), (1, 1)])):
+                                 (BellPhi(+1), [(0, 0), (1, 1)]), (Separable(1.0, 0.0, 1.0, 0.0), [(0, 0)])):
             rho0 = initial_density(initial).matrix
-            sizes.clear(), boxes.clear()
+            sizes.clear()
             integrate_master_grid(rho0, COLD, [0.1], fock_dim=fd)
-            assert sizes == [16] and len(boxes) == 1
-            sizes.clear(), blocks.clear(), boxes.clear()
+            assert sizes == [(2, list(range(16)))]
+            sizes.clear(), blocks.clear()
             integrate_master_grid(rho0, THERMAL, [0.1], fock_dim=fd)
             [(_, _, orders)] = blocks
-            assert sizes == boxes == [] and list(map(tuple, orders.tolist())) == sectors
+            assert sizes == [] and list(map(tuple, orders.tolist())) == sectors
         # a start that is not exactly hermitian evolves every occupied sector
         rho0 = np.array(initial_density(BellLike()).matrix)
         rho0[0, 3] *= 1j
@@ -1282,10 +1312,10 @@ class TestTrajectory:
         # a Bell-like start keeps all K = 16 entries: 74250 steps to t = 9 make 1.9e7 per state, so a stack of 1600
         # passes the step cap, but not the work cap
         unreachable(monkeypatch)
-        message = (r"^oracle run too large for quiet reservoirs: 7.42e\+04 RK4 steps to t = 9, 16 kept entries "
-                   r"and 1600 state\(s\) make 3.04e\+10, above the cap of 2.9e\+10$")
+        message = (r"^oracle run too large for quiet reservoirs: 74250.0 RK4 steps to t = 9 of 16 entries for 1600 "
+                   r"state\(s\) make 30412800000.0, above the cap of 29000000000$")
         with pytest.raises(ValueError, match=message):
-            _checked_step(CavityParams(), 9.0, 2, 1600, 16)
+            _checked_step(CavityParams(), 9.0, 2, 1600)
         stack = np.stack([initial_density(BellLike()).matrix] * 1600)
         with pytest.raises(ValueError, match=message):
             integrate_master_grid(stack, CavityParams(), [0.5, 9.0], 16)
@@ -1297,21 +1327,27 @@ class TestTrajectory:
         got = trajectory(BellLike(), CavityParams(), 1.0, 401, engine="oracle", fock_dim=16)
         assert got.states.matrix.tobytes() == want.states.matrix.tobytes()
 
-    def test_the_work_cap_counts_every_state_of_a_stack(self):
-        # a Bell-like start keeps K = 16 entries; t = 1 takes 8250 steps, 2.1e6 per state, so 13731 states fit
-        start = initial_density(BellLike()).matrix
-        assert len(_kept_indices(start)) == 16
-        _checked_step(QUIET, 1.0, 2, 13_731, 16)
-        with pytest.raises(ValueError, match="16 kept entries and 13732 state"):
-            _checked_step(QUIET, 1.0, 2, 13_732, 16)
+    def test_the_work_cap_counts_every_state_of_a_stack(self, monkeypatch):
+        # every start steps all 16 entries, the vacuum too; t = 1 takes 8250 steps, 2.112e6 per state, so 13731 states
+        # fit. One more makes 1984000 more than the cap, and the message prints the work in full to show it
+        unreachable(monkeypatch)
+        _checked_step(QUIET, 1.0, 2, 13_731)
+        message = (r"^oracle run too large for quiet reservoirs: 8250.0 RK4 steps to t = 1 of 16 entries for 13732 "
+                   r"state\(s\) make 29001984000.0, above the cap of 29000000000$")
+        with pytest.raises(ValueError, match=message):
+            _checked_step(QUIET, 1.0, 2, 13_732)
+        ground = np.zeros((13_732, 4, 4), dtype=complex)
+        ground[:, 0, 0] = 1.0
+        with pytest.raises(ValueError, match=message):
+            integrate_master_grid(ground, QUIET, [0.5, 1.0], 16)
 
     def test_the_work_cap_holds_only_for_runs_that_step_rk4(self):
         # a stack of 500 Bell-like starts keeps K = 16 entries each; to t = 30 a quiet run makes 3.44e10 RK4 work,
         # while a warm one takes no RK4 steps and passes
         warm = CavityParams(gamma1=4.0, gamma2=3.0, chi11=2.0, chi22=-1.5, chi12=20.0, nbar1=0.4, nbar2=0.25)
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
-        with pytest.raises(ValueError, match=r"16 kept entries and 500 state\(s\) make 3.44e\+10, above the cap"):
-            _checked_step(quiet, 30.0, 2, 500, 16)
+        with pytest.raises(ValueError, match=r"of 16 entries for 500 state\(s\) make 34368000000.0, above the cap"):
+            _checked_step(quiet, 30.0, 2, 500)
         _checked_warm(warm, 6, 30.0, 2, 500, True)
         validate_run(BellLike(), warm, 30.0, 401, "oracle", 6)
         rho0, grid = initial_density(BellLike()).matrix, np.linspace(0.0, 30.0, 401)
@@ -1359,34 +1395,33 @@ class TestTrajectory:
         quiet = dataclasses.replace(warm, nbar1=0.0, nbar2=0.0)
         exact = propagate(initial_density(BellLike()), quiet, traj.times)
         assert np.abs(traj.states.matrix - exact.matrix).max() <= 1e-8
-        with pytest.raises(ValueError, match=r"8e\+06 RK4 steps"):
+        with pytest.raises(ValueError, match=r"takes 8000249.999999999 RK4 steps"):
             validate_run(BellLike(), quiet, 1.0, 401, "oracle", 4)
 
-    def test_warm_runs_never_take_the_rk4_step_nor_build_the_box(self, monkeypatch):
-        steps, boxes = spy(monkeypatch, "_default_step"), spy(monkeypatch, "_kept_indices")
-        # the memory cap counts what a warm run's sectors hold, so neither its gate nor its kernel builds the box
+    def test_warm_runs_never_take_the_rk4_step_nor_build_its_generator(self, monkeypatch):
+        steps, builds = spy(monkeypatch, "_default_step"), spy(monkeypatch, "_liouvillian")
+        # the memory cap counts what a warm run's sectors hold, so neither its gate nor its kernel steps RK4
         validate_run(BellLike(), THERMAL, 1.0, 401, "oracle", 4)
         trajectory(BellLike(), THERMAL, 1.0, 401, engine="oracle", fock_dim=4)
         integrate_master_grid(initial_density(BellPhi(+1)).matrix, THERMAL, [0.1, 0.5], 4)
-        assert steps == boxes == []
-        # a quiet run's gate counts its box: validate_run builds it, and the kernel again
+        assert steps == builds == []
+        # a quiet run's gate takes the step from the rates alone and builds nothing; the kernel takes it again
         validate_run(BellLike(), COLD, 1.0, 401, "oracle", 4)
-        assert len(steps) == len(boxes) == 1
+        assert len(steps) == 1 and builds == []
         trajectory(BellLike(), COLD, 0.1, 5, engine="oracle", fock_dim=4)
-        assert len(steps) == len(boxes) == 3
+        assert len(steps) == 3 and len(builds) == 1
 
     @pytest.mark.parametrize("params", [CavityParams(nbar1=0.1), CavityParams(gamma1=0.0, gamma2=0.0, chi12=0.0)],
                              ids=["warm", "zero_rates"])
     def test_a_run_whose_snapshots_pass_the_memory_cap_fails_before_anything_is_built(self, monkeypatch, params):
         # 1e5 times at fock_dim 16. A warm run holds 16 returned entries and a per-sector product of 3 * 16 per time,
-        # 4.8e6 in all (0.38 s and 143 MiB measured); a quiet one the 16 kept and 16 returned entries of a Bell-like
-        # start, 3.2e6. One state passes the gate and reaches the kernel; a stack of 2 fails the gate
+        # 4.8e6 in all (0.38 s and 143 MiB measured); a quiet one its 16 stepped and 16 returned entries, 3.2e6. One state passes the gate and reaches the kernel; a stack of 2 fails the gate
         unreachable(monkeypatch)
         validate_run(BellLike(), params, 1.0, 100_000, "oracle", 16)
         with pytest.raises(AssertionError, match="^reached past the gate$"):
             trajectory(BellLike(), params, 1.0, 100_000, "oracle", 16)
         stack, grid = np.stack([initial_density(BellLike()).matrix] * 2), np.linspace(0.0, 1.0, 100_000)
-        what = "the warm kernel's largest array" if not params.quiet else "16 kept and 16 returned entries"
+        what = "the warm kernel's largest array" if not params.quiet else "16 stepped and 16 returned entries"
         where = "at fock_dim 16" if not params.quiet else "for quiet reservoirs"
         held = 9_600_000 if not params.quiet else 6_400_000
         with pytest.raises(ValueError, match=rf"^oracle run too large {where}: 100000 times of {what} for 2 "
@@ -1395,10 +1430,10 @@ class TestTrajectory:
 
     def test_the_memory_cap_is_inclusive_and_admits_every_two_qubit_box(self, monkeypatch):
         unreachable(monkeypatch)
-        # quiet snapshots: 156250 times of 16 kept and 16 returned entries make 5e6
-        _checked_step(QUIET, 1e-6, 156_250, 1, 16)
+        # quiet snapshots: 156250 times of 16 stepped and 16 returned entries make 5e6
+        _checked_step(QUIET, 1e-6, 156_250, 1)
         with pytest.raises(ValueError, match="hold 5000032, above the cap of 5000000$"):
-            _checked_step(QUIET, 1e-6, 156_251, 1, 16)
+            _checked_step(QUIET, 1e-6, 156_251, 1)
         # a warm run's per-sector product on a uniform grid, 3 * 16 entries per time: 104166 times make 4999968
         _checked_warm(THERMAL, 16, 0.01, 104_166, 1, True)
         with pytest.raises(ValueError, match=r"^oracle run too large at fock_dim 16: 104167 times of the warm kernel's "
@@ -1418,7 +1453,7 @@ class TestTrajectory:
         _checked_warm(THERMAL, 4, 0.01, 3125, 100, True)
         with pytest.raises(ValueError, match="3126 times of the warm kernel's largest array for 100 state"):
             _checked_warm(THERMAL, 4, 0.01, 3126, 100, True)
-        # the largest box of any two-qubit start, all 16 entries, stays under it at the most points a run may ask for
+        # a quiet run's 16 entries stay under it at the most points a run may ask for
         validate_run(BellLike(), QUIET, 1e-3, 100_000, "oracle", _MAX_FOCK_DIM)
 
     def test_rejects_bad_grid_arguments(self):
