@@ -15,7 +15,6 @@ Rates are in rad/us, times in us.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, fields
 from typing import Optional, Sequence
@@ -349,10 +348,11 @@ _MAX_RK4_WORK = 29_000_000_000
 
 
 def _default_step(params: CavityParams) -> float:
-    """The RK4 step of a quiet run, from the rates alone: phase truncation error well under 1e-8 per run, and stable.
+    """The RK4 step of a quiet run, from the rates alone: stable, with a truncation error of about 1e-8 per run.
 
     The step times the stability scale at the qubit levels, the fastest damping plus 8 * (strongest Kerr coupling),
-    stays below ``_STABILITY_LIMIT``.
+    stays below ``_STABILITY_LIMIT``. At vanishing Kerr couplings the step is longest; there, over gamma in [0, 100],
+    a run of |11> on 41 times in [0, 1] ends up to 1.28e-8 (at gamma1 = gamma2 = 23) from ``propagate``.
     """
     chi_sum = abs(params.chi11) + abs(params.chi22) + 2.0 * abs(params.chi12)
     accuracy = 0.02 / (max(params.gamma1, params.gamma2) + 4.0 * chi_sum + 1.0)
@@ -691,66 +691,61 @@ def closed_form_rho(initial: InitialState, params: CavityParams, t) -> DensityMa
         raise ValueError(reason)
     t = _time_axis(t)
     _check_analytic_rates(params, t.max(initial=0.0))
-    out = np.array([_closed_form_matrix(initial, params, s) for s in t.reshape(-1).tolist()])
-    return DensityMatrix2Q(out[0] if t.ndim == 0 else out.reshape(-1, 4, 4))
-
-
-def _closed_form_matrix(initial: InitialState, params: CavityParams, t: float) -> np.ndarray:
-    """The matrix of ``closed_form_rho`` at one time, unvalidated.
-
-    One branch per pure core of ``states._CORES``; a Bell tag takes its
-    Werner form at p = 1.
-    """
-    core = _CORES[type(initial)]
-    p = getattr(initial, "p", 1.0)
-    gamma = params.gamma1
-    g = math.exp(-gamma * t)
-    m = np.zeros((4, 4), dtype=complex)
-
+    # One branch per pure core of ``states._CORES``; a Bell tag takes its Werner form at p = 1. Each entry is formed
+    # once over the times, bit for bit as the scalar complex/cmath arithmetic of one time. Three operations stay per
+    # time, as numpy's differ from them in the last bit: math.exp, CPython's float ** 2 (C pow) and complex division.
+    core, p, gamma, times = _CORES[type(initial)], getattr(initial, "p", 1.0), params.gamma1, t.reshape(-1)
+    g = np.array([math.exp(-gamma * s) for s in times.tolist()])
+    sq = np.array([(2.0 - s) ** 2 for s in g.tolist()])
+    out = np.zeros((len(g), 4, 4), dtype=complex)
     if core is bell_psi:
-        phase = cmath.exp(1j * (params.chi11 - params.chi22) * t)
-        m[0, 0] = ((2.0 - g) ** 2 - g * g * p) / 4.0
-        m[3, 3] = g * g * (1.0 - p) / 4.0
-        m[1, 1] = m[2, 2] = g * (2.0 - g * (1.0 - p)) / 4.0
-        m[1, 2] = initial.sign * (g * p / 2.0) * phase
-        m[2, 1] = m[1, 2].conjugate()
+        out[:, 0, 0] = (sq - g * g * p) / 4.0
+        out[:, 3, 3] = g * g * (1.0 - p) / 4.0
+        out[:, 1, 1] = out[:, 2, 2] = g * (2.0 - g * (1.0 - p)) / 4.0
+        out[:, 1, 2] = _rmul(np.exp(_rmul(1j * (params.chi11 - params.chi22), times)), initial.sign * (g * p / 2.0))
+        out[:, 2, 1] = out[:, 1, 2].conj()
     elif core is bell_phi:
         xp = (1.0 + p) * g * g / 2.0
-        f = g * cmath.exp(1j * (params.chi11 + 2.0 * params.chi12 + params.chi22) * t)
-        m[0, 0] = (2.0 - 2.0 * g + xp) / 2.0
-        m[1, 1] = m[2, 2] = (g - xp) / 2.0
-        m[3, 3] = xp / 2.0
-        m[0, 3] = initial.sign * p * f / 2.0
-        m[3, 0] = m[0, 3].conjugate()
+        f = _rmul(np.exp(_rmul(1j * (params.chi11 + 2.0 * params.chi12 + params.chi22), times)), g)
+        out[:, 0, 0] = (2.0 - 2.0 * g + xp) / 2.0
+        out[:, 1, 1] = out[:, 2, 2] = (g - xp) / 2.0
+        out[:, 3, 3] = xp / 2.0
+        out[:, 0, 3] = _rmul(f, initial.sign * p) / 2.0
+        out[:, 3, 0] = out[:, 0, 3].conj()
     else:
         # the Bell-like core and |+,+>, with vanishing self-Kerr couplings; they
         # differ only in the oscillator factor f and the corner coefficient h
-        plus_plus = core is not bell_like
-        chi12 = params.chi12
-        f = cmath.exp(2j * chi12 * t)
-        if plus_plus:
-            f = -f
+        plus_plus, chi12 = core is not bell_like, params.chi12
+        f = np.exp(_rmul(2j * chi12, times))
+        f = -f if plus_plus else f
         den = complex(gamma, -2.0 * chi12)
+        fg = _rmul(f, g)
         if den == 0:
             # no damping and no coupling: the state is stationary
-            h = (2.0 + f * g) if plus_plus else f * g
-        elif plus_plus:
-            h = (gamma * (2.0 + f * g) - 2j * chi12) / den
+            h = (2.0 + fg) if plus_plus else fg
         else:
-            h = (gamma * f * g - 2j * chi12) / den
-        rg = math.sqrt(g)
-        g32 = g * rg
-        hb = h.conjugate()
-        fb = f.conjugate()
-        m = np.array([
-            [(2.0 - g) ** 2, h * rg,        h * rg,        -f * g],
-            [hb * rg,        g * (2.0 - g), g,             -f * g32],
-            [hb * rg,        g,             g * (2.0 - g), -f * g32],
-            [-fb * g,        -fb * g32,     -fb * g32,     g * g],
-        ], dtype=complex) / 4.0
+            h = (_rmul(2.0 + fg, gamma) if plus_plus else _rmul(_rmul(f, gamma), g)) - 2j * chi12
+            h = np.array([z / den for z in h.tolist()], dtype=complex)  # CPython's division, per time
+        rg = np.sqrt(g)
+        out[:, 0, 0], out[:, 3, 3] = sq, g * g
+        out[:, 1, 1] = out[:, 2, 2] = g * (2.0 - g)
+        out[:, 1, 2] = out[:, 2, 1] = g
+        out[:, 0, 1] = out[:, 0, 2] = _rmul(h, rg)
+        out[:, 1, 0] = out[:, 2, 0] = _rmul(h.conj(), rg)
+        out[:, 0, 3] = _rmul(-f, g)
+        out[:, 1, 3] = out[:, 2, 3] = _rmul(-f, g * rg)
+        out[:, 3, 0] = _rmul(-f.conj(), g)
+        out[:, 3, 1] = out[:, 3, 2] = _rmul(-f.conj(), g * rg)
+        del f, fg, h, rg  # released before the check copies the stack
+        out /= 4.0
         if p != 1.0:  # the Werner-like mixture scales the coherences; by 1.0 it would change no bit
-            m[~np.eye(4, dtype=bool)] *= p
-    return m
+            out[:, ~np.eye(4, dtype=bool)] *= p
+    return DensityMatrix2Q(out[0] if t.ndim == 0 else out)
+
+
+def _rmul(z, x) -> np.ndarray:
+    """The complex ``z`` times the real ``x``, as CPython forms a product of a complex and a float."""
+    return _complex(*_cmul(z.real, z.imag, x, 0.0))
 
 
 # ---------------------------------------------------------------------------

@@ -115,8 +115,9 @@ def _check_density(m: np.ndarray, stack: tuple) -> None:
         # each comparison is written so that NaN fails it
         # over the 10 pairs (i, j), i <= j: |m_ji - conj(m_ij)| equals |m_ij - conj(m_ji)|
         upper, lower = block[:, _UPPER[0], _UPPER[1]], block[:, _UPPER[1], _UPPER[0]]
-        herm_dev = np.abs(upper - lower.conj()).max(axis=-1, initial=0.0)
-        tr = np.trace(block, axis1=-2, axis2=-1)
+        with np.errstate(invalid="ignore"):  # an infinite entry gives NaN here, which fails as non-finite below
+            herm_dev = np.abs(upper - lower.conj()).max(axis=-1, initial=0.0)
+            tr = np.trace(block, axis1=-2, axis2=-1)
         good = (herm_dev <= 1e-12) & (np.abs(tr - 1.0) <= 1e-12)
         # positivity is only checked on the states before the first hermiticity or trace failure
         i = len(block) if good.all() else int(np.argmin(good))
@@ -464,9 +465,11 @@ def parse_initial(obj: dict) -> InitialState:
                                         for i, v in enumerate(amps))))
     if tag is CustomMixed:
         usage = "custom_mixed needs 'matrix': four rows of four entries"
-        m = [[_read(v, f"matrix[{i}][{j}]", complex) for j, v in enumerate(_four(row, usage))]
-             for i, row in enumerate(_four(obj.get("matrix"), usage))]
-        return CustomMixed(DensityMatrix2Q(np.array(m, dtype=complex)))
+        m = np.array([[_read(v, f"matrix[{i}][{j}]", complex) for j, v in enumerate(_four(row, usage))]
+                      for i, row in enumerate(_four(obj.get("matrix"), usage))], dtype=complex)
+        for (i, j), v in np.ndenumerate(m):
+            _check_finite(v, f"matrix[{i}][{j}]", cmath.isfinite)
+        return CustomMixed(DensityMatrix2Q(m))
     kwargs = {"sign": obj.get("sign", "+")} if "sign" in keys else {}
     if "p" in keys:
         kwargs["p"] = _read(obj.get("p"), "p")

@@ -21,7 +21,7 @@ from kerrdeco.evolution import (
 )
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q, PlusPlus, PureState2Q, Separable, WernerLike,
-    WernerPhi, WernerPsi, bell_like, initial_densities, initial_density, random_density_matrix,
+    WernerPhi, WernerPsi, bell_like, initial_densities, initial_density, random_density_matrix, random_pure_state,
 )
 
 QUIET = CavityParams(gamma1=4.0, gamma2=4.0, chi12=20.0)
@@ -244,6 +244,24 @@ class TestMasterEquation:
             chi_max = max(abs(prm.chi11), abs(prm.chi22), abs(prm.chi12))
             assert (gmax + 8.0 * chi_max) * h <= 0.1
             assert h == rk4_step(prm, 2)
+
+    @settings(max_examples=200, deadline=None, derandomize=True, database=None)
+    @given(gammas=st.tuples(st.floats(0.0, 100.0), st.floats(0.0, 100.0)), seed=st.integers(0, 2 ** 32 - 1))
+    def test_a_zero_kerr_run_stays_within_the_stated_worst(self, gammas, seed):
+        # the step is longest at vanishing Kerr couplings; |11> is the worst start there, a random pure one beside it
+        params, times = CavityParams(*gammas, 0.0, 0.0, 0.0), np.linspace(0.0, 1.0, 41)
+        starts = initial_densities([Separable(0.0, 1.0, 0.0, 1.0),
+                                    CustomPure(random_pure_state(np.random.default_rng(seed)))])
+        got = integrate_master_grid(starts.matrix, params, times)
+        assert linalg.trace_distance(got, propagate(starts, params, times).matrix).max() <= 1.3e-8
+
+    def test_the_worst_zero_kerr_start_is_past_the_verify_oracle_bound(self):
+        # 1.28e-8 at gamma 23, the worst of gamma1 = gamma2 in [0, 100] by 0.05; verify allows the oracle 1e-8. A
+        # shorter step would mend it, but it would move the pinned oracle bytes
+        params, times = CavityParams(23.0, 23.0, 0.0, 0.0, 0.0), np.linspace(0.0, 1.0, 41)
+        start = initial_density(Separable(0.0, 1.0, 0.0, 1.0))
+        got = integrate_master_grid(start.matrix, params, times)
+        assert 1e-8 < linalg.trace_distance(got, propagate(start, params, times).matrix).max() <= 1.3e-8
 
     def test_rates_whose_step_underflows_are_rejected(self):
         rho0 = initial_density(BellPsi(+1)).matrix

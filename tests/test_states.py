@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from kerrdeco import linalg, states
+from kerrdeco import linalg, measures, states
 from kerrdeco.states import (
     BellLike, BellPhi, BellPsi, CustomMixed, CustomPure, DensityMatrix2Q,
     PlusPlus, PureState2Q, Separable, WernerLike, WernerPhi, WernerPsi,
@@ -70,18 +70,18 @@ class TestDensityMatrix:
         with pytest.raises(ValueError):
             DensityMatrix2Q(np.eye(2) / 2.0)
 
-    # inf - inf in the hermiticity check warns before it fails
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+    # an infinite entry makes inf - inf, NaN, in the hermiticity gap: refused with no numpy warning on the way
+    @pytest.mark.parametrize("check", [DensityMatrix2Q, measures.negativity, measures.concurrence])
     @pytest.mark.parametrize("i, j, bad", [
-        (0, 0, math.nan), (1, 2, math.nan), (3, 3, math.inf), (0, 3, complex(0.0, math.inf)),
+        (0, 0, math.nan), (1, 2, math.nan), (3, 3, math.inf), (0, 3, complex(0.0, math.inf)), (0, 1, -math.inf),
     ])
-    def test_rejects_non_finite_entries(self, i, j, bad):
+    def test_rejects_non_finite_entries(self, i, j, bad, check):
         m = np.eye(4, dtype=complex) / 4.0
         m[i, j] = bad
         if i != j:
             m[j, i] = np.conj(bad)
-        with pytest.raises(ValueError, match="non-finite"):
-            DensityMatrix2Q(m)
+        with pytest.raises(ValueError, match="^density matrix has non-finite entries$"):
+            check(m)
 
     def test_matrix_is_read_only(self):
         rho = DensityMatrix2Q(np.eye(4) / 4.0)
@@ -108,12 +108,12 @@ class TestDensityStack:
         assert listed.tobytes() == raw[:2].tobytes()
         assert np.asarray(DensityMatrix2Q(raw)).tobytes() == raw.tobytes()
 
-    @pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
     @pytest.mark.parametrize("k, edit, message", [
         (3, lambda m: m.__setitem__((0, 1), 0.1), "not hermitian"),
         (1, lambda m: m.__imul__(2.0), "trace is"),
         (4, lambda m: m.__setitem__(slice(None), np.diag([0.7, 0.5, -0.1, -0.1])), "negative eigenvalue"),
         (2, lambda m: m.__setitem__((2, 2), math.nan), "non-finite"),
+        (3, lambda m: m.__setitem__((3, 3), math.inf), "non-finite"),
         (0, lambda m: m.__setitem__((1, 3), complex(0.0, math.inf)), "non-finite"),
     ])
     def test_a_bad_state_is_named_by_its_index(self, k, edit, message):
